@@ -174,6 +174,29 @@ def cycle_to_closed_bolts(gc: GolombCycle) -> tuple[ClosedBolt, ...]:
     return tuple(bolts)
 
 
+def _bolt_supremum_with_witness(
+    f: TabulatedFunction, max_support: int | None
+) -> tuple[Fraction, tuple[ClosedBolt, ...]]:
+    """The closed-bolt supremum over minimal cycles of at most
+    ``max_support`` points, with the closed bolts of the first cycle, in
+    enumeration order, that attains it (empty when the supremum is 0)."""
+    _require_two_axes(f.grid)
+    best = Fraction(0)
+    witness: tuple[ClosedBolt, ...] = ()
+    for cycle in enumerate_minimal_cycles(f.grid, max_support=max_support):
+        gc = to_golomb_form(
+            cycle.points, integer_certificate(cycle.weights), cycle.grid
+        )
+        bolts = cycle_to_closed_bolts(gc)
+        value = max(
+            (abs(integrate(f, closed_bolt_measure(cb))) for cb in bolts),
+            default=Fraction(0),
+        )
+        if value > best:
+            best, witness = value, bolts
+    return best, witness
+
+
 def bolt_supremum(f: TabulatedFunction) -> Fraction:
     """Supremum of |integral of f| over closed-bolt measures, computed by
     converting every minimal cycle of the grid to closed bolts.
@@ -182,17 +205,7 @@ def bolt_supremum(f: TabulatedFunction) -> Fraction:
     each converts to a single closed bolt carrying the cycle's measure; the
     maximum over those equals the best-approximation error.
     """
-    _require_two_axes(f.grid)
-    best = Fraction(0)
-    for cycle in enumerate_minimal_cycles(f.grid):
-        gc = to_golomb_form(
-            cycle.points, integer_certificate(cycle.weights), cycle.grid
-        )
-        for cb in cycle_to_closed_bolts(gc):
-            value = abs(integrate(f, closed_bolt_measure(cb)))
-            if value > best:
-                best = value
-    return best
+    return _bolt_supremum_with_witness(f, None)[0]
 
 
 def bolt_to_json(cb: ClosedBolt | Bolt) -> dict:

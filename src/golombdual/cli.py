@@ -16,15 +16,9 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bolts import bolt_to_json, closed_bolt_measure, cycle_to_closed_bolts
+from .bolts import _bolt_supremum_with_witness, bolt_to_json
 from .chebyshev import best_error, report_to_json, verify_golomb
-from .cycles import (
-    decompose,
-    enumerate_minimal_cycles,
-    integer_certificate,
-    pair_to_json,
-    to_golomb_form,
-)
+from .cycles import decompose, enumerate_minimal_cycles, pair_to_json
 from .grids import (
     ProductGrid,
     TabulatedFunction,
@@ -33,7 +27,7 @@ from .grids import (
     function_to_json,
 )
 from .linalg import format_rat
-from .measures import integrate, measure_from_json, measure_to_json
+from .measures import measure_from_json, measure_to_json
 
 
 @dataclass(frozen=True)
@@ -132,24 +126,13 @@ def _cmd_bolts(config: RunConfig) -> int:
     if f.grid.n != 2:
         raise ValueError("bolts requires a two-axis grid")
     result = best_error(f)
-    best = Fraction(0)
-    witness_bolts: list[dict] = []
-    for cycle in enumerate_minimal_cycles(f.grid, max_support=config.max_support):
-        gc = to_golomb_form(cycle.points, integer_certificate(cycle.weights), f.grid)
-        bolts = cycle_to_closed_bolts(gc)
-        value = max(
-            (abs(integrate(f, closed_bolt_measure(cb))) for cb in bolts),
-            default=Fraction(0),
-        )
-        if value > best:
-            best = value
-            witness_bolts = [bolt_to_json(cb) for cb in bolts]
+    best, witness = _bolt_supremum_with_witness(f, config.max_support)
     payload = {
         "shape": list(f.grid.factor_sizes),
         "error": format_rat(result.error),
         "bolt_supremum": format_rat(best),
         "equal": best == result.error,
-        "witness_bolts": witness_bolts if best == result.error and best > 0 else [],
+        "witness_bolts": [bolt_to_json(cb) for cb in witness] if best == result.error else [],
     }
     _emit(config, payload)
     return 0

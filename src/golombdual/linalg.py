@@ -179,25 +179,6 @@ def matrix_rank(m: RatMatrix) -> int:
     return len(_echelon(_integer_rows(m), m.cols)[1])
 
 
-def _solve_square(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
-    """Solve a nonsingular square system by exact Gaussian elimination."""
-    n = len(a)
-    m = [row[:] + [b[i]] for i, row in enumerate(a)]
-    for c in range(n):
-        p = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if p is None:
-            raise ArithmeticError("singular system")
-        m[c], m[p] = m[p], m[c]
-        piv = m[c][c]
-        for i in range(n):
-            if i != c and m[i][c]:
-                factor = m[i][c] / piv
-                row, top = m[i], m[c]
-                for j in range(c, n + 1):
-                    row[j] -= factor * top[j]
-    return [m[i][n] / m[i][i] for i in range(n)]
-
-
 @dataclass(frozen=True)
 class LpProblem:
     """A linear program ``sense c.x  subject to  A x rel b`` with optional
@@ -253,9 +234,11 @@ class LpProblem:
 class LpSolution:
     """Outcome of ``solve_lp``.
 
-    ``dual`` holds one multiplier per original constraint row. At an optimum
-    the pair satisfies complementary slackness, and for bound-free problems
-    ``sum(dual[i] * rhs[i])`` equals the objective value exactly.
+    ``dual`` holds one multiplier per original constraint row, read from
+    the final reduced costs of the rows' unit columns. At an optimum the pair
+    is audited for primal feasibility, dual feasibility and complementary
+    slackness, and for bound-free problems ``sum(dual[i] * rhs[i])`` equals
+    the objective value exactly.
     """
 
     status: Literal["optimal", "infeasible", "unbounded"]
@@ -273,11 +256,12 @@ def _run_simplex(
     basis: list[int],
     cost: list[Fraction],
     barred: set[int],
-) -> str:
+) -> tuple[str, list[Fraction]]:
     """Bland-rule simplex on an equality-form tableau (rhs in the last cell).
 
     Bland's rule (lowest eligible index for both the entering column and the
     tie-broken leaving row) guarantees termination without any perturbation.
+    Returns the status and the final reduced costs ``z = cost - c_B B^-1 A``.
     """
     nrows = len(tableau)
     ncols = len(tableau[0]) - 1
@@ -294,7 +278,7 @@ def _run_simplex(
             (j for j in range(ncols) if z[j] < 0 and j not in barred), None
         )
         if enter is None:
-            return "optimal"
+            return "optimal", z
         leave = -1
         best: Fraction | None = None
         for i in range(nrows):
@@ -307,7 +291,7 @@ def _run_simplex(
                     best = ratio
                     leave = i
         if best is None:
-            return "unbounded"
+            return "unbounded", z
         _pivot(tableau, basis, z, leave, enter)
 
 
@@ -345,9 +329,11 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     Bounded variables are shifted or reflected onto nonnegative internal
     columns (an upper bound on a lower-bounded variable becomes one extra
     internal row); free variables are split into positive and negative parts.
-    Duals are recovered from the optimal basis by solving ``B^T y = c_B``
-    against the untouched equality-form matrix, so they are exact and satisfy
-    strong duality with the primal.
+    Each equality-form row starts with a unit column in the basis (the slack
+    of a ``<=`` row, the artificial of a ``>=`` or ``=`` row), so the row's
+    simplex multiplier ``y = c_B B^-1`` is the negated final phase-2 reduced
+    cost of that column. The duals are exact, and every optimum is audited
+    for primal feasibility, dual feasibility and complementary slackness.
     """
     n = problem.matrix.cols
     m = problem.matrix.rows
@@ -419,14 +405,11 @@ def solve_lp(problem: LpProblem) -> LpSolution:
 
     extra_cols: list[tuple[int, Fraction]] = []  # (row, coefficient)
     art_rows: list[int] = []
-    col_kinds: list[str] = []
     for i in range(m_eq):
         if int_rels[i] == "<=":
             extra_cols.append((i, _ONE))
-            col_kinds.append("slack")
         elif int_rels[i] == ">=":
             extra_cols.append((i, -_ONE))
-            col_kinds.append("slack")
             art_rows.append(i)
         else:
             art_rows.append(i)
@@ -446,16 +429,16 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     for i, col in art_cols.items():
         tableau[i][col] = _ONE
         basis[i] = col
-
-    # keep a pristine copy of the equality-form matrix for dual recovery
-    frozen = [row[:] for row in tableau]
+    # the starting basis is the identity: row i's unit column, whose reduced
+    # cost at the end is -(c_B B^-1)_i, the row's simplex multiplier
+    unit_cols = basis[:]
 
     art_set = set(art_cols.values())
     if art_set:
         cost1 = [_ZERO] * total
         for col in art_set:
             cost1[col] = _ONE
-        status = _run_simplex(tableau, basis, cost1, set())
+        status, _ = _run_simplex(tableau, basis, cost1, set())
         assert status == "optimal"  # phase 1 is bounded below by 0
         if sum(tableau[i][-1] for i in range(m_eq) if basis[i] in art_set) > 0:
             return LpSolution("infeasible", (), (), None)
@@ -476,7 +459,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     cost2 = [_ZERO] * total
     for col in range(ncols_int):
         cost2[col] = c_int[col]
-    status = _run_simplex(tableau, basis, cost2, art_set)
+    status, z = _run_simplex(tableau, basis, cost2, art_set)
     if status == "unbounded":
         return LpSolution("unbounded", (), (), None)
 
@@ -492,13 +475,9 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         x.append(val)
     objective = sum((c_orig[j] * x[j] for j in range(n)), _ZERO)
 
-    # dual recovery: solve B^T y = c_B against the pristine columns
-    bt = [[frozen[r][basis[i]] for r in range(m_eq)] for i in range(m_eq)]
-    cb = [cost2[basis[i]] for i in range(m_eq)]
-    y_eq = _solve_square(bt, cb)
     dual = []
     for i in range(m):
-        v = y_eq[i] * flips[i]
+        v = -z[unit_cols[i]] * flips[i]
         dual.append(v if minimize else -v)
 
     _check_optimum(problem, x, dual, objective)
@@ -511,13 +490,15 @@ def _check_optimum(
     dual: list[Fraction],
     objective: Fraction,
 ) -> None:
-    """Internal exactness audit: feasibility, dual signs, complementary slackness."""
+    """Internal exactness audit: primal feasibility, dual signs, complementary
+    slackness, and dual feasibility of the reduced costs ``c - A^T y``."""
     n, m = problem.matrix.cols, problem.matrix.rows
     minimize = problem.sense == "min"
     for j in range(n):
         lo, up = problem.lower[j], problem.upper[j]
         assert lo is None or x[j] >= lo
         assert up is None or x[j] <= up
+    reduced = list(problem.objective)
     for i in range(m):
         lhs = sum(
             (problem.matrix.at(i, j) * x[j] for j in range(n) if problem.matrix.at(i, j)),
@@ -534,3 +515,12 @@ def _check_optimum(
             assert lhs == b
         if y != 0:
             assert lhs == b  # complementary slackness
+            for j, a in enumerate(problem.matrix.row(i)):
+                if a:
+                    reduced[j] -= a * y
+    for j in range(n):
+        # moving x_j down (up) off its bound must not improve the objective
+        d = reduced[j] if minimize else -reduced[j]
+        lo, up = problem.lower[j], problem.upper[j]
+        assert (lo is not None and x[j] == lo) or d <= 0
+        assert (up is not None and x[j] == up) or d >= 0

@@ -18,6 +18,7 @@ from golombdual import (
     parse_rat,
     solve_lp,
 )
+from golombdual.linalg import _check_optimum
 
 from conftest import CUBE, FIVE_POINTS, SQUARE
 
@@ -320,3 +321,67 @@ class TestSolveLp:
             lp([1], [[1]], ["!"], [1])
         with pytest.raises(ValueError):
             LpProblem.build([1], [[1]], ["<="], [1], sense="best")
+
+
+def random_lp(rng: random.Random) -> LpProblem:
+    """A small LP with mixed relations and, at random: negative right-hand
+    sides (row flips), a redundant scaled copy of an equality row (its
+    artificial stays basic after phase 1), free variables only, or a mix of
+    free, upper-only, nonnegative and two-sided bounds, and either sense."""
+    m = rng.randint(1, 4)
+    n = rng.randint(1, 4)
+    rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+    relations = [rng.choice(["<=", ">=", "="]) for _ in range(m)]
+    rhs = [rng.randint(-5, 5) for _ in range(m)]
+    if rng.random() < 0.5:
+        i = rng.randrange(m)
+        k = rng.choice([1, 2, -1, Fraction(-1, 2)])
+        relations[i] = "="
+        rows.append([k * v for v in rows[i]])
+        relations.append("=")
+        rhs.append(k * rhs[i])
+    lower: list[int | None] = [None] * n
+    upper: list[int | None] = [None] * n
+    if rng.random() < 0.5:
+        for j in range(n):
+            kind = rng.choice(["free", "upper", "nonneg", "two-sided"])
+            if kind == "upper":
+                upper[j] = rng.randint(-2, 3)
+            elif kind == "nonneg":
+                lower[j] = 0
+            elif kind == "two-sided":
+                lower[j] = rng.randint(-2, 2)
+                upper[j] = lower[j] + rng.randint(0, 3)
+    objective = [rng.randint(-4, 4) for _ in range(n)]
+    return lp(objective, rows, relations, rhs, rng.choice(["min", "max"]), lower, upper)
+
+
+class TestDuals:
+    def test_dual_feasibility_audit_rejects_wrong_dual(self):
+        # min x s.t. x >= 0, x free: y = 2 has the right sign and satisfies
+        # complementary slackness, but only y = 1 makes the reduced cost zero.
+        problem = lp([1], [[1]], [">="], [0])
+        _check_optimum(problem, [Fraction(0)], [Fraction(1)], Fraction(0))
+        with pytest.raises(AssertionError):
+            _check_optimum(problem, [Fraction(0)], [Fraction(2)], Fraction(0))
+
+    def test_strong_duality_on_random_lps(self):
+        rng = random.Random(8128)
+        statuses = set()
+        bound_free_optima = 0
+        for _ in range(1000):
+            problem = random_lp(rng)
+            sol = solve_lp(problem)
+            statuses.add(sol.status)
+            if sol.status != "optimal":
+                continue
+            assert len(sol.dual) == problem.matrix.rows
+            if all(v is None for v in problem.lower + problem.upper):
+                bound_free_optima += 1
+                m, n = problem.matrix.rows, problem.matrix.cols
+                assert sum(sol.dual[i] * problem.rhs[i] for i in range(m)) == sol.objective
+                for j in range(n):
+                    column = sum(problem.matrix.at(i, j) * sol.dual[i] for i in range(m))
+                    assert column == problem.objective[j]
+        assert statuses == {"optimal", "infeasible", "unbounded"}
+        assert bound_free_optima >= 100
