@@ -8,6 +8,12 @@ annihilating measure of total variation at most 1 whose integral against f
 equals the error; the duality formula says the same value is the supremum of
 |integral of f| over normalized minimal-cycle measures, and verify_golomb
 checks that equality literally, by enumeration.
+
+For a positive error the duals y = c_B B^-1 are a vertex, and complementary
+slackness leaves mass on at most one of a point's two rows (both tight
+means t = -t = 0), so the measure is a vertex of {annihilating mu,
+sum |mu| = 1}. Its support has a one-dimensional kernel: it is one
+normalized minimal-cycle measure.
 """
 
 from __future__ import annotations
@@ -16,10 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cycles import (
+    CycleVectorPair,
     Decomposition,
     MinimalCycle,
     _enumerate,
-    decompose,
     pair_to_json,
 )
 from .grids import SeparableSum, TabulatedFunction, residual, sup_norm
@@ -38,7 +44,7 @@ DEFAULT_ENUM_BUDGET = 1 << 20
 class ApproximationResult:
     """Exact error, a best separable approximation, and an optimal dual
     measure (annihilating, total variation <= 1, integral equal to the
-    error)."""
+    error), which is one minimal-cycle measure when the error is positive."""
 
     error: Fraction
     best_g: SeparableSum
@@ -67,7 +73,8 @@ def best_error(f: TabulatedFunction) -> ApproximationResult:
     shifting constants between axes is removed by pinning g_i(0) = 0 on every
     axis after the first. Each grid point contributes the two rows
     sum g + t >= f(x) and sum g - t <= f(x); the dual measure puts
-    (upper multiplier) - (lower multiplier) at x.
+    (upper multiplier) - (lower multiplier) at x. A positive error makes it
+    one minimal-cycle measure (module docstring); at error 0 it need not be.
     """
     grid = f.grid
     sizes = grid.factor_sizes
@@ -140,10 +147,11 @@ def best_error(f: TabulatedFunction) -> ApproximationResult:
 
 
 def cycle_functional(f: TabulatedFunction, cycle: MinimalCycle) -> Fraction:
-    """|integral of f| against the cycle's normalized measure."""
+    """|integral of f| against the cycle's normalized measure: the sum over
+    its own distinct points and weights, which have total mass 1."""
     if f.grid != cycle.grid:
         raise ValueError("grid mismatch")
-    return abs(integrate(f, cycle.measure()))
+    return abs(sum(w * f.value_at(p) for p, w in zip(cycle.points, cycle.weights)))
 
 
 def verify_golomb(
@@ -190,29 +198,19 @@ def verify_golomb(
 def optimal_witness_from_dual(
     f: TabulatedFunction, result: ApproximationResult | None = None
 ) -> tuple[MinimalCycle, Decomposition]:
-    """A minimal cycle achieving the error, read off the dual measure.
-
-    When the error is positive the dual measure has total variation exactly 1
-    (otherwise scaling it up would beat the optimum), so it decomposes into
-    minimal-cycle measures; convexity forces at least one term to achieve the
-    full value, and none can exceed it.
+    """A minimal cycle achieving the error. For a positive error the dual
+    measure is one normalized minimal-cycle measure (module docstring), read
+    off here as the witness and its one-term decomposition; MinimalCycle
+    re-checks it exactly, and any other measure raises ValueError.
     """
     if result is None:
         result = best_error(f)
     if result.error == 0:
         raise ValueError("zero error: every annihilating measure integrates f to 0")
     mu = result.optimal_measure
-    assert total_variation(mu) == 1
-    dec = decompose(mu)
-    best_cycle = None
-    best_value = Fraction(-1)
-    for _, cycle in dec.terms:
-        value = cycle_functional(f, cycle)
-        if value > best_value:
-            best_value = value
-            best_cycle = cycle
-    assert best_cycle is not None and best_value == result.error
-    return best_cycle, dec
+    cycle = MinimalCycle(CycleVectorPair(mu.grid, mu.support, tuple(m for _, m in mu.atoms)))
+    assert cycle_functional(f, cycle) == result.error
+    return cycle, Decomposition(((Fraction(1), cycle),))
 
 
 def report_to_json(report: GolombReport) -> dict:

@@ -85,7 +85,7 @@ def _integer_rows(m: RatMatrix) -> list[list[int]]:
     for i in range(m.rows):
         row = m.row(i)
         scale = lcm(*(v.denominator for v in row)) if row else 1
-        out.append([int(v * scale) for v in row])
+        out.append([v.numerator * (scale // v.denominator) for v in row])
     return out
 
 
@@ -131,7 +131,7 @@ def _echelon(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[i
 def _primitive(v: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Scale to integer entries with gcd 1 and first nonzero entry positive."""
     scale = lcm(*(x.denominator for x in v)) if v else 1
-    ints = [int(x * scale) for x in v]
+    ints = [x.numerator * (scale // x.denominator) for x in v]
     g = gcd(*ints) if ints else 0
     if g == 0:
         return tuple(Fraction(0) for _ in v)

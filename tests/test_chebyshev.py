@@ -8,11 +8,15 @@ from fractions import Fraction
 import pytest
 
 from golombdual import (
+    ApproximationResult,
+    CycleVectorPair,
+    MinimalCycle,
     ProductGrid,
     best_error,
     cycle_functional,
     enumerate_minimal_cycles,
     integrate,
+    is_minimal,
     is_orthogonal,
     normalize_minimal,
     optimal_witness_from_dual,
@@ -84,6 +88,25 @@ class TestBestError:
     def test_error_zero_only_for_separable(self):
         assert best_error(XY).error > 0
 
+    def test_positive_error_measure_is_one_minimal_cycle(self):
+        # the duals are a vertex of {annihilating mu, sum |mu| = 1}, whose
+        # support carries a one-dimensional incidence kernel
+        rng = random.Random(14)
+        for shape, count in (
+            ((2, 2), 4), ((3, 3), 4), ((5, 4), 3), ((2, 2, 2), 4),
+            ((3, 3, 2), 3), ((4, 4, 4), 1), ((2, 2, 2, 2), 3),
+        ):
+            grid = ProductGrid(shape)
+            for bound in (10, 1000):
+                checked = 0
+                while checked < count:
+                    mu = best_error(random_table(rng, grid, bound)).optimal_measure
+                    if mu.is_zero():
+                        continue
+                    assert is_minimal(mu.support, grid)
+                    assert normalize_minimal(mu.support, grid).measure() in (mu, -mu)
+                    checked += 1
+
 
 class TestCycleFunctional:
     def test_separable_gives_zero_on_every_cycle(self):
@@ -105,10 +128,17 @@ class TestCycleFunctional:
         assert cycle_functional(f, mc) == Fraction(1, 3)
 
     def test_orientation_independent(self):
-        mc = normalize_minimal(SQUARE, ProductGrid((2, 2)))
         rng = random.Random(6)
-        f = random_table(rng, ProductGrid((2, 2)))
-        assert cycle_functional(f, mc) == abs(integrate(f, mc.measure()))
+        for shape in ((2, 2), (3, 3), (2, 2, 2)):
+            grid = ProductGrid(shape)
+            f = random_table(rng, grid)
+            for mc in enumerate_minimal_cycles(grid):
+                flipped = MinimalCycle(
+                    CycleVectorPair(grid, mc.points, tuple(-w for w in mc.weights))
+                )
+                expected = abs(integrate(f, mc.measure()))
+                assert cycle_functional(f, mc) == expected
+                assert cycle_functional(f, flipped) == expected
 
     def test_never_exceeds_best_error(self):
         rng = random.Random(7)
@@ -208,6 +238,20 @@ class TestOptimalWitness:
         f = table((2, 2), [0, 0, 0, 0])
         with pytest.raises(ValueError):
             optimal_witness_from_dual(f)
+
+    def test_rejects_a_measure_spread_over_two_cycles(self):
+        # the 4x4 identity: the squares on the two diagonal 2x2 blocks both
+        # integrate f to the error, and so does their even mixture
+        f = table((4, 4), [1 if x == y else 0 for x in range(4) for y in range(4)])
+        grid = f.grid
+        a = normalize_minimal(SQUARE, grid).measure()
+        b = normalize_minimal([(x + 2, y + 2) for x, y in SQUARE], grid).measure()
+        mixed = Fraction(1, 2) * a + Fraction(1, 2) * b
+        result = best_error(f)
+        assert integrate(f, a) == integrate(f, b) == integrate(f, mixed) == result.error
+        hand_built = ApproximationResult(result.error, result.best_g, mixed)
+        with pytest.raises(ValueError):
+            optimal_witness_from_dual(f, hand_built)
 
 
 class TestInvariance:

@@ -132,11 +132,14 @@ class TestKernelBasis:
 
     def test_rank_nullity_on_random_matrices(self):
         rng = random.Random(11)
-        for _ in range(60):
+        integer = lambda: rng.randint(-5, 5)
+        # negative rationals with mixed denominators inside one row
+        rational = lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+        for entry in [integer] * 60 + [rational] * 60:
             rows = rng.randint(1, 5)
             cols = rng.randint(1, 6)
             m = RatMatrix.from_rows(
-                [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
+                [[entry() for _ in range(cols)] for _ in range(rows)]
             )
             basis = kernel_basis(m)
             assert len(basis) == cols - matrix_rank(m)
