@@ -29,7 +29,7 @@ from .cycles import (
     pair_to_json,
 )
 from .grids import SeparableSum, TabulatedFunction, residual, sup_norm
-from .linalg import LpProblem, format_rat, solve_lp
+from .linalg import CertificateError, LpProblem, format_rat, solve_lp
 from .measures import (
     FiniteSignedMeasure,
     integrate,
@@ -75,6 +75,15 @@ def best_error(f: TabulatedFunction) -> ApproximationResult:
     sum g + t >= f(x) and sum g - t <= f(x); the dual measure puts
     (upper multiplier) - (lower multiplier) at x. A positive error makes it
     one minimal-cycle measure (module docstring); at error 0 it need not be.
+
+    t also gets the upper bound max|f| + 1, which never binds: g = 0 with
+    t = max|f| is feasible, so the optimum has t <= max|f|. solve_lp turns
+    t <= bound into t = bound - z with z >= 0, and each row's rhs then has
+    the sign that makes its slack basic and feasible at g = 0, z = 0. So
+    the simplex starts from that point with no phase 1, and the row count
+    stays 2 |grid|. z >= 1 at the optimum is basic with reduced cost 0, so,
+    as without the bound, the row multipliers have absolute sum 1. Every
+    result is audited exactly; a failed audit raises CertificateError.
     """
     grid = f.grid
     sizes = grid.factor_sizes
@@ -112,12 +121,15 @@ def best_error(f: TabulatedFunction) -> ApproximationResult:
 
     objective = [Fraction(0)] * ncols
     objective[0] = Fraction(1)
+    bound = max(abs(v) for v in f.values) + 1
+    upper = [bound] + [None] * (ncols - 1)
     sol = solve_lp(
-        LpProblem.build(objective, rows, relations, rhs, sense="min")
+        LpProblem.build(objective, rows, relations, rhs, sense="min", upper=upper)
     )
-    assert sol.status == "optimal"  # always feasible (g = 0, t = sup|f|) and t >= 0
+    # g = 0, t = max|f| is feasible and t >= 0 on every feasible point
+    if sol.status != "optimal" or sol.objective < 0:
+        raise CertificateError(f"the error LP ended {sol.status} with value {sol.objective}")
     error = sol.objective
-    assert error is not None and error >= 0
 
     tables = []
     for axis in range(grid.n):
@@ -136,13 +148,21 @@ def best_error(f: TabulatedFunction) -> ApproximationResult:
     mu = FiniteSignedMeasure(grid, tuple(atoms))
 
     res = residual(f, best_g)
-    assert sup_norm(res) == error
-    assert is_orthogonal(mu)
-    assert total_variation(mu) <= 1
-    assert integrate(f, mu) == error
+    if sup_norm(res) != error:
+        raise CertificateError(f"sup |f - g| = {sup_norm(res)} differs from the error {error}")
+    if not is_orthogonal(mu):
+        raise CertificateError("the dual measure does not annihilate separable sums")
+    if total_variation(mu) > 1:
+        raise CertificateError(f"the dual measure has total variation {total_variation(mu)} > 1")
+    if integrate(f, mu) != error:
+        raise CertificateError(f"the dual measure integrates f to {integrate(f, mu)}, not {error}")
     for point, mass in mu.atoms:
         r = res.value_at(point)
-        assert abs(r) == error and (r > 0) == (mass > 0)
+        if abs(r) != error or (r > 0) != (mass > 0):
+            raise CertificateError(
+                f"dual mass {mass} at {point} sits where the residual is {r}, not +-{error}"
+                " of the same sign"
+            )
     return ApproximationResult(error=error, best_g=best_g, optimal_measure=mu)
 
 
@@ -209,7 +229,11 @@ def optimal_witness_from_dual(
         raise ValueError("zero error: every annihilating measure integrates f to 0")
     mu = result.optimal_measure
     cycle = MinimalCycle(CycleVectorPair(mu.grid, mu.support, tuple(m for _, m in mu.atoms)))
-    assert cycle_functional(f, cycle) == result.error
+    if cycle_functional(f, cycle) != result.error:
+        raise CertificateError(
+            f"the witness cycle's functional {cycle_functional(f, cycle)}"
+            f" differs from the error {result.error}"
+        )
     return cycle, Decomposition(((Fraction(1), cycle),))
 
 

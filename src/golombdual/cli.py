@@ -2,9 +2,11 @@
 
 Exit codes: 0 on success (for verify: duality confirmed), 1 when a
 verification is negative or the enumeration budget was exceeded, 2 on input
-errors. Output is built in memory and written only on success, so a failing
-run never leaves a partial file. The gen command uses random.Random (the
-documented Mersenne Twister), so output is byte-identical for a given seed.
+errors, 3 when an exact audit of a computed solution or certificate fails
+(a bug, never an input error). Output is built in memory and written only
+on success, so a failing run never leaves a partial file. The gen command
+uses random.Random (the documented Mersenne Twister), so output is
+byte-identical for a given seed.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .grids import (
     function_from_json,
     function_to_json,
 )
-from .linalg import format_rat
+from .linalg import CertificateError, format_rat
 from .measures import measure_from_json, measure_to_json
 
 
@@ -171,6 +173,9 @@ def run(config: RunConfig) -> int:
     except (ValueError, OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except CertificateError as exc:
+        print(f"certificate error: {exc}", file=sys.stderr)
+        return 3
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -24,6 +24,7 @@ from typing import Iterable, Sequence
 
 from .grids import GridPoint, ProductGrid, incidence_matrix, point_index
 from .linalg import (
+    CertificateError,
     LpProblem,
     format_rat,
     kernel_basis,
@@ -433,7 +434,8 @@ def extract_extreme_cycle(mu: FiniteSignedMeasure) -> MinimalCycle:
         lower=[0] * len(support),
     )
     sol = solve_lp(lp)
-    assert sol.status == "optimal"
+    if sol.status != "optimal":  # mu itself, scaled, is feasible and the objective is 0
+        raise CertificateError(f"the cycle extraction LP ended {sol.status}")
     pts = []
     lam = []
     for j, beta in enumerate(sol.primal):
@@ -468,7 +470,8 @@ def decompose(mu: FiniteSignedMeasure) -> Decomposition:
         terms.append((t, mc))
         residual = residual - t * mc.measure()
     dec = Decomposition(tuple(terms))
-    assert dec.combined() == mu
+    if dec.combined() != mu:
+        raise CertificateError("the decomposition does not recombine to the measure")
     return dec
 
 

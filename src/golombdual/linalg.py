@@ -1,9 +1,11 @@
 """Exact rational linear algebra: dense matrices, null-space bases, and an
 exact two-phase simplex solver.
 
-Everything runs over ``fractions.Fraction``. There is no floating point
-anywhere in this package, so every comparison below is a decidable exact
-test and results are reproducible bit for bit.
+Everything is exact rational arithmetic: inputs and results are
+``fractions.Fraction``, and the simplex pivots on integer rows with one
+common denominator each. There is no floating point anywhere in this
+package, so every comparison below is a decidable exact test and results
+are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -79,14 +81,19 @@ class RatMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
 
+def _int_row(values: Sequence[Fraction]) -> list[int]:
+    """Integer row for ``values``: the numerators over one common
+    positive denominator, which is appended as the last entry. Clearing by
+    the lcm of reduced denominators leaves the row in lowest terms."""
+    den = lcm(*(v.denominator for v in values))
+    row = [v.numerator * (den // v.denominator) for v in values]
+    row.append(den)
+    return row
+
+
 def _integer_rows(m: RatMatrix) -> list[list[int]]:
     """Clear denominators row by row; row scaling does not change the kernel."""
-    out: list[list[int]] = []
-    for i in range(m.rows):
-        row = m.row(i)
-        scale = lcm(*(v.denominator for v in row)) if row else 1
-        out.append([v.numerator * (scale // v.denominator) for v in row])
-    return out
+    return [_int_row(m.row(i))[:-1] for i in range(m.rows)]
 
 
 def _exact_div(a: int, b: int) -> int:
@@ -130,8 +137,7 @@ def _echelon(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[i
 
 def _primitive(v: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Scale to integer entries with gcd 1 and first nonzero entry positive."""
-    scale = lcm(*(x.denominator for x in v)) if v else 1
-    ints = [x.numerator * (scale // x.denominator) for x in v]
+    ints = _int_row(v)[:-1]
     g = gcd(*ints) if ints else 0
     if g == 0:
         return tuple(Fraction(0) for _ in v)
@@ -251,28 +257,43 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+class CertificateError(AssertionError):
+    """An exact audit of a computed solution or certificate failed. The
+    audits are explicit checks, so ``python -O`` does not remove them."""
+
+
+def _eliminate(cur: list[int], prow: list[int], col: int) -> list[int]:
+    """``cur - cur[col] * prow`` for a pivot row whose entry at ``col`` is 1,
+    in lowest terms. Both rows are integer rows (denominator last)."""
+    c, dr = cur[col], prow[-1]
+    out = [u * dr - c * v for u, v in zip(cur, prow)]
+    out[-1] = cur[-1] * dr
+    g = gcd(*out)
+    return [v // g for v in out] if g > 1 else out
+
+
 def _run_simplex(
-    tableau: list[list[Fraction]],
+    tableau: list[list[int]],
     basis: list[int],
     cost: list[Fraction],
     barred: set[int],
-) -> tuple[str, list[Fraction]]:
-    """Bland-rule simplex on an equality-form tableau (rhs in the last cell).
+) -> tuple[str, list[int]]:
+    """Bland-rule simplex on an equality-form integer tableau. Row i holds
+    the numerators of its entries, then of its rhs, then one positive
+    denominator; the basic column of row i has entry 1.
 
     Bland's rule (lowest eligible index for both the entering column and the
     tie-broken leaving row) guarantees termination without any perturbation.
-    Returns the status and the final reduced costs ``z = cost - c_B B^-1 A``.
+    A row's denominator cancels in its own ratio rhs/a, so the ratio test
+    compares numerators by cross-multiplication. Returns the status and the
+    final reduced costs ``z = cost - c_B B^-1 A`` as an integer row (its
+    second-to-last entry is the negated objective value).
     """
-    nrows = len(tableau)
-    ncols = len(tableau[0]) - 1
-    z = list(cost)
-    for i in range(nrows):
-        cb = cost[basis[i]]
-        if cb:
-            row = tableau[i]
-            for j in range(ncols):
-                if row[j]:
-                    z[j] -= cb * row[j]
+    ncols = len(cost)
+    z = _int_row([*cost, _ZERO])
+    for i in range(len(tableau)):
+        if z[basis[i]]:
+            z = _eliminate(z, tableau[i], basis[i])
     while True:
         enter = next(
             (j for j in range(ncols) if z[j] < 0 and j not in barred), None
@@ -280,47 +301,50 @@ def _run_simplex(
         if enter is None:
             return "optimal", z
         leave = -1
-        best: Fraction | None = None
-        for i in range(nrows):
-            a = tableau[i][enter]
-            if a > 0:
-                ratio = tableau[i][-1] / a
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
-                ):
-                    best = ratio
-                    leave = i
-        if best is None:
+        for i, row in enumerate(tableau):
+            a = row[enter]
+            if a <= 0:
+                continue
+            if leave >= 0:
+                best = tableau[leave]
+                lhs, rhs = row[-2] * best[enter], best[-2] * a
+                if lhs > rhs or (lhs == rhs and basis[i] > basis[leave]):
+                    continue
+            leave = i
+        if leave < 0:
             return "unbounded", z
-        _pivot(tableau, basis, z, leave, enter)
+        z = _pivot(tableau, basis, z, leave, enter)
 
 
 def _pivot(
-    tableau: list[list[Fraction]],
+    tableau: list[list[int]],
     basis: list[int],
-    z: list[Fraction] | None,
+    z: list[int] | None,
     row: int,
     col: int,
-) -> None:
+) -> list[int] | None:
+    """Pivot on (row, col) and return the updated reduced-cost row."""
     prow = tableau[row]
     piv = prow[col]
-    if piv != 1:
-        inv = _ONE / piv
-        for j in range(len(prow)):
-            if prow[j]:
-                prow[j] *= inv
-    nz = [j for j, v in enumerate(prow) if v]
+    # dividing by piv / den: the numerators stay, the denominator becomes piv
+    if piv < 0:
+        prow = [-v for v in prow[:-1]]
+        piv = -piv
+    else:
+        prow = prow[:-1]
+    g = gcd(*prow)  # piv is an entry, so g divides it
+    if g > 1:
+        prow = [v // g for v in prow]
+        piv //= g
+    prow.append(piv)
+    tableau[row] = prow
     for i, cur in enumerate(tableau):
         if i != row and cur[col]:
-            factor = cur[col]
-            for j in nz:
-                cur[j] -= factor * prow[j]
+            tableau[i] = _eliminate(cur, prow, col)
     if z is not None and z[col]:
-        factor = z[col]
-        for j in nz:
-            if j < len(z):
-                z[j] -= factor * prow[j]
+        z = _eliminate(z, prow, col)
     basis[row] = col
+    return z
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
@@ -328,12 +352,22 @@ def solve_lp(problem: LpProblem) -> LpSolution:
 
     Bounded variables are shifted or reflected onto nonnegative internal
     columns (an upper bound on a lower-bounded variable becomes one extra
-    internal row); free variables are split into positive and negative parts.
-    Each equality-form row starts with a unit column in the basis (the slack
-    of a ``<=`` row, the artificial of a ``>=`` or ``=`` row), so the row's
+    internal row; a variable with only an upper bound u becomes u - z with
+    z >= 0 and adds no row); free variables are split into positive and
+    negative parts. Rows are flipped to a nonnegative rhs. Each
+    equality-form row starts with a unit column in the basis (the slack of
+    a ``<=`` row, the artificial of a ``>=`` or ``=`` row); phase 1 runs
+    only when some row needs an artificial, so a problem whose slacks are
+    already a feasible basis goes straight to phase 2.
+
+    The tableau holds integer rows: each row is its numerators plus one
+    positive denominator, kept in lowest terms with one gcd per row update,
+    so a pivot makes no ``Fraction`` per entry. The pivots, and hence the
+    result, are those of the same Bland simplex over rationals. A row's
     simplex multiplier ``y = c_B B^-1`` is the negated final phase-2 reduced
-    cost of that column. The duals are exact, and every optimum is audited
-    for primal feasibility, dual feasibility and complementary slackness.
+    cost of its unit column. The duals are exact, and every optimum is
+    audited for primal feasibility, dual feasibility and complementary
+    slackness; a failed audit raises CertificateError.
     """
     n = problem.matrix.cols
     m = problem.matrix.rows
@@ -417,18 +451,18 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     total = ncols_int + slack_count + len(art_rows)
     art_cols = {row: ncols_int + slack_count + k for k, row in enumerate(art_rows)}
 
-    tableau: list[list[Fraction]] = []
+    rows: list[list[Fraction]] = []
     for i in range(m_eq):
-        row = int_rows[i] + [_ZERO] * (slack_count + len(art_rows)) + [int_rhs[i]]
-        tableau.append(row)
+        rows.append(int_rows[i] + [_ZERO] * (slack_count + len(art_rows)) + [int_rhs[i]])
     basis = [-1] * m_eq
     for k, (i, coef) in enumerate(extra_cols):
-        tableau[i][ncols_int + k] = coef
+        rows[i][ncols_int + k] = coef
         if coef > 0 and basis[i] == -1:
             basis[i] = ncols_int + k
     for i, col in art_cols.items():
-        tableau[i][col] = _ONE
+        rows[i][col] = _ONE
         basis[i] = col
+    tableau = [_int_row(row) for row in rows]
     # the starting basis is the identity: row i's unit column, whose reduced
     # cost at the end is -(c_B B^-1)_i, the row's simplex multiplier
     unit_cols = basis[:]
@@ -439,8 +473,9 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         for col in art_set:
             cost1[col] = _ONE
         status, _ = _run_simplex(tableau, basis, cost1, set())
-        assert status == "optimal"  # phase 1 is bounded below by 0
-        if sum(tableau[i][-1] for i in range(m_eq) if basis[i] in art_set) > 0:
+        if status != "optimal":
+            raise CertificateError(f"phase 1 ended {status}, but it is bounded below by 0")
+        if any(tableau[i][-2] for i in range(m_eq) if basis[i] in art_set):
             return LpSolution("infeasible", (), (), None)
         # drive leftover artificials out of the basis where possible
         for i in range(m_eq):
@@ -466,7 +501,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     # primal recovery
     x_int = [_ZERO] * total
     for i in range(m_eq):
-        x_int[basis[i]] = tableau[i][-1]
+        x_int[basis[i]] = Fraction(tableau[i][-2], tableau[i][-1])
     x = []
     for j in range(n):
         val = offsets[j]
@@ -477,7 +512,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
 
     dual = []
     for i in range(m):
-        v = -z[unit_cols[i]] * flips[i]
+        v = Fraction(-z[unit_cols[i]] * flips[i], z[-1])
         dual.append(v if minimize else -v)
 
     _check_optimum(problem, x, dual, objective)
@@ -490,14 +525,15 @@ def _check_optimum(
     dual: list[Fraction],
     objective: Fraction,
 ) -> None:
-    """Internal exactness audit: primal feasibility, dual signs, complementary
-    slackness, and dual feasibility of the reduced costs ``c - A^T y``."""
+    """Exactness audit: primal feasibility, dual signs, complementary
+    slackness, and dual feasibility of the reduced costs ``c - A^T y``.
+    Raises CertificateError on the first violation."""
     n, m = problem.matrix.cols, problem.matrix.rows
     minimize = problem.sense == "min"
     for j in range(n):
         lo, up = problem.lower[j], problem.upper[j]
-        assert lo is None or x[j] >= lo
-        assert up is None or x[j] <= up
+        if (lo is not None and x[j] < lo) or (up is not None and x[j] > up):
+            raise CertificateError(f"x[{j}] = {x[j]} violates its bounds [{lo}, {up}]")
     reduced = list(problem.objective)
     for i in range(m):
         lhs = sum(
@@ -505,16 +541,16 @@ def _check_optimum(
             _ZERO,
         )
         rel, b, y = problem.relations[i], problem.rhs[i], dual[i]
-        if rel == "<=":
-            assert lhs <= b
-            assert (y <= 0) if minimize else (y >= 0)
-        elif rel == ">=":
-            assert lhs >= b
-            assert (y >= 0) if minimize else (y <= 0)
-        else:
-            assert lhs == b
+        if not (lhs <= b if rel == "<=" else lhs >= b if rel == ">=" else lhs == b):
+            raise CertificateError(f"row {i}: {lhs} {rel} {b} does not hold")
+        # min: y <= 0 on a <= row and y >= 0 on a >= row; max flips both
+        if rel != "=" and (y > 0 if (rel == "<=") == minimize else y < 0):
+            raise CertificateError(f"row {i}: dual {y} has the wrong sign for {rel}")
         if y != 0:
-            assert lhs == b  # complementary slackness
+            if lhs != b:
+                raise CertificateError(
+                    f"row {i}: dual {y} is nonzero on a slack row (complementary slackness)"
+                )
             for j, a in enumerate(problem.matrix.row(i)):
                 if a:
                     reduced[j] -= a * y
@@ -522,5 +558,5 @@ def _check_optimum(
         # moving x_j down (up) off its bound must not improve the objective
         d = reduced[j] if minimize else -reduced[j]
         lo, up = problem.lower[j], problem.upper[j]
-        assert (lo is not None and x[j] == lo) or d <= 0
-        assert (up is not None and x[j] == up) or d >= 0
+        if (d > 0 and (lo is None or x[j] != lo)) or (d < 0 and (up is None or x[j] != up)):
+            raise CertificateError(f"column {j}: reduced cost {d} is not dual feasible")

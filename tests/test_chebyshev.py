@@ -7,8 +7,13 @@ from fractions import Fraction
 
 import pytest
 
+import golombdual.chebyshev as chebyshev
 from golombdual import (
     ApproximationResult,
+    CertificateError,
+    LpProblem,
+    LpSolution,
+    TabulatedFunction,
     CycleVectorPair,
     MinimalCycle,
     ProductGrid,
@@ -36,6 +41,7 @@ from conftest import (
     random_table,
     table,
 )
+from golombdual.linalg import solve_lp
 
 XY = table((2, 2), [0, 0, 0, 1])  # f(x, y) = x * y on {0, 1}^2
 
@@ -106,6 +112,129 @@ class TestBestError:
                     assert is_minimal(mu.support, grid)
                     assert normalize_minimal(mu.support, grid).measure() in (mu, -mu)
                     checked += 1
+
+
+def error_without_bound(f: TabulatedFunction) -> Fraction:
+    """min t s.t. -t <= f(x) - sum_i g_i(x_i) <= t with t and every g_i(v)
+    free: the error LP with neither the bound on t nor the gauge pinning."""
+    sizes = f.grid.factor_sizes
+    offsets = [1 + sum(sizes[:axis]) for axis in range(f.grid.n)]
+    ncols = 1 + sum(sizes)
+    rows, relations, rhs = [], [], []
+    for point in f.grid.points():
+        for sign, rel in ((1, ">="), (-1, "<=")):
+            row = [0] * ncols
+            row[0] = sign
+            for axis, value in enumerate(point):
+                row[offsets[axis] + value] = 1
+            rows.append(row)
+            relations.append(rel)
+            rhs.append(f.value_at(point))
+    sol = solve_lp(LpProblem.build([1] + [0] * (ncols - 1), rows, relations, rhs))
+    assert sol.status == "optimal"
+    return sol.objective
+
+
+class TestErrorBound:
+    """best_error bounds t by max|f| + 1, which never binds (g = 0 reaches
+    t = max|f|) and lets the simplex start at a feasible basis."""
+
+    def solve(self, f: TabulatedFunction, monkeypatch) -> Fraction:
+        problems = []
+
+        def recording_solve_lp(problem):
+            problems.append(problem)
+            return solve_lp(problem)
+
+        monkeypatch.setattr(chebyshev, "solve_lp", recording_solve_lp)
+        error = best_error(f).error
+        (problem,) = problems
+        assert problem.matrix.rows == 2 * f.grid.volume
+        assert problem.upper[0] == max(abs(v) for v in f.values) + 1
+        assert problem.lower == (None,) * problem.matrix.cols
+        assert error == error_without_bound(f)
+        assert error == verify_golomb(f).cycle_supremum
+        return error
+
+    def test_seeded_tables(self, monkeypatch):
+        rng = random.Random(41)
+        for shape in ((2, 2), (3, 3), (4, 3), (2, 5), (2, 2, 2), (3, 2, 2)):
+            for bound in (1, 10, 1000):
+                self.solve(random_table(rng, ProductGrid(shape), bound), monkeypatch)
+
+    def test_error_equal_to_max_abs(self, monkeypatch):
+        f = table((2, 2), [1, -1, -1, 1])
+        assert self.solve(f, monkeypatch) == 1 == max(abs(v) for v in f.values)
+
+    def test_zero_and_separable_tables(self, monkeypatch):
+        assert self.solve(table((3, 2), [0] * 6), monkeypatch) == 0
+        rng = random.Random(42)
+        for shape in ((3, 3), (2, 2, 2)):
+            f = tabulate(random_separable(rng, ProductGrid(shape)))
+            assert self.solve(f, monkeypatch) == 0
+
+    def test_single_row_and_single_column_grids(self, monkeypatch):
+        rng = random.Random(43)
+        for shape in ((1, 1), (1, 5), (5, 1), (1, 3, 1)):
+            assert self.solve(random_table(rng, ProductGrid(shape)), monkeypatch) == 0
+
+    def test_all_negative_values(self, monkeypatch):
+        rng = random.Random(44)
+        for shape in ((3, 3), (2, 2, 2)):
+            grid = ProductGrid(shape)
+            values = tuple(Fraction(rng.randint(-50, -1)) for _ in range(grid.volume))
+            assert self.solve(TabulatedFunction(grid, values), monkeypatch) > 0
+
+    def test_large_denominators(self, monkeypatch):
+        rng = random.Random(45)
+        for shape in ((3, 3), (2, 2, 2)):
+            grid = ProductGrid(shape)
+            values = tuple(
+                Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**9))
+                for _ in range(grid.volume)
+            )
+            self.solve(TabulatedFunction(grid, values), monkeypatch)
+
+
+class TestCertificateAudits:
+    """Corrupted LP output must raise CertificateError, not pass silently."""
+
+    def corrupt(self, monkeypatch, primal=None, dual=None) -> None:
+        def corrupted_solve_lp(problem):
+            sol = solve_lp(problem)
+            return LpSolution(
+                sol.status,
+                tuple(primal(sol.primal)) if primal else sol.primal,
+                tuple(dual(sol.dual)) if dual else sol.dual,
+                sol.objective,
+            )
+
+        monkeypatch.setattr(chebyshev, "solve_lp", corrupted_solve_lp)
+
+    def test_corrupted_primal(self, monkeypatch):
+        # move g_0(0) by 1/3: the residual no longer levels at the error
+        self.corrupt(monkeypatch, primal=lambda x: (x[0], x[1] + Fraction(1, 3), *x[2:]))
+        with pytest.raises(CertificateError, match="differs from the error"):
+            best_error(XY)
+
+    def test_corrupted_dual(self, monkeypatch):
+        # drop the mass on the first point: the measure stops annihilating
+        self.corrupt(monkeypatch, dual=lambda y: (0, 0, *y[2:]))
+        with pytest.raises(CertificateError, match="annihilate"):
+            best_error(XY)
+
+    def test_non_optimal_status(self, monkeypatch):
+        monkeypatch.setattr(
+            chebyshev, "solve_lp", lambda problem: LpSolution("unbounded", (), (), None)
+        )
+        with pytest.raises(CertificateError, match="unbounded"):
+            best_error(XY)
+
+    def test_witness_of_a_wrong_error(self):
+        result = best_error(XY)
+        wrong = ApproximationResult(Fraction(1, 3), result.best_g, result.optimal_measure)
+        with pytest.raises(CertificateError, match="functional"):
+            optimal_witness_from_dual(XY, wrong)
 
 
 class TestCycleFunctional:

@@ -9,7 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from golombdual import function_from_json, measure_to_json
+import golombdual.chebyshev as chebyshev
+from golombdual import LpSolution, function_from_json, measure_to_json
 from golombdual.cli import main
 
 from conftest import CUBE, SIX_POINTS
@@ -237,6 +238,22 @@ class TestInputErrors:
         assert exc.value.code == 2
 
 
+class TestCertificateErrors:
+    def test_failed_audit_exits_three(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(
+            chebyshev, "solve_lp", lambda problem: LpSolution("unbounded", (), (), None)
+        )
+        out = tmp_path / "out.json"
+        code, stdout, err = run_main(
+            ["error", "--input", write(tmp_path / "xy.csv", XY_CSV), "--output", str(out)],
+            capsys,
+        )
+        assert code == 3
+        assert stdout == ""
+        assert err.startswith("certificate error: the error LP ended unbounded")
+        assert not out.exists()
+
+
 class TestConsoleScript:
     def test_end_to_end_pipeline(self, tmp_path):
         gen = subprocess.run(
@@ -254,6 +271,16 @@ class TestConsoleScript:
         )
         assert verify.returncode == 0
         assert json.loads(verify.stdout)["equal"] is True
+
+    def test_module_entry_point_writes_nothing_to_stderr(self):
+        done = subprocess.run(
+            [sys.executable, "-m", "golombdual.cli", "gen", "--shape", "2x2", "--seed", "1"],
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 0
+        assert done.stderr == ""
+        assert json.loads(done.stdout)["shape"] == [2, 2]
 
     def test_reingesting_emitted_function_is_identity(self, tmp_path, capsys):
         out = tmp_path / "f.json"

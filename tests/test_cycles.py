@@ -8,12 +8,15 @@ from itertools import combinations
 
 import pytest
 
+import golombdual.cycles as cycles
 from golombdual import (
+    CertificateError,
     CycleVectorPair,
     Decomposition,
     FiniteSignedMeasure,
     GolombCycle,
     IntegerCertificate,
+    LpSolution,
     MinimalCycle,
     ProductGrid,
     decompose,
@@ -476,6 +479,27 @@ class TestDecompose:
             Decomposition(((Fraction(1, 2), mc),))
         with pytest.raises(ValueError):
             Decomposition(((Fraction(-1), mc), (Fraction(2), mc)))
+
+    def test_corrupted_decomposition_is_rejected(self, monkeypatch):
+        # every term keeps its weight but names the first term's cycle, so
+        # the weights still sum to 1 and only the recombination audit fails
+        near = normalize_minimal(SQUARE, GRID44)
+        far = normalize_minimal(SQUARE_FAR, GRID44)
+        mu = near.measure() * Fraction(1, 2) + far.measure() * Fraction(1, 2)
+        monkeypatch.setattr(
+            cycles,
+            "Decomposition",
+            lambda terms: Decomposition(tuple((w, terms[0][1]) for w, _ in terms)),
+        )
+        with pytest.raises(CertificateError, match="recombine"):
+            decompose(mu)
+
+    def test_failed_extraction_lp_is_rejected(self, monkeypatch):
+        monkeypatch.setattr(
+            cycles, "solve_lp", lambda problem: LpSolution("infeasible", (), (), None)
+        )
+        with pytest.raises(CertificateError, match="infeasible"):
+            decompose(square_cycle().measure())
 
 
 class TestCycleJson:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from golombdual import (
+    CertificateError,
     LpProblem,
     RatMatrix,
     format_rat,
@@ -18,7 +21,7 @@ from golombdual import (
     parse_rat,
     solve_lp,
 )
-from golombdual.linalg import _check_optimum
+from golombdual.linalg import _check_optimum, _int_row, _run_simplex
 
 from conftest import CUBE, FIVE_POINTS, SQUARE
 
@@ -388,3 +391,96 @@ class TestDuals:
                     assert column == problem.objective[j]
         assert statuses == {"optimal", "infeasible", "unbounded"}
         assert bound_free_optima >= 100
+
+
+class TestIntegerPivots:
+    def test_beale_cycling_example(self):
+        # Beale (1955): the largest-coefficient rule can cycle on this LP;
+        # Bland's rule reaches the optimum -5/4 at x = (1, 0, 1, 0).
+        problem = lp(
+            [Fraction(-3, 4), 20, Fraction(-1, 2), 6],
+            [
+                [Fraction(1, 4), -8, -1, 9],
+                [Fraction(1, 2), -12, Fraction(-1, 2), 3],
+                [0, 0, 1, 0],
+            ],
+            ["<=", "<=", "<="],
+            [0, 0, 1],
+            lower=[0, 0, 0, 0],
+        )
+        sol = solve_lp(problem)
+        assert sol.status == "optimal"
+        assert sol.objective == Fraction(-5, 4)
+        assert sol.primal == (Fraction(1), Fraction(0), Fraction(1), Fraction(0))
+        assert sum(y * b for y, b in zip(sol.dual, problem.rhs)) == Fraction(-5, 4)
+
+    def test_ratio_tie_leaves_the_row_with_the_lower_basic_column(self):
+        # columns x0, x1, s_a (2), s_b (3); row 0 is basic in s_b, row 1 in
+        # s_a. x0 enters, and both ratios are 2: 1 / (1/2) and 6 / 3. Bland's
+        # rule lets the row whose basic column has the lower index leave,
+        # which is row 1 although it comes second.
+        tableau = [
+            _int_row([Fraction(1, 2), Fraction(1), Fraction(0), Fraction(1), Fraction(1)]),
+            _int_row([Fraction(3), Fraction(0), Fraction(1), Fraction(0), Fraction(6)]),
+        ]
+        assert tableau[0] == [1, 2, 0, 2, 2, 2]
+        basis = [3, 2]
+        status, z = _run_simplex(tableau, basis, [Fraction(-1), *[Fraction(0)] * 3], set())
+        assert status == "optimal"
+        assert basis == [3, 0]
+        # x0 = 2 in lowest terms (x0 + s_a/3 = 2), x1 + s_b - s_a/6 = 0, and
+        # z = (0, 0, 1/3, 0) with the negated objective 2 in the last cell
+        assert tableau == [[0, 6, -1, 6, 0, 6], [3, 0, 1, 0, 6, 3]]
+        assert z == [0, 0, 1, 0, 6, 3]
+
+    def test_int_row_is_in_lowest_terms(self):
+        assert _int_row([Fraction(6, 4), Fraction(10, 3)]) == [9, 20, 6]
+        assert _int_row([Fraction(2), Fraction(4)]) == [2, 4, 1]
+        assert _int_row([]) == [1]
+
+
+class TestCertificateAudits:
+    def test_is_an_assertion_error(self):
+        assert issubclass(CertificateError, AssertionError)
+
+    def test_corrupted_primal_is_rejected(self):
+        problem = lp([1, 1], [[1, 2], [3, 1]], [">=", ">="], [4, 6], lower=[0, 0])
+        sol = solve_lp(problem)
+        x, y = list(sol.primal), list(sol.dual)
+        _check_optimum(problem, x, y, sol.objective)
+        for j, delta in ((0, Fraction(-1, 7)), (1, Fraction(-1, 3))):
+            bad = x[:]
+            bad[j] += delta
+            with pytest.raises(CertificateError):
+                _check_optimum(problem, bad, y, sol.objective)
+        with pytest.raises(CertificateError, match="bounds"):
+            _check_optimum(problem, [Fraction(-1), Fraction(10)], y, sol.objective)
+
+    def test_corrupted_dual_is_rejected(self):
+        problem = lp([1, 1], [[1, 2], [3, 1]], [">=", ">="], [4, 6], lower=[0, 0])
+        sol = solve_lp(problem)
+        x, y = list(sol.primal), list(sol.dual)
+        with pytest.raises(CertificateError, match="wrong sign"):
+            _check_optimum(problem, x, [-y[0], y[1]], sol.objective)
+        with pytest.raises(CertificateError, match="dual feasible"):
+            _check_optimum(problem, x, [y[0] + Fraction(1, 5), y[1]], sol.objective)
+        # a slack row may carry no multiplier
+        slack = lp([1], [[1], [1]], [">=", ">="], [1, 0], lower=[0])
+        with pytest.raises(CertificateError, match="complementary"):
+            _check_optimum(slack, [Fraction(1)], [Fraction(1), Fraction(1)], Fraction(1))
+
+    def test_audits_survive_python_optimize(self):
+        code = (
+            "from fractions import Fraction as F\n"
+            "from golombdual import CertificateError, LpProblem\n"
+            "from golombdual.linalg import _check_optimum\n"
+            "p = LpProblem.build([1], [[1]], ['>='], [0])\n"
+            "try:\n"
+            "    _check_optimum(p, [F(0)], [F(2)], F(0))\n"
+            "except CertificateError:\n"
+            "    print('raised')\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "raised\n", "")
