@@ -26,6 +26,7 @@ from .grids import GridPoint, ProductGrid, incidence_matrix, point_index
 from .linalg import (
     CertificateError,
     LpProblem,
+    RatMatrix,
     format_rat,
     kernel_basis,
     matrix_rank,
@@ -170,11 +171,11 @@ class Decomposition:
             raise ValueError("decomposition weights must sum to 1")
 
     def combined(self) -> FiniteSignedMeasure:
-        grid = self.terms[0][1].grid
-        out = FiniteSignedMeasure(grid, ())
-        for t, mc in self.terms:
-            out = out + t * mc.measure()
-        return out
+        # a minimal cycle's weights are its normalized measure's masses
+        return FiniteSignedMeasure.from_atoms(
+            self.terms[0][1].grid,
+            ((p, t * w) for t, mc in self.terms for p, w in zip(mc.points, mc.weights)),
+        )
 
 
 def find_cycle_vector(
@@ -335,8 +336,11 @@ def _enumerate(
     """Core subset scan. Returns (cycles, candidates examined, truncated).
 
     Candidates are counted after the lonely-point prune; the scan stops and
-    reports truncation as soon as the count would exceed the budget.
+    reports truncation as soon as the count would exceed the budget. A
+    support cap below 2 admits no cycle at all and raises ValueError.
     """
+    if max_support is not None and max_support < 2:
+        raise ValueError(f"max_support must be at least 2, got {max_support}")
     if points is None:
         pts = tuple(grid.points())
         full = True
@@ -400,6 +404,9 @@ def enumerate_minimal_cycles(
     return cycles
 
 
+_F0, _F1, _FM1 = Fraction(0), Fraction(1), Fraction(-1)
+
+
 def extract_extreme_cycle(mu: FiniteSignedMeasure) -> MinimalCycle:
     """One minimal cycle inside the support of an annihilating measure, with
     weights matching the measure's signs.
@@ -411,27 +418,33 @@ def extract_extreme_cycle(mu: FiniteSignedMeasure) -> MinimalCycle:
     restricted kernel more than one dimensional, a direction inside the
     support would perturb the vertex both ways. The exact simplex returns a
     basic solution, i.e. a vertex.
+
+    The rows are those of ``incidence_matrix`` on the support (one per
+    realized (axis, value) class, axis-major, values ascending) times the
+    signs, plus the sum row, written straight from the points' coordinates.
     """
     if mu.is_zero():
         raise ValueError("cannot extract a cycle from the zero measure")
     if not is_orthogonal(mu):
         raise ValueError("measure does not annihilate separable sums")
     support = [p for p, _ in mu.atoms]
-    signs = [1 if m > 0 else -1 for _, m in mu.atoms]
-    inc = incidence_matrix(support, mu.grid)
-    rows = []
-    for r in range(inc.rows):
-        rows.append([inc.at(r, j) * signs[j] for j in range(inc.cols)])
-    rows.append([Fraction(1)] * len(support))
-    relations = ["="] * inc.rows + ["="]
-    rhs = [Fraction(0)] * inc.rows + [Fraction(1)]
-    lp = LpProblem.build(
-        objective=[0] * len(support),
-        rows=rows,
-        relations=relations,
-        rhs=rhs,
+    signs = [_F1 if m > 0 else _FM1 for _, m in mu.atoms]
+    k = len(support)
+    entries: list[Fraction] = []
+    for axis in range(mu.grid.n):
+        coords = [p[axis] for p in support]
+        for value in sorted(set(coords)):
+            entries.extend(s if c == value else _F0 for c, s in zip(coords, signs))
+    nclasses = len(entries) // k
+    entries.extend([_F1] * k)
+    lp = LpProblem(
+        objective=(_F0,) * k,
+        matrix=RatMatrix(nclasses + 1, k, tuple(entries)),
+        relations=("=",) * (nclasses + 1),
+        rhs=(_F0,) * nclasses + (_F1,),
+        lower=(_F0,) * k,
+        upper=(None,) * k,
         sense="min",
-        lower=[0] * len(support),
     )
     sol = solve_lp(lp)
     if sol.status != "optimal":  # mu itself, scaled, is feasible and the objective is 0
@@ -454,21 +467,28 @@ def decompose(mu: FiniteSignedMeasure) -> Decomposition:
     side of zero; that zeroes at least one atom, so there are at most
     support-size many terms, and sign compatibility makes the total
     variations add up, so the weights sum to 1 exactly.
+
+    The residual is a point -> mass dict in flat-index order; a round
+    updates only the atoms of its cycle and drops those that reach zero.
+    Every round's extraction still sees the residual as a canonical measure
+    and checks it annihilates, and the terms must recombine to ``mu``.
     """
     if total_variation(mu) != 1:
         raise ValueError("measure must have total variation 1")
     if not is_orthogonal(mu):
         raise ValueError("measure does not annihilate separable sums")
-    residual = mu
+    residual = dict(mu.atoms)
     terms: list[tuple[Fraction, MinimalCycle]] = []
-    while not residual.is_zero():
-        mc = extract_extreme_cycle(residual)
-        t = min(
-            abs(residual.mass_at(p)) / abs(w)
-            for p, w in zip(mc.points, mc.weights)
-        )
+    while residual:
+        mc = extract_extreme_cycle(FiniteSignedMeasure(mu.grid, tuple(residual.items())))
+        t = min(abs(residual[p]) / abs(w) for p, w in zip(mc.points, mc.weights))
         terms.append((t, mc))
-        residual = residual - t * mc.measure()
+        for p, w in zip(mc.points, mc.weights):
+            left = residual[p] - t * w
+            if left:
+                residual[p] = left
+            else:
+                del residual[p]
     dec = Decomposition(tuple(terms))
     if dec.combined() != mu:
         raise CertificateError("the decomposition does not recombine to the measure")

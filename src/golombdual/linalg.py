@@ -362,7 +362,10 @@ def solve_lp(problem: LpProblem) -> LpSolution:
 
     The tableau holds integer rows: each row is its numerators plus one
     positive denominator, kept in lowest terms with one gcd per row update,
-    so a pivot makes no ``Fraction`` per entry. The pivots, and hence the
+    so a pivot makes no ``Fraction`` per entry. A row is built from the
+    nonzeros of its problem row only and written straight in that form, over
+    the lcm of the row's denominators; its slack and artificial entries are
+    that lcm, the integer form of 1 or -1. The pivots, and hence the
     result, are those of the same Bland simplex over rationals. A row's
     simplex multiplier ``y = c_B B^-1`` is the negated final phase-2 reduced
     cost of its unit column. The duals are exact, and every optimum is
@@ -399,75 +402,68 @@ def solve_lp(problem: LpProblem) -> LpSolution:
             offsets.append(_ZERO)
             ncols_int += 2
 
-    c_int = [_ZERO] * ncols_int
+    c_int = [_ZERO] * ncols_int  # each internal column belongs to one variable
     for j in range(n):
         for col, sign in terms[j]:
-            c_int[col] += c_signed[j] if sign > 0 else -c_signed[j]
+            c_int[col] = c_signed[j] if sign > 0 else -c_signed[j]
 
-    # internal rows: original constraints plus synthetic upper-bound rows
-    int_rows: list[list[Fraction]] = []
-    int_rels: list[str] = []
-    int_rhs: list[Fraction] = []
+    # internal rows, written straight as integer rows over the lcm of their
+    # denominators from the nonzeros of the problem row: the original
+    # constraints, rhs net of the offsets and flipped to be nonnegative, then
+    # the synthetic upper-bound rows. Each is (internal columns, relation,
+    # rhs numerator, denominator) until the slack and artificial columns are
+    # counted.
+    int_rows: list[tuple[list[int], str, int, int]] = []
+    flips: list[int] = []
     for i in range(m):
-        row = [_ZERO] * ncols_int
-        shift = _ZERO
-        for j in range(n):
-            a = problem.matrix.at(i, j)
-            if a:
-                shift += a * offsets[j]
-                for col, sign in terms[j]:
-                    row[col] += a if sign > 0 else -a
-        int_rows.append(row)
-        int_rels.append(problem.relations[i])
-        int_rhs.append(problem.rhs[i] - shift)
+        arow = problem.matrix.row(i)
+        nonzero = [j for j, a in enumerate(arow) if a]
+        shift = sum((arow[j] * offsets[j] for j in nonzero if offsets[j]), _ZERO)
+        rel, b, flip = problem.relations[i], problem.rhs[i] - shift, 1
+        if b < 0:
+            rel, b, flip = {"<=": ">=", ">=": "<=", "=": "="}[rel], -b, -1
+        den = lcm(b.denominator, *(arow[j].denominator for j in nonzero))
+        row = [0] * ncols_int
+        for j in nonzero:
+            a = arow[j]
+            v = flip * a.numerator * (den // a.denominator)
+            for col, sign in terms[j]:
+                row[col] = v if sign > 0 else -v
+        int_rows.append((row, rel, b.numerator * (den // b.denominator), den))
+        flips.append(flip)
     for col, ub in synthetic:
-        row = [_ZERO] * ncols_int
-        row[col] = _ONE
-        int_rows.append(row)
-        int_rels.append("<=")
-        int_rhs.append(ub)
+        row = [0] * ncols_int
+        row[col] = ub.denominator
+        int_rows.append((row, "<=", ub.numerator, ub.denominator))
 
-    # equality form: flip rows to nonnegative rhs, then slack/artificial columns
+    # equality form: one slack column per inequality (+1 on <=, -1 on >=),
+    # then one artificial column per >= or = row, each the row's denominator
+    # in integer form. A row's unit column (the slack of a <= row, else its
+    # artificial) starts the basis.
     m_eq = len(int_rows)
-    flips = [1] * m_eq
-    for i in range(m_eq):
-        if int_rhs[i] < 0:
-            flips[i] = -1
-            int_rhs[i] = -int_rhs[i]
-            int_rows[i] = [-v for v in int_rows[i]]
-            int_rels[i] = {"<=": ">=", ">=": "<=", "=": "="}[int_rels[i]]
-
-    extra_cols: list[tuple[int, Fraction]] = []  # (row, coefficient)
-    art_rows: list[int] = []
-    for i in range(m_eq):
-        if int_rels[i] == "<=":
-            extra_cols.append((i, _ONE))
-        elif int_rels[i] == ">=":
-            extra_cols.append((i, -_ONE))
-            art_rows.append(i)
+    slack_count = sum(rel != "=" for _, rel, _, _ in int_rows)
+    total = ncols_int + slack_count + sum(rel != "<=" for _, rel, _, _ in int_rows)
+    slack_col, art_col = ncols_int, ncols_int + slack_count
+    tableau: list[list[int]] = []
+    basis: list[int] = []
+    for row, rel, rhs, den in int_rows:
+        row.extend([0] * (total - ncols_int))
+        row += (rhs, den)
+        if rel != "=":
+            row[slack_col] = den if rel == "<=" else -den
+            slack_col += 1
+        if rel == "<=":
+            basis.append(slack_col - 1)
         else:
-            art_rows.append(i)
-    slack_count = len(extra_cols)
-    total = ncols_int + slack_count + len(art_rows)
-    art_cols = {row: ncols_int + slack_count + k for k, row in enumerate(art_rows)}
-
-    rows: list[list[Fraction]] = []
-    for i in range(m_eq):
-        rows.append(int_rows[i] + [_ZERO] * (slack_count + len(art_rows)) + [int_rhs[i]])
-    basis = [-1] * m_eq
-    for k, (i, coef) in enumerate(extra_cols):
-        rows[i][ncols_int + k] = coef
-        if coef > 0 and basis[i] == -1:
-            basis[i] = ncols_int + k
-    for i, col in art_cols.items():
-        rows[i][col] = _ONE
-        basis[i] = col
-    tableau = [_int_row(row) for row in rows]
+            row[art_col] = den
+            basis.append(art_col)
+            art_col += 1
+        tableau.append(row)
     # the starting basis is the identity: row i's unit column, whose reduced
     # cost at the end is -(c_B B^-1)_i, the row's simplex multiplier
     unit_cols = basis[:]
 
-    art_set = set(art_cols.values())
+    art_set = set(range(ncols_int + slack_count, total))
     if art_set:
         cost1 = [_ZERO] * total
         for col in art_set:
@@ -526,8 +522,9 @@ def _check_optimum(
     objective: Fraction,
 ) -> None:
     """Exactness audit: primal feasibility, dual signs, complementary
-    slackness, and dual feasibility of the reduced costs ``c - A^T y``.
-    Raises CertificateError on the first violation."""
+    slackness, and dual feasibility of the reduced costs ``c - A^T y``,
+    walking each row's nonzeros once. Raises CertificateError on the first
+    violation."""
     n, m = problem.matrix.cols, problem.matrix.rows
     minimize = problem.sense == "min"
     for j in range(n):
@@ -536,10 +533,9 @@ def _check_optimum(
             raise CertificateError(f"x[{j}] = {x[j]} violates its bounds [{lo}, {up}]")
     reduced = list(problem.objective)
     for i in range(m):
-        lhs = sum(
-            (problem.matrix.at(i, j) * x[j] for j in range(n) if problem.matrix.at(i, j)),
-            _ZERO,
-        )
+        arow = problem.matrix.row(i)
+        nonzero = [j for j, a in enumerate(arow) if a]
+        lhs = sum((arow[j] * x[j] for j in nonzero if x[j]), _ZERO)
         rel, b, y = problem.relations[i], problem.rhs[i], dual[i]
         if not (lhs <= b if rel == "<=" else lhs >= b if rel == ">=" else lhs == b):
             raise CertificateError(f"row {i}: {lhs} {rel} {b} does not hold")
@@ -551,9 +547,8 @@ def _check_optimum(
                 raise CertificateError(
                     f"row {i}: dual {y} is nonzero on a slack row (complementary slackness)"
                 )
-            for j, a in enumerate(problem.matrix.row(i)):
-                if a:
-                    reduced[j] -= a * y
+            for j in nonzero:
+                reduced[j] -= arow[j] * y
     for j in range(n):
         # moving x_j down (up) off its bound must not improve the objective
         d = reduced[j] if minimize else -reduced[j]

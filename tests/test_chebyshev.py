@@ -323,6 +323,12 @@ class TestVerifyGolomb:
         assert not report.equal
         assert report.cycle_supremum == 0
 
+    def test_support_cap_below_two_is_rejected(self):
+        # a cap below 2 scans nothing, so there is no supremum to compare
+        for cap in (-3, 0, 1):
+            with pytest.raises(ValueError, match="at least 2"):
+                verify_golomb(XY, max_support=cap)
+
     def test_report_json(self):
         obj = report_to_json(verify_golomb(XY))
         assert obj["error"] == "1/4"

@@ -119,6 +119,21 @@ class TestVerifyCommand:
         assert obj["equal"] is False
         assert obj["witness"] is None
 
+    def test_support_cap_below_two_exits_two(self, tmp_path, capsys):
+        # a cap below 2 scans nothing; it must not read as a duality failure
+        path = str(tmp_path / "f.json")
+        assert main(["gen", "--shape", "3x3", "--seed", "31", "--output", path]) == 0
+        for command in ("verify", "cycles", "bolts"):
+            for cap in ("-3", "0", "1"):
+                code, out, err = run_main(
+                    [command, "--input", path, "--max-support", cap], capsys
+                )
+                assert (code, out) == (2, "")
+                assert "max_support must be at least 2" in err
+        code, out, _ = run_main(["verify", "--input", path, "--max-support", "2"], capsys)
+        assert code == 1
+        assert json.loads(out)["cycle_supremum"] == "0"
+
     def test_output_file(self, tmp_path, capsys):
         inp = write(tmp_path / "xy.csv", XY_CSV)
         out_path = tmp_path / "report.json"

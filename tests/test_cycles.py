@@ -16,6 +16,7 @@ from golombdual import (
     FiniteSignedMeasure,
     GolombCycle,
     IntegerCertificate,
+    LpProblem,
     LpSolution,
     MinimalCycle,
     ProductGrid,
@@ -36,6 +37,7 @@ from golombdual import (
     pair_from_json,
     pair_to_json,
     point_index,
+    solve_lp,
     to_golomb_form,
     total_variation,
 )
@@ -395,6 +397,14 @@ class TestEnumeration:
         )
         assert len(small) == 9
 
+    def test_support_cap_below_two_is_rejected(self):
+        grid = ProductGrid((3, 3))
+        for cap in (-3, 0, 1):
+            with pytest.raises(ValueError, match="at least 2"):
+                enumerate_minimal_cycles(grid, max_support=cap)
+        assert enumerate_minimal_cycles(grid, max_support=2) == ()
+        assert enumerate_minimal_cycles(grid, max_support=3) == ()
+
     def test_point_subset_restricts_support(self):
         cycles = enumerate_minimal_cycles(CUBE, FIVE_POINTS)
         assert cycles == (normalize_minimal(FIVE_POINTS, CUBE),)
@@ -500,6 +510,113 @@ class TestDecompose:
         )
         with pytest.raises(CertificateError, match="infeasible"):
             decompose(square_cycle().measure())
+
+
+def rectangle_sum(rng: random.Random, shape: tuple[int, ...], atoms: int) -> FiniteSignedMeasure:
+    """A sum of signed 2x2 rectangles (two values on each of two axes, the
+    other coordinates fixed, masses +c, -c, -c, +c) with at least ``atoms``
+    atoms, normalized to total variation 1. It annihilates separable sums."""
+    acc: dict[tuple[int, ...], int] = {}
+    while sum(1 for m in acc.values() if m) < atoms:
+        a1, a2 = rng.sample(range(len(shape)), 2)
+        u = rng.sample(range(shape[a1]), 2)
+        v = rng.sample(range(shape[a2]), 2)
+        base = [rng.randrange(s) for s in shape]
+        c = rng.choice((-3, -2, -1, 1, 2, 3))
+        for i, si in ((0, 1), (1, -1)):
+            for j, sj in ((0, 1), (1, -1)):
+                point = list(base)
+                point[a1], point[a2] = u[i], v[j]
+                acc[tuple(point)] = acc.get(tuple(point), 0) + c * si * sj
+    tv = sum(abs(m) for m in acc.values())
+    return FiniteSignedMeasure.from_atoms(
+        ProductGrid(shape), ((p, Fraction(m, tv)) for p, m in acc.items())
+    )
+
+
+def extraction_lp(mu: FiniteSignedMeasure) -> LpProblem:
+    """The cycle extraction LP built from a dense incidence matrix: sign-weighted
+    incidence rows and the sum row, all equalities, beta >= 0."""
+    support = [p for p, _ in mu.atoms]
+    signs = [1 if m > 0 else -1 for _, m in mu.atoms]
+    inc = incidence_matrix(support, mu.grid)
+    rows = [[inc.at(r, j) * signs[j] for j in range(inc.cols)] for r in range(inc.rows)]
+    rows.append([1] * len(support))
+    return LpProblem.build(
+        objective=[0] * len(support),
+        rows=rows,
+        relations=["="] * len(rows),
+        rhs=[0] * inc.rows + [1],
+        sense="min",
+        lower=[0] * len(support),
+    )
+
+
+def oracle_cycle(mu: FiniteSignedMeasure) -> MinimalCycle:
+    support = [p for p, _ in mu.atoms]
+    sol = solve_lp(extraction_lp(mu))
+    assert sol.status == "optimal"
+    pts = [p for p, beta in zip(support, sol.primal) if beta > 0]
+    lam = [
+        beta if m > 0 else -beta for (_, m), beta in zip(mu.atoms, sol.primal) if beta > 0
+    ]
+    return MinimalCycle(CycleVectorPair(mu.grid, tuple(pts), tuple(lam)))
+
+
+# (shape, atom targets); the 16-point grid holds at most 16 atoms
+RECTANGLE_SUMS = (
+    ((10, 10), (20, 55, 90)),
+    ((5, 5, 4), (20, 55, 90)),
+    ((2, 2, 2, 2), (8, 12, 14)),
+)
+
+
+class TestExtractionAgainstDenseLp:
+    """The extraction LP is built straight from the support's coordinates;
+    it must be the LP built from ``incidence_matrix`` and give its cycle, on
+    the measure and on every residual of its decomposition."""
+
+    @pytest.mark.parametrize("shape,targets", RECTANGLE_SUMS)
+    def test_same_lp_and_cycle_on_every_residual(self, shape, targets, monkeypatch):
+        built: list[LpProblem] = []
+
+        def recording_solve_lp(problem):
+            built.append(problem)
+            return solve_lp(problem)
+
+        monkeypatch.setattr(cycles, "solve_lp", recording_solve_lp)
+        rng = random.Random(4201)
+        for atoms in targets:
+            mu = rectangle_sum(rng, shape, atoms)
+            dec = decompose(mu)
+            residual = dict(mu.atoms)
+            for t, mc in dec.terms:
+                measure = FiniteSignedMeasure.from_atoms(mu.grid, residual.items())
+                built.clear()
+                assert extract_extreme_cycle(measure) == mc == oracle_cycle(measure)
+                assert built == [extraction_lp(measure)]
+                for p, w in zip(mc.points, mc.weights):
+                    residual[p] -= t * w
+            assert not any(residual.values())
+
+    @pytest.mark.parametrize("shape,targets", RECTANGLE_SUMS)
+    def test_decomposition_is_sound(self, shape, targets):
+        rng = random.Random(7919)
+        for atoms in targets:
+            mu = rectangle_sum(rng, shape, atoms)
+            assert len(mu.atoms) >= atoms and total_variation(mu) == 1
+            dec = decompose(mu)
+            assert len(dec.terms) <= len(mu.atoms)
+            assert sum(t for t, _ in dec.terms) == 1
+            masses = dict(mu.atoms)
+            recombined: dict[tuple[int, ...], Fraction] = {}
+            for t, mc in dec.terms:
+                assert t > 0
+                assert is_minimal(mc.points, mu.grid)
+                for p, w in zip(mc.points, mc.weights):
+                    assert (w > 0) == (masses[p] > 0)  # p in the support, same sign
+                    recombined[p] = recombined.get(p, Fraction(0)) + t * w
+            assert {p: m for p, m in recombined.items() if m} == masses
 
 
 class TestCycleJson:

@@ -439,6 +439,144 @@ class TestIntegerPivots:
         assert _int_row([]) == [1]
 
 
+def assert_strong_duality(problem: LpProblem, sol) -> None:
+    """The dual objective, with the reduced costs d = c - A^T y priced at the
+    bounds they press against, equals the primal objective exactly."""
+    m, n = problem.matrix.rows, problem.matrix.cols
+    assert sol.objective == sum(
+        (c * x for c, x in zip(problem.objective, sol.primal)), Fraction(0)
+    )
+    value = sum((y * b for y, b in zip(sol.dual, problem.rhs)), Fraction(0))
+    for j in range(n):
+        d = problem.objective[j] - sum(
+            (problem.matrix.at(i, j) * sol.dual[i] for i in range(m)), Fraction(0)
+        )
+        if d:
+            lower_side = (d > 0) == (problem.sense == "min")
+            bound = problem.lower[j] if lower_side else problem.upper[j]
+            assert bound is not None and sol.primal[j] == bound
+            value += d * bound
+    assert value == sol.objective
+
+
+def no_rows(objective, sense="min", lower=None, upper=None) -> LpProblem:
+    n = len(objective)
+    return LpProblem(
+        objective=tuple(Fraction(c) for c in objective),
+        matrix=RatMatrix(0, n, ()),
+        relations=(),
+        rhs=(),
+        lower=tuple(None if v is None else Fraction(v) for v in (lower or [None] * n)),
+        upper=tuple(None if v is None else Fraction(v) for v in (upper or [None] * n)),
+        sense=sense,
+    )
+
+
+class TestSparseTableauEdges:
+    """Rows and columns with no nonzero entry, large mixed denominators, and
+    problems without rows."""
+
+    def test_zero_row_below_a_negative_rhs_is_infeasible(self):
+        sol = solve_lp(lp([1, 1], [[0, 0], [1, 1]], ["<=", ">="], [-1, 0], lower=[0, 0]))
+        assert sol.status == "infeasible"
+
+    @pytest.mark.parametrize("rel,rhs", [("=", 0), (">=", -1), ("<=", 0), ("<=", 3)])
+    def test_satisfied_zero_row_is_harmless(self, rel, rhs):
+        problem = lp([1, 2], [[0, 0], [1, 1]], [rel, ">="], [rhs, 2], lower=[0, 0])
+        sol = solve_lp(problem)
+        assert sol.status == "optimal"
+        assert sol.objective == 2
+        assert sol.primal == (2, 0)
+        assert sol.dual == (0, 1)
+        assert_strong_duality(problem, sol)
+
+    def test_free_zero_column(self):
+        rows = [[1, 0], [1, 0]]
+        problem = lp([1, 0], rows, [">=", "<="], [-2, 5])
+        sol = solve_lp(problem)
+        assert (sol.status, sol.objective, sol.primal) == ("optimal", -2, (-2, 0))
+        assert_strong_duality(problem, sol)
+        assert solve_lp(lp([1, 3], rows, [">=", "<="], [-2, 5])).status == "unbounded"
+
+    @pytest.mark.parametrize("sense,cost,status,objective", [
+        ("max", 3, "optimal", 1 + 3 * Fraction(7, 2)),
+        ("min", -3, "optimal", 1 - 3 * Fraction(7, 2)),
+        ("min", 0, "optimal", 1),
+        ("min", 3, "unbounded", None),
+    ])
+    def test_upper_bounded_zero_column(self, sense, cost, status, objective):
+        problem = lp(
+            [1, cost], [[1, 0]], ["="], [1], sense=sense, upper=[None, Fraction(7, 2)]
+        )
+        sol = solve_lp(problem)
+        assert (sol.status, sol.objective) == (status, objective)
+        if status == "optimal":
+            assert_strong_duality(problem, sol)
+
+    @pytest.mark.parametrize("cost,value", [(5, Fraction(-3, 2)), (-5, 4), (0, Fraction(-3, 2))])
+    def test_two_sided_zero_column(self, cost, value):
+        problem = lp(
+            [1, cost],
+            [[2, 0], [-1, 0]],
+            ["<=", "<="],
+            [6, -1],
+            lower=[None, Fraction(-3, 2)],
+            upper=[None, 4],
+        )
+        sol = solve_lp(problem)
+        assert sol.status == "optimal"
+        assert sol.primal == (1, value)
+        assert sol.objective == 1 + cost * value
+        assert_strong_duality(problem, sol)
+
+    def test_rows_with_large_mixed_denominators(self):
+        # Beale's LP plus a slack row whose rhs has its own large denominator,
+        # every row scaled by a rational of large numerator and denominator,
+        # some negative so their relation and the sign of their rhs flip; the
+        # optimum and the optimal x cannot move.
+        base_rows = [
+            [Fraction(1, 4), -8, -1, 9],
+            [Fraction(1, 2), -12, Fraction(-1, 2), 3],
+            [0, 0, 1, 0],
+            [1, 1, 1, 1],
+        ]
+        base_rhs = [0, 0, 1, Fraction(3 * 10**9 + 7, 999999937)]
+        objective = [Fraction(-3, 4), 20, Fraction(-1, 2), 6]
+        rng = random.Random(1009)
+        for _ in range(20):
+            rows, relations, rhs = [], [], []
+            for row, b in zip(base_rows, base_rhs):
+                k = Fraction(rng.randint(1, 10**9), rng.randint(1, 10**9))
+                if rng.random() < 0.5:
+                    k = -k
+                rows.append([k * a for a in row])
+                relations.append("<=" if k > 0 else ">=")
+                rhs.append(k * b)
+            problem = lp(objective, rows, relations, rhs, lower=[0, 0, 0, 0])
+            sol = solve_lp(problem)
+            assert sol.status == "optimal"
+            assert sol.objective == Fraction(-5, 4)
+            assert sol.primal == (1, 0, 1, 0)
+            assert_strong_duality(problem, sol)
+
+    @pytest.mark.parametrize("problem,status,objective,primal", [
+        (no_rows([]), "optimal", 0, ()),
+        (no_rows([1, -1], lower=[3, None], upper=[None, 5]), "optimal", -2, (3, 5)),
+        (
+            no_rows([2], sense="max", lower=[-1], upper=[Fraction(1, 3)]),
+            "optimal", Fraction(2, 3), (Fraction(1, 3),),
+        ),
+        (no_rows([0, 0]), "optimal", 0, (0, 0)),
+        (no_rows([1]), "unbounded", None, ()),
+        (no_rows([1], lower=[2], upper=[1]), "infeasible", None, ()),
+    ])
+    def test_problem_without_rows(self, problem, status, objective, primal):
+        sol = solve_lp(problem)
+        assert (sol.status, sol.objective, sol.primal, sol.dual) == (status, objective, primal, ())
+        if status == "optimal":
+            assert_strong_duality(problem, sol)
+
+
 class TestCertificateAudits:
     def test_is_an_assertion_error(self):
         assert issubclass(CertificateError, AssertionError)
