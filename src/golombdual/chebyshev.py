@@ -168,10 +168,29 @@ def best_error(f: TabulatedFunction) -> ApproximationResult:
 
 def cycle_functional(f: TabulatedFunction, cycle: MinimalCycle) -> Fraction:
     """|integral of f| against the cycle's normalized measure: the sum over
-    its own distinct points and weights, which have total mass 1."""
+    its own distinct points and weights, which have total mass 1.
+
+    The cycle's points were checked when it was built, so f's values are read
+    by flat index, and the sum is kept as one integer fraction num/den that
+    is reduced once at the end.
+    """
     if f.grid != cycle.grid:
         raise ValueError("grid mismatch")
-    return abs(sum(w * f.value_at(p) for p, w in zip(cycle.points, cycle.weights)))
+    values = f.values
+    sizes = f.grid.factor_sizes
+    num, den = 0, 1
+    for p, w in zip(cycle.points, cycle.weights):
+        i = 0
+        for c, s in zip(p, sizes):
+            i = i * s + c
+        v = values[i]
+        a = w.numerator * v.numerator
+        b = w.denominator * v.denominator
+        if b == den:
+            num += a
+        else:
+            num, den = num * b + a * den, den * b
+    return abs(Fraction(num, den))
 
 
 def verify_golomb(
@@ -182,11 +201,13 @@ def verify_golomb(
     """Check the duality formula on f's grid: the best-approximation error
     must equal the maximum of |integral of f| over all minimal cycles.
 
-    Enumeration work is capped by the candidate-subset budget; if exceeded,
-    the report says so instead of guessing a verdict.
+    Enumeration work is capped by the candidate budget (point sets whose
+    independence was tested); if exceeded, the report says so instead of
+    guessing a verdict. The enumeration runs first, so a support cap below 2
+    is rejected before the LP is solved.
     """
-    result = best_error(f)
     cycles, _, truncated = _enumerate(f.grid, None, max_support, budget)
+    result = best_error(f)
     if truncated:
         return GolombReport(
             error=result.error,

@@ -12,6 +12,7 @@ byte-identical for a given seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -221,9 +222,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # argparse objects refer to each other in cycles; building the parser
+    # once leaves no cyclic garbage behind each call
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     shape = None
     if getattr(args, "shape", None):
         try:

@@ -16,9 +16,9 @@ both parts.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -29,7 +29,6 @@ from .linalg import (
     RatMatrix,
     format_rat,
     kernel_basis,
-    matrix_rank,
     parse_rat,
     solve_lp,
 )
@@ -44,11 +43,14 @@ from .measures import (
 def _class_sums_vanish(
     points: Sequence[GridPoint], weights: Sequence[Fraction], n: int
 ) -> bool:
+    # over the weights' common denominator the class sums are integer sums
+    den = lcm(*(w.denominator for w in weights))
+    ints = [w.numerator * (den // w.denominator) for w in weights]
     for axis in range(n):
-        sums: dict[int, Fraction] = {}
-        for p, w in zip(points, weights):
-            sums[p[axis]] = sums.get(p[axis], Fraction(0)) + w
-        if any(v != 0 for v in sums.values()):
+        sums: dict[int, int] = {}
+        for p, w in zip(points, ints):
+            sums[p[axis]] = sums.get(p[axis], 0) + w
+        if any(sums.values()):
             return False
     return True
 
@@ -126,6 +128,10 @@ class MinimalCycle:
     """A cycle whose incidence kernel is one dimensional, carrying the
     normalized weight vector (sum of |weights| equal to 1).
 
+    Minimality is checked with the exact integer rank of the points'
+    incidence columns: the class sums vanish, so the weights span a kernel
+    line, and rank k - 1 on k points means the kernel is exactly that line.
+
     Either orientation of the weights is admitted; normalize_minimal returns
     the canonical one (positive weight at the lowest flat index).
     """
@@ -135,8 +141,7 @@ class MinimalCycle:
     def __post_init__(self) -> None:
         if sum(abs(w) for w in self.pair.weights) != 1:
             raise ValueError("minimal cycle weights must be normalized to total mass 1")
-        basis = kernel_basis(incidence_matrix(self.pair.points, self.pair.grid))
-        if len(basis) != 1:
+        if _incidence_rank(self.pair.points, self.pair.grid.n) != len(self.pair.points) - 1:
             raise ValueError("incidence kernel is not one dimensional; cycle not minimal")
 
     @property
@@ -279,10 +284,9 @@ def _normalized_cycle(
     points: tuple[GridPoint, ...], vec: Sequence[Fraction], grid: ProductGrid
 ) -> MinimalCycle:
     total = sum(abs(x) for x in vec)
-    lam = [x / total for x in vec]
-    if lam[0] < 0:
-        lam = [-x for x in lam]
-    return MinimalCycle(CycleVectorPair(grid, points, tuple(lam)))
+    if vec[0] < 0:
+        total = -total
+    return MinimalCycle(CycleVectorPair(grid, points, tuple(Fraction(x, total) for x in vec)))
 
 
 def is_minimal(points: Sequence[GridPoint], grid: ProductGrid) -> bool:
@@ -308,19 +312,146 @@ def normalize_minimal(points: Sequence[GridPoint], grid: ProductGrid) -> Minimal
     return mc
 
 
-def _has_lonely_point(
-    combo: tuple[int, ...], coords: Sequence[GridPoint], n: int
-) -> bool:
-    """A point alone in one of its (axis, value) classes forces its weight to
-    zero, so such subsets can be skipped outright."""
+class _Truncated(Exception):
+    """Unwinds the circuit search once it has used up its budget."""
+
+
+def _class_ids(points: Sequence[GridPoint], n: int) -> tuple[list[tuple[int, ...]], int]:
+    """Each point's n (axis, value) classes as row indices of
+    ``incidence_matrix(points)`` (realized classes, axis-major, values
+    ascending), and the number of such rows."""
+    ids: dict[tuple[int, int], int] = {}
     for axis in range(n):
-        counts: dict[int, int] = {}
-        for i in combo:
-            v = coords[i][axis]
-            counts[v] = counts.get(v, 0) + 1
-        if 1 in counts.values():
-            return True
-    return False
+        for value in sorted({p[axis] for p in points}):
+            ids[(axis, value)] = len(ids)
+    return [tuple(ids[(axis, p[axis])] for axis in range(n)) for p in points], len(ids)
+
+
+def _eliminate(col: list[int], basis: list[tuple[int, list[int]]]) -> list[int]:
+    """Clear each basis row's pivot entry from ``col``, fraction-free, in
+    insertion order. Every row was cleared against the rows before it, so a
+    cleared pivot stays zero and one pass leaves ``col`` zero on all pivots."""
+    for piv, row in basis:
+        b = col[piv]
+        if b:
+            a = row[piv]
+            col = [a * x - b * y for x, y in zip(col, row)]
+    return col
+
+
+def _basis_row(v: list[int]) -> tuple[int, list[int]]:
+    """``v`` divided by the gcd of its entries, keyed by its first nonzero
+    position as pivot (``v`` must be nonzero there)."""
+    g = gcd(*v)
+    return next(i for i, x in enumerate(v) if x), [x // g for x in v]
+
+
+def _incidence_rank(points: Sequence[GridPoint], n: int) -> int:
+    """Exact rank of the 0/1 incidence columns of ``points`` over the
+    rationals, by integer elimination (equal to
+    ``matrix_rank(incidence_matrix(points, grid))``)."""
+    classes, nrows = _class_ids(points, n)
+    basis: list[tuple[int, list[int]]] = []
+    for cs in classes:
+        v = [0] * nrows
+        for c in cs:
+            v[c] = 1
+        v = _eliminate(v, basis)
+        if any(v):
+            basis.append(_basis_row(v))
+    return len(basis)
+
+
+def _circuits(
+    classes: list[tuple[int, ...]], nrows: int, cap: int, budget: int | None
+) -> tuple[list[tuple[tuple[int, ...], list[int]]], int, bool]:
+    """Every circuit of at most ``cap`` columns of the incidence matrix whose
+    column j holds a 1 in rows ``classes[j]``, as (column indices ascending,
+    integer relation), by size and then indices; the number of sets whose
+    independence was tested; and whether that number exceeded ``budget``,
+    in which case the search stopped at budget + 1 with the hits so far.
+
+    A depth-first search over independent sets in index order. The basis
+    rows are the chosen columns cleared against each other; each row also
+    carries, after the ``nrows`` class entries, the coefficients of the
+    chosen columns it combines. A column that clears to zero closes the one
+    circuit of the chosen set plus it: that set is a circuit exactly when the
+    relation uses every chosen column, and it is never extended, since every
+    superset contains that circuit. Each circuit is found once, from its
+    prefix without its last column, which is independent.
+
+    A class holding one chosen column, with no later column in it, keeps
+    that column's weight at zero in every extension, so such a prefix is cut:
+    the loop stops at the smallest last member of the open single classes,
+    and skips a column that is the last one of a class the set does not
+    touch. Each added column fills at most one single class per axis, so a
+    set with more single classes on one axis than the columns it may still
+    add is skipped too; a set of ``cap`` columns is tested only when it has
+    no single class at all.
+    """
+    m = len(classes)
+    last = [0] * nrows
+    for j, cs in enumerate(classes):
+        for c in cs:
+            last[c] = j
+    closes = [[c for c in cs if last[c] == j] for j, cs in enumerate(classes)]
+    axis_of = [0] * nrows
+    for cs in classes:
+        for axis, c in enumerate(cs):
+            axis_of[c] = axis
+    cols = []
+    for cs in classes:
+        col = [0] * (nrows + cap)
+        for c in cs:
+            col[c] = 1
+        cols.append(col)
+    count = [0] * nrows
+    chosen: list[int] = []
+    basis: list[tuple[int, list[int]]] = []
+    hits: list[tuple[tuple[int, ...], list[int]]] = []
+    tested = 0
+
+    def extend(start: int, stop: int, single: list[int]) -> None:
+        nonlocal tested
+        d = len(chosen)
+        room = cap - d - 1
+        for j in range(start, stop):
+            cs = classes[j]
+            if any(count[c] == 0 for c in closes[j]):
+                continue
+            still = [c for c in single if c not in cs] + [c for c in cs if count[c] == 0]
+            if len(still) > room and max(Counter(axis_of[c] for c in still).values()) > room:
+                continue
+            tested += 1
+            if budget is not None and tested > budget:
+                raise _Truncated
+            col = cols[j][:]
+            col[nrows + d] = 1
+            v = _eliminate(col, basis)
+            if not any(v[:nrows]):
+                relation = v[nrows : nrows + d + 1]
+                if all(relation):
+                    hits.append((tuple(chosen) + (j,), relation))
+                continue
+            if not room:
+                continue
+            chosen.append(j)
+            basis.append(_basis_row(v))
+            for c in cs:
+                count[c] += 1
+            extend(j + 1, min((last[c] for c in still), default=m - 1) + 1, still)
+            for c in cs:
+                count[c] -= 1
+            basis.pop()
+            chosen.pop()
+
+    truncated = False
+    try:
+        extend(0, m, [])
+    except _Truncated:
+        truncated = True
+    hits.sort(key=lambda h: (len(h[0]), h[0]))
+    return hits, tested, truncated
 
 
 # full-grid enumerations are pure functions of (shape, cap); memoize them
@@ -333,11 +464,13 @@ def _enumerate(
     max_support: int | None,
     budget: int | None,
 ) -> tuple[tuple[MinimalCycle, ...], int, bool]:
-    """Core subset scan. Returns (cycles, candidates examined, truncated).
+    """Minimal cycles as the circuits of the incidence column matroid.
+    Returns (cycles, candidates, truncated).
 
-    Candidates are counted after the lonely-point prune; the scan stops and
-    reports truncation as soon as the count would exceed the budget. A
-    support cap below 2 admits no cycle at all and raises ValueError.
+    A candidate is a point set whose independence was tested (see
+    ``_circuits``); the search stops and reports truncation as soon as the
+    count would exceed the budget, with the cycles found so far. A support
+    cap below 2 admits no cycle at all and raises ValueError.
     """
     if max_support is not None and max_support < 2:
         raise ValueError(f"max_support must be at least 2, got {max_support}")
@@ -351,8 +484,8 @@ def _enumerate(
         full = len(pts) == grid.volume
     if not pts:
         return (), 0, False
-    rank = matrix_rank(incidence_matrix(pts, grid))
-    cap = rank + 1 if max_support is None else max_support
+    classes, nrows = _class_ids(pts, grid.n)
+    cap = _incidence_rank(pts, grid.n) + 1 if max_support is None else max_support
     cap = min(cap, len(pts))
 
     key = (grid.factor_sizes, cap)
@@ -364,28 +497,14 @@ def _enumerate(
                 return (), candidates, True
             return cycles, candidates, False
 
-    found: list[MinimalCycle] = []
-    found_supports: list[frozenset[int]] = []
-    candidates = 0
-    for size in range(2, cap + 1):
-        for combo in combinations(range(len(pts)), size):
-            if _has_lonely_point(combo, pts, grid.n):
-                continue
-            candidates += 1
-            if budget is not None and candidates > budget:
-                return tuple(found), candidates, True
-            cset = set(combo)
-            if any(s <= cset for s in found_supports):
-                continue  # proper supersets of a minimal cycle are never minimal
-            subset = tuple(pts[i] for i in combo)
-            mc = _minimal_from_sorted(subset, grid)
-            if mc is not None:
-                found.append(mc)
-                found_supports.append(frozenset(combo))
-    result = tuple(found)
-    if full:
+    hits, candidates, truncated = _circuits(classes, nrows, cap, budget)
+    result = tuple(
+        _normalized_cycle(tuple(pts[i] for i in support), relation, grid)
+        for support, relation in hits
+    )
+    if full and not truncated:
         _FULL_CACHE[key] = (result, candidates)
-    return result, candidates, False
+    return result, candidates, truncated
 
 
 def enumerate_minimal_cycles(
@@ -396,6 +515,11 @@ def enumerate_minimal_cycles(
     """All minimal cycles supported inside the given point set (the whole
     grid by default), in deterministic order: by support size, then by the
     lexicographic tuple of flat indices.
+
+    Minimal cycles are the circuits of the incidence column matroid, and
+    they are generated as such (``_circuits``): each weight vector is the
+    integer relation that closes the circuit, scaled to total mass 1 with
+    the first weight positive.
 
     Supports larger than rank(incidence) + 1 cannot occur, so that is the
     default cap; pass max_support to override.

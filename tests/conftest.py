@@ -17,9 +17,12 @@ from golombdual import (
     ProductGrid,
     SeparableSum,
     TabulatedFunction,
+    CycleVectorPair,
     incidence_matrix,
     kernel_basis,
+    matrix_rank,
     normalize_minimal,
+    point_index,
 )
 
 CUBE = ProductGrid((2, 2, 2))
@@ -74,3 +77,47 @@ def brute_force_minimal_cycles(grid: ProductGrid) -> set[MinimalCycle]:
             if len(basis) == 1 and all(w != 0 for w in basis[0]):
                 found.add(normalize_minimal(subset, grid))
     return found
+
+
+def has_lonely_point(combo, coords, n) -> bool:
+    for axis in range(n):
+        counts: dict[int, int] = {}
+        for i in combo:
+            counts[coords[i][axis]] = counts.get(coords[i][axis], 0) + 1
+        if 1 in counts.values():
+            return True
+    return False
+
+
+def subset_scan_cycles(
+    grid: ProductGrid, points=None, max_support: int | None = None
+) -> tuple[MinimalCycle, ...]:
+    """Reference enumeration: the subset scan the circuit search replaced.
+
+    Points are sorted by flat index and every subset of 2 to max_support
+    points (default rank + 1) is tried, size by size in lexicographic index
+    order. Subsets with a point alone in one of its (axis, value) classes,
+    and proper supersets of a cycle already found, are skipped; the others
+    are minimal when their incidence kernel is one line with no zero entry,
+    normalized to total mass 1 with the first weight positive. The search
+    must return exactly this tuple.
+    """
+    pts = tuple(sorted(grid.points() if points is None else points, key=lambda p: point_index(grid, p)))
+    cap = matrix_rank(incidence_matrix(pts, grid)) + 1 if max_support is None else max_support
+    found: list[MinimalCycle] = []
+    supports: list[frozenset[int]] = []
+    for size in range(2, min(cap, len(pts)) + 1):
+        for combo in combinations(range(len(pts)), size):
+            if has_lonely_point(combo, pts, grid.n) or any(s <= set(combo) for s in supports):
+                continue
+            subset = tuple(pts[i] for i in combo)
+            basis = kernel_basis(incidence_matrix(subset, grid))
+            if len(basis) != 1 or any(x == 0 for x in basis[0]):
+                continue
+            total = sum(abs(x) for x in basis[0])
+            lam = tuple(x / total for x in basis[0])
+            if lam[0] < 0:
+                lam = tuple(-x for x in lam)
+            found.append(MinimalCycle(CycleVectorPair(grid, subset, lam)))
+            supports.append(frozenset(combo))
+    return tuple(found)

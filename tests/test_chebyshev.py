@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import golombdual.chebyshev as chebyshev
+import golombdual.cycles as cycles
 from golombdual import (
     ApproximationResult,
     CertificateError,
@@ -328,6 +329,28 @@ class TestVerifyGolomb:
         for cap in (-3, 0, 1):
             with pytest.raises(ValueError, match="at least 2"):
                 verify_golomb(XY, max_support=cap)
+
+    def test_support_cap_is_rejected_before_the_lp(self, monkeypatch):
+        def no_lp(f):
+            raise AssertionError("the error LP was solved")
+
+        monkeypatch.setattr(chebyshev, "best_error", no_lp)
+        f = random_table(random.Random(5), ProductGrid((12, 12)))
+        for cap in (-3, 0, 1):
+            with pytest.raises(ValueError, match="at least 2"):
+                verify_golomb(f, max_support=cap)
+
+    def test_budget_cut_inside_the_search(self, monkeypatch):
+        # with nothing memoized the search itself stops after one candidate
+        monkeypatch.setattr(cycles, "_FULL_CACHE", {})
+        f = random_table(random.Random(10), ProductGrid((3, 3)))
+        report = verify_golomb(f, budget=1)
+        assert not report.enumerated
+        assert not report.equal
+        assert report.cycle_supremum is None
+        assert report.witness is None
+        assert report.cycles_examined == 0
+        assert verify_golomb(f, budget=None).enumerated
 
     def test_report_json(self):
         obj = report_to_json(verify_golomb(XY))

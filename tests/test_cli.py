@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import subprocess
 import sys
@@ -133,6 +134,18 @@ class TestVerifyCommand:
         code, out, _ = run_main(["verify", "--input", path, "--max-support", "2"], capsys)
         assert code == 1
         assert json.loads(out)["cycle_supremum"] == "0"
+
+    def test_support_cap_below_two_exits_before_the_lp(self, tmp_path, capsys, monkeypatch):
+        path = str(tmp_path / "f.json")
+        assert main(["gen", "--shape", "12x12", "--seed", "5", "--output", path]) == 0
+
+        def no_lp(f):
+            raise AssertionError("the error LP was solved")
+
+        monkeypatch.setattr(chebyshev, "best_error", no_lp)
+        code, out, err = run_main(["verify", "--input", path, "--max-support", "1"], capsys)
+        assert (code, out) == (2, "")
+        assert "max_support must be at least 2" in err
 
     def test_output_file(self, tmp_path, capsys):
         inp = write(tmp_path / "xy.csv", XY_CSV)
@@ -306,3 +319,27 @@ class TestConsoleScript:
         from golombdual import function_to_json
 
         assert function_to_json(f) == obj
+
+
+class TestNoCyclicGarbage:
+    def test_warm_call_leaves_no_argparse_objects_in_cycles(self, tmp_path):
+        # each call used to build a parser whose ~290 objects refer to each
+        # other and waited for a full collection; the json encoder's own
+        # closures (33 objects per indented dump before Python 3.13) remain
+        argv = ["gen", "--shape", "3x3", "--seed", "1", "--output", str(tmp_path / "f.json")]
+        assert main(argv) == 0
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            assert main(argv) == 0
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            collected = gc.collect()
+            kinds = {type(o).__module__ for o in gc.garbage}
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            if enabled:
+                gc.enable()
+        assert "argparse" not in kinds
+        assert collected <= 40

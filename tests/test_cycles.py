@@ -32,6 +32,7 @@ from golombdual import (
     is_minimal,
     is_orthogonal,
     kernel_basis,
+    matrix_rank,
     measure_from_pair,
     normalize_minimal,
     pair_from_json,
@@ -50,6 +51,8 @@ from conftest import (
     SIX_POINTS,
     SQUARE,
     brute_force_minimal_cycles,
+    has_lonely_point,
+    subset_scan_cycles,
 )
 
 GRID22 = ProductGrid((2, 2))
@@ -412,6 +415,158 @@ class TestEnumeration:
     def test_rejects_duplicate_points(self):
         with pytest.raises(ValueError):
             enumerate_minimal_cycles(GRID22, ((0, 0), (0, 0)))
+
+
+# every two-axis shape from 2x2 to 5x4, and the small grids with 3 and 4 axes
+SEARCH_SHAPES = tuple((s, t) for s in range(2, 6) for t in range(2, 5)) + (
+    (2, 2, 2),
+    (3, 2, 2),
+    (3, 3, 2),
+    (2, 2, 2, 2),
+)
+
+
+def integer_rank_is_exact(points, grid) -> bool:
+    return cycles._incidence_rank(points, grid.n) == matrix_rank(incidence_matrix(points, grid))
+
+
+class TestCircuitSearch:
+    """The depth-first circuit search returns exactly the tuple of the subset
+    scan it replaced (``conftest.subset_scan_cycles``): the same points, the
+    same weights, in the same order."""
+
+    @pytest.mark.parametrize("shape", SEARCH_SHAPES)
+    def test_full_grid_matches_subset_scan(self, shape, monkeypatch):
+        monkeypatch.setattr(cycles, "_FULL_CACHE", {})
+        grid = ProductGrid(shape)
+        found, _, truncated = cycles._enumerate(grid, None, None, None)
+        assert not truncated
+        assert found == subset_scan_cycles(grid)
+        for c in found:
+            assert integer_rank_is_exact(c.points, grid)
+            assert cycles._incidence_rank(c.points, grid.n) == len(c.points) - 1
+
+    @pytest.mark.parametrize("shape", ((2, 3), (3, 3), (3, 4), (4, 4), (2, 2, 2), (3, 2, 2)))
+    def test_every_cap_matches_subset_scan(self, shape, monkeypatch):
+        monkeypatch.setattr(cycles, "_FULL_CACHE", {})
+        grid = ProductGrid(shape)
+        rank = matrix_rank(incidence_matrix(tuple(grid.points()), grid))
+        for cap in range(2, rank + 2):
+            assert enumerate_minimal_cycles(grid, max_support=cap) == subset_scan_cycles(
+                grid, max_support=cap
+            )
+
+    def test_point_subsets_match_subset_scan(self):
+        for points in (FIVE_POINTS, SIX_POINTS):
+            assert enumerate_minimal_cycles(CUBE, points) == subset_scan_cycles(CUBE, points)
+        rng = random.Random(6061)
+        grid = ProductGrid((3, 3, 2))
+        pts = tuple(grid.points())
+        seen = 0
+        for _ in range(16):
+            subset = rng.sample(pts, rng.randint(6, 14))
+            for cap in (None, 4):
+                found = enumerate_minimal_cycles(grid, subset, cap)
+                assert found == subset_scan_cycles(grid, subset, cap)
+                seen += len(found)
+        assert seen > 0
+
+    def test_integer_rank_on_non_minimal_sets(self):
+        rng = random.Random(8087)
+        for shape in ((4, 4), (3, 3, 2), (2, 2, 2, 2)):
+            grid = ProductGrid(shape)
+            pts = tuple(grid.points())
+            found = enumerate_minimal_cycles(grid)
+            for _ in range(40):
+                a, b = rng.sample(found, 2)
+                extra = rng.sample([p for p in pts if p not in a.points], rng.randint(1, 3))
+                superset = a.points + tuple(extra)
+                union = tuple(dict.fromkeys(a.points + b.points))
+                lonely = ()
+                while not has_lonely_point(range(len(lonely)), lonely, grid.n):
+                    lonely = tuple(rng.sample(pts, rng.randint(2, len(pts) // 2)))
+                assert cycles._incidence_rank(union, grid.n) <= len(union) - 2  # kernel >= 2
+                for points in (superset, union, lonely):
+                    assert integer_rank_is_exact(points, grid)
+
+    def test_minimal_cycle_rejects_a_wider_kernel(self):
+        # a nowhere-zero combination of two cycles satisfies every check of
+        # CycleVectorPair and has total mass 1; only the rank says its kernel
+        # is not one line
+        total = sum(abs(c) for c in SIX_CERT)
+        pair = CycleVectorPair(CUBE, SIX_POINTS, tuple(Fraction(c, total) for c in SIX_CERT))
+        with pytest.raises(ValueError, match="not one dimensional"):
+            MinimalCycle(pair)
+        rng = random.Random(3331)
+        for shape in ((4, 4), (3, 3, 2), (2, 2, 2, 2)):
+            grid = ProductGrid(shape)
+            found = enumerate_minimal_cycles(grid)
+            rejected = 0
+            while rejected < 20:
+                a, b = rng.sample(found, 2)
+                s, t = rng.choice((1, 2, 3)), rng.choice((-2, -1, 1, 2))
+                mass: dict[tuple[int, ...], Fraction] = {}
+                for c, k in ((a, s), (b, t)):
+                    for p, w in zip(c.points, c.weights):
+                        mass[p] = mass.get(p, Fraction(0)) + k * w
+                if not all(mass.values()):
+                    continue
+                norm = sum(abs(m) for m in mass.values())
+                pair = CycleVectorPair(grid, tuple(mass), tuple(m / norm for m in mass.values()))
+                with pytest.raises(ValueError, match="not one dimensional"):
+                    MinimalCycle(pair)
+                assert not is_minimal(pair.points, grid)
+                rejected += 1
+
+
+class TestSearchBudget:
+    """A candidate is a point set whose independence was tested: one
+    elimination of a new column against the chosen ones."""
+
+    def counting_eliminate(self, monkeypatch) -> list[int]:
+        calls: list[int] = []
+        real = cycles._eliminate
+
+        def counted(col, basis):
+            calls.append(1)
+            return real(col, basis)
+
+        monkeypatch.setattr(cycles, "_eliminate", counted)
+        return calls
+
+    @pytest.mark.parametrize("shape", ((3, 4), (3, 3, 2)))
+    def test_candidates_count_independence_tests(self, shape, monkeypatch):
+        grid = ProductGrid(shape)
+        classes, nrows = cycles._class_ids(tuple(grid.points()), grid.n)
+        cap = cycles._incidence_rank(tuple(grid.points()), grid.n) + 1
+        calls = self.counting_eliminate(monkeypatch)
+        hits, tested, truncated = cycles._circuits(classes, nrows, cap, None)
+        assert not truncated
+        assert tested == len(calls) > len(hits) > 0
+        for b in (0, 1, tested // 3, tested - 1):
+            calls.clear()
+            partial, count, truncated = cycles._circuits(classes, nrows, cap, b)
+            assert truncated and count == b + 1 and len(calls) == b
+            assert partial == [h for h in hits if h in partial]
+        calls.clear()
+        assert cycles._circuits(classes, nrows, cap, tested) == (hits, tested, False)
+        assert len(calls) == tested
+
+    def test_enumerate_truncates_exactly_past_the_budget(self, monkeypatch):
+        monkeypatch.setattr(cycles, "_FULL_CACHE", {})
+        grid = ProductGrid((4, 4))
+        full, total, truncated = cycles._enumerate(grid, None, None, None)
+        assert not truncated and cycles._FULL_CACHE
+        monkeypatch.setattr(cycles, "_FULL_CACHE", {})
+        for b in (0, 1, total // 2, total - 1):
+            found, candidates, truncated = cycles._enumerate(grid, None, None, b)
+            assert truncated and candidates == b + 1
+            kept = set(found)
+            assert found == tuple(c for c in full if c in kept)
+            assert not cycles._FULL_CACHE  # a cut search is not memoized
+        assert cycles._enumerate(grid, None, None, total) == (full, total, False)
+        # a memoized search keeps the budget: the cached count exceeds it
+        assert cycles._enumerate(grid, None, None, total - 1) == ((), total, True)
 
 
 class TestExtractExtremeCycle:
