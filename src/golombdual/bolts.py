@@ -21,9 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Sequence
 
-from .cycles import GolombCycle, enumerate_minimal_cycles, integer_certificate, to_golomb_form
+from .chebyshev import _cycle_supremum
+from .cycles import GolombCycle, enumerate_minimal_cycles
 from .grids import GridPoint, ProductGrid, TabulatedFunction
-from .measures import FiniteSignedMeasure, integrate
+from .measures import FiniteSignedMeasure
 
 StartAxis = Literal["shared-x-first", "shared-y-first"]
 
@@ -174,38 +175,16 @@ def cycle_to_closed_bolts(gc: GolombCycle) -> tuple[ClosedBolt, ...]:
     return tuple(bolts)
 
 
-def _bolt_supremum_with_witness(
-    f: TabulatedFunction, max_support: int | None
-) -> tuple[Fraction, tuple[ClosedBolt, ...]]:
-    """The closed-bolt supremum over minimal cycles of at most
-    ``max_support`` points, with the closed bolts of the first cycle, in
-    enumeration order, that attains it (empty when the supremum is 0)."""
-    _require_two_axes(f.grid)
-    best = Fraction(0)
-    witness: tuple[ClosedBolt, ...] = ()
-    for cycle in enumerate_minimal_cycles(f.grid, max_support=max_support):
-        gc = to_golomb_form(
-            cycle.points, integer_certificate(cycle.weights), cycle.grid
-        )
-        bolts = cycle_to_closed_bolts(gc)
-        value = max(
-            (abs(integrate(f, closed_bolt_measure(cb))) for cb in bolts),
-            default=Fraction(0),
-        )
-        if value > best:
-            best, witness = value, bolts
-    return best, witness
-
-
 def bolt_supremum(f: TabulatedFunction) -> Fraction:
-    """Supremum of |integral of f| over closed-bolt measures, computed by
-    converting every minimal cycle of the grid to closed bolts.
+    """Supremum of |integral of f| over closed-bolt measures.
 
-    On two-axis grids minimal cycles have plus-minus-one certificates, so
-    each converts to a single closed bolt carrying the cycle's measure; the
-    maximum over those equals the best-approximation error.
+    On two axes every minimal cycle is one closed bolt whose measure is the
+    cycle's own up to sign, so this is the minimal-cycle supremum, taken by
+    the loop verify_golomb runs; no cycle is converted to bolts. It equals
+    the best-approximation error.
     """
-    return _bolt_supremum_with_witness(f, None)[0]
+    _require_two_axes(f.grid)
+    return _cycle_supremum(f, enumerate_minimal_cycles(f.grid))[0]
 
 
 def bolt_to_json(cb: ClosedBolt | Bolt) -> dict:

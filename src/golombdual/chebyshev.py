@@ -193,6 +193,19 @@ def cycle_functional(f: TabulatedFunction, cycle: MinimalCycle) -> Fraction:
     return abs(Fraction(num, den))
 
 
+def _cycle_supremum(
+    f: TabulatedFunction, cycles: tuple[MinimalCycle, ...]
+) -> tuple[Fraction, MinimalCycle | None]:
+    """The largest cycle functional of f over the cycles, with the first
+    cycle, in their order, that attains it (None when it is 0)."""
+    supremum, witness = Fraction(0), None
+    for cycle in cycles:
+        value = cycle_functional(f, cycle)
+        if value > supremum:
+            supremum, witness = value, cycle
+    return supremum, witness
+
+
 def verify_golomb(
     f: TabulatedFunction,
     max_support: int | None = None,
@@ -217,13 +230,7 @@ def verify_golomb(
             equal=False,
             enumerated=False,
         )
-    supremum = Fraction(0)
-    witness: MinimalCycle | None = None
-    for cycle in cycles:
-        value = cycle_functional(f, cycle)
-        if value > supremum:
-            supremum = value
-            witness = cycle
+    supremum, witness = _cycle_supremum(f, cycles)
     equal = supremum == result.error
     if not (equal and result.error > 0):
         witness = None

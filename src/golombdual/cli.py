@@ -19,9 +19,9 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bolts import _bolt_supremum_with_witness, bolt_to_json
+from .bolts import bolt_to_json, cycle_to_closed_bolts
 from .chebyshev import best_error, report_to_json, verify_golomb
-from .cycles import decompose, enumerate_minimal_cycles, pair_to_json
+from .cycles import decompose, enumerate_minimal_cycles, integer_certificate, pair_to_json, to_golomb_form
 from .grids import (
     ProductGrid,
     TabulatedFunction,
@@ -128,14 +128,18 @@ def _cmd_bolts(config: RunConfig) -> int:
     f = _load_function(config.input)
     if f.grid.n != 2:
         raise ValueError("bolts requires a two-axis grid")
-    result = best_error(f)
-    best, witness = _bolt_supremum_with_witness(f, config.max_support)
+    # no candidate budget: the bolts report has no field for a search cut short
+    report = verify_golomb(f, max_support=config.max_support, budget=None)
+    witness = report.witness
+    bolts = () if witness is None else cycle_to_closed_bolts(
+        to_golomb_form(witness.points, integer_certificate(witness.weights), f.grid)
+    )
     payload = {
         "shape": list(f.grid.factor_sizes),
-        "error": format_rat(result.error),
-        "bolt_supremum": format_rat(best),
-        "equal": best == result.error,
-        "witness_bolts": [bolt_to_json(cb) for cb in witness] if best == result.error else [],
+        "error": format_rat(report.error),
+        "bolt_supremum": format_rat(report.cycle_supremum),
+        "equal": report.equal,
+        "witness_bolts": [bolt_to_json(cb) for cb in bolts],
     }
     _emit(config, payload)
     return 0
@@ -144,9 +148,11 @@ def _cmd_bolts(config: RunConfig) -> int:
 def _cmd_gen(config: RunConfig) -> int:
     if config.shape is None:
         raise ValueError("gen needs --shape")
+    r = config.value_range
+    if r < 0:
+        raise ValueError(f"--range must be at least 0, got {r}")
     grid = ProductGrid(config.shape)
     rng = random.Random(config.seed)
-    r = config.value_range
     values = tuple(
         Fraction(rng.randint(-r, r)) for _ in range(grid.volume)
     )

@@ -52,7 +52,12 @@ class ProductGrid:
         )
 
     def check_point(self, point: Sequence[int]) -> GridPoint:
-        pt = tuple(int(c) for c in point)
+        """The point as a tuple, checked to lie on the grid. Coordinates must
+        be ints: a float, a string or a bool is rejected, not rounded."""
+        pt = tuple(point)
+        for c in pt:
+            if type(c) is not int:
+                raise ValueError(f"point {pt!r} has a coordinate that is not an integer")
         if not self.contains(pt):
             raise ValueError(f"point {pt} is not on a grid of shape {self.factor_sizes}")
         return pt
@@ -187,6 +192,14 @@ def incidence_matrix(points: Sequence[GridPoint], grid: ProductGrid) -> RatMatri
     return RatMatrix.from_rows(rows)
 
 
+def _grid_from_json(shape: object) -> ProductGrid:
+    """The grid of a JSON "shape" list; its entries must be JSON integers,
+    so true and false are rejected."""
+    if not isinstance(shape, list) or any(type(s) is not int for s in shape):
+        raise ValueError('"shape" must be a list of integers')
+    return ProductGrid(tuple(shape))
+
+
 def function_to_json(f: TabulatedFunction) -> dict:
     return {
         "shape": list(f.grid.factor_sizes),
@@ -197,13 +210,10 @@ def function_to_json(f: TabulatedFunction) -> dict:
 def function_from_json(obj: object) -> TabulatedFunction:
     if not isinstance(obj, dict) or "shape" not in obj or "values" not in obj:
         raise ValueError('function JSON needs "shape" and "values" keys')
-    shape = obj["shape"]
-    if not isinstance(shape, list) or not all(isinstance(s, int) for s in shape):
-        raise ValueError('"shape" must be a list of integers')
+    grid = _grid_from_json(obj["shape"])
     values = obj["values"]
     if not isinstance(values, list):
         raise ValueError('"values" must be a list')
-    grid = ProductGrid(tuple(shape))
     return TabulatedFunction(grid, tuple(parse_rat(v) for v in values))
 
 

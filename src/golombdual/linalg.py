@@ -24,12 +24,19 @@ _MINUS_VARIANTS = ("−", "–")
 
 
 def parse_rat(text: str) -> Fraction:
-    """Parse a rational from its canonical string form ``p/q`` (or ``p``)."""
+    """Parse a rational from its canonical string form ``p/q`` (or ``p``).
+
+    A plain decimal such as ``0.5`` is read too, but an exponent (``1e3``)
+    is rejected: ``Fraction`` expands it to an integer with that many
+    digits, so one value could stall the parse.
+    """
     if not isinstance(text, str):
         raise ValueError(f"expected a rational string, got {text!r}")
     cleaned = text.strip()
     for ch in _MINUS_VARIANTS:
         cleaned = cleaned.replace(ch, "-")
+    if "e" in cleaned or "E" in cleaned:
+        raise ValueError(f"not a rational: {text!r} (no exponents)")
     try:
         return Fraction(cleaned)
     except (ValueError, ZeroDivisionError) as exc:

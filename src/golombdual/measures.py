@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable
 
-from .grids import GridPoint, ProductGrid, TabulatedFunction, point_index
+from .grids import GridPoint, ProductGrid, TabulatedFunction, _grid_from_json, point_index
 from .linalg import format_rat, parse_rat
 
 if TYPE_CHECKING:  # only for annotations; cycles.py imports this module at runtime
@@ -157,10 +157,7 @@ def measure_to_json(mu: FiniteSignedMeasure) -> dict:
 def measure_from_json(obj: object) -> FiniteSignedMeasure:
     if not isinstance(obj, dict) or "shape" not in obj or "atoms" not in obj:
         raise ValueError('measure JSON needs "shape" and "atoms" keys')
-    shape = obj["shape"]
-    if not isinstance(shape, list) or not all(isinstance(s, int) for s in shape):
-        raise ValueError('"shape" must be a list of integers')
-    grid = ProductGrid(tuple(shape))
+    grid = _grid_from_json(obj["shape"])
     atoms = obj["atoms"]
     if not isinstance(atoms, list):
         raise ValueError('"atoms" must be a list')

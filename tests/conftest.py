@@ -18,11 +18,17 @@ from golombdual import (
     SeparableSum,
     TabulatedFunction,
     CycleVectorPair,
+    closed_bolt_measure,
+    cycle_to_closed_bolts,
+    enumerate_minimal_cycles,
     incidence_matrix,
+    integer_certificate,
+    integrate,
     kernel_basis,
     matrix_rank,
     normalize_minimal,
     point_index,
+    to_golomb_form,
 )
 
 CUBE = ProductGrid((2, 2, 2))
@@ -121,3 +127,20 @@ def subset_scan_cycles(
             found.append(MinimalCycle(CycleVectorPair(grid, subset, lam)))
             supports.append(frozenset(combo))
     return tuple(found)
+
+
+def bolt_supremum_by_conversion(f: TabulatedFunction) -> Fraction:
+    """Reference closed-bolt supremum on a two-axis grid: the conversion
+    loop that bolt_supremum replaced.
+
+    Every minimal cycle is written in two-part integer form, split into
+    closed bolts, and f is integrated against each bolt's own measure, so
+    this computes the supremum over bolts without relying on each cycle
+    being one bolt with the cycle's measure.
+    """
+    best = Fraction(0)
+    for cycle in enumerate_minimal_cycles(f.grid):
+        gc = to_golomb_form(cycle.points, integer_certificate(cycle.weights), f.grid)
+        for cb in cycle_to_closed_bolts(gc):
+            best = max(best, abs(integrate(f, closed_bolt_measure(cb))))
+    return best

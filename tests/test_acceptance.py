@@ -62,6 +62,7 @@ from conftest import (
     FIVE_POINTS,
     SIX_CERT,
     SIX_POINTS,
+    bolt_supremum_by_conversion,
     brute_force_minimal_cycles,
     random_separable,
     random_table,
@@ -200,6 +201,7 @@ def test_6_two_axis_equivalence(instances, cycles_by_shape):
             continue
         checked += 1
         assert bolt_supremum(inst.f) == inst.result.error
+        assert bolt_supremum_by_conversion(inst.f) == inst.result.error
         assert inst.cycle_supremum == inst.result.error
     bolts_checked = 0
     for shape in SHAPES:

@@ -18,9 +18,11 @@ from golombdual import (
     bolt_supremum,
     bolt_to_json,
     closed_bolt_measure,
+    cycle_functional,
     cycle_to_closed_bolts,
     enumerate_minimal_cycles,
     integer_certificate,
+    integrate,
     is_bolt,
     is_closed_bolt,
     is_orthogonal,
@@ -29,7 +31,7 @@ from golombdual import (
     total_variation,
 )
 
-from conftest import SQUARE, random_separable, random_table, table
+from conftest import SQUARE, bolt_supremum_by_conversion, random_separable, random_table, table
 
 GRID22 = ProductGrid((2, 2))
 GRID33 = ProductGrid((3, 3))
@@ -211,15 +213,23 @@ class TestCycleToClosedBolts:
             assert is_closed_bolt(cb.grid, cb.vertices)
 
     def test_single_minimal_cycles_convert_to_single_bolts(self):
+        # bolt_supremum and the bolts command rest on this: on two axes a
+        # minimal cycle on 2k points has weights +-1/(2k) and is one closed
+        # bolt that integrates f to +- the cycle functional
         rng = random.Random(23)
-        for cycle in rng.sample(enumerate_minimal_cycles(GRID44), 20):
-            gc = to_golomb_form(
-                cycle.points, integer_certificate(cycle.weights), GRID44
-            )
-            bolts = cycle_to_closed_bolts(gc)
-            assert len(bolts) == 1
-            mu = closed_bolt_measure(bolts[0])
-            assert mu in (cycle.measure(), -cycle.measure())
+        for shape in ((2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (4, 5)):
+            grid = ProductGrid(shape)
+            f = random_table(rng, grid)
+            for cycle in enumerate_minimal_cycles(grid):
+                assert all(abs(w) == Fraction(1, len(cycle.points)) for w in cycle.weights)
+                gc = to_golomb_form(
+                    cycle.points, integer_certificate(cycle.weights), grid
+                )
+                bolts = cycle_to_closed_bolts(gc)
+                assert len(bolts) == 1
+                mu = closed_bolt_measure(bolts[0])
+                assert mu in (cycle.measure(), -cycle.measure())
+                assert abs(integrate(f, mu)) == cycle_functional(f, cycle)
 
     def test_deterministic(self):
         gc = GolombCycle(
@@ -253,7 +263,9 @@ class TestBoltSupremum:
         rng = random.Random(26)
         for _ in range(10):
             f = random_table(rng, GRID33)
-            assert bolt_supremum(f) == best_error(f).error
+            error = best_error(f).error
+            assert bolt_supremum(f) == error
+            assert bolt_supremum_by_conversion(f) == error
 
     def test_rejects_other_dimensions(self):
         rng = random.Random(27)
@@ -284,3 +296,5 @@ class TestBoltJson:
             bolt_from_json(GRID22, {"vertices": "zig"})
         with pytest.raises(ValueError):
             bolt_from_json(GRID22, {"closed": True})
+        with pytest.raises(ValueError):
+            bolt_from_json(GRID22, {"vertices": [[0, 0], [0, 1], [True, 1], [1, 0]]})

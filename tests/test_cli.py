@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 import golombdual.chebyshev as chebyshev
+import golombdual.cli as cli
 from golombdual import LpSolution, function_from_json, measure_to_json
 from golombdual.cli import main
 
@@ -67,6 +68,11 @@ class TestGen:
             code, _, err = run_main(["gen", "--shape", shape], capsys)
             assert code == 2
             assert err != ""
+
+    def test_rejects_negative_range(self, capsys):
+        code, out, err = run_main(["gen", "--shape", "2x2", "--range", "-3"], capsys)
+        assert (code, out) == (2, "")
+        assert "--range" in err
 
 
 class TestErrorCommand:
@@ -218,6 +224,32 @@ class TestBoltsCommand:
             {"vertices": [[0, 0], [0, 1], [1, 1], [1, 0]], "closed": True}
         ]
 
+    def test_witness_bolts_of_a_seeded_3x4_table(self, tmp_path, capsys):
+        # two six-point cycles attain 25/6 here; the witness is the first
+        # one in enumeration order
+        path = str(tmp_path / "f.json")
+        assert main(["gen", "--shape", "3x4", "--seed", "17", "--output", path]) == 0
+        code, out, _ = run_main(["bolts", "--input", path], capsys)
+        assert code == 0
+        obj = json.loads(out)
+        assert (obj["error"], obj["bolt_supremum"], obj["equal"]) == ("25/6", "25/6", True)
+        assert obj["witness_bolts"] == [
+            {"vertices": [[0, 0], [0, 2], [1, 2], [1, 3], [2, 3], [2, 0]], "closed": True}
+        ]
+
+    def test_support_cap_below_two_exits_before_the_lp(self, tmp_path, capsys, monkeypatch):
+        path = str(tmp_path / "f.json")
+        assert main(["gen", "--shape", "12x12", "--seed", "5", "--output", path]) == 0
+
+        def no_lp(f):
+            raise AssertionError("the error LP was solved")
+
+        monkeypatch.setattr(chebyshev, "best_error", no_lp)
+        monkeypatch.setattr(cli, "best_error", no_lp)
+        code, out, err = run_main(["bolts", "--input", path, "--max-support", "1"], capsys)
+        assert (code, out) == (2, "")
+        assert "max_support must be at least 2" in err
+
     def test_rejects_three_axis_input(self, tmp_path, capsys):
         payload = {"shape": [2, 2, 2], "values": ["0"] * 8}
         path = write(tmp_path / "f.json", json.dumps(payload))
@@ -259,6 +291,42 @@ class TestInputErrors:
         )
         assert code == 2
         assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "index, bad",
+        [(0, [0.4, 0]), (1, [0, "1"]), (2, [True, 0]), (3, [1, 1.9])],
+        ids=["float", "string", "bool", "float-above"],
+    )
+    def test_point_coordinates_must_be_integers(self, tmp_path, capsys, index, bad):
+        # int() used to coerce each bad point to the one it replaces here,
+        # so the file read as the 2x2 square
+        points = [[0, 0], [0, 1], [1, 0], [1, 1]]
+        points[index] = bad
+        masses = ["1/4", "-1/4", "-1/4", "1/4"]
+        payload = {"shape": [2, 2], "atoms": [
+            {"point": p, "mass": m} for p, m in zip(points, masses)
+        ]}
+        path = write(tmp_path / "mu.json", json.dumps(payload))
+        code, out, err = run_main(["decompose", "--input", path], capsys)
+        assert (code, out) == (2, "")
+        assert "not an integer" in err
+
+    def test_shape_entries_must_not_be_booleans(self, tmp_path, capsys):
+        function = write(tmp_path / "f.json", json.dumps({"shape": [True, 2], "values": ["0", "1"]}))
+        measure = write(tmp_path / "mu.json", json.dumps({"shape": [True, 2], "atoms": []}))
+        for command, path in (("error", function), ("decompose", measure)):
+            code, out, err = run_main([command, "--input", path], capsys)
+            assert (code, out) == (2, "")
+            assert '"shape" must be a list of integers' in err
+
+    def test_values_take_no_exponent(self, tmp_path, capsys):
+        path = write(
+            tmp_path / "f.json",
+            json.dumps({"shape": [2, 2], "values": ["0", "0", "0", "1e3"]}),
+        )
+        code, out, err = run_main(["error", "--input", path], capsys)
+        assert (code, out) == (2, "")
+        assert "not a rational" in err
 
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as exc:

@@ -793,3 +793,8 @@ class TestCycleJson:
             pair_from_json(GRID22, {"points": [[0, 0]]})
         with pytest.raises(ValueError):
             golomb_from_json(GRID22, {"b": [[0, 0]]})
+        with pytest.raises(ValueError):
+            pair_from_json(GRID22, {"points": [[0, 0], [0, "1"], [1, 0], [1, 1]],
+                                    "lambda": ["1", "-1", "-1", "1"]})
+        with pytest.raises(ValueError):
+            golomb_from_json(GRID22, {"b": [[0, 0], [1, 1.9]], "c": [[0, 1], [1, 0]]})

@@ -48,6 +48,13 @@ class TestProductGrid:
         assert not grid.contains((1,))
         assert not grid.contains((-1, 0))
 
+    @pytest.mark.parametrize(
+        "bad", [(0.4, 0), (0, "1"), (True, 0), (1, 1.9)], ids=["float", "string", "bool", "float-above"]
+    )
+    def test_non_integer_coordinates_are_rejected_not_coerced(self, bad):
+        with pytest.raises(ValueError, match="not an integer"):
+            ProductGrid((2, 2)).check_point(bad)
+
     def test_points_enumerated_in_index_order(self):
         grid = ProductGrid((2, 3))
         pts = tuple(grid.points())
@@ -252,6 +259,10 @@ class TestSerialization:
             function_from_json({"shape": [2, 2]})
         with pytest.raises(ValueError):
             function_from_json([1, 2, 3])
+
+    def test_json_shape_entries_must_not_be_booleans(self):
+        with pytest.raises(ValueError, match="list of integers"):
+            function_from_json({"shape": [True, 2], "values": ["0", "1"]})
 
     def test_csv_rows_are_first_axis(self):
         f = function_from_csv("0,1\n2,3\n")

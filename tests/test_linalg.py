@@ -44,10 +44,16 @@ class TestRationalStrings:
     def test_parse_reduces(self):
         assert parse_rat("6/8") == Fraction(3, 4)
 
-    @pytest.mark.parametrize("bad", ["", "abc", "1/0", "1/2/3", "1..5"])
+    @pytest.mark.parametrize(
+        "bad", ["", "abc", "1/0", "1/2/3", "1..5", "1e3", "2E-1", "1e999999999"]
+    )
     def test_parse_rejects_garbage(self, bad):
         with pytest.raises(ValueError):
             parse_rat(bad)
+
+    def test_parse_plain_decimal(self):
+        assert parse_rat("0.5") == Fraction(1, 2)
+        assert parse_rat("-1.25") == Fraction(-5, 4)
 
     def test_parse_rejects_non_string(self):
         with pytest.raises(ValueError):

@@ -263,3 +263,7 @@ class TestMeasureJson:
             measure_from_json({"shape": [2, 2], "atoms": [{"point": [0, 0]}]})
         with pytest.raises(ValueError):
             measure_from_json({"shape": "2x2", "atoms": []})
+        with pytest.raises(ValueError):
+            measure_from_json({"shape": [True, 2], "atoms": []})
+        with pytest.raises(ValueError):
+            measure_from_json({"shape": [2, 2], "atoms": [{"point": [0.4, 0], "mass": "1"}]})
