@@ -27,6 +27,9 @@ from .linalg import (
     CertificateError,
     LpProblem,
     RatMatrix,
+    _as_rat,
+    _basis_row,
+    _eliminate,
     format_rat,
     kernel_basis,
     parse_rat,
@@ -34,25 +37,11 @@ from .linalg import (
 )
 from .measures import (
     FiniteSignedMeasure,
+    _class_sums_vanish,
     is_orthogonal,
     measure_from_pair,
     total_variation,
 )
-
-
-def _class_sums_vanish(
-    points: Sequence[GridPoint], weights: Sequence[Fraction], n: int
-) -> bool:
-    # over the weights' common denominator the class sums are integer sums
-    den = lcm(*(w.denominator for w in weights))
-    ints = [w.numerator * (den // w.denominator) for w in weights]
-    for axis in range(n):
-        sums: dict[int, int] = {}
-        for p, w in zip(points, ints):
-            sums[p[axis]] = sums.get(p[axis], 0) + w
-        if any(sums.values()):
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -66,7 +55,7 @@ class CycleVectorPair:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "points", tuple(self.grid.check_point(p) for p in self.points))
-        object.__setattr__(self, "weights", tuple(Fraction(w) for w in self.weights))
+        object.__setattr__(self, "weights", tuple(_as_rat(w) for w in self.weights))
         if len(self.points) != len(self.weights):
             raise ValueError("points and weights must have equal length")
         if not self.points:
@@ -325,25 +314,6 @@ def _class_ids(points: Sequence[GridPoint], n: int) -> tuple[list[tuple[int, ...
         for value in sorted({p[axis] for p in points}):
             ids[(axis, value)] = len(ids)
     return [tuple(ids[(axis, p[axis])] for axis in range(n)) for p in points], len(ids)
-
-
-def _eliminate(col: list[int], basis: list[tuple[int, list[int]]]) -> list[int]:
-    """Clear each basis row's pivot entry from ``col``, fraction-free, in
-    insertion order. Every row was cleared against the rows before it, so a
-    cleared pivot stays zero and one pass leaves ``col`` zero on all pivots."""
-    for piv, row in basis:
-        b = col[piv]
-        if b:
-            a = row[piv]
-            col = [a * x - b * y for x, y in zip(col, row)]
-    return col
-
-
-def _basis_row(v: list[int]) -> tuple[int, list[int]]:
-    """``v`` divided by the gcd of its entries, keyed by its first nonzero
-    position as pivot (``v`` must be nonzero there)."""
-    g = gcd(*v)
-    return next(i for i, x in enumerate(v) if x), [x // g for x in v]
 
 
 def _incidence_rank(points: Sequence[GridPoint], n: int) -> int:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator, Sequence
 
-from .linalg import RatMatrix, format_rat, parse_rat
+from .linalg import RatMatrix, _as_rat, format_rat, parse_rat
 
 GridPoint = tuple[int, ...]
 
@@ -25,7 +25,9 @@ class ProductGrid:
     factor_sizes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "factor_sizes", tuple(int(s) for s in self.factor_sizes))
+        object.__setattr__(self, "factor_sizes", tuple(self.factor_sizes))
+        if any(type(s) is not int for s in self.factor_sizes):
+            raise ValueError("factor sizes must be ints; a float, a string or a bool is rejected")
         if not self.factor_sizes:
             raise ValueError("a grid needs at least one factor")
         if any(s < 1 for s in self.factor_sizes):
@@ -91,7 +93,7 @@ class TabulatedFunction:
     values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(_as_rat(v) for v in self.values))
         if len(self.values) != self.grid.volume:
             raise ValueError(
                 f"expected {self.grid.volume} values for shape "
@@ -121,7 +123,7 @@ class TabulatedFunction:
         return TabulatedFunction(self.grid, tuple(-v for v in self.values))
 
     def __mul__(self, scalar: Fraction | int) -> "TabulatedFunction":
-        c = Fraction(scalar)
+        c = _as_rat(scalar)
         return TabulatedFunction(self.grid, tuple(c * v for v in self.values))
 
     __rmul__ = __mul__
@@ -138,7 +140,7 @@ class SeparableSum:
         object.__setattr__(
             self,
             "tables",
-            tuple(tuple(Fraction(v) for v in t) for t in self.tables),
+            tuple(tuple(_as_rat(v) for v in t) for t in self.tables),
         )
         if len(self.tables) != self.grid.n:
             raise ValueError("one table per axis required")

@@ -6,6 +6,11 @@ Everything is exact rational arithmetic: inputs and results are
 common denominator each. There is no floating point anywhere in this
 package, so every comparison below is a decidable exact test and results
 are reproducible bit for bit.
+
+``_eliminate`` is the package's one fraction-free elimination: it clears
+integer columns against a basis of earlier ones. Kernel bases, ranks, the
+minimality check of a cycle and the circuit search of ``cycles`` all run
+on it.
 """
 
 from __future__ import annotations
@@ -49,6 +54,17 @@ def format_rat(value: Fraction | int) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def _as_rat(value: object) -> Fraction:
+    """``value`` as an exact rational. Only an int (not a bool) or a
+    Fraction is taken: a float would be read as its binary expansion, not
+    as the decimal it was written as."""
+    if isinstance(value, Fraction):
+        return value
+    if type(value) is int:
+        return Fraction(value)
+    raise ValueError(f"expected an int or a Fraction, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -103,93 +119,72 @@ def _integer_rows(m: RatMatrix) -> list[list[int]]:
     return [_int_row(m.row(i))[:-1] for i in range(m.rows)]
 
 
-def _exact_div(a: int, b: int) -> int:
-    q, r = divmod(a, b)
-    if r:
-        raise ArithmeticError("fraction-free elimination produced a non-exact division")
-    return q
+def _eliminate(col: list[int], basis: list[tuple[int, list[int]]]) -> list[int]:
+    """Clear each basis row's pivot entry from ``col``, fraction-free, in
+    insertion order. Every row was cleared against the rows before it, so a
+    cleared pivot stays zero and one pass leaves ``col`` zero on all pivots."""
+    for piv, row in basis:
+        b = col[piv]
+        if b:
+            a = row[piv]
+            col = [a * x - b * y for x, y in zip(col, row)]
+    return col
 
 
-def _echelon(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free (Bareiss) row echelon form over the integers.
+def _basis_row(v: list[int]) -> tuple[int, list[int]]:
+    """``v`` divided by the gcd of its entries, keyed by its first nonzero
+    position as pivot (``v`` must be nonzero there)."""
+    g = gcd(*v)
+    return next(i for i, x in enumerate(v) if x), [x // g for x in v]
 
-    Intermediate entries stay minors of the input, which keeps their size
-    polynomial instead of exploding the way naive integer elimination does.
-    Returns the nonzero echelon rows and the pivot column indices.
+
+def _column_relations(m: RatMatrix) -> tuple[int, list[list[int]]]:
+    """The rank of ``m`` and, for each column that depends on the columns
+    before it, ascending, the integer relation that expresses it through
+    them.
+
+    The integer columns of ``_integer_rows(m)`` are cleared in order with
+    ``_eliminate``, each carrying an identity tail that records which
+    columns it combines. A column that clears to zero leaves its relation
+    in that tail: nonzero at the column itself, zero on every other
+    dependent column.
     """
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    pivots: list[int] = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        p = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if p is None:
-            continue
-        m[r], m[p] = m[p], m[r]
-        pivot = m[r][c]
-        top = m[r]
-        for i in range(r + 1, nrows):
-            cur = m[i]
-            factor = cur[c]
-            for j in range(c, ncols):
-                cur[j] = _exact_div(pivot * cur[j] - factor * top[j], prev)
-        prev = pivot
-        pivots.append(c)
-        r += 1
-    return m[:r], pivots
-
-
-def _primitive(v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Scale to integer entries with gcd 1 and first nonzero entry positive."""
-    ints = _int_row(v)[:-1]
-    g = gcd(*ints) if ints else 0
-    if g == 0:
-        return tuple(Fraction(0) for _ in v)
-    ints = [x // g for x in ints]
-    first = next((x for x in ints if x != 0), 1)
-    if first < 0:
-        ints = [-x for x in ints]
-    return tuple(Fraction(x) for x in ints)
+    rows = _integer_rows(m)
+    basis: list[tuple[int, list[int]]] = []
+    relations: list[list[int]] = []
+    for j in range(m.cols):
+        col = [r[j] for r in rows] + [0] * m.cols
+        col[m.rows + j] = 1
+        v = _eliminate(col, basis)
+        if any(v[: m.rows]):
+            basis.append(_basis_row(v))
+        else:
+            relations.append(v[m.rows :])
+    return len(basis), relations
 
 
 def kernel_basis(m: RatMatrix) -> tuple[tuple[Fraction, ...], ...]:
     """Deterministic basis of the null space {v : m v = 0}.
 
-    One vector per free column, free columns in ascending index order. Each
-    vector comes from back-substitution on the echelon form with the free
-    coordinate set to 1, then is scaled to a primitive integer vector whose
-    first nonzero entry is positive.
+    One vector per free column (a column that depends on the columns before
+    it), free columns in ascending index order. Each vector is the relation
+    that expresses its free column through the independent columns before
+    it, so it is zero on every other free column; it is scaled to a
+    primitive integer vector whose first nonzero entry is positive.
     """
-    if m.cols == 0:
-        return ()
-    ech, pivot_cols = _echelon(_integer_rows(m), m.cols)
-    pivot_set = set(pivot_cols)
     basis: list[tuple[Fraction, ...]] = []
-    for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for r in range(len(pivot_cols) - 1, -1, -1):
-            pc = pivot_cols[r]
-            row = ech[r]
-            s = Fraction(0)
-            for j in range(pc + 1, m.cols):
-                if row[j] and v[j]:
-                    s += row[j] * v[j]
-            if s:
-                v[pc] = Fraction(-s, row[pc])
-        basis.append(_primitive(v))
+    for v in _column_relations(m)[1]:
+        g = gcd(*v)
+        if next(x for x in v if x) < 0:
+            g = -g
+        basis.append(tuple(Fraction(x // g) for x in v))
     return tuple(basis)
 
 
 def matrix_rank(m: RatMatrix) -> int:
-    if m.cols == 0 or m.rows == 0:
-        return 0
-    return len(_echelon(_integer_rows(m), m.cols)[1])
+    """Exact rank over the rationals: the number of columns that do not
+    depend on the columns before them."""
+    return _column_relations(m)[0]
 
 
 @dataclass(frozen=True)
@@ -269,7 +264,7 @@ class CertificateError(AssertionError):
     audits are explicit checks, so ``python -O`` does not remove them."""
 
 
-def _eliminate(cur: list[int], prow: list[int], col: int) -> list[int]:
+def _row_op(cur: list[int], prow: list[int], col: int) -> list[int]:
     """``cur - cur[col] * prow`` for a pivot row whose entry at ``col`` is 1,
     in lowest terms. Both rows are integer rows (denominator last)."""
     c, dr = cur[col], prow[-1]
@@ -300,7 +295,7 @@ def _run_simplex(
     z = _int_row([*cost, _ZERO])
     for i in range(len(tableau)):
         if z[basis[i]]:
-            z = _eliminate(z, tableau[i], basis[i])
+            z = _row_op(z, tableau[i], basis[i])
     while True:
         enter = next(
             (j for j in range(ncols) if z[j] < 0 and j not in barred), None
@@ -347,9 +342,9 @@ def _pivot(
     tableau[row] = prow
     for i, cur in enumerate(tableau):
         if i != row and cur[col]:
-            tableau[i] = _eliminate(cur, prow, col)
+            tableau[i] = _row_op(cur, prow, col)
     if z is not None and z[col]:
-        z = _eliminate(z, prow, col)
+        z = _row_op(z, prow, col)
     basis[row] = col
     return z
 

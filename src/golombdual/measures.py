@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable
+from math import lcm
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .grids import GridPoint, ProductGrid, TabulatedFunction, _grid_from_json, point_index
-from .linalg import format_rat, parse_rat
+from .linalg import _as_rat, format_rat, parse_rat
 
 if TYPE_CHECKING:  # only for annotations; cycles.py imports this module at runtime
     from .cycles import CycleVectorPair, GolombCycle
@@ -31,7 +32,7 @@ class FiniteSignedMeasure:
         last = -1
         for point, mass in self.atoms:
             self.grid.check_point(point)
-            if mass == 0:
+            if _as_rat(mass) == 0:
                 raise ValueError("zero-mass atom in canonical measure")
             idx = point_index(self.grid, point)
             if idx in seen:
@@ -49,7 +50,7 @@ class FiniteSignedMeasure:
         acc: dict[GridPoint, Fraction] = {}
         for point, mass in pairs:
             pt = grid.check_point(point)
-            acc[pt] = acc.get(pt, Fraction(0)) + Fraction(mass)
+            acc[pt] = acc.get(pt, Fraction(0)) + _as_rat(mass)
         atoms = tuple(
             (pt, acc[pt])
             for pt in sorted(acc, key=lambda p: point_index(grid, p))
@@ -86,7 +87,7 @@ class FiniteSignedMeasure:
         return FiniteSignedMeasure(self.grid, tuple((p, -m) for p, m in self.atoms))
 
     def __mul__(self, scalar: Fraction | int) -> "FiniteSignedMeasure":
-        c = Fraction(scalar)
+        c = _as_rat(scalar)
         if c == 0:
             return FiniteSignedMeasure(self.grid, ())
         return FiniteSignedMeasure(self.grid, tuple((p, c * m) for p, m in self.atoms))
@@ -112,12 +113,32 @@ def marginal(mu: FiniteSignedMeasure, axis: int) -> dict[int, Fraction]:
     return out
 
 
+def _class_sums_vanish(
+    points: Sequence[GridPoint], weights: Sequence[Fraction], n: int
+) -> bool:
+    """True when, on each of the ``n`` axes, the weights of the points
+    sharing a coordinate value sum to zero."""
+    # over the weights' common denominator the class sums are integer sums
+    den = lcm(*(w.denominator for w in weights))
+    ints = [w.numerator * (den // w.denominator) for w in weights]
+    for axis in range(n):
+        sums: dict[int, int] = {}
+        for p, w in zip(points, ints):
+            sums[p[axis]] = sums.get(p[axis], 0) + w
+        if any(sums.values()):
+            return False
+    return True
+
+
 def is_orthogonal(mu: FiniteSignedMeasure) -> bool:
     """True when every axis marginal vanishes identically, which is exactly
-    when the measure annihilates every separable sum."""
-    return all(
-        all(v == 0 for v in marginal(mu, axis).values()) for axis in range(mu.grid.n)
-    )
+    when the measure annihilates every separable sum.
+
+    The marginals are not built: the masses are put over one common
+    denominator and each axis's class sums are added up as integers, the
+    same test ``CycleVectorPair`` makes of its weights.
+    """
+    return _class_sums_vanish(mu.support, [m for _, m in mu.atoms], mu.grid.n)
 
 
 def integrate(f: TabulatedFunction, mu: FiniteSignedMeasure) -> Fraction:

@@ -11,10 +11,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 from golombdual import (
     MinimalCycle,
     ProductGrid,
+    RatMatrix,
     SeparableSum,
     TabulatedFunction,
     CycleVectorPair,
@@ -24,9 +26,6 @@ from golombdual import (
     incidence_matrix,
     integer_certificate,
     integrate,
-    kernel_basis,
-    matrix_rank,
-    normalize_minimal,
     point_index,
     to_golomb_form,
 )
@@ -68,6 +67,78 @@ def random_separable(
     return SeparableSum(grid, tables)
 
 
+def _bareiss_echelon(m: RatMatrix) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free (Bareiss 1968) row echelon form of ``m`` over the
+    integers, each row first cleared of its denominators. Intermediate
+    entries stay minors of the input, so every division is exact. Returns
+    the nonzero echelon rows and the pivot column indices."""
+    rows = []
+    for i in range(m.rows):
+        row = m.row(i)
+        den = lcm(*(v.denominator for v in row))
+        rows.append([v.numerator * (den // v.denominator) for v in row])
+    pivots: list[int] = []
+    prev = 1
+    r = 0
+    for c in range(m.cols):
+        if r == len(rows):
+            break
+        p = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        pivot, top = rows[r][c], rows[r]
+        for cur in rows[r + 1 :]:
+            factor = cur[c]
+            for j in range(c, m.cols):
+                q, rem = divmod(pivot * cur[j] - factor * top[j], prev)
+                if rem:
+                    raise ArithmeticError("Bareiss elimination made a non-exact division")
+                cur[j] = q
+        prev = pivot
+        pivots.append(c)
+        r += 1
+    return rows[:r], pivots
+
+
+def bareiss_rank(m: RatMatrix) -> int:
+    """Reference rank: the number of pivots of the Bareiss echelon form."""
+    return len(_bareiss_echelon(m)[1])
+
+
+def bareiss_kernel_basis(m: RatMatrix) -> tuple[tuple[Fraction, ...], ...]:
+    """Reference null-space basis, independent of the package's column
+    elimination: one vector per free column of the Bareiss echelon form,
+    ascending, found by back-substitution over Fraction with the free
+    coordinate 1 and the other free coordinates 0, then scaled to a
+    primitive integer vector whose first nonzero entry is positive."""
+    ech, pivot_cols = _bareiss_echelon(m)
+    basis = []
+    for f in sorted(set(range(m.cols)) - set(pivot_cols)):
+        v = [Fraction(0)] * m.cols
+        v[f] = Fraction(1)
+        for row, pc in reversed(list(zip(ech, pivot_cols))):
+            s = sum((row[j] * v[j] for j in range(pc + 1, m.cols)), Fraction(0))
+            v[pc] = -s / row[pc]
+        den = lcm(*(x.denominator for x in v))
+        ints = [x.numerator * (den // x.denominator) for x in v]
+        g = gcd(*ints)
+        if next(x for x in ints if x) < 0:
+            g = -g
+        basis.append(tuple(Fraction(x // g) for x in ints))
+    return tuple(basis)
+
+
+def _normalized(points, vec, grid: ProductGrid) -> MinimalCycle:
+    """The minimal cycle on ``points`` (in flat-index order) with weights
+    ``vec`` scaled to total mass 1, first weight positive."""
+    total = sum(abs(x) for x in vec)
+    lam = tuple(x / total for x in vec)
+    if lam[0] < 0:
+        lam = tuple(-x for x in lam)
+    return MinimalCycle(CycleVectorPair(grid, tuple(points), lam))
+
+
 def brute_force_minimal_cycles(grid: ProductGrid) -> set[MinimalCycle]:
     """Reference enumeration: test every subset of the grid directly.
 
@@ -79,9 +150,9 @@ def brute_force_minimal_cycles(grid: ProductGrid) -> set[MinimalCycle]:
     found: set[MinimalCycle] = set()
     for size in range(2, len(points) + 1):
         for subset in combinations(points, size):
-            basis = kernel_basis(incidence_matrix(subset, grid))
+            basis = bareiss_kernel_basis(incidence_matrix(subset, grid))
             if len(basis) == 1 and all(w != 0 for w in basis[0]):
-                found.add(normalize_minimal(subset, grid))
+                found.add(_normalized(subset, basis[0], grid))
     return found
 
 
@@ -109,7 +180,7 @@ def subset_scan_cycles(
     must return exactly this tuple.
     """
     pts = tuple(sorted(grid.points() if points is None else points, key=lambda p: point_index(grid, p)))
-    cap = matrix_rank(incidence_matrix(pts, grid)) + 1 if max_support is None else max_support
+    cap = bareiss_rank(incidence_matrix(pts, grid)) + 1 if max_support is None else max_support
     found: list[MinimalCycle] = []
     supports: list[frozenset[int]] = []
     for size in range(2, min(cap, len(pts)) + 1):
@@ -117,14 +188,10 @@ def subset_scan_cycles(
             if has_lonely_point(combo, pts, grid.n) or any(s <= set(combo) for s in supports):
                 continue
             subset = tuple(pts[i] for i in combo)
-            basis = kernel_basis(incidence_matrix(subset, grid))
+            basis = bareiss_kernel_basis(incidence_matrix(subset, grid))
             if len(basis) != 1 or any(x == 0 for x in basis[0]):
                 continue
-            total = sum(abs(x) for x in basis[0])
-            lam = tuple(x / total for x in basis[0])
-            if lam[0] < 0:
-                lam = tuple(-x for x in lam)
-            found.append(MinimalCycle(CycleVectorPair(grid, subset, lam)))
+            found.append(_normalized(subset, basis[0], grid))
             supports.append(frozenset(combo))
     return tuple(found)
 

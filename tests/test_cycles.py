@@ -31,7 +31,6 @@ from golombdual import (
     integer_certificate,
     is_minimal,
     is_orthogonal,
-    kernel_basis,
     matrix_rank,
     measure_from_pair,
     normalize_minimal,
@@ -50,6 +49,8 @@ from conftest import (
     SIX_CERT,
     SIX_POINTS,
     SQUARE,
+    bareiss_kernel_basis,
+    bareiss_rank,
     brute_force_minimal_cycles,
     has_lonely_point,
     subset_scan_cycles,
@@ -73,6 +74,11 @@ class TestCycleVectorPair:
     def test_rejects_zero_weight(self):
         with pytest.raises(ValueError):
             CycleVectorPair(GRID22, SQUARE, (1, -1, 0, 0))
+
+    @pytest.mark.parametrize("bad", [0.25, True, "1/4"], ids=["float", "bool", "string"])
+    def test_rejects_weights_that_are_not_ints_or_fractions(self, bad):
+        with pytest.raises(ValueError, match="int or a Fraction"):
+            CycleVectorPair(GRID22, SQUARE, (bad, -1, 1, -1))
 
     def test_rejects_vector_outside_kernel(self):
         with pytest.raises(ValueError):
@@ -184,7 +190,7 @@ class TestFindCycleVector:
         for _ in range(40):
             subset = rng.sample(pts, rng.randint(1, 8))
             found = find_cycle_vector(subset, grid)
-            basis = kernel_basis(incidence_matrix(subset, grid))
+            basis = bareiss_kernel_basis(incidence_matrix(subset, grid))
             if found is not None:
                 assert all(w != 0 for w in found)
                 assert CycleVectorPair(grid, tuple(subset), tuple(found))
@@ -427,7 +433,7 @@ SEARCH_SHAPES = tuple((s, t) for s in range(2, 6) for t in range(2, 5)) + (
 
 
 def integer_rank_is_exact(points, grid) -> bool:
-    return cycles._incidence_rank(points, grid.n) == matrix_rank(incidence_matrix(points, grid))
+    return cycles._incidence_rank(points, grid.n) == bareiss_rank(incidence_matrix(points, grid))
 
 
 class TestCircuitSearch:

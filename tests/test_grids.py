@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from golombdual import (
     ProductGrid,
     SeparableSum,
+    TabulatedFunction,
     evaluate,
     function_from_csv,
     function_from_json,
@@ -40,6 +41,11 @@ class TestProductGrid:
             ProductGrid(())
         with pytest.raises(ValueError):
             ProductGrid((2, 0))
+
+    @pytest.mark.parametrize("sizes", [(2.7, True), (2.0, 2), ("2", 2)], ids=["float-bool", "float", "string"])
+    def test_sizes_that_are_not_ints_are_rejected_not_coerced(self, sizes):
+        with pytest.raises(ValueError, match="must be ints"):
+            ProductGrid(sizes)
 
     def test_contains(self):
         grid = ProductGrid((2, 2))
@@ -112,6 +118,17 @@ class TestTabulatedFunction:
         assert (f * Fraction(1, 2)).values == (0, Fraction(1, 2), 1, Fraction(3, 2))
         assert (f * 2).values == (0, 2, 4, 6)
 
+    @pytest.mark.parametrize("bad", [0.1, True, "1/2"], ids=["float", "bool", "string"])
+    def test_values_and_scalars_must_be_ints_or_fractions(self, bad):
+        grid = ProductGrid((2, 2))
+        with pytest.raises(ValueError, match="int or a Fraction"):
+            TabulatedFunction(grid, (bad, 0, 0, 0))
+        f = table((2, 2), [0, 1, 2, 3])
+        with pytest.raises(ValueError, match="int or a Fraction"):
+            f * bad
+        with pytest.raises(ValueError, match="int or a Fraction"):
+            bad * f
+
     def test_grid_mismatch(self):
         f = table((2, 2), [0, 1, 2, 3])
         g = table((4,), [0, 1, 2, 3])
@@ -139,6 +156,11 @@ class TestSeparableSum:
             SeparableSum(ProductGrid((2, 2)), ((0, 1), (0, 1, 2)))
         with pytest.raises(ValueError):
             SeparableSum(ProductGrid((2, 2)), ((0, 1),))
+
+    @pytest.mark.parametrize("bad", [0.5, False, "1"], ids=["float", "bool", "string"])
+    def test_table_values_must_be_ints_or_fractions(self, bad):
+        with pytest.raises(ValueError, match="int or a Fraction"):
+            SeparableSum(ProductGrid((2, 2)), ((0, bad), (0, 1)))
 
     def test_tabulate_matches_evaluate(self):
         rng = random.Random(3)

@@ -23,7 +23,7 @@ from golombdual import (
 )
 from golombdual.linalg import _check_optimum, _int_row, _run_simplex
 
-from conftest import CUBE, FIVE_POINTS, SQUARE
+from conftest import CUBE, FIVE_POINTS, SQUARE, bareiss_kernel_basis, bareiss_rank
 
 from golombdual import ProductGrid, incidence_matrix
 
@@ -158,6 +158,33 @@ class TestKernelBasis:
             if basis:
                 stacked = RatMatrix.from_rows([list(v) for v in basis])
                 assert matrix_rank(stacked) == len(basis)
+
+    def test_matches_bareiss_oracle(self):
+        # the column elimination against the Bareiss row echelon with
+        # back-substitution that it replaced, kept in conftest as a reference
+        rng = random.Random(2024)
+        entries = {
+            "0/1": lambda: rng.randint(0, 1),
+            "small": lambda: rng.randint(-4, 4),
+            "rational": lambda: Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)),
+        }
+        checked = 0
+        for name, entry in entries.items():
+            for _ in range(150):
+                rows, cols = rng.randint(1, 6), rng.randint(1, 7)
+                table = [[Fraction(entry()) for _ in range(cols)] for _ in range(rows)]
+                if rows > 2 and rng.random() < 0.5:  # force a dependent row
+                    k = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                    table[rng.randrange(rows)] = [x + k * y for x, y in zip(table[0], table[1])]
+                m = RatMatrix.from_rows(table)
+                assert kernel_basis(m) == bareiss_kernel_basis(m), (name, table)
+                assert matrix_rank(m) == bareiss_rank(m), (name, table)
+                checked += 1
+        for rows, cols in ((0, 0), (0, 1), (0, 4), (1, 0), (3, 0)):
+            m = RatMatrix(rows, cols, ())
+            assert kernel_basis(m) == bareiss_kernel_basis(m)
+            assert matrix_rank(m) == bareiss_rank(m) == 0
+        assert checked == 450
 
 
 class TestMatrixRank:

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from golombdual import (
     CycleVectorPair,
@@ -68,6 +70,20 @@ class TestCanonicalForm:
     def test_constructor_rejects_zero_mass(self):
         with pytest.raises(ValueError):
             FiniteSignedMeasure(GRID22, (((0, 0), Fraction(0)),))
+
+    @pytest.mark.parametrize("bad", [0.5, True, "1/2"], ids=["float", "bool", "string"])
+    def test_constructor_rejects_masses_that_are_not_ints_or_fractions(self, bad):
+        with pytest.raises(ValueError, match="int or a Fraction"):
+            FiniteSignedMeasure(GRID22, (((0, 0), bad),))
+
+    @pytest.mark.parametrize("bad", [0.5, True, "1/2"], ids=["float", "bool", "string"])
+    def test_from_atoms_and_scalars_reject_values_that_are_not_ints_or_fractions(self, bad):
+        with pytest.raises(ValueError, match="int or a Fraction"):
+            FiniteSignedMeasure.from_atoms(GRID22, [((0, 0), bad)])
+        with pytest.raises(ValueError, match="int or a Fraction"):
+            SQUARE_BOLT * bad
+        with pytest.raises(ValueError, match="int or a Fraction"):
+            bad * SQUARE_BOLT
 
     def test_constructor_rejects_duplicates(self):
         with pytest.raises(ValueError):
@@ -171,6 +187,55 @@ class TestIsOrthogonal:
                 for _ in range(100)
             )
             assert is_orthogonal(mu) == integrals_vanish
+
+
+NONZERO = st.fractions(min_value=-5, max_value=5, max_denominator=12).filter(lambda x: x != 0)
+
+
+@st.composite
+def measures_of_each_kind(draw):
+    """A measure and whether it annihilates separable sums: the zero
+    measure, a single atom, a sum of rectangles (+-c on the corners of a
+    box, signed by the parity of the corner), such a sum with one mass
+    perturbed, and a dipole (+c and -c on two points that differ on one
+    axis, so every other axis's marginal vanishes)."""
+    shape = tuple(draw(st.lists(st.integers(2, 4), min_size=2, max_size=3)))
+    grid = ProductGrid(shape)
+    kind = draw(st.sampled_from(("zero", "atom", "rectangles", "perturbed", "dipole")))
+
+    def point():
+        return tuple(draw(st.integers(0, s - 1)) for s in shape)
+
+    pairs = []
+    if kind == "atom":
+        pairs.append((point(), draw(NONZERO)))
+    if kind in ("rectangles", "perturbed"):
+        for _ in range(draw(st.integers(1, 3))):
+            c = draw(NONZERO)
+            sides = [draw(st.lists(st.integers(0, s - 1), min_size=2, max_size=2, unique=True)) for s in shape]
+            for corner in range(2 ** len(shape)):
+                bits = [(corner >> axis) & 1 for axis in range(len(shape))]
+                sign = -1 if sum(bits) % 2 else 1
+                pairs.append((tuple(side[b] for side, b in zip(sides, bits)), sign * c))
+    if kind == "perturbed":
+        pairs.append((point(), draw(NONZERO)))
+    if kind == "dipole":
+        p, axis = point(), draw(st.integers(0, len(shape) - 1))
+        q = list(p)
+        q[axis] = (p[axis] + draw(st.integers(1, shape[axis] - 1))) % shape[axis]
+        c = draw(NONZERO)
+        pairs += [(p, c), (tuple(q), -c)]
+    return FiniteSignedMeasure.from_atoms(grid, pairs), kind in ("zero", "rectangles")
+
+
+class TestIsOrthogonalMatchesMarginals:
+    @given(measures_of_each_kind())
+    def test_orthogonal_exactly_when_every_marginal_vanishes(self, case):
+        mu, annihilates = case
+        marginals_vanish = all(
+            all(v == 0 for v in marginal(mu, axis).values()) for axis in range(mu.grid.n)
+        )
+        assert is_orthogonal(mu) == marginals_vanish == annihilates
 
 
 class TestIntegrate:
