@@ -23,7 +23,7 @@ from typing import Literal, Sequence
 
 from .chebyshev import _cycle_supremum
 from .cycles import GolombCycle, enumerate_minimal_cycles
-from .grids import GridPoint, ProductGrid, TabulatedFunction
+from .grids import GridPoint, ProductGrid, TabulatedFunction, _points_from_json
 from .measures import FiniteSignedMeasure
 
 StartAxis = Literal["shared-x-first", "shared-y-first"]
@@ -199,11 +199,12 @@ def bolt_to_json(cb: ClosedBolt | Bolt) -> dict:
 def bolt_from_json(grid: ProductGrid, obj: object) -> Bolt | ClosedBolt:
     if not isinstance(obj, dict) or "vertices" not in obj:
         raise ValueError('bolt JSON needs a "vertices" key')
-    vertices = tuple(tuple(p) for p in obj["vertices"])
+    vertices = _points_from_json(obj["vertices"], "vertices")
+    closed = obj.get("closed", False)
+    if not isinstance(closed, bool):
+        raise ValueError('"closed" must be true or false')
     pattern = is_bolt(grid, vertices)
     if pattern is None:
         raise ValueError("vertex list is not a bolt")
     bolt = Bolt(grid, vertices, pattern)
-    if obj.get("closed"):
-        return ClosedBolt(bolt)
-    return bolt
+    return ClosedBolt(bolt) if closed else bolt

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .bolts import bolt_to_json, cycle_to_closed_bolts
 from .chebyshev import best_error, report_to_json, verify_golomb
-from .cycles import decompose, enumerate_minimal_cycles, integer_certificate, pair_to_json, to_golomb_form
+from .cycles import decompose, enumerate_minimal_cycles, pair_to_json, to_golomb_form
 from .grids import (
     ProductGrid,
     TabulatedFunction,
@@ -131,9 +131,7 @@ def _cmd_bolts(config: RunConfig) -> int:
     # no candidate budget: the bolts report has no field for a search cut short
     report = verify_golomb(f, max_support=config.max_support, budget=None)
     witness = report.witness
-    bolts = () if witness is None else cycle_to_closed_bolts(
-        to_golomb_form(witness.points, integer_certificate(witness.weights), f.grid)
-    )
+    bolts = () if witness is None else cycle_to_closed_bolts(to_golomb_form(witness.pair))
     payload = {
         "shape": list(f.grid.factor_sizes),
         "error": format_rat(report.error),

@@ -19,19 +19,28 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Sequence
 
-from .grids import GridPoint, ProductGrid, incidence_matrix, point_index
+from .grids import (
+    GridPoint,
+    ProductGrid,
+    _class_columns,
+    _class_ids,
+    _points_from_json,
+    point_index,
+)
 from .linalg import (
     CertificateError,
     LpProblem,
     RatMatrix,
     _as_rat,
     _basis_row,
+    _column_relations,
     _eliminate,
+    _int_row,
+    _rank,
     format_rat,
-    kernel_basis,
     parse_rat,
     solve_lp,
 )
@@ -69,24 +78,12 @@ class CycleVectorPair:
 
 
 @dataclass(frozen=True)
-class IntegerCertificate:
-    """Integer cycle weights scaled to gcd 1."""
-
-    entries: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(int(e) for e in self.entries))
-        if not self.entries:
-            raise ValueError("empty certificate")
-        if any(e == 0 for e in self.entries):
-            raise ValueError("certificate entries must be nonzero")
-        if gcd(*self.entries) != 1:
-            raise ValueError("certificate entries must have gcd 1")
-
-
-@dataclass(frozen=True)
 class GolombCycle:
-    """Two-part multiset form of an integer cycle."""
+    """Golomb's two-part multiset form of an integer cycle: each point
+    repeated by its multiplicity, positive ones in b and negative ones in c,
+    no point in both parts. On every axis the c coordinates permute the b
+    coordinates, which is the class-sum test of ``CycleVectorPair`` on
+    multiplicities +1 and -1."""
 
     grid: ProductGrid
     b_part: tuple[GridPoint, ...]
@@ -99,13 +96,9 @@ class GolombCycle:
             raise ValueError("b and c parts must be nonempty and of equal size")
         if set(self.b_part) & set(self.c_part):
             raise ValueError("a point appears in both parts")
-        for axis in range(self.grid.n):
-            b_coords = sorted(p[axis] for p in self.b_part)
-            c_coords = sorted(p[axis] for p in self.c_part)
-            if b_coords != c_coords:
-                raise ValueError(
-                    f"axis {axis}: c coordinates are not a permutation of b coordinates"
-                )
+        signs = [1] * len(self.b_part) + [-1] * len(self.c_part)
+        if not _class_sums_vanish(self.b_part + self.c_part, signs, self.grid.n):
+            raise ValueError("c coordinates are not a permutation of b coordinates on every axis")
 
     @property
     def k(self) -> int:
@@ -172,105 +165,85 @@ class Decomposition:
         )
 
 
+def _kernel_relations(points: Sequence[GridPoint], n: int) -> list[list[int]]:
+    """The integer kernel basis of the 0/1 incidence columns of ``points``
+    (``_column_relations``), equal to ``kernel_basis(incidence_matrix(points,
+    grid))`` up to the ``Fraction`` wrapping."""
+    return _column_relations(_class_columns(*_class_ids(points, n)))
+
+
 def find_cycle_vector(
     points: Sequence[GridPoint], grid: ProductGrid
 ) -> tuple[Fraction, ...] | None:
     """Some nowhere-zero kernel vector on the given points, or None.
 
-    Starts from the first kernel basis vector and greedily adds each further
-    basis vector with the smallest positive integer multiple that avoids
-    cancelling any coordinate already covered. A coordinate left at zero by
-    every basis vector vanishes on the whole kernel, so no cycle vector
-    exists at all. Deterministic for a fixed input order.
+    Starts from the first integer kernel basis vector of the points'
+    incidence columns and greedily adds each further basis vector with the
+    smallest positive integer multiple that avoids cancelling any
+    coordinate already covered. A coordinate left at zero by every basis
+    vector vanishes on the whole kernel, so no cycle vector exists at all.
+    Deterministic for a fixed input order.
     """
-    pts = [grid.check_point(p) for p in points]
-    if len(set(pts)) != len(pts):
-        raise ValueError("duplicate point")
-    basis = kernel_basis(incidence_matrix(pts, grid))
-    if not basis:
+    pts = _distinct(points, grid)
+    basis = _kernel_relations(pts, grid.n)
+    if not basis or not all(any(col) for col in zip(*basis)):
         return None
-    m = len(pts)
-    for j in range(m):
-        if all(b[j] == 0 for b in basis):
-            return None
-    v = list(basis[0])
+    v = basis[0]
     for b in basis[1:]:
         forbidden = set()
         for vj, bj in zip(v, b):
-            if bj != 0 and vj != 0:
-                ratio = -vj / bj
-                if ratio > 0 and ratio.denominator == 1:
-                    forbidden.add(int(ratio))
+            if bj and vj:
+                q, r = divmod(-vj, bj)
+                if q > 0 and not r:
+                    forbidden.add(q)
         c = 1
         while c in forbidden:
             c += 1
         v = [vj + c * bj for vj, bj in zip(v, b)]
-    return tuple(v)
+    return tuple(Fraction(x) for x in v)
 
 
-def integer_certificate(weights: Sequence[Fraction]) -> IntegerCertificate:
-    """Scale rational cycle weights by the lcm of denominators, then divide
-    by the gcd, keeping signs."""
-    ws = [Fraction(w) for w in weights]
-    if not ws or any(w == 0 for w in ws):
-        raise ValueError("weights must be nonzero")
-    scale = lcm(*(w.denominator for w in ws))
-    ints = [int(w * scale) for w in ws]
+def to_golomb_form(pair: CycleVectorPair) -> GolombCycle:
+    """Golomb's two-part form of a weighted cycle: the weights scaled to
+    coprime integers n_i, each point repeated |n_i| times, positives in b,
+    negatives in c."""
+    ints = _int_row(pair.weights)[:-1]
     g = gcd(*ints)
-    return IntegerCertificate(tuple(x // g for x in ints))
-
-
-def to_golomb_form(
-    points: Sequence[GridPoint], cert: IntegerCertificate, grid: ProductGrid
-) -> GolombCycle:
-    """Expand an integer-weighted cycle into its two-part multiset form:
-    each point repeated |n_i| times, positives in b, negatives in c."""
-    if len(points) != len(cert.entries):
-        raise ValueError("points and certificate length mismatch")
     b: list[GridPoint] = []
     c: list[GridPoint] = []
-    for p, n_i in zip(points, cert.entries):
-        (b if n_i > 0 else c).extend([tuple(p)] * abs(n_i))
-    return GolombCycle(grid, tuple(b), tuple(c))
+    for p, n_i in zip(pair.points, ints):
+        (b if n_i > 0 else c).extend([p] * (abs(n_i) // g))
+    return GolombCycle(pair.grid, tuple(b), tuple(c))
 
 
-def from_golomb_form(gc: GolombCycle) -> tuple[tuple[GridPoint, ...], IntegerCertificate]:
-    """Collapse a two-part form back to distinct points with signed
-    multiplicities, b points first (in order of first appearance), then c
-    points. The multiplicity vector is reduced to gcd 1."""
+def from_golomb_form(gc: GolombCycle) -> CycleVectorPair:
+    """The weighted cycle of a two-part form: distinct points with their
+    signed multiplicities, b points first (in order of first appearance),
+    then c points, the weights reduced to integers of gcd 1."""
     counts: dict[GridPoint, int] = {}
-    order: list[GridPoint] = []
     for p in gc.b_part:
-        if p not in counts:
-            order.append(p)
         counts[p] = counts.get(p, 0) + 1
     for p in gc.c_part:
-        if p not in counts:
-            order.append(p)
         counts[p] = counts.get(p, 0) - 1
-    entries = [counts[p] for p in order]
-    g = gcd(*entries)
-    entries = [e // g for e in entries]
-    return tuple(order), IntegerCertificate(tuple(entries))
+    g = gcd(*counts.values())
+    return CycleVectorPair(gc.grid, tuple(counts), tuple(e // g for e in counts.values()))
+
+
+def _distinct(points: Iterable[GridPoint], grid: ProductGrid) -> list[GridPoint]:
+    pts = [grid.check_point(p) for p in points]
+    if len(set(pts)) != len(pts):
+        raise ValueError("duplicate point")
+    return pts
 
 
 def _sorted_by_index(
     points: Iterable[GridPoint], grid: ProductGrid
 ) -> tuple[GridPoint, ...]:
-    return tuple(sorted((grid.check_point(p) for p in points), key=lambda p: point_index(grid, p)))
-
-
-def _minimal_from_sorted(
-    points: tuple[GridPoint, ...], grid: ProductGrid
-) -> MinimalCycle | None:
-    basis = kernel_basis(incidence_matrix(points, grid))
-    if len(basis) != 1 or any(x == 0 for x in basis[0]):
-        return None
-    return _normalized_cycle(points, basis[0], grid)
+    return tuple(sorted(_distinct(points, grid), key=lambda p: point_index(grid, p)))
 
 
 def _normalized_cycle(
-    points: tuple[GridPoint, ...], vec: Sequence[Fraction], grid: ProductGrid
+    points: tuple[GridPoint, ...], vec: Sequence[int], grid: ProductGrid
 ) -> MinimalCycle:
     total = sum(abs(x) for x in vec)
     if vec[0] < 0:
@@ -281,11 +254,8 @@ def _normalized_cycle(
 def is_minimal(points: Sequence[GridPoint], grid: ProductGrid) -> bool:
     """True when the incidence kernel on these points is one dimensional and
     its spanning vector has no zero entry."""
-    pts = [grid.check_point(p) for p in points]
-    if len(set(pts)) != len(pts):
-        raise ValueError("duplicate point")
-    basis = kernel_basis(incidence_matrix(pts, grid))
-    return len(basis) == 1 and all(x != 0 for x in basis[0])
+    relations = _kernel_relations(_distinct(points, grid), grid.n)
+    return len(relations) == 1 and all(relations[0])
 
 
 def normalize_minimal(points: Sequence[GridPoint], grid: ProductGrid) -> MinimalCycle:
@@ -293,43 +263,20 @@ def normalize_minimal(points: Sequence[GridPoint], grid: ProductGrid) -> Minimal
     index, weights scaled to total mass 1 with the lowest-index weight
     positive. Invariant under permutations of the input."""
     pts = _sorted_by_index(points, grid)
-    if len(set(pts)) != len(pts):
-        raise ValueError("duplicate point")
-    mc = _minimal_from_sorted(pts, grid)
-    if mc is None:
+    relations = _kernel_relations(pts, grid.n)
+    if len(relations) != 1 or not all(relations[0]):
         raise ValueError("point set is not a minimal cycle")
-    return mc
+    return _normalized_cycle(pts, relations[0], grid)
 
 
 class _Truncated(Exception):
     """Unwinds the circuit search once it has used up its budget."""
 
 
-def _class_ids(points: Sequence[GridPoint], n: int) -> tuple[list[tuple[int, ...]], int]:
-    """Each point's n (axis, value) classes as row indices of
-    ``incidence_matrix(points)`` (realized classes, axis-major, values
-    ascending), and the number of such rows."""
-    ids: dict[tuple[int, int], int] = {}
-    for axis in range(n):
-        for value in sorted({p[axis] for p in points}):
-            ids[(axis, value)] = len(ids)
-    return [tuple(ids[(axis, p[axis])] for axis in range(n)) for p in points], len(ids)
-
-
 def _incidence_rank(points: Sequence[GridPoint], n: int) -> int:
     """Exact rank of the 0/1 incidence columns of ``points`` over the
-    rationals, by integer elimination (equal to
-    ``matrix_rank(incidence_matrix(points, grid))``)."""
-    classes, nrows = _class_ids(points, n)
-    basis: list[tuple[int, list[int]]] = []
-    for cs in classes:
-        v = [0] * nrows
-        for c in cs:
-            v[c] = 1
-        v = _eliminate(v, basis)
-        if any(v):
-            basis.append(_basis_row(v))
-    return len(basis)
+    rationals (equal to ``matrix_rank(incidence_matrix(points, grid))``)."""
+    return _rank(_class_columns(*_class_ids(points, n)))
 
 
 def _circuits(
@@ -369,12 +316,7 @@ def _circuits(
     for cs in classes:
         for axis, c in enumerate(cs):
             axis_of[c] = axis
-    cols = []
-    for cs in classes:
-        col = [0] * (nrows + cap)
-        for c in cs:
-            col[c] = 1
-        cols.append(col)
+    cols = _class_columns(classes, nrows)
     count = [0] * nrows
     chosen: list[int] = []
     basis: list[tuple[int, list[int]]] = []
@@ -395,7 +337,7 @@ def _circuits(
             tested += 1
             if budget is not None and tested > budget:
                 raise _Truncated
-            col = cols[j][:]
+            col = cols[j] + [0] * cap
             col[nrows + d] = 1
             v = _eliminate(col, basis)
             if not any(v[:nrows]):
@@ -449,8 +391,6 @@ def _enumerate(
         full = True
     else:
         pts = _sorted_by_index(points, grid)
-        if len(set(pts)) != len(pts):
-            raise ValueError("duplicate point")
         full = len(pts) == grid.volume
     if not pts:
         return (), 0, False
@@ -513,9 +453,8 @@ def extract_extreme_cycle(mu: FiniteSignedMeasure) -> MinimalCycle:
     support would perturb the vertex both ways. The exact simplex returns a
     basic solution, i.e. a vertex.
 
-    The rows are those of ``incidence_matrix`` on the support (one per
-    realized (axis, value) class, axis-major, values ascending) times the
-    signs, plus the sum row, written straight from the points' coordinates.
+    The rows are the incidence rows of the support (``_class_ids``) times
+    the signs, plus the sum row, written straight from the points' classes.
     """
     if mu.is_zero():
         raise ValueError("cannot extract a cycle from the zero measure")
@@ -524,13 +463,11 @@ def extract_extreme_cycle(mu: FiniteSignedMeasure) -> MinimalCycle:
     support = [p for p, _ in mu.atoms]
     signs = [_F1 if m > 0 else _FM1 for _, m in mu.atoms]
     k = len(support)
-    entries: list[Fraction] = []
-    for axis in range(mu.grid.n):
-        coords = [p[axis] for p in support]
-        for value in sorted(set(coords)):
-            entries.extend(s if c == value else _F0 for c, s in zip(coords, signs))
-    nclasses = len(entries) // k
-    entries.extend([_F1] * k)
+    classes, nclasses = _class_ids(support, mu.grid.n)
+    entries = [_F0] * (nclasses * k) + [_F1] * k
+    for j, (cs, s) in enumerate(zip(classes, signs)):
+        for c in cs:
+            entries[c * k + j] = s
     lp = LpProblem(
         objective=(_F0,) * k,
         matrix=RatMatrix(nclasses + 1, k, tuple(entries)),
@@ -599,15 +536,10 @@ def pair_to_json(pair: CycleVectorPair) -> dict:
 def pair_from_json(grid: ProductGrid, obj: object) -> CycleVectorPair:
     if not isinstance(obj, dict) or "points" not in obj or "lambda" not in obj:
         raise ValueError('cycle JSON needs "points" and "lambda" keys')
-    points = obj["points"]
-    lams = obj["lambda"]
-    if not isinstance(points, list) or not isinstance(lams, list):
-        raise ValueError('"points" and "lambda" must be lists')
-    return CycleVectorPair(
-        grid,
-        tuple(tuple(p) for p in points),
-        tuple(parse_rat(w) for w in lams),
-    )
+    points = _points_from_json(obj["points"], "points")
+    if not isinstance(obj["lambda"], list):
+        raise ValueError('"lambda" must be a list')
+    return CycleVectorPair(grid, points, tuple(parse_rat(w) for w in obj["lambda"]))
 
 
 def golomb_to_json(gc: GolombCycle) -> dict:
@@ -621,7 +553,5 @@ def golomb_from_json(grid: ProductGrid, obj: object) -> GolombCycle:
     if not isinstance(obj, dict) or "b" not in obj or "c" not in obj:
         raise ValueError('two-part cycle JSON needs "b" and "c" keys')
     return GolombCycle(
-        grid,
-        tuple(tuple(p) for p in obj["b"]),
-        tuple(tuple(p) for p in obj["c"]),
+        grid, _points_from_json(obj["b"], "b"), _points_from_json(obj["c"], "c")
     )

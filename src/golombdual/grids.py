@@ -175,23 +175,57 @@ def sup_norm(f: TabulatedFunction) -> Fraction:
     return max(abs(v) for v in f.values)
 
 
+def _class_ids(points: Sequence[GridPoint], n: int) -> tuple[list[tuple[int, ...]], int]:
+    """Each point's n (axis, value) classes as incidence row indices, and
+    the number of rows. The rows are the realized classes, axis-major,
+    values ascending within each axis: every incidence structure of the
+    package, dense or integer, takes its row order from here."""
+    ids: dict[tuple[int, int], int] = {}
+    for axis in range(n):
+        for value in sorted({p[axis] for p in points}):
+            ids[(axis, value)] = len(ids)
+    return [tuple(ids[(axis, p[axis])] for axis in range(n)) for p in points], len(ids)
+
+
+def _class_columns(classes: list[tuple[int, ...]], nrows: int) -> list[list[int]]:
+    """The integer 0/1 incidence columns, one per point, of points whose
+    classes ``_class_ids`` gave as (``classes``, ``nrows``)."""
+    cols = []
+    for cs in classes:
+        col = [0] * nrows
+        for c in cs:
+            col[c] = 1
+        cols.append(col)
+    return cols
+
+
 def incidence_matrix(points: Sequence[GridPoint], grid: ProductGrid) -> RatMatrix:
     """0/1 matrix with one row per realized (axis, value) class, one column
-    per point; rows are axis-major with values ascending within each axis.
+    per point; rows are axis-major with values ascending within each axis
+    (``_class_ids``).
 
     A vector in its kernel has vanishing class sums along every axis, which
-    is exactly the projection-cycle condition on the weights.
+    is exactly the projection-cycle condition on the weights. The package
+    decides that on the integer columns (``_class_columns``); this dense
+    ``Fraction`` form is for callers of the public API.
     """
     pts = [grid.check_point(p) for p in points]
     if len(set(pts)) != len(pts):
         raise ValueError("duplicate point in incidence input")
-    rows: list[list[int]] = []
-    for axis in range(grid.n):
-        for value in sorted({p[axis] for p in pts}):
-            rows.append([1 if p[axis] == value else 0 for p in pts])
-    if not rows:
-        return RatMatrix(0, 0, ())
-    return RatMatrix.from_rows(rows)
+    classes, nrows = _class_ids(pts, grid.n)
+    entries = [Fraction(0)] * (nrows * len(pts))
+    for j, cs in enumerate(classes):
+        for c in cs:
+            entries[c * len(pts) + j] = Fraction(1)
+    return RatMatrix(nrows, len(pts), tuple(entries))
+
+
+def _points_from_json(obj: object, key: str) -> tuple[tuple, ...]:
+    """The points of a JSON list of coordinate lists, read under ``key``;
+    the grid checks the coordinates themselves."""
+    if not isinstance(obj, list) or any(not isinstance(p, list) for p in obj):
+        raise ValueError(f'"{key}" must be a list of points, each a list of integers')
+    return tuple(tuple(p) for p in obj)
 
 
 def _grid_from_json(shape: object) -> ProductGrid:

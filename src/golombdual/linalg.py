@@ -49,8 +49,9 @@ def parse_rat(text: str) -> Fraction:
 
 
 def format_rat(value: Fraction | int) -> str:
-    """Serialize a rational as ``p/q``, or just ``p`` when the denominator is 1."""
-    value = Fraction(value)
+    """Serialize a rational as ``p/q``, or just ``p`` when the denominator is
+    1. Only an int or a Fraction is taken, as in ``_as_rat``."""
+    value = _as_rat(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -91,7 +92,7 @@ class RatMatrix:
         for row in rows:
             if len(row) != ncols:
                 raise ValueError("ragged rows")
-            flat.extend(Fraction(v) for v in row)
+            flat.extend(_as_rat(v) for v in row)
         return cls(nrows, ncols, tuple(flat))
 
     def at(self, i: int, j: int) -> Fraction:
@@ -114,9 +115,11 @@ def _int_row(values: Sequence[Fraction]) -> list[int]:
     return row
 
 
-def _integer_rows(m: RatMatrix) -> list[list[int]]:
-    """Clear denominators row by row; row scaling does not change the kernel."""
-    return [_int_row(m.row(i))[:-1] for i in range(m.rows)]
+def _integer_columns(m: RatMatrix) -> list[list[int]]:
+    """The columns of ``m`` with each row cleared of its denominators; row
+    scaling changes neither the rank nor the kernel."""
+    rows = [_int_row(m.row(i))[:-1] for i in range(m.rows)]
+    return [[r[j] for r in rows] for j in range(m.cols)]
 
 
 def _eliminate(col: list[int], basis: list[tuple[int, list[int]]]) -> list[int]:
@@ -138,29 +141,43 @@ def _basis_row(v: list[int]) -> tuple[int, list[int]]:
     return next(i for i, x in enumerate(v) if x), [x // g for x in v]
 
 
-def _column_relations(m: RatMatrix) -> tuple[int, list[list[int]]]:
-    """The rank of ``m`` and, for each column that depends on the columns
-    before it, ascending, the integer relation that expresses it through
-    them.
+def _rank(columns: Sequence[list[int]]) -> int:
+    """Exact rank of integer columns: the number that do not clear to zero
+    against the columns before them."""
+    basis: list[tuple[int, list[int]]] = []
+    for col in columns:
+        v = _eliminate(col, basis)
+        if any(v):
+            basis.append(_basis_row(v))
+    return len(basis)
 
-    The integer columns of ``_integer_rows(m)`` are cleared in order with
-    ``_eliminate``, each carrying an identity tail that records which
-    columns it combines. A column that clears to zero leaves its relation
-    in that tail: nonzero at the column itself, zero on every other
-    dependent column.
+
+def _column_relations(columns: Sequence[list[int]]) -> list[list[int]]:
+    """For each column that depends on the columns before it, ascending,
+    the primitive integer relation that expresses it through them, with
+    its first nonzero entry positive.
+
+    The integer columns are cleared in order with ``_eliminate``, each
+    carrying an identity tail that records which columns it combines. A
+    column that clears to zero leaves its relation in that tail: nonzero at
+    the column itself, zero on every other dependent column.
     """
-    rows = _integer_rows(m)
+    k = len(columns)
     basis: list[tuple[int, list[int]]] = []
     relations: list[list[int]] = []
-    for j in range(m.cols):
-        col = [r[j] for r in rows] + [0] * m.cols
-        col[m.rows + j] = 1
-        v = _eliminate(col, basis)
-        if any(v[: m.rows]):
+    for j, col in enumerate(columns):
+        tail = [0] * k
+        tail[j] = 1
+        v = _eliminate(col + tail, basis)
+        if any(v[: len(col)]):
             basis.append(_basis_row(v))
-        else:
-            relations.append(v[m.rows :])
-    return len(basis), relations
+            continue
+        rel = v[len(col) :]
+        g = gcd(*rel)
+        if next(x for x in rel if x) < 0:
+            g = -g
+        relations.append([x // g for x in rel])
+    return relations
 
 
 def kernel_basis(m: RatMatrix) -> tuple[tuple[Fraction, ...], ...]:
@@ -170,21 +187,19 @@ def kernel_basis(m: RatMatrix) -> tuple[tuple[Fraction, ...], ...]:
     it), free columns in ascending index order. Each vector is the relation
     that expresses its free column through the independent columns before
     it, so it is zero on every other free column; it is scaled to a
-    primitive integer vector whose first nonzero entry is positive.
+    primitive integer vector whose first nonzero entry is positive. The
+    relations come from the integer columns (``_column_relations``), which
+    the cycle helpers use directly; this wraps them in ``Fraction``s.
     """
-    basis: list[tuple[Fraction, ...]] = []
-    for v in _column_relations(m)[1]:
-        g = gcd(*v)
-        if next(x for x in v if x) < 0:
-            g = -g
-        basis.append(tuple(Fraction(x // g) for x in v))
-    return tuple(basis)
+    return tuple(
+        tuple(Fraction(x) for x in v) for v in _column_relations(_integer_columns(m))
+    )
 
 
 def matrix_rank(m: RatMatrix) -> int:
-    """Exact rank over the rationals: the number of columns that do not
-    depend on the columns before them."""
-    return _column_relations(m)[0]
+    """Exact rank over the rationals, by the integer elimination without a
+    tail (``_rank``) that also gives the rank of incidence columns."""
+    return _rank(_integer_columns(m))
 
 
 @dataclass(frozen=True)
@@ -225,13 +240,13 @@ class LpProblem:
         upper: Sequence[Fraction | int | None] | None = None,
     ) -> "LpProblem":
         n = len(objective)
-        lo = tuple(None if v is None else Fraction(v) for v in (lower or [None] * n))
-        up = tuple(None if v is None else Fraction(v) for v in (upper or [None] * n))
+        lo = tuple(None if v is None else _as_rat(v) for v in (lower or [None] * n))
+        up = tuple(None if v is None else _as_rat(v) for v in (upper or [None] * n))
         return cls(
-            objective=tuple(Fraction(v) for v in objective),
+            objective=tuple(_as_rat(v) for v in objective),
             matrix=RatMatrix.from_rows(rows),
             relations=tuple(relations),  # type: ignore[arg-type]
-            rhs=tuple(Fraction(v) for v in rhs),
+            rhs=tuple(_as_rat(v) for v in rhs),
             lower=lo,
             upper=up,
             sense=sense,  # type: ignore[arg-type]

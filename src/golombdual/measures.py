@@ -13,7 +13,14 @@ from fractions import Fraction
 from math import lcm
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .grids import GridPoint, ProductGrid, TabulatedFunction, _grid_from_json, point_index
+from .grids import (
+    GridPoint,
+    ProductGrid,
+    TabulatedFunction,
+    _grid_from_json,
+    _points_from_json,
+    point_index,
+)
 from .linalg import _as_rat, format_rat, parse_rat
 
 if TYPE_CHECKING:  # only for annotations; cycles.py imports this module at runtime
@@ -114,7 +121,7 @@ def marginal(mu: FiniteSignedMeasure, axis: int) -> dict[int, Fraction]:
 
 
 def _class_sums_vanish(
-    points: Sequence[GridPoint], weights: Sequence[Fraction], n: int
+    points: Sequence[GridPoint], weights: Sequence[Fraction | int], n: int
 ) -> bool:
     """True when, on each of the ``n`` axes, the weights of the points
     sharing a coordinate value sum to zero."""
@@ -182,9 +189,9 @@ def measure_from_json(obj: object) -> FiniteSignedMeasure:
     atoms = obj["atoms"]
     if not isinstance(atoms, list):
         raise ValueError('"atoms" must be a list')
-    pairs = []
-    for entry in atoms:
-        if not isinstance(entry, dict) or "point" not in entry or "mass" not in entry:
-            raise ValueError('each atom needs "point" and "mass"')
-        pairs.append((tuple(entry["point"]), parse_rat(entry["mass"])))
-    return FiniteSignedMeasure.from_atoms(grid, pairs)
+    if any(not isinstance(e, dict) or "point" not in e or "mass" not in e for e in atoms):
+        raise ValueError('each atom needs "point" and "mass"')
+    points = _points_from_json([e["point"] for e in atoms], "point")
+    return FiniteSignedMeasure.from_atoms(
+        grid, zip(points, (parse_rat(e["mass"]) for e in atoms))
+    )

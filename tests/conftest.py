@@ -23,8 +23,6 @@ from golombdual import (
     closed_bolt_measure,
     cycle_to_closed_bolts,
     enumerate_minimal_cycles,
-    incidence_matrix,
-    integer_certificate,
     integrate,
     point_index,
     to_golomb_form,
@@ -65,6 +63,23 @@ def random_separable(
         for size in grid.factor_sizes
     )
     return SeparableSum(grid, tables)
+
+
+def reference_incidence_matrix(points, grid: ProductGrid) -> RatMatrix:
+    """Reference incidence matrix, built row by row from the coordinates and
+    independent of the package's class numbering: one 0/1 row per realized
+    (axis, value) class, axis-major with values ascending, one column per
+    point."""
+    pts = [grid.check_point(p) for p in points]
+    if len(set(pts)) != len(pts):
+        raise ValueError("duplicate point in incidence input")
+    rows: list[list[int]] = []
+    for axis in range(grid.n):
+        for value in sorted({p[axis] for p in pts}):
+            rows.append([1 if p[axis] == value else 0 for p in pts])
+    if not rows:
+        return RatMatrix(0, 0, ())
+    return RatMatrix.from_rows(rows)
 
 
 def _bareiss_echelon(m: RatMatrix) -> tuple[list[list[int]], list[int]]:
@@ -150,7 +165,7 @@ def brute_force_minimal_cycles(grid: ProductGrid) -> set[MinimalCycle]:
     found: set[MinimalCycle] = set()
     for size in range(2, len(points) + 1):
         for subset in combinations(points, size):
-            basis = bareiss_kernel_basis(incidence_matrix(subset, grid))
+            basis = bareiss_kernel_basis(reference_incidence_matrix(subset, grid))
             if len(basis) == 1 and all(w != 0 for w in basis[0]):
                 found.add(_normalized(subset, basis[0], grid))
     return found
@@ -180,7 +195,9 @@ def subset_scan_cycles(
     must return exactly this tuple.
     """
     pts = tuple(sorted(grid.points() if points is None else points, key=lambda p: point_index(grid, p)))
-    cap = bareiss_rank(incidence_matrix(pts, grid)) + 1 if max_support is None else max_support
+    cap = max_support
+    if cap is None:
+        cap = bareiss_rank(reference_incidence_matrix(pts, grid)) + 1
     found: list[MinimalCycle] = []
     supports: list[frozenset[int]] = []
     for size in range(2, min(cap, len(pts)) + 1):
@@ -188,7 +205,7 @@ def subset_scan_cycles(
             if has_lonely_point(combo, pts, grid.n) or any(s <= set(combo) for s in supports):
                 continue
             subset = tuple(pts[i] for i in combo)
-            basis = bareiss_kernel_basis(incidence_matrix(subset, grid))
+            basis = bareiss_kernel_basis(reference_incidence_matrix(subset, grid))
             if len(basis) != 1 or any(x == 0 for x in basis[0]):
                 continue
             found.append(_normalized(subset, basis[0], grid))
@@ -207,7 +224,7 @@ def bolt_supremum_by_conversion(f: TabulatedFunction) -> Fraction:
     """
     best = Fraction(0)
     for cycle in enumerate_minimal_cycles(f.grid):
-        gc = to_golomb_form(cycle.points, integer_certificate(cycle.weights), f.grid)
+        gc = to_golomb_form(cycle.pair)
         for cb in cycle_to_closed_bolts(gc):
             best = max(best, abs(integrate(f, closed_bolt_measure(cb))))
     return best

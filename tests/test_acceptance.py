@@ -44,7 +44,6 @@ from golombdual import (
     decompose,
     enumerate_minimal_cycles,
     find_cycle_vector,
-    integer_certificate,
     integrate,
     is_closed_bolt,
     is_minimal,
@@ -209,7 +208,7 @@ def test_6_two_axis_equivalence(instances, cycles_by_shape):
             continue
         grid = ProductGrid(shape)
         for cycle in cycles_by_shape[shape]:
-            gc = to_golomb_form(cycle.points, integer_certificate(cycle.weights), grid)
+            gc = to_golomb_form(cycle.pair)
             for cb in cycle_to_closed_bolts(gc):
                 bolts_checked += 1
                 assert is_closed_bolt(grid, cb.vertices)

@@ -21,7 +21,6 @@ from golombdual import (
     cycle_functional,
     cycle_to_closed_bolts,
     enumerate_minimal_cycles,
-    integer_certificate,
     integrate,
     is_bolt,
     is_closed_bolt,
@@ -168,9 +167,7 @@ class TestClosedBoltMeasure:
     def test_always_orthogonal(self):
         rng = random.Random(19)
         for cycle in rng.sample(enumerate_minimal_cycles(GRID44), 15):
-            gc = to_golomb_form(
-                cycle.points, integer_certificate(cycle.weights), GRID44
-            )
+            gc = to_golomb_form(cycle.pair)
             for cb in cycle_to_closed_bolts(gc):
                 assert is_orthogonal(closed_bolt_measure(cb))
 
@@ -222,9 +219,7 @@ class TestCycleToClosedBolts:
             f = random_table(rng, grid)
             for cycle in enumerate_minimal_cycles(grid):
                 assert all(abs(w) == Fraction(1, len(cycle.points)) for w in cycle.weights)
-                gc = to_golomb_form(
-                    cycle.points, integer_certificate(cycle.weights), grid
-                )
+                gc = to_golomb_form(cycle.pair)
                 bolts = cycle_to_closed_bolts(gc)
                 assert len(bolts) == 1
                 mu = closed_bolt_measure(bolts[0])
@@ -298,3 +293,15 @@ class TestBoltJson:
             bolt_from_json(GRID22, {"closed": True})
         with pytest.raises(ValueError):
             bolt_from_json(GRID22, {"vertices": [[0, 0], [0, 1], [True, 1], [1, 0]]})
+
+    def test_rejects_vertices_that_are_not_a_list_of_points(self):
+        for vertices in (3, [1, 2], [[0, 0], 1]):
+            with pytest.raises(ValueError, match='"vertices" must be a list of points'):
+                bolt_from_json(GRID22, {"vertices": vertices})
+
+    def test_closed_must_be_a_json_boolean(self):
+        obj = {"vertices": [[0, 0], [0, 1], [1, 1], [1, 0]]}
+        for closed in ("no", 1, None):
+            with pytest.raises(ValueError, match='"closed" must be true or false'):
+                bolt_from_json(GRID22, {**obj, "closed": closed})
+        assert isinstance(bolt_from_json(GRID22, obj), Bolt)

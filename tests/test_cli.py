@@ -203,6 +203,13 @@ class TestDecomposeCommand:
         assert sum(weights) == 1
         assert all(w > 0 for w in weights)
 
+    def test_point_that_is_not_a_list_is_named(self, tmp_path, capsys):
+        payload = {"shape": [2, 2], "atoms": [{"point": 1, "mass": "1"}]}
+        path = write(tmp_path / "mu.json", json.dumps(payload))
+        code, out, err = run_main(["decompose", "--input", path], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and '"point"' in err
+
     def test_rejects_non_orthogonal(self, tmp_path, capsys):
         payload = {"shape": [2, 2], "atoms": [{"point": [0, 0], "mass": "1"}]}
         path = write(tmp_path / "mu.json", json.dumps(payload))

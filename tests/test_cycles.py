@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 import pytest
 
@@ -15,7 +16,6 @@ from golombdual import (
     Decomposition,
     FiniteSignedMeasure,
     GolombCycle,
-    IntegerCertificate,
     LpProblem,
     LpSolution,
     MinimalCycle,
@@ -28,7 +28,6 @@ from golombdual import (
     golomb_from_json,
     golomb_to_json,
     incidence_matrix,
-    integer_certificate,
     is_minimal,
     is_orthogonal,
     matrix_rank,
@@ -49,10 +48,12 @@ from conftest import (
     SIX_CERT,
     SIX_POINTS,
     SQUARE,
+    _normalized,
     bareiss_kernel_basis,
     bareiss_rank,
     brute_force_minimal_cycles,
     has_lonely_point,
+    reference_incidence_matrix,
     subset_scan_cycles,
 )
 
@@ -99,14 +100,20 @@ class TestCycleVectorPair:
         assert pair.weights == SIX_CERT
 
 
-class TestIntegerCertificate:
-    def test_requires_gcd_one(self):
-        with pytest.raises(ValueError):
-            IntegerCertificate((2, -2, 2, -2))
+# a cycle on the 2x3 grid: twice the square on columns 0-1 plus the square
+# on columns 1-2, with weights (2, -1, -1, -2, 1, 1)
+WIDE_POINTS = ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2))
+WIDE_FORM = (((0, 0), (0, 0), (1, 1), (1, 2)), ((0, 1), (0, 2), (1, 0), (1, 0)))
 
-    def test_requires_nonzero_entries(self):
-        with pytest.raises(ValueError):
-            IntegerCertificate((1, 0, -1))
+
+def golomb_parts(grid, points, weights):
+    gc = to_golomb_form(CycleVectorPair(grid, points, tuple(weights)))
+    return gc.b_part, gc.c_part
+
+
+class TestIntegerCertificate:
+    """The integer certificate of a cycle, its weights scaled to coprime
+    integers, is what ``to_golomb_form`` expands into the two parts."""
 
     def test_from_normalized_weights(self):
         weights = (
@@ -116,14 +123,25 @@ class TestIntegerCertificate:
             Fraction(-1, 6),
             Fraction(1, 6),
         )
-        assert integer_certificate(weights).entries == (2, -1, -1, -1, 1)
+        parts = golomb_parts(CUBE, FIVE_POINTS, weights)
+        assert parts == golomb_parts(CUBE, FIVE_POINTS, FIVE_CERT)
+        assert parts == (
+            ((0, 0, 0), (0, 0, 0), (1, 1, 1)),
+            ((0, 0, 1), (0, 1, 0), (1, 0, 0)),
+        )
 
     def test_integral_input_passes_through(self):
-        assert integer_certificate((1, -1, 1, -1)).entries == (1, -1, 1, -1)
+        assert golomb_parts(GRID22, SQUARE, (1, -1, 1, -1)) == (((0, 0), (1, 1)), ((0, 1), (1, 0)))
 
     def test_common_factor_removed(self):
-        weights = tuple(Fraction(v, 12) for v in (4, -2, 2, -4))
-        assert integer_certificate(weights).entries == (2, -1, 1, -2)
+        grid = ProductGrid((2, 3))
+        for weights in (
+            tuple(Fraction(v, 12) for v in (4, -2, -2, -4, 2, 2)),
+            (6, -3, -3, -6, 3, 3),
+            tuple(Fraction(v, 5) for v in (4, -2, -2, -4, 2, 2)),
+        ):
+            assert golomb_parts(grid, WIDE_POINTS, weights) == WIDE_FORM
+        assert golomb_parts(GRID22, SQUARE, (2, -2, 2, -2)) == (((0, 0), (1, 1)), ((0, 1), (1, 0)))
 
 
 class TestGolombCycle:
@@ -154,6 +172,146 @@ class TestGolombCycle:
             ((0, 0, 1), (0, 1, 0), (1, 0, 0)),
         )
         assert gc.k == 3
+
+
+def sorted_coordinates_rule(b_part, c_part, n) -> bool:
+    """Reference permutation test by sorting, independent of the class
+    sums: equal nonempty sizes, no shared point, and equal sorted
+    coordinates on every axis."""
+    if not b_part or len(b_part) != len(c_part) or set(b_part) & set(c_part):
+        return False
+    return all(sorted(p[a] for p in b_part) == sorted(p[a] for p in c_part) for a in range(n))
+
+
+def golomb_accepts(grid, b_part, c_part) -> bool:
+    try:
+        GolombCycle(grid, b_part, c_part)
+    except ValueError:
+        return False
+    return True
+
+
+class TestGolombCycleMatchesSortedCoordinates:
+    """The class-sum test accepts and rejects exactly the two-part forms the
+    sorted-coordinates rule does."""
+
+    @pytest.mark.parametrize("shape", ((4, 4), (3, 3, 2), (2, 2, 2, 2)))
+    def test_seeded_multisets(self, shape):
+        grid = ProductGrid(shape)
+        pts = tuple(grid.points())
+        rng = random.Random(2207)
+        verdicts = {True: 0, False: 0}
+        for _ in range(300):
+            k = rng.randint(1, 5)
+            b_part = tuple(rng.choice(pts) for _ in range(k))
+            kind = rng.choice(("permuted", "one axis", "unequal", "shared", "random"))
+            if kind in ("permuted", "one axis"):
+                # permute each axis's coordinates (only axis 0 for "one
+                # axis"), a few tries to find c disjoint from b
+                for _ in range(10):
+                    coords = [[p[a] for p in b_part] for a in range(grid.n)]
+                    for a in range(grid.n if kind == "permuted" else 1):
+                        rng.shuffle(coords[a])
+                    c_part = tuple(zip(*coords))
+                    if not set(b_part) & set(c_part):
+                        break
+            elif kind == "unequal":
+                c_part = tuple(rng.choice(pts) for _ in range(k + rng.choice((-1, 1))))
+            elif kind == "shared":
+                c_part = (rng.choice(b_part),) + tuple(rng.choice(pts) for _ in range(k - 1))
+            else:
+                c_part = tuple(rng.choice(pts) for _ in range(k))
+            want = sorted_coordinates_rule(b_part, c_part, grid.n)
+            assert golomb_accepts(grid, b_part, c_part) == want, (b_part, c_part)
+            verdicts[want] += 1
+        assert verdicts[True] >= 20 and verdicts[False] >= 20
+
+    def test_permutation_on_one_axis_only_is_rejected(self):
+        b_part = ((0, 0, 0), (1, 1, 0))
+        c_part = ((1, 0, 0), (0, 1, 1))  # axes 0 and 1 permute, axis 2 does not
+        assert not sorted_coordinates_rule(b_part, c_part, 3)
+        assert not golomb_accepts(CUBE, b_part, c_part)
+
+
+def seeded_point_sets(grid: ProductGrid, rng: random.Random, count: int):
+    """Point sets of 1 to 9 points: random samples (mostly with lonely
+    points), unions of two minimal cycles (kernels of dimension 2 or more),
+    cycles with extra points, and samples with a repeated point."""
+    pts = tuple(grid.points())
+    found = enumerate_minimal_cycles(grid, max_support=6)
+    for i in range(count):
+        kind = i % 4
+        if kind == 0:
+            yield tuple(rng.sample(pts, rng.randint(1, 9)))
+        elif kind == 1:
+            a, b = rng.sample(found, 2)
+            union = tuple(dict.fromkeys(a.points + b.points))
+            yield union if len(union) <= 9 else a.points
+        elif kind == 2:
+            a = rng.choice(found)
+            extra = [p for p in pts if p not in a.points]
+            yield a.points + tuple(rng.sample(extra, rng.randint(0, 9 - len(a.points))))
+        else:
+            sample = rng.sample(pts, rng.randint(1, 8))
+            yield tuple(sample) + (rng.choice(sample),)
+
+
+def reference_find_cycle_vector(basis, m):
+    """The greedy combination of ``find_cycle_vector`` on a given basis, in
+    ``Fraction`` arithmetic."""
+    if not basis or any(all(v[j] == 0 for v in basis) for j in range(m)):
+        return None
+    v = list(basis[0])
+    for b in basis[1:]:
+        forbidden = set()
+        for vj, bj in zip(v, b):
+            if bj != 0 and vj != 0:
+                ratio = -vj / bj
+                if ratio > 0 and ratio.denominator == 1:
+                    forbidden.add(int(ratio))
+        c = 1
+        while c in forbidden:
+            c += 1
+        v = [vj + c * bj for vj, bj in zip(v, b)]
+    return tuple(v)
+
+
+class TestCycleHelpersMatchReferences:
+    """``incidence_matrix`` matches the row-by-row reference, and the cycle
+    helpers, which run on the integer class columns, match the Bareiss
+    kernel of that reference matrix."""
+
+    @pytest.mark.parametrize("shape", ((4, 4), (3, 3, 2), (2, 2, 2, 2)))
+    def test_seeded_point_sets(self, shape):
+        grid = ProductGrid(shape)
+        rng = random.Random(9091)
+        kinds = {"repeated": 0, "lonely": 0, "wide kernel": 0, "minimal": 0}
+        for points in seeded_point_sets(grid, rng, 240):
+            if len(set(points)) != len(points):
+                kinds["repeated"] += 1
+                for helper in (incidence_matrix, reference_incidence_matrix, is_minimal,
+                               normalize_minimal, find_cycle_vector):
+                    with pytest.raises(ValueError, match="duplicate"):
+                        helper(points, grid)
+                continue
+            inc = incidence_matrix(points, grid)
+            assert inc == reference_incidence_matrix(points, grid)
+            basis = bareiss_kernel_basis(inc)
+            minimal = len(basis) == 1 and all(basis[0])
+            assert is_minimal(points, grid) == minimal
+            want = reference_find_cycle_vector(basis, len(points))
+            assert find_cycle_vector(points, grid) == want
+            ordered = tuple(sorted(points, key=lambda p: point_index(grid, p)))
+            if minimal:
+                kinds["minimal"] += 1
+                (vec,) = bareiss_kernel_basis(reference_incidence_matrix(ordered, grid))
+                assert normalize_minimal(points, grid) == _normalized(ordered, vec, grid)
+            else:
+                with pytest.raises(ValueError, match="not a minimal cycle"):
+                    normalize_minimal(points, grid)
+            kinds["wide kernel"] += len(basis) >= 2
+            kinds["lonely"] += has_lonely_point(range(len(points)), points, grid.n)
+        assert min(kinds.values()) >= 10, kinds
 
 
 class TestFindCycleVector:
@@ -190,7 +348,7 @@ class TestFindCycleVector:
         for _ in range(40):
             subset = rng.sample(pts, rng.randint(1, 8))
             found = find_cycle_vector(subset, grid)
-            basis = bareiss_kernel_basis(incidence_matrix(subset, grid))
+            basis = bareiss_kernel_basis(reference_incidence_matrix(subset, grid))
             if found is not None:
                 assert all(w != 0 for w in found)
                 assert CycleVectorPair(grid, tuple(subset), tuple(found))
@@ -214,24 +372,34 @@ class TestFindCycleVector:
                 assert found is not None
 
 
+def coprime_b_first(pair: CycleVectorPair) -> CycleVectorPair:
+    """The pair with its weights scaled to coprime integers, the points of
+    positive weight first, each group in the pair's order."""
+    den = lcm(*(w.denominator for w in pair.weights))
+    ints = [int(w * den) for w in pair.weights]
+    g = gcd(*ints)
+    order = [i for i, n in enumerate(ints) if n > 0] + [i for i, n in enumerate(ints) if n < 0]
+    return CycleVectorPair(
+        pair.grid, tuple(pair.points[i] for i in order), tuple(ints[i] // g for i in order)
+    )
+
+
 class TestGolombConversion:
     def test_five_point_form(self):
-        cert = IntegerCertificate(FIVE_CERT)
-        gc = to_golomb_form(FIVE_POINTS, cert, CUBE)
+        gc = to_golomb_form(CycleVectorPair(CUBE, FIVE_POINTS, FIVE_CERT))
         assert gc.b_part == ((0, 0, 0), (0, 0, 0), (1, 1, 1))
         assert gc.c_part == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
 
     def test_square_form(self):
-        cert = IntegerCertificate((1, -1, 1, -1))
-        gc = to_golomb_form(SQUARE, cert, GRID22)
+        gc = to_golomb_form(CycleVectorPair(GRID22, SQUARE, (1, -1, 1, -1)))
         assert gc.b_part == ((0, 0), (1, 1))
         assert gc.c_part == ((0, 1), (1, 0))
 
     def test_from_square_form(self):
         gc = GolombCycle(GRID22, ((0, 0), (1, 1)), ((0, 1), (1, 0)))
-        points, cert = from_golomb_form(gc)
-        assert points == ((0, 0), (1, 1), (0, 1), (1, 0))
-        assert cert.entries == (1, 1, -1, -1)
+        pair = from_golomb_form(gc)
+        assert pair.points == ((0, 0), (1, 1), (0, 1), (1, 0))
+        assert pair.weights == (1, 1, -1, -1)
 
     def test_from_five_point_form(self):
         gc = GolombCycle(
@@ -239,37 +407,39 @@ class TestGolombConversion:
             ((0, 0, 0), (0, 0, 0), (1, 1, 1)),
             ((0, 0, 1), (0, 1, 0), (1, 0, 0)),
         )
-        points, cert = from_golomb_form(gc)
-        assert points == (
+        pair = from_golomb_form(gc)
+        assert pair.points == (
             (0, 0, 0),
             (1, 1, 1),
             (0, 0, 1),
             (0, 1, 0),
             (1, 0, 0),
         )
-        assert cert.entries == (2, 1, -1, -1, -1)
+        assert pair.weights == (2, 1, -1, -1, -1)
 
     def test_multiplicity_gcd_is_reduced(self):
         # Both parts doubled: multiplicities (2, -2) reduce to the primitive
-        # certificate (1, -1, ...) so the invariant gcd = 1 holds.
+        # weights (1, -1, ...) so the invariant gcd = 1 holds.
         gc = GolombCycle(
             GRID22,
             ((0, 0), (0, 0), (1, 1), (1, 1)),
             ((0, 1), (0, 1), (1, 0), (1, 0)),
         )
-        _, cert = from_golomb_form(gc)
-        assert cert.entries == (1, 1, -1, -1)
+        assert from_golomb_form(gc).weights == (1, 1, -1, -1)
 
     def test_round_trip_on_enumerated_cycles(self):
-        rng = random.Random(12)
         grid = ProductGrid((3, 3, 2))
-        cycles = enumerate_minimal_cycles(grid)
-        for cycle in rng.sample(cycles, 25):
-            cert = integer_certificate(cycle.weights)
-            gc = to_golomb_form(cycle.points, cert, grid)
-            points, back = from_golomb_form(gc)
-            recovered = dict(zip(points, back.entries))
-            assert recovered == dict(zip(cycle.points, cert.entries))
+        pairs = [c.pair for c in enumerate_minimal_cycles(grid)]
+        assert len(pairs) == 1740
+        pairs += [
+            CycleVectorPair(CUBE, FIVE_POINTS, FIVE_CERT),
+            CycleVectorPair(CUBE, FIVE_POINTS, tuple(3 * w for w in FIVE_CERT)),
+            CycleVectorPair(CUBE, FIVE_POINTS, tuple(Fraction(-w, 7) for w in FIVE_CERT)),
+            CycleVectorPair(CUBE, SIX_POINTS, SIX_CERT),
+            CycleVectorPair(CUBE, SIX_POINTS, tuple(Fraction(2 * w, 9) for w in SIX_CERT)),
+        ]
+        for pair in pairs:
+            assert from_golomb_form(to_golomb_form(pair)) == coprime_b_first(pair)
 
 
 class TestMinimality:
@@ -433,7 +603,9 @@ SEARCH_SHAPES = tuple((s, t) for s in range(2, 6) for t in range(2, 5)) + (
 
 
 def integer_rank_is_exact(points, grid) -> bool:
-    return cycles._incidence_rank(points, grid.n) == bareiss_rank(incidence_matrix(points, grid))
+    return cycles._incidence_rank(points, grid.n) == bareiss_rank(
+        reference_incidence_matrix(points, grid)
+    )
 
 
 class TestCircuitSearch:
@@ -700,7 +872,7 @@ def extraction_lp(mu: FiniteSignedMeasure) -> LpProblem:
     incidence rows and the sum row, all equalities, beta >= 0."""
     support = [p for p, _ in mu.atoms]
     signs = [1 if m > 0 else -1 for _, m in mu.atoms]
-    inc = incidence_matrix(support, mu.grid)
+    inc = reference_incidence_matrix(support, mu.grid)
     rows = [[inc.at(r, j) * signs[j] for j in range(inc.cols)] for r in range(inc.rows)]
     rows.append([1] * len(support))
     return LpProblem.build(
@@ -734,7 +906,7 @@ RECTANGLE_SUMS = (
 
 class TestExtractionAgainstDenseLp:
     """The extraction LP is built straight from the support's coordinates;
-    it must be the LP built from ``incidence_matrix`` and give its cycle, on
+    it must be the LP built from a dense incidence matrix and give its cycle, on
     the measure and on every residual of its decomposition."""
 
     @pytest.mark.parametrize("shape,targets", RECTANGLE_SUMS)
@@ -804,3 +976,15 @@ class TestCycleJson:
                                     "lambda": ["1", "-1", "-1", "1"]})
         with pytest.raises(ValueError):
             golomb_from_json(GRID22, {"b": [[0, 0], [1, 1.9]], "c": [[0, 1], [1, 0]]})
+
+    def test_rejects_point_lists_that_are_not_lists_of_points(self):
+        with pytest.raises(ValueError, match='"b" must be a list of points'):
+            golomb_from_json(GRID22, {"b": 1, "c": []})
+        with pytest.raises(ValueError, match='"c" must be a list of points'):
+            golomb_from_json(GRID22, {"b": [[0, 0], [1, 1]], "c": [[0, 1], 5]})
+        with pytest.raises(ValueError, match='"points" must be a list of points'):
+            pair_from_json(GRID22, {"points": [1], "lambda": ["1"]})
+        with pytest.raises(ValueError, match='"points" must be a list of points'):
+            pair_from_json(GRID22, {"points": 4, "lambda": ["1"]})
+        with pytest.raises(ValueError, match='"lambda" must be a list'):
+            pair_from_json(GRID22, {"points": [[0, 0]], "lambda": "1"})

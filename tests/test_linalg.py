@@ -72,6 +72,11 @@ class TestRationalStrings:
     def test_round_trip(self, q):
         assert parse_rat(format_rat(q)) == q
 
+    @pytest.mark.parametrize("bad", [0.1, True, "1/4"], ids=["float", "bool", "string"])
+    def test_format_rejects_values_that_are_not_ints_or_fractions(self, bad):
+        with pytest.raises(ValueError, match="int or a Fraction"):
+            format_rat(bad)
+
 
 class TestRatMatrix:
     def test_from_rows(self):
@@ -83,6 +88,11 @@ class TestRatMatrix:
     def test_entry_count_checked(self):
         with pytest.raises(ValueError):
             RatMatrix(rows=2, cols=2, entries=(Fraction(1),) * 3)
+
+    @pytest.mark.parametrize("bad", [0.1, True, "1/4"], ids=["float", "bool", "string"])
+    def test_from_rows_rejects_values_that_are_not_ints_or_fractions(self, bad):
+        with pytest.raises(ValueError, match="int or a Fraction"):
+            RatMatrix.from_rows([[1, bad]])
 
     def test_row_lists_copies(self):
         m = RatMatrix.from_rows([[1, 2]])
@@ -199,6 +209,14 @@ def lp(objective, rows, relations, rhs, sense="min", lower=None, upper=None):
 
 
 class TestSolveLp:
+    @pytest.mark.parametrize("field", ["objective", "rows", "rhs", "lower", "upper"])
+    def test_build_rejects_float_values(self, field):
+        args = {"objective": [1], "rows": [[1]], "rhs": [3], "lower": [0], "upper": [5]}
+        args[field] = [[0.1]] if field == "rows" else [0.1]
+        with pytest.raises(ValueError, match="int or a Fraction"):
+            lp(args["objective"], args["rows"], ["<="], args["rhs"], "max",
+               args["lower"], args["upper"])
+
     def test_single_bound_max(self):
         sol = solve_lp(lp([1], [[1]], ["<="], [3], sense="max"))
         assert sol.status == "optimal"

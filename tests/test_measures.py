@@ -16,7 +16,6 @@ from golombdual import (
     ProductGrid,
     enumerate_minimal_cycles,
     golomb_measure,
-    integer_certificate,
     integrate,
     is_orthogonal,
     marginal,
@@ -308,8 +307,7 @@ class TestGolombMeasure:
         rng = random.Random(8)
         grid = ProductGrid((3, 3))
         for cycle in rng.sample(enumerate_minimal_cycles(grid), 8):
-            cert = integer_certificate(cycle.weights)
-            gc = to_golomb_form(cycle.points, cert, grid)
+            gc = to_golomb_form(cycle.pair)
             assert golomb_measure(gc) == measure_from_pair(cycle.pair)
             assert total_variation(golomb_measure(gc)) == 1
 
@@ -332,3 +330,9 @@ class TestMeasureJson:
             measure_from_json({"shape": [True, 2], "atoms": []})
         with pytest.raises(ValueError):
             measure_from_json({"shape": [2, 2], "atoms": [{"point": [0.4, 0], "mass": "1"}]})
+
+    def test_rejects_a_point_that_is_not_a_list(self):
+        for point in (1, "00", None):
+            atoms = [{"point": point, "mass": "1"}, {"point": [1, 1], "mass": "-1"}]
+            with pytest.raises(ValueError, match='"point" must be a list of points'):
+                measure_from_json({"shape": [2, 2], "atoms": atoms})
