@@ -22,6 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cycles import (
+    _F0,
+    _F1,
+    _FM1,
     CycleVectorPair,
     Decomposition,
     MinimalCycle,
@@ -29,7 +32,7 @@ from .cycles import (
     pair_to_json,
 )
 from .grids import SeparableSum, TabulatedFunction, residual, sup_norm
-from .linalg import CertificateError, LpProblem, format_rat, solve_lp
+from .linalg import CertificateError, LpProblem, RatMatrix, format_rat, solve_lp
 from .measures import (
     FiniteSignedMeasure,
     integrate,
@@ -55,7 +58,10 @@ class ApproximationResult:
 class GolombReport:
     """Outcome of the duality check. When the enumeration budget is exceeded
     no verdict is made: enumerated is False, cycle_supremum and witness are
-    None, and equal is False."""
+    None, and equal is False. complete is True only when every minimal
+    cycle was examined: the search was not cut short and no support cap
+    fell below the largest size a cycle can have, so only then does
+    equal = False refute the duality."""
 
     error: Fraction
     cycle_supremum: Fraction | None
@@ -63,6 +69,7 @@ class GolombReport:
     cycles_examined: int
     equal: bool
     enumerated: bool = True
+    complete: bool = False
 
 
 def best_error(f: TabulatedFunction) -> ApproximationResult:
@@ -98,33 +105,30 @@ def best_error(f: TabulatedFunction) -> ApproximationResult:
             col += 1
     ncols = col
 
-    rows: list[list[Fraction]] = []
-    relations: list[str] = []
-    rhs: list[Fraction] = []
+    # two rows per point, written as one flat entries tuple with shared
+    # constants: sum g + t >= f(x), then sum g - t <= f(x)
+    entries: list[Fraction] = []
     for point in grid.points():
-        base = [Fraction(0)] * ncols
+        row = [_F0] * ncols
         for axis, value in enumerate(point):
             j = var_of.get((axis, value))
             if j is not None:
-                base[j] = Fraction(1)
-        upper = base[:]
-        upper[0] = Fraction(1)
-        lower = base[:]
-        lower[0] = Fraction(-1)
-        value_at = f.value_at(point)
-        rows.append(upper)
-        relations.append(">=")
-        rhs.append(value_at)
-        rows.append(lower)
-        relations.append("<=")
-        rhs.append(value_at)
-
-    objective = [Fraction(0)] * ncols
-    objective[0] = Fraction(1)
+                row[j] = _F1
+        row[0] = _F1
+        entries += row
+        row[0] = _FM1
+        entries += row
+    npoints = grid.volume
     bound = max(abs(v) for v in f.values) + 1
-    upper = [bound] + [None] * (ncols - 1)
     sol = solve_lp(
-        LpProblem.build(objective, rows, relations, rhs, sense="min", upper=upper)
+        LpProblem(
+            objective=(_F1,) + (_F0,) * (ncols - 1),
+            matrix=RatMatrix(2 * npoints, ncols, tuple(entries)),
+            relations=(">=", "<=") * npoints,
+            rhs=tuple(v for v in f.values for _ in range(2)),
+            lower=(None,) * ncols,
+            upper=(bound,) + (None,) * (ncols - 1),
+        )
     )
     # g = 0, t = max|f| is feasible and t >= 0 on every feasible point
     if sol.status != "optimal" or sol.objective < 0:
@@ -218,8 +222,16 @@ def verify_golomb(
     independence was tested); if exceeded, the report says so instead of
     guessing a verdict. The enumeration runs first, so a support cap below 2
     is rejected before the LP is solved.
+
+    A minimal cycle is a circuit of the incidence columns, so it has at most
+    rank + 1 points, and at most |grid|; the full grid's incidence has rank
+    sum(s_i) - n + 1, the dimension of the separable sums. A cap at least
+    that large misses no cycle, and the report is complete.
     """
     cycles, _, truncated = _enumerate(f.grid, None, max_support, budget)
+    sizes = f.grid.factor_sizes
+    largest = min(sum(sizes) - len(sizes) + 2, f.grid.volume)
+    complete = not truncated and (max_support is None or max_support >= largest)
     result = best_error(f)
     if truncated:
         return GolombReport(
@@ -240,6 +252,7 @@ def verify_golomb(
         witness=witness,
         cycles_examined=len(cycles),
         equal=equal,
+        complete=complete,
     )
 
 
@@ -275,4 +288,5 @@ def report_to_json(report: GolombReport) -> dict:
         "witness": None if report.witness is None else pair_to_json(report.witness.pair),
         "cycles_examined": report.cycles_examined,
         "enumerated": report.enumerated,
+        "complete": report.complete,
     }

@@ -2,10 +2,10 @@
 exact two-phase simplex solver.
 
 Everything is exact rational arithmetic: inputs and results are
-``fractions.Fraction``, and the simplex pivots on integer rows with one
-common denominator each. There is no floating point anywhere in this
-package, so every comparison below is a decidable exact test and results
-are reproducible bit for bit.
+``fractions.Fraction``, and the simplex pivots on sparse integer rows
+that keep their nonzero numerators and one common denominator each. There
+is no floating point anywhere in this package, so every comparison below
+is a decidable exact test and results are reproducible bit for bit.
 
 ``_eliminate`` is the package's one fraction-free elimination: it clears
 integer columns against a basis of earlier ones. Kernel bases, ranks, the
@@ -279,86 +279,111 @@ class CertificateError(AssertionError):
     audits are explicit checks, so ``python -O`` does not remove them."""
 
 
-def _row_op(cur: list[int], prow: list[int], col: int) -> list[int]:
+_SparseRow = tuple[dict[int, int], int]
+
+
+def _row_op(cur: _SparseRow, prow: _SparseRow, col: int) -> _SparseRow:
     """``cur - cur[col] * prow`` for a pivot row whose entry at ``col`` is 1,
-    in lowest terms. Both rows are integer rows (denominator last)."""
-    c, dr = cur[col], prow[-1]
-    out = [u * dr - c * v for u, v in zip(cur, prow)]
-    out[-1] = cur[-1] * dr
-    g = gcd(*out)
-    return [v // g for v in out] if g > 1 else out
+    in lowest terms.
+
+    Both are sparse integer rows ``(entries, den)``: ``entries`` maps each
+    column with a nonzero numerator, the rhs among them, to that numerator,
+    and ``den`` is the row's positive denominator; no zero is stored. The
+    result's entry at ``col`` cancels and is deleted like every other zero.
+    When the pivot row's denominator is 1 the row is copied, not rescaled.
+    The one gcd runs over the nonzeros and the denominator, which is the gcd
+    over the dense row.
+    """
+    entries, den = cur
+    pentries, dr = prow
+    c = entries[col]
+    if dr == 1:
+        out = entries.copy()
+    else:
+        out = {k: u * dr for k, u in entries.items()}
+        den *= dr
+    get = out.get
+    for k, v in pentries.items():
+        w = get(k, 0) - c * v
+        if w:
+            out[k] = w
+        else:
+            del out[k]
+    g = gcd(*out.values(), den)
+    if g > 1:
+        return {k: v // g for k, v in out.items()}, den // g
+    return out, den
 
 
 def _run_simplex(
-    tableau: list[list[int]],
+    tableau: list[_SparseRow],
     basis: list[int],
     cost: list[Fraction],
     barred: set[int],
-) -> tuple[str, list[int]]:
-    """Bland-rule simplex on an equality-form integer tableau. Row i holds
-    the numerators of its entries, then of its rhs, then one positive
-    denominator; the basic column of row i has entry 1.
+) -> tuple[str, _SparseRow]:
+    """Bland-rule simplex on an equality-form tableau of sparse integer rows
+    (``_row_op``). Column ``len(cost)`` is the rhs; the basic column of row
+    i has entry 1.
 
     Bland's rule (lowest eligible index for both the entering column and the
     tie-broken leaving row) guarantees termination without any perturbation.
     A row's denominator cancels in its own ratio rhs/a, so the ratio test
     compares numerators by cross-multiplication. Returns the status and the
-    final reduced costs ``z = cost - c_B B^-1 A`` as an integer row (its
-    second-to-last entry is the negated objective value).
+    final reduced costs ``z = cost - c_B B^-1 A`` as a sparse integer row
+    (its rhs entry is the negated objective value).
     """
     ncols = len(cost)
-    z = _int_row([*cost, _ZERO])
-    for i in range(len(tableau)):
-        if z[basis[i]]:
-            z = _row_op(z, tableau[i], basis[i])
+    den = lcm(*(c.denominator for c in cost))
+    z = ({j: c.numerator * (den // c.denominator) for j, c in enumerate(cost) if c}, den)
+    for i, row in enumerate(tableau):
+        if basis[i] in z[0]:
+            z = _row_op(z, row, basis[i])
     while True:
-        enter = next(
-            (j for j in range(ncols) if z[j] < 0 and j not in barred), None
+        enter = min(
+            (j for j, v in z[0].items() if v < 0 and j < ncols and j not in barred),
+            default=None,
         )
         if enter is None:
             return "optimal", z
-        leave = -1
-        for i, row in enumerate(tableau):
-            a = row[enter]
+        leave, best_a, best_b = -1, 0, 0
+        for i, (entries, _) in enumerate(tableau):
+            a = entries.get(enter, 0)
             if a <= 0:
                 continue
+            b = entries.get(ncols, 0)
             if leave >= 0:
-                best = tableau[leave]
-                lhs, rhs = row[-2] * best[enter], best[-2] * a
+                lhs, rhs = b * best_a, best_b * a
                 if lhs > rhs or (lhs == rhs and basis[i] > basis[leave]):
                     continue
-            leave = i
+            leave, best_a, best_b = i, a, b
         if leave < 0:
             return "unbounded", z
         z = _pivot(tableau, basis, z, leave, enter)
 
 
 def _pivot(
-    tableau: list[list[int]],
+    tableau: list[_SparseRow],
     basis: list[int],
-    z: list[int] | None,
+    z: _SparseRow | None,
     row: int,
     col: int,
-) -> list[int] | None:
+) -> _SparseRow | None:
     """Pivot on (row, col) and return the updated reduced-cost row."""
-    prow = tableau[row]
-    piv = prow[col]
-    # dividing by piv / den: the numerators stay, the denominator becomes piv
+    entries = tableau[row][0]
+    piv = entries[col]
+    # dividing by piv / den: the numerators stay, the denominator becomes
+    # |piv|; a negative g divides out the sign of piv too
+    g = gcd(*entries.values())  # piv is an entry, so g divides it
     if piv < 0:
-        prow = [-v for v in prow[:-1]]
-        piv = -piv
-    else:
-        prow = prow[:-1]
-    g = gcd(*prow)  # piv is an entry, so g divides it
-    if g > 1:
-        prow = [v // g for v in prow]
-        piv //= g
-    prow.append(piv)
+        g = -g
+    if g != 1:
+        entries = {k: v // g for k, v in entries.items()}
+    prow = (entries, piv // g)
     tableau[row] = prow
     for i, cur in enumerate(tableau):
-        if i != row and cur[col]:
+        if i != row and col in cur[0]:
             tableau[i] = _row_op(cur, prow, col)
-    if z is not None and z[col]:
+    if z is not None and col in z[0]:
         z = _row_op(z, prow, col)
     basis[row] = col
     return z
@@ -377,17 +402,18 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     only when some row needs an artificial, so a problem whose slacks are
     already a feasible basis goes straight to phase 2.
 
-    The tableau holds integer rows: each row is its numerators plus one
-    positive denominator, kept in lowest terms with one gcd per row update,
-    so a pivot makes no ``Fraction`` per entry. A row is built from the
-    nonzeros of its problem row only and written straight in that form, over
-    the lcm of the row's denominators; its slack and artificial entries are
-    that lcm, the integer form of 1 or -1. The pivots, and hence the
-    result, are those of the same Bland simplex over rationals. A row's
-    simplex multiplier ``y = c_B B^-1`` is the negated final phase-2 reduced
-    cost of its unit column. The duals are exact, and every optimum is
-    audited for primal feasibility, dual feasibility and complementary
-    slackness; a failed audit raises CertificateError.
+    The tableau holds sparse integer rows (``_row_op``): each row keeps only
+    its nonzero numerators, the rhs among them, plus one positive
+    denominator, in lowest terms with one gcd per row update, so a pivot
+    touches no zero and makes no ``Fraction``. A row is built from the
+    nonzeros of its problem row over the lcm of the row's denominators; its
+    slack and artificial entries are that lcm, the integer form of 1 or -1.
+    The pivots, and hence the result, are those of the same Bland simplex
+    over dense rational rows. A row's simplex multiplier ``y = c_B B^-1`` is
+    the negated final phase-2 reduced cost of its unit column. The duals
+    are exact, and every optimum is audited for primal feasibility, dual
+    feasibility and complementary slackness; a failed audit raises
+    CertificateError.
     """
     n = problem.matrix.cols
     m = problem.matrix.rows
@@ -424,13 +450,13 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         for col, sign in terms[j]:
             c_int[col] = c_signed[j] if sign > 0 else -c_signed[j]
 
-    # internal rows, written straight as integer rows over the lcm of their
-    # denominators from the nonzeros of the problem row: the original
+    # internal rows, written straight as integer numerators over the lcm of
+    # their denominators from the nonzeros of the problem row: the original
     # constraints, rhs net of the offsets and flipped to be nonnegative, then
-    # the synthetic upper-bound rows. Each is (internal columns, relation,
-    # rhs numerator, denominator) until the slack and artificial columns are
-    # counted.
-    int_rows: list[tuple[list[int], str, int, int]] = []
+    # the synthetic upper-bound rows. Each is (internal column -> numerator,
+    # relation, rhs numerator, denominator) until the slack and artificial
+    # columns are counted.
+    int_rows: list[tuple[dict[int, int], str, int, int]] = []
     flips: list[int] = []
     for i in range(m):
         arow = problem.matrix.row(i)
@@ -440,7 +466,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         if b < 0:
             rel, b, flip = {"<=": ">=", ">=": "<=", "=": "="}[rel], -b, -1
         den = lcm(b.denominator, *(arow[j].denominator for j in nonzero))
-        row = [0] * ncols_int
+        row: dict[int, int] = {}
         for j in nonzero:
             a = arow[j]
             v = flip * a.numerator * (den // a.denominator)
@@ -449,23 +475,19 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         int_rows.append((row, rel, b.numerator * (den // b.denominator), den))
         flips.append(flip)
     for col, ub in synthetic:
-        row = [0] * ncols_int
-        row[col] = ub.denominator
-        int_rows.append((row, "<=", ub.numerator, ub.denominator))
+        int_rows.append(({col: ub.denominator}, "<=", ub.numerator, ub.denominator))
 
     # equality form: one slack column per inequality (+1 on <=, -1 on >=),
     # then one artificial column per >= or = row, each the row's denominator
-    # in integer form. A row's unit column (the slack of a <= row, else its
-    # artificial) starts the basis.
+    # in integer form, and the rhs as column ``total``. A row's unit column
+    # (the slack of a <= row, else its artificial) starts the basis.
     m_eq = len(int_rows)
     slack_count = sum(rel != "=" for _, rel, _, _ in int_rows)
     total = ncols_int + slack_count + sum(rel != "<=" for _, rel, _, _ in int_rows)
     slack_col, art_col = ncols_int, ncols_int + slack_count
-    tableau: list[list[int]] = []
+    tableau: list[_SparseRow] = []
     basis: list[int] = []
     for row, rel, rhs, den in int_rows:
-        row.extend([0] * (total - ncols_int))
-        row += (rhs, den)
         if rel != "=":
             row[slack_col] = den if rel == "<=" else -den
             slack_col += 1
@@ -475,7 +497,9 @@ def solve_lp(problem: LpProblem) -> LpSolution:
             row[art_col] = den
             basis.append(art_col)
             art_col += 1
-        tableau.append(row)
+        if rhs:
+            row[total] = rhs
+        tableau.append((row, den))
     # the starting basis is the identity: row i's unit column, whose reduced
     # cost at the end is -(c_B B^-1)_i, the row's simplex multiplier
     unit_cols = basis[:]
@@ -488,18 +512,14 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         status, _ = _run_simplex(tableau, basis, cost1, set())
         if status != "optimal":
             raise CertificateError(f"phase 1 ended {status}, but it is bounded below by 0")
-        if any(tableau[i][-2] for i in range(m_eq) if basis[i] in art_set):
+        if any(total in tableau[i][0] for i in range(m_eq) if basis[i] in art_set):
             return LpSolution("infeasible", (), (), None)
         # drive leftover artificials out of the basis where possible
         for i in range(m_eq):
             if basis[i] in art_set:
-                j = next(
-                    (
-                        jj
-                        for jj in range(ncols_int + slack_count)
-                        if tableau[i][jj]
-                    ),
-                    None,
+                j = min(
+                    (jj for jj in tableau[i][0] if jj < ncols_int + slack_count),
+                    default=None,
                 )
                 if j is not None:
                     _pivot(tableau, basis, None, i, j)
@@ -513,8 +533,9 @@ def solve_lp(problem: LpProblem) -> LpSolution:
 
     # primal recovery
     x_int = [_ZERO] * total
-    for i in range(m_eq):
-        x_int[basis[i]] = Fraction(tableau[i][-2], tableau[i][-1])
+    for i, (entries, den) in enumerate(tableau):
+        if total in entries:
+            x_int[basis[i]] = Fraction(entries[total], den)
     x = []
     for j in range(n):
         val = offsets[j]
@@ -523,9 +544,10 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         x.append(val)
     objective = sum((c_orig[j] * x[j] for j in range(n)), _ZERO)
 
+    z_entries, z_den = z
     dual = []
     for i in range(m):
-        v = Fraction(-z[unit_cols[i]] * flips[i], z[-1])
+        v = Fraction(-z_entries.get(unit_cols[i], 0) * flips[i], z_den)
         dual.append(v if minimize else -v)
 
     _check_optimum(problem, x, dual, objective)

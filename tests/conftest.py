@@ -27,6 +27,7 @@ from golombdual import (
     point_index,
     to_golomb_form,
 )
+from golombdual.linalg import _int_row
 
 CUBE = ProductGrid((2, 2, 2))
 
@@ -228,3 +229,97 @@ def bolt_supremum_by_conversion(f: TabulatedFunction) -> Fraction:
         for cb in cycle_to_closed_bolts(gc):
             best = max(best, abs(integrate(f, closed_bolt_measure(cb))))
     return best
+
+
+def dense_row_op(cur: list[int], prow: list[int], col: int) -> list[int]:
+    """Reference row update of the dense integer kernel the sparse rows
+    replaced: ``cur - cur[col] * prow`` for a pivot row whose entry at
+    ``col`` is 1, in lowest terms. Both rows are dense integer rows
+    (numerators of every column and the rhs, denominator last)."""
+    c, dr = cur[col], prow[-1]
+    out = [u * dr - c * v for u, v in zip(cur, prow)]
+    out[-1] = cur[-1] * dr
+    g = gcd(*out)
+    return [v // g for v in out] if g > 1 else out
+
+
+def dense_run_simplex(
+    tableau: list[list[int]],
+    basis: list[int],
+    cost: list[Fraction],
+    barred: set[int],
+) -> tuple[str, list[int]]:
+    """Reference Bland-rule simplex on dense integer rows, the kernel that
+    ``linalg._run_simplex`` runs on sparse rows: lowest eligible entering
+    column, ratio ties left by the row with the lower basic column. Returns
+    the status and the final reduced costs as a dense integer row."""
+    ncols = len(cost)
+    z = _int_row([*cost, Fraction(0)])
+    for i in range(len(tableau)):
+        if z[basis[i]]:
+            z = dense_row_op(z, tableau[i], basis[i])
+    while True:
+        enter = next(
+            (j for j in range(ncols) if z[j] < 0 and j not in barred), None
+        )
+        if enter is None:
+            return "optimal", z
+        leave = -1
+        for i, row in enumerate(tableau):
+            a = row[enter]
+            if a <= 0:
+                continue
+            if leave >= 0:
+                best = tableau[leave]
+                lhs, rhs = row[-2] * best[enter], best[-2] * a
+                if lhs > rhs or (lhs == rhs and basis[i] > basis[leave]):
+                    continue
+            leave = i
+        if leave < 0:
+            return "unbounded", z
+        z = dense_pivot(tableau, basis, z, leave, enter)
+
+
+def dense_pivot(
+    tableau: list[list[int]],
+    basis: list[int],
+    z: list[int] | None,
+    row: int,
+    col: int,
+) -> list[int] | None:
+    """Reference pivot on (row, col) of dense integer rows; returns the
+    updated reduced-cost row."""
+    prow = tableau[row]
+    piv = prow[col]
+    # dividing by piv / den: the numerators stay, the denominator becomes piv
+    if piv < 0:
+        prow = [-v for v in prow[:-1]]
+        piv = -piv
+    else:
+        prow = prow[:-1]
+    g = gcd(*prow)  # piv is an entry, so g divides it
+    if g > 1:
+        prow = [v // g for v in prow]
+        piv //= g
+    prow.append(piv)
+    tableau[row] = prow
+    for i, cur in enumerate(tableau):
+        if i != row and cur[col]:
+            tableau[i] = dense_row_op(cur, prow, col)
+    if z is not None and z[col]:
+        z = dense_row_op(z, prow, col)
+    basis[row] = col
+    return z
+
+
+def dense_row(row: tuple[dict[int, int], int], width: int) -> list[int]:
+    """The dense integer row of a sparse row ``(entries, den)``: the
+    numerators of columns 0 .. width - 1 (the rhs among them), then den."""
+    entries, den = row
+    return [entries.get(k, 0) for k in range(width)] + [den]
+
+
+def sparse_row(row: list[int]) -> tuple[dict[int, int], int]:
+    """The sparse row ``(entries, den)`` of a dense integer row: its nonzero
+    numerators by column, and its last entry as the denominator."""
+    return {k: v for k, v in enumerate(row[:-1]) if v}, row[-1]

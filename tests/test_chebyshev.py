@@ -197,6 +197,50 @@ class TestErrorBound:
             self.solve(TabulatedFunction(grid, values), monkeypatch)
 
 
+def error_lp_by_build(f: TabulatedFunction) -> LpProblem:
+    """Reference error LP, the dense Fraction rows best_error used to pass
+    through LpProblem.build: column 0 is t, then g_0(v) for every v and
+    g_i(v) for v >= 1 on the later axes; per point the row sum g + t >= f(x),
+    then sum g - t <= f(x); t bounded above by max|f| + 1."""
+    grid = f.grid
+    var_of = {(0, v): 1 + v for v in range(grid.factor_sizes[0])}
+    for axis in range(1, grid.n):
+        for value in range(1, grid.factor_sizes[axis]):
+            var_of[(axis, value)] = len(var_of) + 1
+    ncols = len(var_of) + 1
+    rows, relations, rhs = [], [], []
+    for point in grid.points():
+        base = [Fraction(0)] * ncols
+        for axis, value in enumerate(point):
+            if (axis, value) in var_of:
+                base[var_of[(axis, value)]] = Fraction(1)
+        for sign, rel in ((1, ">="), (-1, "<=")):
+            rows.append([Fraction(sign)] + base[1:])
+            relations.append(rel)
+            rhs.append(f.value_at(point))
+    objective = [Fraction(1)] + [Fraction(0)] * (ncols - 1)
+    upper = [max(abs(v) for v in f.values) + 1] + [None] * (ncols - 1)
+    return LpProblem.build(objective, rows, relations, rhs, sense="min", upper=upper)
+
+
+class TestErrorLpBuild:
+    def test_problem_equals_the_built_one(self, monkeypatch):
+        problems = []
+
+        def recording_solve_lp(problem):
+            problems.append(problem)
+            return solve_lp(problem)
+
+        monkeypatch.setattr(chebyshev, "solve_lp", recording_solve_lp)
+        rng = random.Random(46)
+        shapes = ((1, 1), (2, 2), (3, 5), (4, 4), (2, 3, 2), (3, 3, 3), (2, 2, 2, 2), (2, 1, 3, 2))
+        for shape in shapes:
+            for bound in (1, 1000):
+                f = random_table(rng, ProductGrid(shape), bound)
+                best_error(f)
+                assert problems.pop() == error_lp_by_build(f)
+
+
 class TestCertificateAudits:
     """Corrupted LP output must raise CertificateError, not pass silently."""
 
@@ -313,6 +357,7 @@ class TestVerifyGolomb:
         f = random_table(rng, ProductGrid((3, 3)))
         report = verify_golomb(f, budget=1)
         assert not report.enumerated
+        assert not report.complete
         assert not report.equal
         assert report.cycle_supremum is None
         assert report.witness is None
@@ -323,6 +368,26 @@ class TestVerifyGolomb:
         assert report.enumerated
         assert not report.equal
         assert report.cycle_supremum == 0
+        assert not report.complete
+
+    def test_complete_without_a_cap(self):
+        rng = random.Random(11)
+        for shape in ((3, 3), (2, 2, 2), (1, 4)):
+            report = verify_golomb(random_table(rng, ProductGrid(shape)))
+            assert report.enumerated and report.complete and report.equal
+
+    @pytest.mark.parametrize("shape,largest", [
+        # rank + 1 = sum(s_i) - n + 2 points, or |grid| when that is fewer
+        ((3, 3), 6), ((2, 2, 2), 5), ((4, 2), 6), ((1, 3), 3), ((1, 1, 2), 2),
+    ])
+    def test_complete_needs_a_cap_of_the_largest_cycle_size(self, shape, largest):
+        f = random_table(random.Random(12), ProductGrid(shape))
+        for cap in range(2, largest + 2):
+            report = verify_golomb(f, max_support=cap)
+            assert report.enumerated
+            assert report.complete == (cap >= largest)
+            if report.complete:
+                assert report.equal
 
     def test_support_cap_below_two_is_rejected(self):
         # a cap below 2 scans nothing, so there is no supremum to compare
@@ -346,10 +411,12 @@ class TestVerifyGolomb:
         f = random_table(random.Random(10), ProductGrid((3, 3)))
         report = verify_golomb(f, budget=1)
         assert not report.enumerated
+        assert not report.complete
         assert not report.equal
         assert report.cycle_supremum is None
         assert report.witness is None
         assert report.cycles_examined == 0
+        assert not report.complete
         assert verify_golomb(f, budget=None).enumerated
 
     def test_report_json(self):
@@ -358,6 +425,7 @@ class TestVerifyGolomb:
         assert obj["cycle_supremum"] == "1/4"
         assert obj["equal"] is True
         assert obj["enumerated"] is True
+        assert obj["complete"] is True
         assert obj["cycles_examined"] == 1
         assert obj["witness"]["lambda"] == ["1/4", "-1/4", "-1/4", "1/4"]
 

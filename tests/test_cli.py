@@ -114,6 +114,7 @@ class TestVerifyCommand:
         assert obj["error"] == "1/4"
         assert obj["cycle_supremum"] == "1/4"
         assert obj["enumerated"] is True
+        assert obj["complete"] is True
         assert obj["witness"]["points"] == [[0, 0], [0, 1], [1, 0], [1, 1]]
 
     def test_missed_witness_exits_one(self, tmp_path, capsys):
@@ -125,6 +126,21 @@ class TestVerifyCommand:
         obj = json.loads(out)
         assert obj["equal"] is False
         assert obj["witness"] is None
+
+    def test_capped_search_reports_incomplete(self, tmp_path, capsys):
+        # the seed-31 3x3 witness has 6 points: a cap of 4 misses it, which
+        # is a cut search, not a failure of the duality
+        path = str(tmp_path / "f.json")
+        assert main(["gen", "--shape", "3x3", "--seed", "31", "--output", path]) == 0
+        code, out, _ = run_main(["verify", "--input", path, "--max-support", "4"], capsys)
+        obj = json.loads(out)
+        assert code == 1
+        assert (obj["error"], obj["cycle_supremum"]) == ("20/3", "13/2")
+        assert (obj["enumerated"], obj["equal"], obj["complete"]) == (True, False, False)
+        code, out, _ = run_main(["verify", "--input", path], capsys)
+        obj = json.loads(out)
+        assert code == 0
+        assert (obj["enumerated"], obj["equal"], obj["complete"]) == (True, True, True)
 
     def test_support_cap_below_two_exits_two(self, tmp_path, capsys):
         # a cap below 2 scans nothing; it must not read as a duality failure

@@ -21,11 +21,22 @@ from golombdual import (
     parse_rat,
     solve_lp,
 )
+from golombdual import linalg
 from golombdual.linalg import _check_optimum, _int_row, _run_simplex
 
-from conftest import CUBE, FIVE_POINTS, SQUARE, bareiss_kernel_basis, bareiss_rank
+import conftest
+from conftest import (
+    CUBE,
+    FIVE_POINTS,
+    SQUARE,
+    bareiss_kernel_basis,
+    bareiss_rank,
+    dense_row,
+    random_table,
+    sparse_row,
+)
 
-from golombdual import ProductGrid, incidence_matrix
+from golombdual import ProductGrid, best_error, incidence_matrix
 
 
 class TestRationalStrings:
@@ -444,21 +455,25 @@ class TestDuals:
         assert bound_free_optima >= 100
 
 
+def beale_lp() -> LpProblem:
+    """Beale (1955): the largest-coefficient rule can cycle on this LP;
+    Bland's rule reaches the optimum -5/4 at x = (1, 0, 1, 0)."""
+    return lp(
+        [Fraction(-3, 4), 20, Fraction(-1, 2), 6],
+        [
+            [Fraction(1, 4), -8, -1, 9],
+            [Fraction(1, 2), -12, Fraction(-1, 2), 3],
+            [0, 0, 1, 0],
+        ],
+        ["<=", "<=", "<="],
+        [0, 0, 1],
+        lower=[0, 0, 0, 0],
+    )
+
+
 class TestIntegerPivots:
     def test_beale_cycling_example(self):
-        # Beale (1955): the largest-coefficient rule can cycle on this LP;
-        # Bland's rule reaches the optimum -5/4 at x = (1, 0, 1, 0).
-        problem = lp(
-            [Fraction(-3, 4), 20, Fraction(-1, 2), 6],
-            [
-                [Fraction(1, 4), -8, -1, 9],
-                [Fraction(1, 2), -12, Fraction(-1, 2), 3],
-                [0, 0, 1, 0],
-            ],
-            ["<=", "<=", "<="],
-            [0, 0, 1],
-            lower=[0, 0, 0, 0],
-        )
+        problem = beale_lp()
         sol = solve_lp(problem)
         assert sol.status == "optimal"
         assert sol.objective == Fraction(-5, 4)
@@ -466,28 +481,112 @@ class TestIntegerPivots:
         assert sum(y * b for y, b in zip(sol.dual, problem.rhs)) == Fraction(-5, 4)
 
     def test_ratio_tie_leaves_the_row_with_the_lower_basic_column(self):
-        # columns x0, x1, s_a (2), s_b (3); row 0 is basic in s_b, row 1 in
-        # s_a. x0 enters, and both ratios are 2: 1 / (1/2) and 6 / 3. Bland's
-        # rule lets the row whose basic column has the lower index leave,
-        # which is row 1 although it comes second.
+        # columns x0, x1, s_a (2), s_b (3), rhs (4); row 0 is basic in s_b,
+        # row 1 in s_a. x0 enters, and both ratios are 2: 1 / (1/2) and 6 / 3.
+        # Bland's rule lets the row whose basic column has the lower index
+        # leave, which is row 1 although it comes second.
         tableau = [
-            _int_row([Fraction(1, 2), Fraction(1), Fraction(0), Fraction(1), Fraction(1)]),
-            _int_row([Fraction(3), Fraction(0), Fraction(1), Fraction(0), Fraction(6)]),
+            sparse_row(_int_row([Fraction(1, 2), Fraction(1), Fraction(0), Fraction(1), Fraction(1)])),
+            sparse_row(_int_row([Fraction(3), Fraction(0), Fraction(1), Fraction(0), Fraction(6)])),
         ]
-        assert tableau[0] == [1, 2, 0, 2, 2, 2]
+        assert tableau[0] == ({0: 1, 1: 2, 3: 2, 4: 2}, 2)
         basis = [3, 2]
         status, z = _run_simplex(tableau, basis, [Fraction(-1), *[Fraction(0)] * 3], set())
         assert status == "optimal"
         assert basis == [3, 0]
         # x0 = 2 in lowest terms (x0 + s_a/3 = 2), x1 + s_b - s_a/6 = 0, and
-        # z = (0, 0, 1/3, 0) with the negated objective 2 in the last cell
-        assert tableau == [[0, 6, -1, 6, 0, 6], [3, 0, 1, 0, 6, 3]]
-        assert z == [0, 0, 1, 0, 6, 3]
+        # z = (0, 0, 1/3, 0) with the negated objective 2 in the rhs column;
+        # the cancelled x0 entry of row 0 and the zero rhs are not stored
+        assert tableau == [({1: 6, 2: -1, 3: 6}, 6), ({0: 3, 2: 1, 4: 6}, 3)]
+        assert z == ({2: 1, 4: 6}, 3)
 
     def test_int_row_is_in_lowest_terms(self):
         assert _int_row([Fraction(6, 4), Fraction(10, 3)]) == [9, 20, 6]
         assert _int_row([Fraction(2), Fraction(4)]) == [2, 4, 1]
         assert _int_row([]) == [1]
+
+
+class DenseReplay:
+    """Replays every kernel call of ``solve_lp`` on the dense reference
+    kernel of ``conftest``, from the same starting tableau.
+
+    Each simplex run must take the same pivots as the dense one and end
+    with the same status, basis, rows and reduced costs; so must every
+    single pivot, the phase-1 drive-out's too. No sparse row may store a
+    zero or a denominator below 1.
+    """
+
+    def __init__(self, monkeypatch: pytest.MonkeyPatch) -> None:
+        self.run_simplex, self.pivot = linalg._run_simplex, linalg._pivot
+        self.dense_pivot = conftest.dense_pivot
+        self.sparse_pivots: list[tuple[int, int]] = []
+        self.dense_pivots: list[tuple[int, int]] = []
+        self.runs = self.pivots = self.drive_outs = 0
+        monkeypatch.setattr(linalg, "_run_simplex", self._run_simplex)
+        monkeypatch.setattr(linalg, "_pivot", self._pivot)
+        monkeypatch.setattr(conftest, "dense_pivot", self._dense_pivot)
+
+    def _dense_pivot(self, tableau, basis, z, row, col):
+        self.dense_pivots.append((row, col))
+        return self.dense_pivot(tableau, basis, z, row, col)
+
+    def _pivot(self, tableau, basis, z, row, col):
+        rows = tableau if z is None else [*tableau, z]
+        width = 1 + max(k for entries, _ in rows for k in entries)
+        dense = [dense_row(r, width) for r in tableau]
+        dense_basis = basis[:]
+        dense_z = None if z is None else dense_row(z, width)
+        dense_z = self.dense_pivot(dense, dense_basis, dense_z, row, col)
+        self.sparse_pivots.append((row, col))
+        z = self.pivot(tableau, basis, z, row, col)
+        self.check(tableau, basis, z, dense, dense_basis, dense_z)
+        self.pivots += 1
+        self.drive_outs += z is None
+        return z
+
+    def _run_simplex(self, tableau, basis, cost, barred):
+        dense = [dense_row(r, len(cost) + 1) for r in tableau]
+        dense_basis = basis[:]
+        self.dense_pivots.clear()
+        dense_status, dense_z = conftest.dense_run_simplex(dense, dense_basis, cost, barred)
+        self.sparse_pivots.clear()
+        status, z = self.run_simplex(tableau, basis, cost, barred)
+        assert self.sparse_pivots == self.dense_pivots
+        assert status == dense_status
+        self.check(tableau, basis, z, dense, dense_basis, dense_z)
+        self.runs += 1
+        return status, z
+
+    @staticmethod
+    def check(tableau, basis, z, dense, dense_basis, dense_z) -> None:
+        assert basis == dense_basis
+        assert tableau == [sparse_row(r) for r in dense]
+        assert z == (None if dense_z is None else sparse_row(dense_z))
+        for entries, den in tableau if z is None else [*tableau, z]:
+            assert den > 0 and 0 not in entries.values()
+
+
+class TestSparseKernelMatchesDense:
+    def test_random_lps(self, monkeypatch):
+        replay = DenseReplay(monkeypatch)
+        rng = random.Random(4099)
+        statuses = {solve_lp(random_lp(rng)).status for _ in range(300)}
+        assert statuses == {"optimal", "infeasible", "unbounded"}
+        assert replay.runs > 300 and replay.drive_outs > 0
+
+    def test_beale_cycling_example(self, monkeypatch):
+        replay = DenseReplay(monkeypatch)
+        assert solve_lp(beale_lp()).objective == Fraction(-5, 4)
+        assert replay.runs == 1 and replay.pivots > 0
+
+    @pytest.mark.parametrize("shape", [(3, 3), (8, 8), (4, 4, 4)])
+    def test_best_error_lps(self, monkeypatch, shape):
+        replay = DenseReplay(monkeypatch)
+        rng = random.Random(sum(shape))
+        for _ in range(2):
+            best_error(random_table(rng, ProductGrid(shape)))
+        # the error LP starts at a feasible basis: one phase-2 run per table
+        assert replay.runs == 2 and replay.pivots > 2
 
 
 def assert_strong_duality(problem: LpProblem, sol) -> None:
