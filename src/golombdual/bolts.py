@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Literal, Sequence
 
 from .chebyshev import _cycle_supremum
-from .cycles import GolombCycle, enumerate_minimal_cycles
+from .cycles import GolombCycle, _enumerate
 from .grids import GridPoint, ProductGrid, TabulatedFunction, _points_from_json
 from .measures import FiniteSignedMeasure
 
@@ -179,12 +179,12 @@ def bolt_supremum(f: TabulatedFunction) -> Fraction:
     """Supremum of |integral of f| over closed-bolt measures.
 
     On two axes every minimal cycle is one closed bolt whose measure is the
-    cycle's own up to sign, so this is the minimal-cycle supremum, taken by
-    the loop verify_golomb runs; no cycle is converted to bolts. It equals
-    the best-approximation error.
+    cycle's own up to sign, so this is the minimal-cycle supremum, taken as
+    verify_golomb takes it; no cycle is converted to bolts. It equals the
+    best-approximation error.
     """
     _require_two_axes(f.grid)
-    return _cycle_supremum(f, enumerate_minimal_cycles(f.grid))[0]
+    return _cycle_supremum(f, _enumerate(f.grid, None, None, None)[0])[0]
 
 
 def bolt_to_json(cb: ClosedBolt | Bolt) -> dict:

@@ -29,10 +29,11 @@ from .cycles import (
     Decomposition,
     MinimalCycle,
     _enumerate,
+    _normalized_cycle,
     pair_to_json,
 )
-from .grids import SeparableSum, TabulatedFunction, residual, sup_norm
-from .linalg import CertificateError, LpProblem, RatMatrix, format_rat, solve_lp
+from .grids import GridPoint, SeparableSum, TabulatedFunction, residual, sup_norm
+from .linalg import CertificateError, LpProblem, RatMatrix, _int_row, format_rat, solve_lp
 from .measures import (
     FiniteSignedMeasure,
     integrate,
@@ -198,15 +199,33 @@ def cycle_functional(f: TabulatedFunction, cycle: MinimalCycle) -> Fraction:
 
 
 def _cycle_supremum(
-    f: TabulatedFunction, cycles: tuple[MinimalCycle, ...]
+    f: TabulatedFunction, hits: list[tuple[tuple[GridPoint, ...], list[int]]]
 ) -> tuple[Fraction, MinimalCycle | None]:
-    """The largest cycle functional of f over the cycles, with the first
-    cycle, in their order, that attains it (None when it is 0)."""
-    supremum, witness = Fraction(0), None
-    for cycle in cycles:
-        value = cycle_functional(f, cycle)
-        if value > supremum:
-            supremum, witness = value, cycle
+    """The largest cycle functional of f over ``_enumerate``'s hits, with the
+    first cycle, in their order, that attains it (None when it is 0).
+
+    Over f's common denominator D a hit scores the integers |sum n_i F(x_i)|
+    and sum |n_i|, compared by cross-multiplication. Only the witness is
+    built; a failed MinimalCycle check or functional raises CertificateError.
+    """
+    *values, den = _int_row(f.values)
+    value_at = dict(zip(f.grid.points(), values))
+    best, mass, arg = 0, 1, None
+    for points, relation in hits:
+        value = abs(sum(n * value_at[p] for n, p in zip(relation, points)))
+        total = sum(map(abs, relation))
+        if value * mass > best * total:
+            best, mass, arg = value, total, (points, relation)
+    supremum = Fraction(best, mass * den)
+    if arg is None:
+        return supremum, None
+    try:
+        witness = _normalized_cycle(*arg, f.grid)
+    except ValueError as exc:
+        raise CertificateError(f"the supremum's relation is not a minimal cycle: {exc}") from None
+    functional = cycle_functional(f, witness)
+    if functional != supremum:
+        raise CertificateError(f"the witness's functional {functional} is not the supremum {supremum}")
     return supremum, witness
 
 
@@ -218,31 +237,26 @@ def verify_golomb(
     """Check the duality formula on f's grid: the best-approximation error
     must equal the maximum of |integral of f| over all minimal cycles.
 
-    Enumeration work is capped by the candidate budget (point sets whose
-    independence was tested); if exceeded, the report says so instead of
-    guessing a verdict. The enumeration runs first, so a support cap below 2
-    is rejected before the LP is solved.
+    Each call searches afresh and takes the maximum on the integer relations,
+    building only the witness (``_cycle_supremum``). The candidate budget
+    (point sets whose independence was tested) caps the search; past it the
+    report says so instead of guessing a verdict. The enumeration runs
+    first, so a support cap below 2 is rejected before the LP is solved.
 
     A minimal cycle is a circuit of the incidence columns, so it has at most
     rank + 1 points, and at most |grid|; the full grid's incidence has rank
     sum(s_i) - n + 1, the dimension of the separable sums. A cap at least
     that large misses no cycle, and the report is complete.
     """
-    cycles, _, truncated = _enumerate(f.grid, None, max_support, budget)
+    hits, _, truncated = _enumerate(f.grid, None, max_support, budget)
     sizes = f.grid.factor_sizes
     largest = min(sum(sizes) - len(sizes) + 2, f.grid.volume)
     complete = not truncated and (max_support is None or max_support >= largest)
     result = best_error(f)
     if truncated:
-        return GolombReport(
-            error=result.error,
-            cycle_supremum=None,
-            witness=None,
-            cycles_examined=0,
-            equal=False,
-            enumerated=False,
-        )
-    supremum, witness = _cycle_supremum(f, cycles)
+        return GolombReport(error=result.error, cycle_supremum=None, witness=None,
+                            cycles_examined=0, equal=False, enumerated=False)
+    supremum, witness = _cycle_supremum(f, hits)
     equal = supremum == result.error
     if not (equal and result.error > 0):
         witness = None
@@ -250,7 +264,7 @@ def verify_golomb(
         error=result.error,
         cycle_supremum=supremum,
         witness=witness,
-        cycles_examined=len(cycles),
+        cycles_examined=len(hits),
         equal=equal,
         complete=complete,
     )

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bolts import bolt_to_json, cycle_to_closed_bolts
-from .chebyshev import best_error, report_to_json, verify_golomb
-from .cycles import decompose, enumerate_minimal_cycles, pair_to_json, to_golomb_form
+from .chebyshev import DEFAULT_ENUM_BUDGET, best_error, report_to_json, verify_golomb
+from .cycles import _enumerate, _normalized_cycle, decompose, pair_to_json, to_golomb_form
 from .grids import (
     ProductGrid,
     TabulatedFunction,
@@ -84,6 +84,12 @@ def _cmd_error(config: RunConfig) -> int:
     return 0
 
 
+def _cut_short() -> int:
+    print(f"error: the cycle search exceeded its budget of {DEFAULT_ENUM_BUDGET} candidates",
+          file=sys.stderr)
+    return 1
+
+
 def _cmd_verify(config: RunConfig) -> int:
     f = _load_function(config.input)
     report = verify_golomb(f, max_support=config.max_support)
@@ -100,10 +106,12 @@ def _cmd_cycles(config: RunConfig) -> int:
         grid = _load_function(config.input).grid
     else:
         raise ValueError("cycles needs --shape or --input")
-    cycles = enumerate_minimal_cycles(grid, max_support=config.max_support)
+    hits, _, truncated = _enumerate(grid, None, config.max_support, DEFAULT_ENUM_BUDGET)
+    if truncated:
+        return _cut_short()
     payload = {
         "shape": list(grid.factor_sizes),
-        "cycles": [pair_to_json(c.pair) for c in cycles],
+        "cycles": [pair_to_json(_normalized_cycle(*hit, grid).pair) for hit in hits],
     }
     _emit(config, payload)
     return 0
@@ -128,8 +136,9 @@ def _cmd_bolts(config: RunConfig) -> int:
     f = _load_function(config.input)
     if f.grid.n != 2:
         raise ValueError("bolts requires a two-axis grid")
-    # no candidate budget: the bolts report has no field for a search cut short
-    report = verify_golomb(f, max_support=config.max_support, budget=None)
+    report = verify_golomb(f, max_support=config.max_support, budget=DEFAULT_ENUM_BUDGET)
+    if not report.enumerated:
+        return _cut_short()
     witness = report.witness
     bolts = () if witness is None else cycle_to_closed_bolts(to_golomb_form(witness.pair))
     payload = {

@@ -246,8 +246,6 @@ def _normalized_cycle(
     points: tuple[GridPoint, ...], vec: Sequence[int], grid: ProductGrid
 ) -> MinimalCycle:
     total = sum(abs(x) for x in vec)
-    if vec[0] < 0:
-        total = -total
     return MinimalCycle(CycleVectorPair(grid, points, tuple(Fraction(x, total) for x in vec)))
 
 
@@ -284,9 +282,10 @@ def _circuits(
 ) -> tuple[list[tuple[tuple[int, ...], list[int]]], int, bool]:
     """Every circuit of at most ``cap`` columns of the incidence matrix whose
     column j holds a 1 in rows ``classes[j]``, as (column indices ascending,
-    integer relation), by size and then indices; the number of sets whose
-    independence was tested; and whether that number exceeded ``budget``,
-    in which case the search stopped at budget + 1 with the hits so far.
+    primitive integer relation with its first entry positive), by size and
+    then indices; the number of sets whose independence was tested; and
+    whether that number exceeded ``budget``, in which case the search
+    stopped at budget + 1 with the hits so far.
 
     A depth-first search over independent sets in index order. The basis
     rows are the chosen columns cleared against each other; each row also
@@ -343,7 +342,8 @@ def _circuits(
             if not any(v[:nrows]):
                 relation = v[nrows : nrows + d + 1]
                 if all(relation):
-                    hits.append((tuple(chosen) + (j,), relation))
+                    g = gcd(*relation) if relation[0] > 0 else -gcd(*relation)
+                    hits.append((tuple(chosen) + (j,), [x // g for x in relation]))
                 continue
             if not room:
                 continue
@@ -366,18 +366,16 @@ def _circuits(
     return hits, tested, truncated
 
 
-# full-grid enumerations are pure functions of (shape, cap); memoize them
-_FULL_CACHE: dict[tuple[tuple[int, ...], int], tuple[tuple[MinimalCycle, ...], int]] = {}
-
-
 def _enumerate(
     grid: ProductGrid,
     points: Sequence[GridPoint] | None,
     max_support: int | None,
     budget: int | None,
-) -> tuple[tuple[MinimalCycle, ...], int, bool]:
-    """Minimal cycles as the circuits of the incidence column matroid.
-    Returns (cycles, candidates, truncated).
+) -> tuple[list[tuple[tuple[GridPoint, ...], list[int]]], int, bool]:
+    """Minimal cycles as the circuits of the incidence column matroid, in
+    the order of ``enumerate_minimal_cycles``. Returns (hits, candidates,
+    truncated), a hit being (points in flat-index order, primitive integer
+    relation with its first entry positive).
 
     A candidate is a point set whose independence was tested (see
     ``_circuits``); the search stops and reports truncation as soon as the
@@ -386,35 +384,11 @@ def _enumerate(
     """
     if max_support is not None and max_support < 2:
         raise ValueError(f"max_support must be at least 2, got {max_support}")
-    if points is None:
-        pts = tuple(grid.points())
-        full = True
-    else:
-        pts = _sorted_by_index(points, grid)
-        full = len(pts) == grid.volume
-    if not pts:
-        return (), 0, False
+    pts = tuple(grid.points()) if points is None else _sorted_by_index(points, grid)
     classes, nrows = _class_ids(pts, grid.n)
     cap = _incidence_rank(pts, grid.n) + 1 if max_support is None else max_support
-    cap = min(cap, len(pts))
-
-    key = (grid.factor_sizes, cap)
-    if full:
-        cached = _FULL_CACHE.get(key)
-        if cached is not None:
-            cycles, candidates = cached
-            if budget is not None and candidates > budget:
-                return (), candidates, True
-            return cycles, candidates, False
-
-    hits, candidates, truncated = _circuits(classes, nrows, cap, budget)
-    result = tuple(
-        _normalized_cycle(tuple(pts[i] for i in support), relation, grid)
-        for support, relation in hits
-    )
-    if full and not truncated:
-        _FULL_CACHE[key] = (result, candidates)
-    return result, candidates, truncated
+    hits, candidates, truncated = _circuits(classes, nrows, min(cap, len(pts)), budget)
+    return [(tuple(pts[i] for i in sup), rel) for sup, rel in hits], candidates, truncated
 
 
 def enumerate_minimal_cycles(
@@ -434,8 +408,8 @@ def enumerate_minimal_cycles(
     Supports larger than rank(incidence) + 1 cannot occur, so that is the
     default cap; pass max_support to override.
     """
-    cycles, _, _ = _enumerate(grid, points, max_support, None)
-    return cycles
+    hits, _, _ = _enumerate(grid, points, max_support, None)
+    return tuple(_normalized_cycle(pts, relation, grid) for pts, relation in hits)
 
 
 _F0, _F1, _FM1 = Fraction(0), Fraction(1), Fraction(-1)

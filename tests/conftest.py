@@ -21,6 +21,7 @@ from golombdual import (
     TabulatedFunction,
     CycleVectorPair,
     closed_bolt_measure,
+    cycle_functional,
     cycle_to_closed_bolts,
     enumerate_minimal_cycles,
     integrate,
@@ -214,17 +215,38 @@ def subset_scan_cycles(
     return tuple(found)
 
 
-def bolt_supremum_by_conversion(f: TabulatedFunction) -> Fraction:
+def cycle_supremum_by_functional(
+    f: TabulatedFunction, max_support: int | None = None
+) -> tuple[Fraction, MinimalCycle | None, int]:
+    """Reference minimal-cycle supremum: the per-cycle loop that the integer
+    supremum on the circuit search's relations replaced.
+
+    Every minimal cycle is built as a normalized MinimalCycle and scored
+    with cycle_functional; returns the supremum, the first cycle in
+    enumeration order that attains it (None when it is 0), and the number
+    of cycles.
+    """
+    supremum, witness = Fraction(0), None
+    cycles = enumerate_minimal_cycles(f.grid, max_support=max_support)
+    for cycle in cycles:
+        value = cycle_functional(f, cycle)
+        if value > supremum:
+            supremum, witness = value, cycle
+    return supremum, witness, len(cycles)
+
+
+def bolt_supremum_by_conversion(f: TabulatedFunction, cycles=None) -> Fraction:
     """Reference closed-bolt supremum on a two-axis grid: the conversion
     loop that bolt_supremum replaced.
 
-    Every minimal cycle is written in two-part integer form, split into
-    closed bolts, and f is integrated against each bolt's own measure, so
-    this computes the supremum over bolts without relying on each cycle
-    being one bolt with the cycle's measure.
+    Every minimal cycle (``cycles``, enumerated on f's grid by default) is
+    written in two-part integer form, split into closed bolts, and f is
+    integrated against each bolt's own measure, so this computes the
+    supremum over bolts without relying on each cycle being one bolt with
+    the cycle's measure.
     """
     best = Fraction(0)
-    for cycle in enumerate_minimal_cycles(f.grid):
+    for cycle in enumerate_minimal_cycles(f.grid) if cycles is None else cycles:
         gc = to_golomb_form(cycle.pair)
         for cb in cycle_to_closed_bolts(gc):
             best = max(best, abs(integrate(f, closed_bolt_measure(cb))))

@@ -200,7 +200,10 @@ def test_6_two_axis_equivalence(instances, cycles_by_shape):
             continue
         checked += 1
         assert bolt_supremum(inst.f) == inst.result.error
-        assert bolt_supremum_by_conversion(inst.f) == inst.result.error
+        assert (
+            bolt_supremum_by_conversion(inst.f, cycles_by_shape[inst.shape])
+            == inst.result.error
+        )
         assert inst.cycle_supremum == inst.result.error
     bolts_checked = 0
     for shape in SHAPES:

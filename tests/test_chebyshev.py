@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import golombdual.chebyshev as chebyshev
 import golombdual.cycles as cycles
@@ -18,7 +20,9 @@ from golombdual import (
     CycleVectorPair,
     MinimalCycle,
     ProductGrid,
+    SeparableSum,
     best_error,
+    bolt_supremum,
     cycle_functional,
     enumerate_minimal_cycles,
     integrate,
@@ -37,7 +41,10 @@ from golombdual import (
 from conftest import (
     CUBE,
     FIVE_POINTS,
+    SIX_CERT,
+    SIX_POINTS,
     SQUARE,
+    cycle_supremum_by_functional,
     random_separable,
     random_table,
     table,
@@ -405,9 +412,8 @@ class TestVerifyGolomb:
             with pytest.raises(ValueError, match="at least 2"):
                 verify_golomb(f, max_support=cap)
 
-    def test_budget_cut_inside_the_search(self, monkeypatch):
-        # with nothing memoized the search itself stops after one candidate
-        monkeypatch.setattr(cycles, "_FULL_CACHE", {})
+    def test_budget_cut_inside_the_search(self):
+        # the search itself stops after one candidate
         f = random_table(random.Random(10), ProductGrid((3, 3)))
         report = verify_golomb(f, budget=1)
         assert not report.enumerated
@@ -428,6 +434,167 @@ class TestVerifyGolomb:
         assert obj["complete"] is True
         assert obj["cycles_examined"] == 1
         assert obj["witness"]["lambda"] == ["1/4", "-1/4", "-1/4", "1/4"]
+
+
+# denominators that share no factor with each other
+COPRIME_DENS = (999983, 1000003, 2**31 - 1, 3**13, 2**20)
+SMALL_SHAPES = ((2, 2), (2, 3), (3, 3), (1, 4), (1, 2, 3), (2, 1, 2), (2, 2, 2))
+
+
+def coprime_rational_table(rng: random.Random, grid: ProductGrid) -> TabulatedFunction:
+    values = tuple(
+        Fraction(rng.randint(-10**6, 10**6), rng.choice(COPRIME_DENS))
+        for _ in range(grid.volume)
+    )
+    return TabulatedFunction(grid, values)
+
+
+VALUES = st.one_of(
+    st.integers(-10, 10).map(Fraction),
+    st.integers(-10**12, 10**12).map(Fraction),
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.sampled_from(COPRIME_DENS)),
+)
+
+
+@st.composite
+def drawn_tables(draw) -> tuple[TabulatedFunction, int | None]:
+    """A table on a small grid, separable about a third of the time, with
+    an optional support cap."""
+    grid = ProductGrid(draw(st.sampled_from(SMALL_SHAPES)))
+    if draw(st.integers(0, 2)) == 0:
+        tables = tuple(tuple(draw(VALUES) for _ in range(s)) for s in grid.factor_sizes)
+        f = tabulate(SeparableSum(grid, tables))
+    else:
+        f = TabulatedFunction(grid, tuple(draw(VALUES) for _ in range(grid.volume)))
+    return f, draw(st.one_of(st.none(), st.integers(2, 6)))
+
+
+class TestIntegerSupremum:
+    """verify_golomb takes the supremum on the circuit search's integer
+    relations and builds only the witness. It must agree with the per-cycle
+    loop it replaced (``conftest.cycle_supremum_by_functional``) on the
+    supremum, the witness and the number of cycles examined."""
+
+    def check(self, f: TabulatedFunction, max_support: int | None = None):
+        supremum, witness, count = cycle_supremum_by_functional(f, max_support)
+        hits, _, _ = cycles._enumerate(f.grid, None, max_support, None)
+        assert chebyshev._cycle_supremum(f, hits) == (supremum, witness)
+        report = verify_golomb(f, max_support=max_support)
+        assert report.cycle_supremum == supremum
+        assert report.cycles_examined == count
+        if report.equal and report.error > 0:
+            assert report.witness.pair == witness.pair
+        else:
+            assert report.witness is None
+        return report
+
+    @pytest.mark.parametrize("shape", SMALL_SHAPES + ((3, 4), (3, 3, 2), (2, 2, 2, 2)))
+    def test_seeded_integer_tables(self, shape):
+        rng = random.Random(4141)
+        for _ in range(3):
+            assert self.check(random_table(rng, ProductGrid(shape))).equal
+
+    def test_separable_tables_have_no_witness(self):
+        rng = random.Random(4142)
+        for shape in SMALL_SHAPES:
+            report = self.check(tabulate(random_separable(rng, ProductGrid(shape))))
+            assert report.error == report.cycle_supremum == 0
+            assert report.witness is None and report.equal
+
+    def test_large_coprime_denominators(self):
+        rng = random.Random(4143)
+        for shape in ((3, 3), (2, 2, 2), (3, 4)):
+            assert self.check(coprime_rational_table(rng, ProductGrid(shape))).equal
+
+    def test_values_of_a_million_and_more(self):
+        rng = random.Random(4144)
+        for shape in ((3, 3), (2, 2, 2), (1, 2, 3)):
+            assert self.check(random_table(rng, ProductGrid(shape), bound=10**9)).equal
+
+    def test_capped_support(self):
+        rng = random.Random(4145)
+        for shape in ((3, 3), (2, 2, 2), (3, 4)):
+            f = random_table(rng, ProductGrid(shape))
+            for cap in range(2, 8):
+                self.check(f, cap)
+
+    @settings(max_examples=40, deadline=None)
+    @given(drawn_tables())
+    def test_drawn_tables(self, case):
+        f, cap = case
+        self.check(f, cap)
+
+
+class TestOnlyTheWitnessIsBuilt:
+    def count_builds(self, monkeypatch) -> list[tuple]:
+        calls: list[tuple] = []
+        real = cycles._normalized_cycle
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cycles, "_normalized_cycle", counted)
+        monkeypatch.setattr(chebyshev, "_normalized_cycle", counted)
+        return calls
+
+    @pytest.mark.parametrize("shape", ((3, 3, 2), (3, 4)))
+    def test_one_cycle_for_a_positive_error_none_for_zero(self, shape, monkeypatch):
+        calls = self.count_builds(monkeypatch)
+        grid = ProductGrid(shape)
+        rng = random.Random(4146)
+        for f in (random_table(rng, grid), tabulate(random_separable(rng, grid))):
+            calls.clear()
+            report = verify_golomb(f)
+            assert report.equal
+            assert len(calls) == (1 if report.error > 0 else 0)
+            if grid.n == 2:
+                calls.clear()
+                assert bolt_supremum(f) == report.error
+                assert len(calls) == (1 if report.error > 0 else 0)
+
+
+class TestWitnessAudit:
+    """The witness of the integer supremum is audited: a relation that is
+    not a minimal cycle, or a functional that disagrees, is a certificate
+    error."""
+
+    def corrupt_relations(self, monkeypatch) -> None:
+        real = chebyshev._enumerate
+
+        def corrupted(grid, points, max_support, budget):
+            hits, candidates, truncated = real(grid, points, max_support, budget)
+            return [(p, [2 * r[0]] + r[1:]) for p, r in hits], candidates, truncated
+
+        monkeypatch.setattr(chebyshev, "_enumerate", corrupted)
+
+    def test_corrupted_relation_fails_the_audit(self, monkeypatch):
+        f = random_table(random.Random(4147), ProductGrid((3, 3)))
+        assert verify_golomb(f).equal
+        self.corrupt_relations(monkeypatch)
+        with pytest.raises(CertificateError, match="not a minimal cycle"):
+            verify_golomb(f)
+
+    def test_corrupted_relation_exits_three(self, tmp_path, monkeypatch, capsys):
+        from golombdual.cli import main
+
+        path = tmp_path / "f.json"
+        assert main(["gen", "--shape", "3x3", "--seed", "4", "--output", str(path)]) == 0
+        self.corrupt_relations(monkeypatch)
+        out = tmp_path / "report.json"
+        assert main(["verify", "--input", str(path), "--output", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("certificate error: ")
+        assert not out.exists()
+
+    def test_a_cycle_that_is_not_minimal_fails_the_audit(self):
+        f = random_table(random.Random(4148), CUBE)
+        with pytest.raises(CertificateError, match="not a minimal cycle"):
+            chebyshev._cycle_supremum(f, [(SIX_POINTS, list(SIX_CERT))])
+
+    def test_a_functional_that_disagrees_fails_the_audit(self, monkeypatch):
+        monkeypatch.setattr(chebyshev, "cycle_functional", lambda f, c: Fraction(-1))
+        with pytest.raises(CertificateError, match="is not the supremum"):
+            verify_golomb(XY)
 
 
 class TestOptimalWitness:

@@ -205,6 +205,25 @@ class TestCyclesCommand:
         assert err != ""
 
 
+class TestSearchBudget:
+    """bolts and cycles run under verify's candidate budget; a search it
+    cuts short exits 1 with a message and writes no report. The budget is
+    lowered to 1 here: reaching the real 2^20 takes a 6x6 grid."""
+
+    @pytest.mark.parametrize("command", ("bolts", "cycles"))
+    def test_cut_search_exits_one_without_a_report(self, command, tmp_path, capsys, monkeypatch):
+        path = str(tmp_path / "f.json")
+        assert main(["gen", "--shape", "3x3", "--seed", "31", "--output", path]) == 0
+        out = tmp_path / "report.json"
+        assert main([command, "--input", path, "--output", str(out)]) == 0
+        out.unlink()
+        monkeypatch.setattr(cli, "DEFAULT_ENUM_BUDGET", 1)
+        code, stdout, err = run_main([command, "--input", path, "--output", str(out)], capsys)
+        assert (code, stdout) == (1, "")
+        assert err == "error: the cycle search exceeded its budget of 1 candidates\n"
+        assert not out.exists()
+
+
 class TestDecomposeCommand:
     def test_six_point_measure(self, tmp_path, capsys):
         from golombdual import CycleVectorPair, measure_from_pair

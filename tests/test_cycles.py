@@ -614,19 +614,16 @@ class TestCircuitSearch:
     same weights, in the same order."""
 
     @pytest.mark.parametrize("shape", SEARCH_SHAPES)
-    def test_full_grid_matches_subset_scan(self, shape, monkeypatch):
-        monkeypatch.setattr(cycles, "_FULL_CACHE", {})
+    def test_full_grid_matches_subset_scan(self, shape):
         grid = ProductGrid(shape)
-        found, _, truncated = cycles._enumerate(grid, None, None, None)
-        assert not truncated
+        found = enumerate_minimal_cycles(grid)
         assert found == subset_scan_cycles(grid)
         for c in found:
             assert integer_rank_is_exact(c.points, grid)
             assert cycles._incidence_rank(c.points, grid.n) == len(c.points) - 1
 
     @pytest.mark.parametrize("shape", ((2, 3), (3, 3), (3, 4), (4, 4), (2, 2, 2), (3, 2, 2)))
-    def test_every_cap_matches_subset_scan(self, shape, monkeypatch):
-        monkeypatch.setattr(cycles, "_FULL_CACHE", {})
+    def test_every_cap_matches_subset_scan(self, shape):
         grid = ProductGrid(shape)
         rank = matrix_rank(incidence_matrix(tuple(grid.points()), grid))
         for cap in range(2, rank + 2):
@@ -648,6 +645,22 @@ class TestCircuitSearch:
                 assert found == subset_scan_cycles(grid, subset, cap)
                 seen += len(found)
         assert seen > 0
+
+    @pytest.mark.parametrize("shape", ((3, 4), (3, 3, 2), (1, 2, 3)))
+    def test_hits_are_points_and_primitive_relations(self, shape):
+        # one hit per cycle: its points in flat-index order and its primitive
+        # integer relation, first entry positive, proportional to the weights
+        grid = ProductGrid(shape)
+        hits, _, truncated = cycles._enumerate(grid, None, None, None)
+        found = enumerate_minimal_cycles(grid)
+        assert not truncated and len(hits) == len(found)
+        for (points, relation), cycle in zip(hits, found):
+            assert points == cycle.points
+            flat = [point_index(grid, p) for p in points]
+            assert flat == sorted(flat)
+            assert relation[0] > 0 and gcd(*relation) == 1
+            mass = sum(abs(n) for n in relation)
+            assert tuple(Fraction(n, mass) for n in relation) == cycle.weights
 
     def test_integer_rank_on_non_minimal_sets(self):
         rng = random.Random(8087)
@@ -730,21 +743,18 @@ class TestSearchBudget:
         assert cycles._circuits(classes, nrows, cap, tested) == (hits, tested, False)
         assert len(calls) == tested
 
-    def test_enumerate_truncates_exactly_past_the_budget(self, monkeypatch):
-        monkeypatch.setattr(cycles, "_FULL_CACHE", {})
+    def test_enumerate_truncates_exactly_past_the_budget(self):
         grid = ProductGrid((4, 4))
         full, total, truncated = cycles._enumerate(grid, None, None, None)
-        assert not truncated and cycles._FULL_CACHE
-        monkeypatch.setattr(cycles, "_FULL_CACHE", {})
+        assert not truncated
         for b in (0, 1, total // 2, total - 1):
             found, candidates, truncated = cycles._enumerate(grid, None, None, b)
             assert truncated and candidates == b + 1
-            kept = set(found)
-            assert found == tuple(c for c in full if c in kept)
-            assert not cycles._FULL_CACHE  # a cut search is not memoized
+            assert found == [h for h in full if h in found]
         assert cycles._enumerate(grid, None, None, total) == (full, total, False)
-        # a memoized search keeps the budget: the cached count exceeds it
-        assert cycles._enumerate(grid, None, None, total - 1) == ((), total, True)
+        # every call searches afresh: one candidate short of the whole search
+        found, candidates, truncated = cycles._enumerate(grid, None, None, total - 1)
+        assert truncated and candidates == total and found == [h for h in full if h in found]
 
 
 class TestExtractExtremeCycle:
