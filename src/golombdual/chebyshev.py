@@ -22,9 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cycles import (
-    _F0,
-    _F1,
-    _FM1,
     CycleVectorPair,
     Decomposition,
     MinimalCycle,
@@ -42,6 +39,8 @@ from .measures import (
 )
 
 DEFAULT_ENUM_BUDGET = 1 << 20
+
+_F0, _F1, _FM1 = Fraction(0), Fraction(1), Fraction(-1)
 
 
 @dataclass(frozen=True)
@@ -88,10 +87,11 @@ def best_error(f: TabulatedFunction) -> ApproximationResult:
     t = max|f| is feasible, so the optimum has t <= max|f|. solve_lp turns
     t <= bound into t = bound - z with z >= 0, and each row's rhs then has
     the sign that makes its slack basic and feasible at g = 0, z = 0. So
-    the simplex starts from that point with no phase 1, and the row count
-    stays 2 |grid|. z >= 1 at the optimum is basic with reduced cost 0, so,
-    as without the bound, the row multipliers have absolute sum 1. Every
-    result is audited exactly; a failed audit raises CertificateError.
+    the simplex starts from that point, the only start solve_lp takes, and
+    the row count stays 2 |grid|. z >= 1 at the optimum is basic with
+    reduced cost 0, so, as without the bound, the row multipliers have
+    absolute sum 1. Every result is audited exactly; a failed audit raises
+    CertificateError.
     """
     grid = f.grid
     sizes = grid.factor_sizes

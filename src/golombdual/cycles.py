@@ -32,8 +32,6 @@ from .grids import (
 )
 from .linalg import (
     CertificateError,
-    LpProblem,
-    RatMatrix,
     _as_rat,
     _basis_row,
     _column_relations,
@@ -42,7 +40,6 @@ from .linalg import (
     _rank,
     format_rat,
     parse_rat,
-    solve_lp,
 )
 from .measures import (
     FiniteSignedMeasure,
@@ -412,62 +409,89 @@ def enumerate_minimal_cycles(
     return tuple(_normalized_cycle(pts, relation, grid) for pts, relation in hits)
 
 
-_F0, _F1, _FM1 = Fraction(0), Fraction(1), Fraction(-1)
-
-
 def extract_extreme_cycle(mu: FiniteSignedMeasure) -> MinimalCycle:
     """One minimal cycle inside the support of an annihilating measure, with
     weights matching the measure's signs.
 
-    Write the unknown weights as lambda_j = sigma_j * beta_j with sigma the
-    sign pattern of mu. The feasible set {beta >= 0, incidence.diag(sigma).
-    beta = 0, sum beta = 1} is a nonempty polytope (mu itself, scaled, lies
-    in it) and any vertex of it is supported on a minimal cycle: were the
-    restricted kernel more than one dimensional, a direction inside the
-    support would perturb the vertex both ways. The exact simplex returns a
-    basic solution, i.e. a vertex.
+    A conformal circuit walk (Rockafellar 1969, elementary vectors) on the
+    integer class columns of the support (``_class_ids``). The masses,
+    scaled to integers x, are a nowhere-zero kernel vector of the columns.
+    The columns are cleared in support order with ``_eliminate``, each
+    carrying a tail indexed by basis slot as in ``_circuits``; the first one
+    that clears to zero closes a circuit r among itself and the independent
+    columns before it. When r uses every remaining atom, the kernel there is
+    the line of x, so the remaining atoms are a minimal cycle with weights x.
+    Otherwise r is oriented to agree with x at its last column, and x - t r,
+    with the largest t that keeps every sign, stays a kernel vector that
+    agrees with x in sign and zeroes at least one atom. The zeroed atoms are
+    dropped, the basis rows of the columns before the first of them are
+    kept, and the walk resumes there; every step drops an atom, so it ends.
 
-    The rows are the incidence rows of the support (``_class_ids``) times
-    the signs, plus the sum row, written straight from the points' classes.
+    The points are the support's, taken by index. The cycle is built as a
+    MinimalCycle, whose rank check is independent of the walk, and its signs
+    are checked against the masses of ``mu``; a failed check raises
+    CertificateError.
     """
     if mu.is_zero():
         raise ValueError("cannot extract a cycle from the zero measure")
     if not is_orthogonal(mu):
         raise ValueError("measure does not annihilate separable sums")
     support = [p for p, _ in mu.atoms]
-    signs = [_F1 if m > 0 else _FM1 for _, m in mu.atoms]
-    k = len(support)
-    classes, nclasses = _class_ids(support, mu.grid.n)
-    entries = [_F0] * (nclasses * k) + [_F1] * k
-    for j, (cs, s) in enumerate(zip(classes, signs)):
-        for c in cs:
-            entries[c * k + j] = s
-    lp = LpProblem(
-        objective=(_F0,) * k,
-        matrix=RatMatrix(nclasses + 1, k, tuple(entries)),
-        relations=("=",) * (nclasses + 1),
-        rhs=(_F0,) * nclasses + (_F1,),
-        lower=(_F0,) * k,
-        upper=(None,) * k,
-        sense="min",
-    )
-    sol = solve_lp(lp)
-    if sol.status != "optimal":  # mu itself, scaled, is feasible and the objective is 0
-        raise CertificateError(f"the cycle extraction LP ended {sol.status}")
-    pts = []
-    lam = []
-    for j, beta in enumerate(sol.primal):
-        if beta > 0:
-            pts.append(support[j])
-            lam.append(signs[j] * beta)
-    return MinimalCycle(CycleVectorPair(mu.grid, tuple(pts), tuple(lam)))
+    masses = [m for _, m in mu.atoms]
+    classes, nrows = _class_ids(support, mu.grid.n)
+    cols = _class_columns(classes, nrows)
+    alive = list(range(len(support)))  # the support indices left
+    x = _int_row(masses)[:-1]  # their integer weights
+    basis: list[tuple[int, list[int]]] = []
+    while True:
+        d = len(basis)
+        if d == len(alive):
+            raise CertificateError("the remaining support has no integer relation")
+        col = cols[alive[d]] + [0] * (nrows + 1)
+        col[nrows + d] = 1
+        v = _eliminate(col, basis)
+        if any(v[:nrows]):
+            basis.append(_basis_row(v))
+            continue
+        r = v[nrows : nrows + d + 1]
+        if d + 1 == len(alive) and all(r):
+            break
+        if not r[d]:
+            raise CertificateError("a cleared column is missing from its own relation")
+        if (r[d] > 0) != (x[d] > 0):
+            r = [-e for e in r]
+        # x - t r with t = num / den, the least x_i / r_i where r agrees with x
+        num, den = abs(x[d]), abs(r[d])
+        for xi, e in zip(x, r):
+            if e and (e > 0) == (xi > 0) and abs(xi) * den < num * abs(e):
+                num, den = abs(xi), abs(e)
+        x = [den * xi - num * e for xi, e in zip(x, r)] + [den * xi for xi in x[d + 1 :]]
+        del basis[x.index(0) :]
+        alive = [i for i, xi in zip(alive, x) if xi]
+        x = [xi for xi in x if xi]
+        g = gcd(*x)
+        x = [xi // g for xi in x]
+    if any((xi > 0) != (masses[i] > 0) for i, xi in zip(alive, x)):
+        raise CertificateError("the extracted cycle's signs disagree with the measure")
+    total = sum(map(abs, x))
+    try:
+        return MinimalCycle(
+            CycleVectorPair(
+                mu.grid,
+                tuple(support[i] for i in alive),
+                tuple(Fraction(xi, total) for xi in x),
+            )
+        )
+    except ValueError as exc:
+        raise CertificateError(f"the extracted cycle is not a minimal cycle: {exc}") from exc
 
 
 def decompose(mu: FiniteSignedMeasure) -> Decomposition:
     """Write a total-variation-1 annihilating measure as a convex combination
     of minimal-cycle measures.
 
-    Each round extracts a sign-compatible minimal cycle from the residual and
+    Each round extracts a sign-compatible minimal cycle from the residual
+    (``extract_extreme_cycle``, by integer elimination, with no LP) and
     subtracts the largest multiple that keeps every residual mass on the same
     side of zero; that zeroes at least one atom, so there are at most
     support-size many terms, and sign compatibility makes the total

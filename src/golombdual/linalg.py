@@ -1,5 +1,5 @@
 """Exact rational linear algebra: dense matrices, null-space bases, and an
-exact two-phase simplex solver.
+exact simplex solver for LPs whose slacks are a feasible starting basis.
 
 Everything is exact rational arithmetic: inputs and results are
 ``fractions.Fraction``, and the simplex pivots on sparse integer rows
@@ -9,8 +9,8 @@ is a decidable exact test and results are reproducible bit for bit.
 
 ``_eliminate`` is the package's one fraction-free elimination: it clears
 integer columns against a basis of earlier ones. Kernel bases, ranks, the
-minimality check of a cycle and the circuit search of ``cycles`` all run
-on it.
+minimality check of a cycle, and the circuit search and the decomposition's
+circuit walk of ``cycles`` all run on it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Literal, Sequence
 
 Rat = Fraction
 
-Relation = Literal["<=", "=", ">="]
+Relation = Literal["<=", ">="]
 
 # characters occasionally pasted in place of an ASCII minus
 _MINUS_VARIANTS = ("−", "–")
@@ -70,13 +70,16 @@ def _as_rat(value: object) -> Fraction:
 
 @dataclass(frozen=True)
 class RatMatrix:
-    """Dense row-major matrix of rationals."""
+    """Dense row-major matrix of rationals; each entry must be an int or a
+    Fraction (``_as_rat``)."""
 
     rows: int
     cols: int
     entries: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        if not set(map(type, self.entries)) <= {Fraction}:
+            object.__setattr__(self, "entries", tuple(map(_as_rat, self.entries)))
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         if len(self.entries) != self.rows * self.cols:
@@ -84,25 +87,8 @@ class RatMatrix:
                 f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
             )
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Fraction | int]]) -> "RatMatrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        flat: list[Fraction] = []
-        for row in rows:
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            flat.extend(_as_rat(v) for v in row)
-        return cls(nrows, ncols, tuple(flat))
-
-    def at(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
-
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def row_lists(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
 
 
 def _int_row(values: Sequence[Fraction]) -> list[int]:
@@ -205,7 +191,10 @@ def matrix_rank(m: RatMatrix) -> int:
 @dataclass(frozen=True)
 class LpProblem:
     """A linear program ``sense c.x  subject to  A x rel b`` with optional
-    per-variable bounds. Variables without bounds are free."""
+    per-variable bounds, ``rel`` being ``<=`` or ``>=``. Variables without
+    bounds are free. Every value must be an int or a Fraction
+    (``_as_rat``). ``solve_lp`` takes only problems whose slacks are a
+    feasible starting basis (see there)."""
 
     objective: tuple[Fraction, ...]
     matrix: RatMatrix
@@ -216,6 +205,11 @@ class LpProblem:
     sense: Literal["min", "max"] = "min"
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "objective", tuple(map(_as_rat, self.objective)))
+        object.__setattr__(self, "rhs", tuple(map(_as_rat, self.rhs)))
+        for name in ("lower", "upper"):
+            bounds = tuple(None if v is None else _as_rat(v) for v in getattr(self, name))
+            object.__setattr__(self, name, bounds)
         n, m = self.matrix.cols, self.matrix.rows
         if len(self.objective) != n:
             raise ValueError("objective length does not match column count")
@@ -223,42 +217,20 @@ class LpProblem:
             raise ValueError("relations/rhs length does not match row count")
         if len(self.lower) != n or len(self.upper) != n:
             raise ValueError("bounds length does not match column count")
-        if any(rel not in ("<=", "=", ">=") for rel in self.relations):
-            raise ValueError("relation must be one of <=, =, >=")
+        if any(rel not in ("<=", ">=") for rel in self.relations):
+            raise ValueError("relation must be <= or >=")
         if self.sense not in ("min", "max"):
             raise ValueError("sense must be min or max")
-
-    @classmethod
-    def build(
-        cls,
-        objective: Sequence[Fraction | int],
-        rows: Sequence[Sequence[Fraction | int]],
-        relations: Sequence[str],
-        rhs: Sequence[Fraction | int],
-        sense: str = "min",
-        lower: Sequence[Fraction | int | None] | None = None,
-        upper: Sequence[Fraction | int | None] | None = None,
-    ) -> "LpProblem":
-        n = len(objective)
-        lo = tuple(None if v is None else _as_rat(v) for v in (lower or [None] * n))
-        up = tuple(None if v is None else _as_rat(v) for v in (upper or [None] * n))
-        return cls(
-            objective=tuple(_as_rat(v) for v in objective),
-            matrix=RatMatrix.from_rows(rows),
-            relations=tuple(relations),  # type: ignore[arg-type]
-            rhs=tuple(_as_rat(v) for v in rhs),
-            lower=lo,
-            upper=up,
-            sense=sense,  # type: ignore[arg-type]
-        )
 
 
 @dataclass(frozen=True)
 class LpSolution:
-    """Outcome of ``solve_lp``.
+    """Outcome of ``solve_lp``. ``infeasible`` means a variable's upper bound
+    lies below its lower bound; rows cannot make the problem infeasible,
+    since ``solve_lp`` takes only rows its slacks satisfy at the start.
 
     ``dual`` holds one multiplier per original constraint row, read from
-    the final reduced costs of the rows' unit columns. At an optimum the pair
+    the final reduced costs of the rows' slack columns. At an optimum the pair
     is audited for primal feasibility, dual feasibility and complementary
     slackness, and for bound-free problems ``sum(dual[i] * rhs[i])`` equals
     the objective value exactly.
@@ -271,7 +243,6 @@ class LpSolution:
 
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class CertificateError(AssertionError):
@@ -316,10 +287,7 @@ def _row_op(cur: _SparseRow, prow: _SparseRow, col: int) -> _SparseRow:
 
 
 def _run_simplex(
-    tableau: list[_SparseRow],
-    basis: list[int],
-    cost: list[Fraction],
-    barred: set[int],
+    tableau: list[_SparseRow], basis: list[int], cost: list[Fraction]
 ) -> tuple[str, _SparseRow]:
     """Bland-rule simplex on an equality-form tableau of sparse integer rows
     (``_row_op``). Column ``len(cost)`` is the rhs; the basic column of row
@@ -340,7 +308,7 @@ def _run_simplex(
             z = _row_op(z, row, basis[i])
     while True:
         enter = min(
-            (j for j, v in z[0].items() if v < 0 and j < ncols and j not in barred),
+            (j for j, v in z[0].items() if v < 0 and j < ncols),
             default=None,
         )
         if enter is None:
@@ -362,12 +330,8 @@ def _run_simplex(
 
 
 def _pivot(
-    tableau: list[_SparseRow],
-    basis: list[int],
-    z: _SparseRow | None,
-    row: int,
-    col: int,
-) -> _SparseRow | None:
+    tableau: list[_SparseRow], basis: list[int], z: _SparseRow, row: int, col: int
+) -> _SparseRow:
     """Pivot on (row, col) and return the updated reduced-cost row."""
     entries = tableau[row][0]
     piv = entries[col]
@@ -383,42 +347,42 @@ def _pivot(
     for i, cur in enumerate(tableau):
         if i != row and col in cur[0]:
             tableau[i] = _row_op(cur, prow, col)
-    if z is not None and col in z[0]:
+    if col in z[0]:
         z = _row_op(z, prow, col)
     basis[row] = col
     return z
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
-    """Exact two-phase simplex with Bland's anti-cycling rule.
+    """Exact primal simplex with Bland's anti-cycling rule, started from the
+    slack basis.
 
     Bounded variables are shifted or reflected onto nonnegative internal
     columns (an upper bound on a lower-bounded variable becomes one extra
-    internal row; a variable with only an upper bound u becomes u - z with
-    z >= 0 and adds no row); free variables are split into positive and
-    negative parts. Rows are flipped to a nonnegative rhs. Each
-    equality-form row starts with a unit column in the basis (the slack of
-    a ``<=`` row, the artificial of a ``>=`` or ``=`` row); phase 1 runs
-    only when some row needs an artificial, so a problem whose slacks are
-    already a feasible basis goes straight to phase 2.
+    internal ``<=`` row; a variable with only an upper bound u becomes
+    u - z with z >= 0 and adds no row); free variables are split into
+    positive and negative parts. Every ``>=`` row is negated into a ``<=``
+    row, and every row's slack starts the basis. That basis must be
+    feasible: a row whose rhs, net of the bound offsets, is negative after
+    the negation raises ValueError, since only a phase 1 could start from
+    it. The error LP of ``best_error`` always has this form.
 
     The tableau holds sparse integer rows (``_row_op``): each row keeps only
     its nonzero numerators, the rhs among them, plus one positive
     denominator, in lowest terms with one gcd per row update, so a pivot
     touches no zero and makes no ``Fraction``. A row is built from the
     nonzeros of its problem row over the lcm of the row's denominators; its
-    slack and artificial entries are that lcm, the integer form of 1 or -1.
-    The pivots, and hence the result, are those of the same Bland simplex
-    over dense rational rows. A row's simplex multiplier ``y = c_B B^-1`` is
-    the negated final phase-2 reduced cost of its unit column. The duals
-    are exact, and every optimum is audited for primal feasibility, dual
-    feasibility and complementary slackness; a failed audit raises
-    CertificateError.
+    slack entry is that lcm, the integer form of 1. The pivots, and hence
+    the result, are those of the same Bland simplex over dense rational
+    rows. A row's simplex multiplier ``y = c_B B^-1`` is the negated final
+    reduced cost of its slack column. The duals are exact, and every optimum
+    is audited for primal feasibility, dual feasibility and complementary
+    slackness; a failed audit raises CertificateError.
     """
     n = problem.matrix.cols
     m = problem.matrix.rows
     minimize = problem.sense == "min"
-    c_orig = [Fraction(v) for v in problem.objective]
+    c_orig = list(problem.objective)
     c_signed = c_orig if minimize else [-v for v in c_orig]
 
     # variable transforms: x_j = offset_j + sum(sign * z_col)
@@ -445,26 +409,31 @@ def solve_lp(problem: LpProblem) -> LpSolution:
             offsets.append(_ZERO)
             ncols_int += 2
 
-    c_int = [_ZERO] * ncols_int  # each internal column belongs to one variable
+    cost = [_ZERO] * (ncols_int + m + len(synthetic))
     for j in range(n):
         for col, sign in terms[j]:
-            c_int[col] = c_signed[j] if sign > 0 else -c_signed[j]
+            cost[col] = c_signed[j] if sign > 0 else -c_signed[j]
 
-    # internal rows, written straight as integer numerators over the lcm of
-    # their denominators from the nonzeros of the problem row: the original
-    # constraints, rhs net of the offsets and flipped to be nonnegative, then
-    # the synthetic upper-bound rows. Each is (internal column -> numerator,
-    # relation, rhs numerator, denominator) until the slack and artificial
-    # columns are counted.
-    int_rows: list[tuple[dict[int, int], str, int, int]] = []
+    # internal <= rows, written straight as integer numerators over the lcm
+    # of their denominators from the nonzeros of the problem row: the
+    # original constraints, rhs net of the offsets and negated with the row
+    # when it is a >= row, then the synthetic upper-bound rows. Row i's slack
+    # is column ncols_int + i, with entry den (the integer form of 1), and
+    # the rhs is column ``total``.
+    total = len(cost)
+    tableau: list[_SparseRow] = []
     flips: list[int] = []
     for i in range(m):
         arow = problem.matrix.row(i)
         nonzero = [j for j, a in enumerate(arow) if a]
         shift = sum((arow[j] * offsets[j] for j in nonzero if offsets[j]), _ZERO)
-        rel, b, flip = problem.relations[i], problem.rhs[i] - shift, 1
+        flip = 1 if problem.relations[i] == "<=" else -1
+        b = flip * (problem.rhs[i] - shift)
         if b < 0:
-            rel, b, flip = {"<=": ">=", ">=": "<=", "=": "="}[rel], -b, -1
+            raise ValueError(
+                f"row {i} ({problem.relations[i]} {problem.rhs[i]}) does not hold at the"
+                " starting point, so its slack cannot start the basis (there is no phase 1)"
+            )
         den = lcm(b.denominator, *(arow[j].denominator for j in nonzero))
         row: dict[int, int] = {}
         for j in nonzero:
@@ -472,62 +441,19 @@ def solve_lp(problem: LpProblem) -> LpSolution:
             v = flip * a.numerator * (den // a.denominator)
             for col, sign in terms[j]:
                 row[col] = v if sign > 0 else -v
-        int_rows.append((row, rel, b.numerator * (den // b.denominator), den))
-        flips.append(flip)
-    for col, ub in synthetic:
-        int_rows.append(({col: ub.denominator}, "<=", ub.numerator, ub.denominator))
-
-    # equality form: one slack column per inequality (+1 on <=, -1 on >=),
-    # then one artificial column per >= or = row, each the row's denominator
-    # in integer form, and the rhs as column ``total``. A row's unit column
-    # (the slack of a <= row, else its artificial) starts the basis.
-    m_eq = len(int_rows)
-    slack_count = sum(rel != "=" for _, rel, _, _ in int_rows)
-    total = ncols_int + slack_count + sum(rel != "<=" for _, rel, _, _ in int_rows)
-    slack_col, art_col = ncols_int, ncols_int + slack_count
-    tableau: list[_SparseRow] = []
-    basis: list[int] = []
-    for row, rel, rhs, den in int_rows:
-        if rel != "=":
-            row[slack_col] = den if rel == "<=" else -den
-            slack_col += 1
-        if rel == "<=":
-            basis.append(slack_col - 1)
-        else:
-            row[art_col] = den
-            basis.append(art_col)
-            art_col += 1
-        if rhs:
-            row[total] = rhs
+        row[ncols_int + i] = den
+        if b:
+            row[total] = b.numerator * (den // b.denominator)
         tableau.append((row, den))
-    # the starting basis is the identity: row i's unit column, whose reduced
-    # cost at the end is -(c_B B^-1)_i, the row's simplex multiplier
-    unit_cols = basis[:]
+        flips.append(flip)
+    for i, (col, ub) in enumerate(synthetic, start=m):
+        row = {col: ub.denominator, ncols_int + i: ub.denominator}
+        if ub:
+            row[total] = ub.numerator
+        tableau.append((row, ub.denominator))
+    basis = list(range(ncols_int, total))
 
-    art_set = set(range(ncols_int + slack_count, total))
-    if art_set:
-        cost1 = [_ZERO] * total
-        for col in art_set:
-            cost1[col] = _ONE
-        status, _ = _run_simplex(tableau, basis, cost1, set())
-        if status != "optimal":
-            raise CertificateError(f"phase 1 ended {status}, but it is bounded below by 0")
-        if any(total in tableau[i][0] for i in range(m_eq) if basis[i] in art_set):
-            return LpSolution("infeasible", (), (), None)
-        # drive leftover artificials out of the basis where possible
-        for i in range(m_eq):
-            if basis[i] in art_set:
-                j = min(
-                    (jj for jj in tableau[i][0] if jj < ncols_int + slack_count),
-                    default=None,
-                )
-                if j is not None:
-                    _pivot(tableau, basis, None, i, j)
-
-    cost2 = [_ZERO] * total
-    for col in range(ncols_int):
-        cost2[col] = c_int[col]
-    status, z = _run_simplex(tableau, basis, cost2, art_set)
+    status, z = _run_simplex(tableau, basis, cost)
     if status == "unbounded":
         return LpSolution("unbounded", (), (), None)
 
@@ -544,10 +470,12 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         x.append(val)
     objective = sum((c_orig[j] * x[j] for j in range(n)), _ZERO)
 
+    # the starting basis is the identity, so row i's slack column ends with
+    # reduced cost -(c_B B^-1)_i, the row's simplex multiplier
     z_entries, z_den = z
     dual = []
     for i in range(m):
-        v = Fraction(-z_entries.get(unit_cols[i], 0) * flips[i], z_den)
+        v = Fraction(-z_entries.get(ncols_int + i, 0) * flips[i], z_den)
         dual.append(v if minimize else -v)
 
     _check_optimum(problem, x, dual, objective)
@@ -576,10 +504,10 @@ def _check_optimum(
         nonzero = [j for j, a in enumerate(arow) if a]
         lhs = sum((arow[j] * x[j] for j in nonzero if x[j]), _ZERO)
         rel, b, y = problem.relations[i], problem.rhs[i], dual[i]
-        if not (lhs <= b if rel == "<=" else lhs >= b if rel == ">=" else lhs == b):
+        if not (lhs <= b if rel == "<=" else lhs >= b):
             raise CertificateError(f"row {i}: {lhs} {rel} {b} does not hold")
         # min: y <= 0 on a <= row and y >= 0 on a >= row; max flips both
-        if rel != "=" and (y > 0 if (rel == "<=") == minimize else y < 0):
+        if y > 0 if (rel == "<=") == minimize else y < 0:
             raise CertificateError(f"row {i}: dual {y} has the wrong sign for {rel}")
         if y != 0:
             if lhs != b:

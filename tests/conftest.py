@@ -13,7 +13,9 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
+import golombdual.cycles as cycles
 from golombdual import (
+    LpProblem,
     MinimalCycle,
     ProductGrid,
     RatMatrix,
@@ -67,6 +69,29 @@ def random_separable(
     return SeparableSum(grid, tables)
 
 
+def rat_matrix(rows) -> RatMatrix:
+    """The RatMatrix of a list of equal-length rows of ints or Fractions."""
+    width = len(rows[0]) if rows else 0
+    assert all(len(row) == width for row in rows), "ragged rows"
+    return RatMatrix(len(rows), width, tuple(v for row in rows for v in row))
+
+
+def lp(objective, rows, relations, rhs, sense="min", lower=None, upper=None) -> LpProblem:
+    """The LpProblem of plain lists: ``rows`` as in ``rat_matrix`` (with the
+    objective's width when there are none), a missing bound as None, and no
+    bounds at all by default. The constructor checks the values."""
+    n = len(objective)
+    return LpProblem(
+        objective=tuple(objective),
+        matrix=rat_matrix(rows) if rows else RatMatrix(0, n, ()),
+        relations=tuple(relations),
+        rhs=tuple(rhs),
+        lower=tuple(lower or [None] * n),
+        upper=tuple(upper or [None] * n),
+        sense=sense,
+    )
+
+
 def reference_incidence_matrix(points, grid: ProductGrid) -> RatMatrix:
     """Reference incidence matrix, built row by row from the coordinates and
     independent of the package's class numbering: one 0/1 row per realized
@@ -79,9 +104,7 @@ def reference_incidence_matrix(points, grid: ProductGrid) -> RatMatrix:
     for axis in range(grid.n):
         for value in sorted({p[axis] for p in pts}):
             rows.append([1 if p[axis] == value else 0 for p in pts])
-    if not rows:
-        return RatMatrix(0, 0, ())
-    return RatMatrix.from_rows(rows)
+    return rat_matrix(rows)
 
 
 def _bareiss_echelon(m: RatMatrix) -> tuple[list[list[int]], list[int]]:
@@ -345,3 +368,66 @@ def sparse_row(row: list[int]) -> tuple[dict[int, int], int]:
     """The sparse row ``(entries, den)`` of a dense integer row: its nonzero
     numerators by column, and its last entry as the denominator."""
     return {k: v for k, v in enumerate(row[:-1]) if v}, row[-1]
+
+
+def two_phase_minimum(objective, rows, relations, rhs) -> Fraction | str:
+    """Reference textbook two-phase simplex on the dense kernel above, for
+    ``min c.x`` subject to ``rows rel rhs`` (``<=``, ``>=`` or ``=``) with
+    every variable free; ``linalg.solve_lp`` takes only problems whose
+    slacks are a feasible start, and this solves the rest.
+
+    Each variable is split into positive and negative parts. Every row is
+    flipped to a nonnegative rhs, gets a slack if it is an inequality, and
+    an artificial that starts the basis. Phase 1 minimizes the sum of the
+    artificials; a positive minimum means "infeasible". Artificials left
+    basic at level 0 are pivoted out on any other nonzero entry of their
+    row (``dense_pivot`` without reduced costs), and phase 2 bars them from
+    entering. Returns the minimum, or "infeasible" or "unbounded".
+    """
+    n, m = len(objective), len(rows)
+    slack_rows = [i for i in range(m) if relations[i] != "="]
+    art = 2 * n + len(slack_rows)
+    width = art + m
+    tableau = []
+    for i, (row, rel, b) in enumerate(zip(rows, relations, rhs)):
+        sign = -1 if b < 0 else 1
+        dense = [Fraction(0)] * (width + 1)
+        for j, a in enumerate(row):
+            dense[j], dense[n + j] = sign * Fraction(a), -sign * Fraction(a)
+        if rel != "=":
+            dense[2 * n + slack_rows.index(i)] = sign * (1 if rel == "<=" else -1)
+        dense[art + i] = Fraction(1)
+        dense[width] = sign * Fraction(b)
+        tableau.append(_int_row(dense))
+    basis = list(range(art, width))
+    barred = set(basis)
+    phase1 = [Fraction(0)] * art + [Fraction(1)] * m
+    _, z = dense_run_simplex(tableau, basis, phase1, set())
+    if z[-2]:  # the rhs entry of z is the negated phase-1 minimum
+        return "infeasible"
+    for i in range(m):
+        if basis[i] in barred:
+            j = next((j for j in range(art) if tableau[i][j]), None)
+            if j is not None:
+                dense_pivot(tableau, basis, None, i, j)
+    phase2 = [Fraction(c) for c in objective] + [-Fraction(c) for c in objective]
+    phase2 += [Fraction(0)] * (width - 2 * n)
+    status, z = dense_run_simplex(tableau, basis, phase2, barred)
+    return status if status == "unbounded" else -Fraction(z[-2], z[-1])
+
+
+def corrupt_relations(monkeypatch, corruption: str) -> None:
+    """Make ``cycles._eliminate`` corrupt every relation it closes in the
+    extraction: the first tail entry of a column that clears to zero is
+    negated or raised by 1. Basis rows stay intact. The extraction's columns
+    hold nrows class entries and a tail of nrows + 1."""
+    eliminate = cycles._eliminate
+
+    def corrupted(col, basis):
+        v = eliminate(col, basis)
+        nrows = (len(col) - 1) // 2
+        if not any(v[:nrows]):
+            v[nrows] = -v[nrows] if corruption == "negated" else v[nrows] + 1
+        return v
+
+    monkeypatch.setattr(cycles, "_eliminate", corrupted)

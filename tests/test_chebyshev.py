@@ -45,9 +45,11 @@ from conftest import (
     SIX_POINTS,
     SQUARE,
     cycle_supremum_by_functional,
+    lp,
     random_separable,
     random_table,
     table,
+    two_phase_minimum,
 )
 from golombdual.linalg import solve_lp
 
@@ -124,7 +126,9 @@ class TestBestError:
 
 def error_without_bound(f: TabulatedFunction) -> Fraction:
     """min t s.t. -t <= f(x) - sum_i g_i(x_i) <= t with t and every g_i(v)
-    free: the error LP with neither the bound on t nor the gauge pinning."""
+    free: the error LP with neither the bound on t nor the gauge pinning.
+    Its slacks are no feasible start, so the reference two-phase simplex of
+    ``conftest`` solves it."""
     sizes = f.grid.factor_sizes
     offsets = [1 + sum(sizes[:axis]) for axis in range(f.grid.n)]
     ncols = 1 + sum(sizes)
@@ -138,9 +142,9 @@ def error_without_bound(f: TabulatedFunction) -> Fraction:
             rows.append(row)
             relations.append(rel)
             rhs.append(f.value_at(point))
-    sol = solve_lp(LpProblem.build([1] + [0] * (ncols - 1), rows, relations, rhs))
-    assert sol.status == "optimal"
-    return sol.objective
+    value = two_phase_minimum([1] + [0] * (ncols - 1), rows, relations, rhs)
+    assert isinstance(value, Fraction)
+    return value
 
 
 class TestErrorBound:
@@ -205,8 +209,8 @@ class TestErrorBound:
 
 
 def error_lp_by_build(f: TabulatedFunction) -> LpProblem:
-    """Reference error LP, the dense Fraction rows best_error used to pass
-    through LpProblem.build: column 0 is t, then g_0(v) for every v and
+    """Reference error LP, built from the dense Fraction rows that
+    best_error used to write: column 0 is t, then g_0(v) for every v and
     g_i(v) for v >= 1 on the later axes; per point the row sum g + t >= f(x),
     then sum g - t <= f(x); t bounded above by max|f| + 1."""
     grid = f.grid
@@ -227,7 +231,7 @@ def error_lp_by_build(f: TabulatedFunction) -> LpProblem:
             rhs.append(f.value_at(point))
     objective = [Fraction(1)] + [Fraction(0)] * (ncols - 1)
     upper = [max(abs(v) for v in f.values) + 1] + [None] * (ncols - 1)
-    return LpProblem.build(objective, rows, relations, rhs, sense="min", upper=upper)
+    return lp(objective, rows, relations, rhs, sense="min", upper=upper)
 
 
 class TestErrorLpBuild:

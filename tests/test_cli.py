@@ -15,7 +15,7 @@ import golombdual.cli as cli
 from golombdual import LpSolution, function_from_json, measure_to_json
 from golombdual.cli import main
 
-from conftest import CUBE, SIX_POINTS
+from conftest import CUBE, SIX_POINTS, corrupt_relations
 
 XY_CSV = "0,0\n0,1\n"
 
@@ -251,6 +251,16 @@ class TestDecomposeCommand:
         code, _, err = run_main(["decompose", "--input", path], capsys)
         assert code == 2
         assert err != ""
+
+    def test_corrupted_relation_exits_3(self, tmp_path, capsys, monkeypatch):
+        from golombdual import CycleVectorPair, measure_from_pair
+
+        corrupt_relations(monkeypatch, "shifted")
+        mu = measure_from_pair(CycleVectorPair(CUBE, SIX_POINTS, (3, -1, -1, -2, 2, -1)))
+        path = write(tmp_path / "mu.json", json.dumps(measure_to_json(mu)))
+        code, out, err = run_main(["decompose", "--input", path], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("certificate error: ")
 
 
 class TestBoltsCommand:

@@ -8,6 +8,8 @@ from itertools import combinations
 from math import gcd, lcm
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import golombdual.cycles as cycles
 from golombdual import (
@@ -16,8 +18,6 @@ from golombdual import (
     Decomposition,
     FiniteSignedMeasure,
     GolombCycle,
-    LpProblem,
-    LpSolution,
     MinimalCycle,
     ProductGrid,
     decompose,
@@ -36,7 +36,6 @@ from golombdual import (
     pair_from_json,
     pair_to_json,
     point_index,
-    solve_lp,
     to_golomb_form,
     total_variation,
 )
@@ -52,6 +51,7 @@ from conftest import (
     bareiss_kernel_basis,
     bareiss_rank,
     brute_force_minimal_cycles,
+    corrupt_relations,
     has_lonely_point,
     reference_incidence_matrix,
     subset_scan_cycles,
@@ -847,12 +847,25 @@ class TestDecompose:
         with pytest.raises(CertificateError, match="recombine"):
             decompose(mu)
 
-    def test_failed_extraction_lp_is_rejected(self, monkeypatch):
-        monkeypatch.setattr(
-            cycles, "solve_lp", lambda problem: LpSolution("infeasible", (), (), None)
-        )
-        with pytest.raises(CertificateError, match="infeasible"):
-            decompose(square_cycle().measure())
+    @pytest.mark.parametrize("corruption", ["negated", "shifted"])
+    def test_corrupted_relation_is_rejected(self, corruption, monkeypatch):
+        # a relation off the kernel leads the walk to a point set that has no
+        # relation left, or to weights whose class sums do not vanish
+        corrupt_relations(monkeypatch, corruption)
+        near = normalize_minimal(SQUARE, GRID44)
+        far = normalize_minimal(SQUARE_FAR, GRID44)
+        measures = [
+            near.measure() * Fraction(1, 2) + far.measure() * Fraction(1, 2),
+            measure_from_pair(CycleVectorPair(CUBE, SIX_POINTS, SIX_CERT)),
+        ]
+        rng = random.Random(3)
+        measures += [rectangle_sum(rng, shape, 14) for shape in ((10, 10), (5, 5, 4), (2, 2, 2, 2))]
+        for mu in measures:
+            mu = mu * (1 / total_variation(mu))
+            with pytest.raises(CertificateError):
+                extract_extreme_cycle(mu)
+            with pytest.raises(CertificateError):
+                decompose(mu)
 
 
 def rectangle_sum(rng: random.Random, shape: tuple[int, ...], atoms: int) -> FiniteSignedMeasure:
@@ -877,33 +890,65 @@ def rectangle_sum(rng: random.Random, shape: tuple[int, ...], atoms: int) -> Fin
     )
 
 
-def extraction_lp(mu: FiniteSignedMeasure) -> LpProblem:
-    """The cycle extraction LP built from a dense incidence matrix: sign-weighted
-    incidence rows and the sum row, all equalities, beta >= 0."""
-    support = [p for p, _ in mu.atoms]
-    signs = [1 if m > 0 else -1 for _, m in mu.atoms]
-    inc = reference_incidence_matrix(support, mu.grid)
-    rows = [[inc.at(r, j) * signs[j] for j in range(inc.cols)] for r in range(inc.rows)]
-    rows.append([1] * len(support))
-    return LpProblem.build(
-        objective=[0] * len(support),
-        rows=rows,
-        relations=["="] * len(rows),
-        rhs=[0] * inc.rows + [1],
-        sense="min",
-        lower=[0] * len(support),
-    )
+def assert_conformal_minimal(cycle: MinimalCycle, mu: FiniteSignedMeasure) -> None:
+    """``cycle`` lies in the support of ``mu`` with its signs, its class
+    sums vanish on every axis, and the reference incidence rank of its
+    points is one less than their number, all checked without the
+    package's class numbering or elimination."""
+    masses = dict(mu.atoms)
+    for p, w in zip(cycle.points, cycle.weights):
+        assert p in masses and (w > 0) == (masses[p] > 0)
+    for axis in range(mu.grid.n):
+        sums: dict[int, Fraction] = {}
+        for p, w in zip(cycle.points, cycle.weights):
+            sums[p[axis]] = sums.get(p[axis], Fraction(0)) + w
+        assert not any(sums.values())
+    points = cycle.points
+    assert bareiss_rank(reference_incidence_matrix(points, mu.grid)) == len(points) - 1
+    assert sum(abs(w) for w in cycle.weights) == 1
 
 
-def oracle_cycle(mu: FiniteSignedMeasure) -> MinimalCycle:
-    support = [p for p, _ in mu.atoms]
-    sol = solve_lp(extraction_lp(mu))
-    assert sol.status == "optimal"
-    pts = [p for p, beta in zip(support, sol.primal) if beta > 0]
-    lam = [
-        beta if m > 0 else -beta for (_, m), beta in zip(mu.atoms, sol.primal) if beta > 0
-    ]
-    return MinimalCycle(CycleVectorPair(mu.grid, tuple(pts), tuple(lam)))
+def assert_every_residual_extracts(mu: FiniteSignedMeasure) -> None:
+    """Decompose ``mu``; on every residual the extraction returns that
+    round's term, and it is a conformal minimal cycle of the residual."""
+    dec = decompose(mu)
+    residual = dict(mu.atoms)
+    for t, mc in dec.terms:
+        measure = FiniteSignedMeasure.from_atoms(mu.grid, residual.items())
+        assert extract_extreme_cycle(measure) == mc
+        assert_conformal_minimal(mc, measure)
+        for p, w in zip(mc.points, mc.weights):
+            residual[p] -= t * w
+    assert not any(residual.values())
+
+
+@st.composite
+def annihilating_measures(draw) -> FiniteSignedMeasure:
+    """A nonzero sum of signed 2x2 rectangles (``rectangle_sum``), which span
+    the annihilating measures, normalized to total variation 1: axes of size
+    1 to 4 with at least two of size 2 or more, one rectangle (a single
+    cycle) or several, which may be disjoint, and coefficients with
+    numerators up to 10^9 and denominators up to 10^12."""
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=2, max_size=4)))
+    wide = [axis for axis, size in enumerate(shape) if size >= 2]
+    assume(len(wide) >= 2)
+    acc: dict[tuple[int, ...], Fraction] = {}
+    for _ in range(draw(st.integers(1, 4))):
+        a1, a2 = draw(st.permutations(wide))[:2]
+        u = draw(st.permutations(range(shape[a1])))[:2]
+        v = draw(st.permutations(range(shape[a2])))[:2]
+        base = [draw(st.integers(0, size - 1)) for size in shape]
+        c = Fraction(draw(st.integers(1, 10**9)), draw(st.integers(1, 10**12)))
+        if draw(st.booleans()):
+            c = -c
+        for i, si in ((0, 1), (1, -1)):
+            for j, sj in ((0, 1), (1, -1)):
+                point = list(base)
+                point[a1], point[a2] = u[i], v[j]
+                acc[tuple(point)] = acc.get(tuple(point), Fraction(0)) + c * si * sj
+    mu = FiniteSignedMeasure.from_atoms(ProductGrid(shape), acc.items())
+    assume(not mu.is_zero())
+    return mu * (1 / total_variation(mu))
 
 
 # (shape, atom targets); the 16-point grid holds at most 16 atoms
@@ -914,33 +959,21 @@ RECTANGLE_SUMS = (
 )
 
 
-class TestExtractionAgainstDenseLp:
-    """The extraction LP is built straight from the support's coordinates;
-    it must be the LP built from a dense incidence matrix and give its cycle, on
-    the measure and on every residual of its decomposition."""
+class TestExtractionOracle:
+    """Every extracted cycle, on a measure and on every residual of its
+    decomposition, is a minimal cycle inside the residual's support with
+    the residual's signs, checked against the reference incidence rank."""
 
     @pytest.mark.parametrize("shape,targets", RECTANGLE_SUMS)
-    def test_same_lp_and_cycle_on_every_residual(self, shape, targets, monkeypatch):
-        built: list[LpProblem] = []
-
-        def recording_solve_lp(problem):
-            built.append(problem)
-            return solve_lp(problem)
-
-        monkeypatch.setattr(cycles, "solve_lp", recording_solve_lp)
+    def test_cycle_on_every_residual(self, shape, targets):
         rng = random.Random(4201)
         for atoms in targets:
-            mu = rectangle_sum(rng, shape, atoms)
-            dec = decompose(mu)
-            residual = dict(mu.atoms)
-            for t, mc in dec.terms:
-                measure = FiniteSignedMeasure.from_atoms(mu.grid, residual.items())
-                built.clear()
-                assert extract_extreme_cycle(measure) == mc == oracle_cycle(measure)
-                assert built == [extraction_lp(measure)]
-                for p, w in zip(mc.points, mc.weights):
-                    residual[p] -= t * w
-            assert not any(residual.values())
+            assert_every_residual_extracts(rectangle_sum(rng, shape, atoms))
+
+    @settings(max_examples=60, deadline=None)
+    @given(annihilating_measures())
+    def test_cycle_on_every_residual_of_drawn_measures(self, mu):
+        assert_every_residual_extracts(mu)
 
     @pytest.mark.parametrize("shape,targets", RECTANGLE_SUMS)
     def test_decomposition_is_sound(self, shape, targets):

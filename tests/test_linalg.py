@@ -32,7 +32,9 @@ from conftest import (
     bareiss_kernel_basis,
     bareiss_rank,
     dense_row,
+    lp,
     random_table,
+    rat_matrix,
     sparse_row,
 )
 
@@ -91,10 +93,11 @@ class TestRationalStrings:
 
 class TestRatMatrix:
     def test_from_rows(self):
-        m = RatMatrix.from_rows([[1, 2], [3, 4]])
+        m = rat_matrix([[1, 2], [3, 4]])
         assert (m.rows, m.cols) == (2, 2)
-        assert m.at(1, 0) == 3
-        assert m.row(0) == (Fraction(1), Fraction(2))
+        assert m.entries == (1, 2, 3, 4)
+        assert m.row(1) == (Fraction(3), Fraction(4))
+        assert all(type(v) is Fraction for v in m.entries)
 
     def test_entry_count_checked(self):
         with pytest.raises(ValueError):
@@ -103,26 +106,20 @@ class TestRatMatrix:
     @pytest.mark.parametrize("bad", [0.1, True, "1/4"], ids=["float", "bool", "string"])
     def test_from_rows_rejects_values_that_are_not_ints_or_fractions(self, bad):
         with pytest.raises(ValueError, match="int or a Fraction"):
-            RatMatrix.from_rows([[1, bad]])
-
-    def test_row_lists_copies(self):
-        m = RatMatrix.from_rows([[1, 2]])
-        rows = m.row_lists()
-        rows[0][0] = Fraction(99)
-        assert m.at(0, 0) == 1
+            rat_matrix([[1, bad]])
 
 
 class TestKernelBasis:
     def test_single_equation(self):
-        m = RatMatrix.from_rows([[1, 1]])
+        m = rat_matrix([[1, 1]])
         assert kernel_basis(m) == ((Fraction(1), Fraction(-1)),)
 
     def test_identity_has_trivial_kernel(self):
-        m = RatMatrix.from_rows([[1, 0], [0, 1]])
+        m = rat_matrix([[1, 0], [0, 1]])
         assert kernel_basis(m) == ()
 
     def test_zero_matrix_kernel_is_standard_basis(self):
-        m = RatMatrix.from_rows([[0, 0, 0], [0, 0, 0]])
+        m = rat_matrix([[0, 0, 0], [0, 0, 0]])
         assert kernel_basis(m) == (
             (Fraction(1), Fraction(0), Fraction(0)),
             (Fraction(0), Fraction(1), Fraction(0)),
@@ -143,7 +140,7 @@ class TestKernelBasis:
         )
 
     def test_fractional_entries(self):
-        m = RatMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)]])
+        m = rat_matrix([[Fraction(1, 2), Fraction(1, 3)]])
         (v,) = kernel_basis(m)
         assert v == (Fraction(2), Fraction(-3))
 
@@ -152,7 +149,7 @@ class TestKernelBasis:
         for _ in range(40):
             rows = rng.randint(1, 4)
             cols = rng.randint(1, 5)
-            m = RatMatrix.from_rows(
+            m = rat_matrix(
                 [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
             )
             for v in kernel_basis(m):
@@ -168,16 +165,16 @@ class TestKernelBasis:
         for entry in [integer] * 60 + [rational] * 60:
             rows = rng.randint(1, 5)
             cols = rng.randint(1, 6)
-            m = RatMatrix.from_rows(
+            m = rat_matrix(
                 [[entry() for _ in range(cols)] for _ in range(rows)]
             )
             basis = kernel_basis(m)
             assert len(basis) == cols - matrix_rank(m)
             for v in basis:
                 for i in range(rows):
-                    assert sum(m.at(i, j) * v[j] for j in range(cols)) == 0
+                    assert sum(a * w for a, w in zip(m.row(i), v)) == 0
             if basis:
-                stacked = RatMatrix.from_rows([list(v) for v in basis])
+                stacked = rat_matrix([list(v) for v in basis])
                 assert matrix_rank(stacked) == len(basis)
 
     def test_matches_bareiss_oracle(self):
@@ -197,7 +194,7 @@ class TestKernelBasis:
                 if rows > 2 and rng.random() < 0.5:  # force a dependent row
                     k = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                     table[rng.randrange(rows)] = [x + k * y for x, y in zip(table[0], table[1])]
-                m = RatMatrix.from_rows(table)
+                m = rat_matrix(table)
                 assert kernel_basis(m) == bareiss_kernel_basis(m), (name, table)
                 assert matrix_rank(m) == bareiss_rank(m), (name, table)
                 checked += 1
@@ -210,13 +207,36 @@ class TestKernelBasis:
 
 class TestMatrixRank:
     def test_examples(self):
-        assert matrix_rank(RatMatrix.from_rows([[1, 0], [0, 1]])) == 2
-        assert matrix_rank(RatMatrix.from_rows([[1, 2], [2, 4]])) == 1
-        assert matrix_rank(RatMatrix.from_rows([[0, 0]])) == 0
+        assert matrix_rank(rat_matrix([[1, 0], [0, 1]])) == 2
+        assert matrix_rank(rat_matrix([[1, 2], [2, 4]])) == 1
+        assert matrix_rank(rat_matrix([[0, 0]])) == 0
 
 
-def lp(objective, rows, relations, rhs, sense="min", lower=None, upper=None):
-    return LpProblem.build(objective, rows, relations, rhs, sense, lower, upper)
+def planted_lp(rng: random.Random):
+    """``max c.x s.t. Ax <= b, x >= 0`` built around a known optimal pair:
+    choose x*, y* >= 0, make rows tight where y* > 0 and columns tight where
+    x* > 0. Weak duality then certifies both as optimal with value
+    c.x* = y*.b. Every b_i is nonnegative, so that x = 0 is a feasible
+    start: a row with (A x*)_i < 0 gets y*_i = 0 and slack to reach 0.
+    Returns (A, b, c, c.x*)."""
+    m = rng.randint(1, 4)
+    n = rng.randint(1, 4)
+    a = [[Fraction(rng.randint(-5, 5)) for _ in range(n)] for _ in range(m)]
+    xs = [Fraction(max(0, rng.randint(-3, 5))) for _ in range(n)]
+    ys = [Fraction(max(0, rng.randint(-3, 5))) for _ in range(m)]
+    b = []
+    for i in range(m):
+        row_value = sum(a[i][j] * xs[j] for j in range(n))
+        if row_value < 0:
+            ys[i] = Fraction(0)
+        slack = Fraction(0) if ys[i] > 0 else rng.randint(0, 4) - min(row_value, 0)
+        b.append(row_value + slack)
+    c = []
+    for j in range(n):
+        col_value = sum(a[i][j] * ys[i] for i in range(m))
+        surplus = Fraction(0) if xs[j] > 0 else Fraction(rng.randint(0, 4))
+        c.append(col_value - surplus)
+    return a, b, c, sum(c[j] * xs[j] for j in range(n))
 
 
 class TestSolveLp:
@@ -236,25 +256,13 @@ class TestSolveLp:
         assert sol.dual == (Fraction(1),)
 
     def test_infeasible(self):
-        sol = solve_lp(lp([0], [[1], [1]], ["<=", ">="], [-1, 1]))
+        # a bound below its lower bound; rows are feasible at the start
+        sol = solve_lp(lp([0, 1], [[1, 1]], ["<="], [5], lower=[0, 2], upper=[3, 1]))
         assert sol.status == "infeasible"
 
     def test_unbounded(self):
         sol = solve_lp(lp([1], [[1]], [">="], [0], sense="max"))
         assert sol.status == "unbounded"
-
-    def test_equality_constraint(self):
-        sol = solve_lp(
-            lp(
-                [1, 1],
-                [[1, 1], [1, -1]],
-                ["=", "<="],
-                [4, 2],
-                lower=[0, 0],
-            )
-        )
-        assert sol.status == "optimal"
-        assert sol.objective == 4
 
     def test_lower_bound_drives_minimum(self):
         sol = solve_lp(lp([1], [[1]], ["<="], [10], lower=[2]))
@@ -296,7 +304,8 @@ class TestSolveLp:
     def test_two_sided_approximation_problem(self):
         # min t with u(x) + v(y) within t of the table f = x*y on {0,1}^2,
         # one pair of rows per point; v(0) pinned to zero by omission.
-        # Variables: t, u(0), u(1), v(1).
+        # Variables: t, u(0), u(1), v(1). As in best_error, t <= 2 never
+        # binds and makes every slack feasible at t = 2, u = v = 0.
         rows = []
         relations = []
         rhs = []
@@ -311,35 +320,17 @@ class TestSolveLp:
                 rows.append([-1, *u, *v])
                 relations.append("<=")
                 rhs.append(f)
-        sol = solve_lp(lp([1, 0, 0, 0], rows, relations, rhs))
+        sol = solve_lp(lp([1, 0, 0, 0], rows, relations, rhs, upper=[2, None, None, None]))
         assert sol.status == "optimal"
         assert sol.objective == Fraction(1, 4)
 
     def test_planted_optima_with_nonneg_rows(self):
-        # Build max c.x s.t. Ax <= b, x >= 0 around a known optimal pair:
-        # choose x*, y* >= 0, make rows tight where y* > 0 and columns tight
-        # where x* > 0. Weak duality then certifies both as optimal with
-        # value c.x* = y*.b. Nonnegativity is encoded as explicit rows so
-        # the reported duals account for every constraint.
+        # Nonnegativity is encoded as explicit rows so the reported duals
+        # account for every constraint.
         rng = random.Random(2024)
         for _ in range(30):
-            m = rng.randint(1, 4)
-            n = rng.randint(1, 4)
-            a = [[Fraction(rng.randint(-5, 5)) for _ in range(n)] for _ in range(m)]
-            xs = [Fraction(max(0, rng.randint(-3, 5))) for _ in range(n)]
-            ys = [Fraction(max(0, rng.randint(-3, 5))) for _ in range(m)]
-            b = []
-            for i in range(m):
-                row_value = sum(a[i][j] * xs[j] for j in range(n))
-                slack = Fraction(0) if ys[i] > 0 else Fraction(rng.randint(0, 4))
-                b.append(row_value + slack)
-            c = []
-            for j in range(n):
-                col_value = sum(a[i][j] * ys[i] for i in range(m))
-                surplus = Fraction(0) if xs[j] > 0 else Fraction(rng.randint(0, 4))
-                c.append(col_value - surplus)
-            target = sum(c[j] * xs[j] for j in range(n))
-
+            a, b, c, target = planted_lp(rng)
+            m, n = len(a), len(c)
             rows = [list(row) for row in a]
             relations = ["<="] * m
             rhs = list(b)
@@ -359,24 +350,8 @@ class TestSolveLp:
         # Same construction, nonnegativity via variable bounds instead of rows.
         rng = random.Random(55)
         for _ in range(30):
-            m = rng.randint(1, 4)
-            n = rng.randint(1, 4)
-            a = [[Fraction(rng.randint(-5, 5)) for _ in range(n)] for _ in range(m)]
-            xs = [Fraction(max(0, rng.randint(-3, 5))) for _ in range(n)]
-            ys = [Fraction(max(0, rng.randint(-3, 5))) for _ in range(m)]
-            b = []
-            for i in range(m):
-                row_value = sum(a[i][j] * xs[j] for j in range(n))
-                slack = Fraction(0) if ys[i] > 0 else Fraction(rng.randint(0, 4))
-                b.append(row_value + slack)
-            c = []
-            for j in range(n):
-                col_value = sum(a[i][j] * ys[i] for i in range(m))
-                surplus = Fraction(0) if xs[j] > 0 else Fraction(rng.randint(0, 4))
-                c.append(col_value - surplus)
-            target = sum(c[j] * xs[j] for j in range(n))
-
-            sol = solve_lp(lp(c, a, ["<="] * m, b, sense="max", lower=[0] * n))
+            a, b, c, target = planted_lp(rng)
+            sol = solve_lp(lp(c, a, ["<="] * len(a), b, sense="max", lower=[0] * len(c)))
             assert sol.status == "optimal"
             assert sol.objective == target
 
@@ -388,26 +363,35 @@ class TestSolveLp:
         with pytest.raises(ValueError):
             lp([1], [[1]], ["!"], [1])
         with pytest.raises(ValueError):
-            LpProblem.build([1], [[1]], ["<="], [1], sense="best")
+            lp([1], [[1]], ["<="], [1], sense="best")
+
+    @pytest.mark.parametrize("relations,rhs,lower", [
+        (["<="], [-1], None),  # x <= -1 with x free starts at x = 0
+        ([">="], [1], None),
+        (["<="], [1], [2]),  # x >= 2 starts at x = 2, so x <= 1 is violated
+        ([">="], [3], [2]),
+    ])
+    def test_row_needing_phase_one_is_rejected(self, relations, rhs, lower):
+        with pytest.raises(ValueError, match="row 0"):
+            solve_lp(lp([1], [[1]], relations, rhs, lower=lower))
+
+    def test_equality_constraint(self):
+        # an equality row has no slack to start from; it is written as a
+        # <= row and a >= row, or not at all
+        with pytest.raises(ValueError, match="<= or >="):
+            lp([1], [[1]], ["="], [0])
 
 
 def random_lp(rng: random.Random) -> LpProblem:
-    """A small LP with mixed relations and, at random: negative right-hand
-    sides (row flips), a redundant scaled copy of an equality row (its
-    artificial stays basic after phase 1), free variables only, or a mix of
-    free, upper-only, nonnegative and two-sided bounds, and either sense."""
+    """A small LP whose slacks are a feasible start: free variables only, or
+    a mix of free, upper-only, nonnegative and two-sided bounds; ``<=`` and
+    ``>=`` rows whose rhs lies 0 to 5 on the slack's side of the row's
+    value at the start (every variable at its lower bound, else at its
+    upper bound, else 0); at random a redundant copy of a row scaled by
+    +-1, 2 or -1/2 (a negative scale flips its relation), which makes ratio
+    ties; and either sense."""
     m = rng.randint(1, 4)
     n = rng.randint(1, 4)
-    rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
-    relations = [rng.choice(["<=", ">=", "="]) for _ in range(m)]
-    rhs = [rng.randint(-5, 5) for _ in range(m)]
-    if rng.random() < 0.5:
-        i = rng.randrange(m)
-        k = rng.choice([1, 2, -1, Fraction(-1, 2)])
-        relations[i] = "="
-        rows.append([k * v for v in rows[i]])
-        relations.append("=")
-        rhs.append(k * rhs[i])
     lower: list[int | None] = [None] * n
     upper: list[int | None] = [None] * n
     if rng.random() < 0.5:
@@ -420,6 +404,19 @@ def random_lp(rng: random.Random) -> LpProblem:
             elif kind == "two-sided":
                 lower[j] = rng.randint(-2, 2)
                 upper[j] = lower[j] + rng.randint(0, 3)
+    start = [lo if lo is not None else up if up is not None else 0 for lo, up in zip(lower, upper)]
+    rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+    relations = [rng.choice(["<=", ">="]) for _ in range(m)]
+    rhs = []
+    for row, rel in zip(rows, relations):
+        room = rng.randint(0, 5)
+        rhs.append(sum(a * x for a, x in zip(row, start)) + (room if rel == "<=" else -room))
+    if rng.random() < 0.5:
+        i = rng.randrange(m)
+        k = rng.choice([1, 2, -1, Fraction(-1, 2)])
+        rows.append([k * v for v in rows[i]])
+        relations.append(relations[i] if k > 0 else {"<=": ">=", ">=": "<="}[relations[i]])
+        rhs.append(k * rhs[i])
     objective = [rng.randint(-4, 4) for _ in range(n)]
     return lp(objective, rows, relations, rhs, rng.choice(["min", "max"]), lower, upper)
 
@@ -449,9 +446,9 @@ class TestDuals:
                 m, n = problem.matrix.rows, problem.matrix.cols
                 assert sum(sol.dual[i] * problem.rhs[i] for i in range(m)) == sol.objective
                 for j in range(n):
-                    column = sum(problem.matrix.at(i, j) * sol.dual[i] for i in range(m))
+                    column = sum(problem.matrix.row(i)[j] * sol.dual[i] for i in range(m))
                     assert column == problem.objective[j]
-        assert statuses == {"optimal", "infeasible", "unbounded"}
+        assert statuses == {"optimal", "unbounded"}
         assert bound_free_optima >= 100
 
 
@@ -491,7 +488,7 @@ class TestIntegerPivots:
         ]
         assert tableau[0] == ({0: 1, 1: 2, 3: 2, 4: 2}, 2)
         basis = [3, 2]
-        status, z = _run_simplex(tableau, basis, [Fraction(-1), *[Fraction(0)] * 3], set())
+        status, z = _run_simplex(tableau, basis, [Fraction(-1), *[Fraction(0)] * 3])
         assert status == "optimal"
         assert basis == [3, 0]
         # x0 = 2 in lowest terms (x0 + s_a/3 = 2), x1 + s_b - s_a/6 = 0, and
@@ -512,8 +509,7 @@ class DenseReplay:
 
     Each simplex run must take the same pivots as the dense one and end
     with the same status, basis, rows and reduced costs; so must every
-    single pivot, the phase-1 drive-out's too. No sparse row may store a
-    zero or a denominator below 1.
+    single pivot. No sparse row may store a zero or a denominator below 1.
     """
 
     def __init__(self, monkeypatch: pytest.MonkeyPatch) -> None:
@@ -521,7 +517,7 @@ class DenseReplay:
         self.dense_pivot = conftest.dense_pivot
         self.sparse_pivots: list[tuple[int, int]] = []
         self.dense_pivots: list[tuple[int, int]] = []
-        self.runs = self.pivots = self.drive_outs = 0
+        self.runs = self.pivots = 0
         monkeypatch.setattr(linalg, "_run_simplex", self._run_simplex)
         monkeypatch.setattr(linalg, "_pivot", self._pivot)
         monkeypatch.setattr(conftest, "dense_pivot", self._dense_pivot)
@@ -531,26 +527,23 @@ class DenseReplay:
         return self.dense_pivot(tableau, basis, z, row, col)
 
     def _pivot(self, tableau, basis, z, row, col):
-        rows = tableau if z is None else [*tableau, z]
-        width = 1 + max(k for entries, _ in rows for k in entries)
+        width = 1 + max(k for entries, _ in [*tableau, z] for k in entries)
         dense = [dense_row(r, width) for r in tableau]
         dense_basis = basis[:]
-        dense_z = None if z is None else dense_row(z, width)
-        dense_z = self.dense_pivot(dense, dense_basis, dense_z, row, col)
+        dense_z = self.dense_pivot(dense, dense_basis, dense_row(z, width), row, col)
         self.sparse_pivots.append((row, col))
         z = self.pivot(tableau, basis, z, row, col)
         self.check(tableau, basis, z, dense, dense_basis, dense_z)
         self.pivots += 1
-        self.drive_outs += z is None
         return z
 
-    def _run_simplex(self, tableau, basis, cost, barred):
+    def _run_simplex(self, tableau, basis, cost):
         dense = [dense_row(r, len(cost) + 1) for r in tableau]
         dense_basis = basis[:]
         self.dense_pivots.clear()
-        dense_status, dense_z = conftest.dense_run_simplex(dense, dense_basis, cost, barred)
+        dense_status, dense_z = conftest.dense_run_simplex(dense, dense_basis, cost, set())
         self.sparse_pivots.clear()
-        status, z = self.run_simplex(tableau, basis, cost, barred)
+        status, z = self.run_simplex(tableau, basis, cost)
         assert self.sparse_pivots == self.dense_pivots
         assert status == dense_status
         self.check(tableau, basis, z, dense, dense_basis, dense_z)
@@ -561,8 +554,8 @@ class DenseReplay:
     def check(tableau, basis, z, dense, dense_basis, dense_z) -> None:
         assert basis == dense_basis
         assert tableau == [sparse_row(r) for r in dense]
-        assert z == (None if dense_z is None else sparse_row(dense_z))
-        for entries, den in tableau if z is None else [*tableau, z]:
+        assert z == sparse_row(dense_z)
+        for entries, den in [*tableau, z]:
             assert den > 0 and 0 not in entries.values()
 
 
@@ -571,8 +564,9 @@ class TestSparseKernelMatchesDense:
         replay = DenseReplay(monkeypatch)
         rng = random.Random(4099)
         statuses = {solve_lp(random_lp(rng)).status for _ in range(300)}
-        assert statuses == {"optimal", "infeasible", "unbounded"}
-        assert replay.runs > 300 and replay.drive_outs > 0
+        assert statuses == {"optimal", "unbounded"}
+        # one simplex run per LP, straight from the slack basis
+        assert replay.runs == 300 and replay.pivots > 300
 
     def test_beale_cycling_example(self, monkeypatch):
         replay = DenseReplay(monkeypatch)
@@ -585,7 +579,7 @@ class TestSparseKernelMatchesDense:
         rng = random.Random(sum(shape))
         for _ in range(2):
             best_error(random_table(rng, ProductGrid(shape)))
-        # the error LP starts at a feasible basis: one phase-2 run per table
+        # the error LP starts at a feasible basis: one simplex run per table
         assert replay.runs == 2 and replay.pivots > 2
 
 
@@ -599,7 +593,7 @@ def assert_strong_duality(problem: LpProblem, sol) -> None:
     value = sum((y * b for y, b in zip(sol.dual, problem.rhs)), Fraction(0))
     for j in range(n):
         d = problem.objective[j] - sum(
-            (problem.matrix.at(i, j) * sol.dual[i] for i in range(m)), Fraction(0)
+            (problem.matrix.row(i)[j] * sol.dual[i] for i in range(m)), Fraction(0)
         )
         if d:
             lower_side = (d > 0) == (problem.sense == "min")
@@ -610,16 +604,7 @@ def assert_strong_duality(problem: LpProblem, sol) -> None:
 
 
 def no_rows(objective, sense="min", lower=None, upper=None) -> LpProblem:
-    n = len(objective)
-    return LpProblem(
-        objective=tuple(Fraction(c) for c in objective),
-        matrix=RatMatrix(0, n, ()),
-        relations=(),
-        rhs=(),
-        lower=tuple(None if v is None else Fraction(v) for v in (lower or [None] * n)),
-        upper=tuple(None if v is None else Fraction(v) for v in (upper or [None] * n)),
-        sense=sense,
-    )
+    return lp(objective, [], [], [], sense, lower, upper)
 
 
 class TestSparseTableauEdges:
@@ -627,17 +612,18 @@ class TestSparseTableauEdges:
     problems without rows."""
 
     def test_zero_row_below_a_negative_rhs_is_infeasible(self):
-        sol = solve_lp(lp([1, 1], [[0, 0], [1, 1]], ["<=", ">="], [-1, 0], lower=[0, 0]))
-        assert sol.status == "infeasible"
+        # no point satisfies 0 <= -1, and its slack cannot start the basis
+        with pytest.raises(ValueError, match="row 0"):
+            solve_lp(lp([1, 1], [[0, 0], [1, 1]], ["<=", "<="], [-1, 3], lower=[0, 0]))
 
-    @pytest.mark.parametrize("rel,rhs", [("=", 0), (">=", -1), ("<=", 0), ("<=", 3)])
+    @pytest.mark.parametrize("rel,rhs", [(">=", 0), (">=", -1), ("<=", 0), ("<=", 3)])
     def test_satisfied_zero_row_is_harmless(self, rel, rhs):
-        problem = lp([1, 2], [[0, 0], [1, 1]], [rel, ">="], [rhs, 2], lower=[0, 0])
+        problem = lp([1, 2], [[0, 0], [1, 1]], [rel, "<="], [rhs, 2], "max", lower=[0, 0])
         sol = solve_lp(problem)
         assert sol.status == "optimal"
-        assert sol.objective == 2
-        assert sol.primal == (2, 0)
-        assert sol.dual == (0, 1)
+        assert sol.objective == 4
+        assert sol.primal == (0, 2)
+        assert sol.dual == (0, 2)
         assert_strong_duality(problem, sol)
 
     def test_free_zero_column(self):
@@ -656,7 +642,8 @@ class TestSparseTableauEdges:
     ])
     def test_upper_bounded_zero_column(self, sense, cost, status, objective):
         problem = lp(
-            [1, cost], [[1, 0]], ["="], [1], sense=sense, upper=[None, Fraction(7, 2)]
+            [1, cost], [[1, 0]], ["<="], [1], sense=sense, lower=[1, None],
+            upper=[None, Fraction(7, 2)],
         )
         sol = solve_lp(problem)
         assert (sol.status, sol.objective) == (status, objective)
@@ -670,7 +657,7 @@ class TestSparseTableauEdges:
             [[2, 0], [-1, 0]],
             ["<=", "<="],
             [6, -1],
-            lower=[None, Fraction(-3, 2)],
+            lower=[1, Fraction(-3, 2)],
             upper=[None, 4],
         )
         sol = solve_lp(problem)
@@ -732,7 +719,7 @@ class TestCertificateAudits:
         assert issubclass(CertificateError, AssertionError)
 
     def test_corrupted_primal_is_rejected(self):
-        problem = lp([1, 1], [[1, 2], [3, 1]], [">=", ">="], [4, 6], lower=[0, 0])
+        problem = lp([1, 1], [[1, 2], [3, 1]], ["<=", "<="], [4, 6], "max", lower=[0, 0])
         sol = solve_lp(problem)
         x, y = list(sol.primal), list(sol.dual)
         _check_optimum(problem, x, y, sol.objective)
@@ -745,7 +732,7 @@ class TestCertificateAudits:
             _check_optimum(problem, [Fraction(-1), Fraction(10)], y, sol.objective)
 
     def test_corrupted_dual_is_rejected(self):
-        problem = lp([1, 1], [[1, 2], [3, 1]], [">=", ">="], [4, 6], lower=[0, 0])
+        problem = lp([1, 1], [[1, 2], [3, 1]], ["<=", "<="], [4, 6], "max", lower=[0, 0])
         sol = solve_lp(problem)
         x, y = list(sol.primal), list(sol.dual)
         with pytest.raises(CertificateError, match="wrong sign"):
@@ -760,9 +747,9 @@ class TestCertificateAudits:
     def test_audits_survive_python_optimize(self):
         code = (
             "from fractions import Fraction as F\n"
-            "from golombdual import CertificateError, LpProblem\n"
+            "from golombdual import CertificateError, LpProblem, RatMatrix\n"
             "from golombdual.linalg import _check_optimum\n"
-            "p = LpProblem.build([1], [[1]], ['>='], [0])\n"
+            "p = LpProblem((1,), RatMatrix(1, 1, (1,)), ('>=',), (0,), (None,), (None,))\n"
             "try:\n"
             "    _check_optimum(p, [F(0)], [F(2)], F(0))\n"
             "except CertificateError:\n"
