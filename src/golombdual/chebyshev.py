@@ -76,78 +76,74 @@ def best_error(f: TabulatedFunction) -> ApproximationResult:
     """Distance from f to the separable sums in the uniform norm, via an
     exact LP.
 
-    Variables are t and the table values g_i(value); the gauge freedom of
-    shifting constants between axes is removed by pinning g_i(0) = 0 on every
-    axis after the first. Each grid point contributes the two rows
-    sum g + t >= f(x) and sum g - t <= f(x); the dual measure puts
-    (upper multiplier) - (lower multiplier) at x. A positive error makes it
-    one minimal-cycle measure (module docstring); at error 0 it need not be.
+    The LP is min t s.t. -t <= f(x) - sum_i g_i(x_i) <= t at every grid
+    point, over t and the table values g_i(value); the gauge freedom of
+    shifting constants between axes is removed by pinning g_i(0) = 0 on
+    every axis after the first. It is written here in the one form that
+    solve_lp takes, min c.x s.t. A x <= b, x >= 0, b >= 0. With
+    B = max|f| + 1, column 0 is z = B - t, and each g variable is an
+    adjacent pair of columns (g+, g-) with g = g+ - g-. Each grid point
+    contributes the row z - sum g+ + sum g- <= B - f(x), then the row
+    z + sum g+ - sum g- <= B + f(x), and the LP minimizes -z, so the error
+    is B plus its value. Both rhs are at least 1, so the simplex starts from
+    the slack basis at t = B, g = 0, and the row count stays 2 |grid|.
 
-    t also gets the upper bound max|f| + 1, which never binds: g = 0 with
-    t = max|f| is feasible, so the optimum has t <= max|f|. solve_lp turns
-    t <= bound into t = bound - z with z >= 0, and each row's rhs then has
-    the sign that makes its slack basic and feasible at g = 0, z = 0. So
-    the simplex starts from that point, the only start solve_lp takes, and
-    the row count stays 2 |grid|. z >= 1 at the optimum is basic with
-    reduced cost 0, so, as without the bound, the row multipliers have
-    absolute sum 1. Every result is audited exactly; a failed audit raises
+    z >= 0 bounds t by B, which never binds: g = 0 with t = max|f| is
+    feasible, so the optimum has t <= max|f| and z >= 1. So z is basic with
+    reduced cost 0 and the row multipliers y <= 0 sum to -1. The dual
+    measure puts y(second row) - y(first row) at each point. A positive
+    error makes it one minimal-cycle measure (module docstring); at error 0
+    it need not be. Every result is audited exactly; a failed audit raises
     CertificateError.
     """
     grid = f.grid
     sizes = grid.factor_sizes
-    var_of: dict[tuple[int, int], int] = {}
-    col = 1  # column 0 is t
-    for value in range(sizes[0]):
-        var_of[(0, value)] = col
-        col += 1
-    for axis in range(1, grid.n):
-        for value in range(1, sizes[axis]):
-            var_of[(axis, value)] = col
-            col += 1
-    ncols = col
+    plus: dict[tuple[int, int], int] = {}  # (axis, value) -> column of g+; g- is next
+    for axis in range(grid.n):
+        for value in range(1 if axis else 0, sizes[axis]):
+            plus[(axis, value)] = 2 * len(plus) + 1
+    ncols = 2 * len(plus) + 1
 
     # two rows per point, written as one flat entries tuple with shared
-    # constants: sum g + t >= f(x), then sum g - t <= f(x)
+    # constants
     entries: list[Fraction] = []
     for point in grid.points():
         row = [_F0] * ncols
-        for axis, value in enumerate(point):
-            j = var_of.get((axis, value))
-            if j is not None:
-                row[j] = _F1
         row[0] = _F1
+        cols = [plus[key] for key in enumerate(point) if key in plus]
+        for j in cols:
+            row[j], row[j + 1] = _FM1, _F1
         entries += row
-        row[0] = _FM1
+        for j in cols:
+            row[j], row[j + 1] = _F1, _FM1
         entries += row
     npoints = grid.volume
     bound = max(abs(v) for v in f.values) + 1
     sol = solve_lp(
         LpProblem(
-            objective=(_F1,) + (_F0,) * (ncols - 1),
+            objective=(_FM1,) + (_F0,) * (ncols - 1),
             matrix=RatMatrix(2 * npoints, ncols, tuple(entries)),
-            relations=(">=", "<=") * npoints,
-            rhs=tuple(v for v in f.values for _ in range(2)),
-            lower=(None,) * ncols,
-            upper=(bound,) + (None,) * (ncols - 1),
+            rhs=tuple(w for v in f.values for w in (bound - v, bound + v)),
         )
     )
     # g = 0, t = max|f| is feasible and t >= 0 on every feasible point
-    if sol.status != "optimal" or sol.objective < 0:
-        raise CertificateError(f"the error LP ended {sol.status} with value {sol.objective}")
-    error = sol.objective
+    error = bound + sol.objective if sol.status == "optimal" else None
+    if error is None or error < 0:
+        raise CertificateError(f"the error LP ended {sol.status} with error {error}")
 
+    x = sol.primal
     tables = []
     for axis in range(grid.n):
         table = []
         for value in range(sizes[axis]):
-            j = var_of.get((axis, value))
-            table.append(sol.primal[j] if j is not None else Fraction(0))
+            j = plus.get((axis, value))
+            table.append(x[j] - x[j + 1] if j is not None else Fraction(0))
         tables.append(tuple(table))
     best_g = SeparableSum(grid, tuple(tables))
 
     atoms = []
     for idx, point in enumerate(grid.points()):
-        mass = sol.dual[2 * idx] + sol.dual[2 * idx + 1]
+        mass = sol.dual[2 * idx + 1] - sol.dual[2 * idx]
         if mass != 0:
             atoms.append((point, mass))
     mu = FiniteSignedMeasure(grid, tuple(atoms))
@@ -219,10 +215,7 @@ def _cycle_supremum(
     supremum = Fraction(best, mass * den)
     if arg is None:
         return supremum, None
-    try:
-        witness = _normalized_cycle(*arg, f.grid)
-    except ValueError as exc:
-        raise CertificateError(f"the supremum's relation is not a minimal cycle: {exc}") from None
+    witness = _normalized_cycle(*arg, f.grid)
     functional = cycle_functional(f, witness)
     if functional != supremum:
         raise CertificateError(f"the witness's functional {functional} is not the supremum {supremum}")

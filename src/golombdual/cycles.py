@@ -242,8 +242,15 @@ def _sorted_by_index(
 def _normalized_cycle(
     points: tuple[GridPoint, ...], vec: Sequence[int], grid: ProductGrid
 ) -> MinimalCycle:
+    """The MinimalCycle on ``points`` with the integer relation ``vec``
+    scaled to total mass 1, the one place that builds a cycle the package
+    computed. A relation that fails the constructor's checks is a fault of
+    that computation, so it raises CertificateError."""
     total = sum(abs(x) for x in vec)
-    return MinimalCycle(CycleVectorPair(grid, points, tuple(Fraction(x, total) for x in vec)))
+    try:
+        return MinimalCycle(CycleVectorPair(grid, points, tuple(Fraction(x, total) for x in vec)))
+    except ValueError as exc:
+        raise CertificateError(f"a computed relation is not a minimal cycle: {exc}") from None
 
 
 def is_minimal(points: Sequence[GridPoint], grid: ProductGrid) -> bool:
@@ -427,10 +434,10 @@ def extract_extreme_cycle(mu: FiniteSignedMeasure) -> MinimalCycle:
     dropped, the basis rows of the columns before the first of them are
     kept, and the walk resumes there; every step drops an atom, so it ends.
 
-    The points are the support's, taken by index. The cycle is built as a
-    MinimalCycle, whose rank check is independent of the walk, and its signs
-    are checked against the masses of ``mu``; a failed check raises
-    CertificateError.
+    The points are the support's, taken by index. The cycle's signs are
+    checked against the masses of ``mu``, and it is built by
+    ``_normalized_cycle``, whose MinimalCycle rank check is independent of
+    the walk; a failed check raises CertificateError.
     """
     if mu.is_zero():
         raise ValueError("cannot extract a cycle from the zero measure")
@@ -473,17 +480,7 @@ def extract_extreme_cycle(mu: FiniteSignedMeasure) -> MinimalCycle:
         x = [xi // g for xi in x]
     if any((xi > 0) != (masses[i] > 0) for i, xi in zip(alive, x)):
         raise CertificateError("the extracted cycle's signs disagree with the measure")
-    total = sum(map(abs, x))
-    try:
-        return MinimalCycle(
-            CycleVectorPair(
-                mu.grid,
-                tuple(support[i] for i in alive),
-                tuple(Fraction(xi, total) for xi in x),
-            )
-        )
-    except ValueError as exc:
-        raise CertificateError(f"the extracted cycle is not a minimal cycle: {exc}") from exc
+    return _normalized_cycle(tuple(support[i] for i in alive), x, mu.grid)
 
 
 def decompose(mu: FiniteSignedMeasure) -> Decomposition:

@@ -1,5 +1,5 @@
 """Exact rational linear algebra: dense matrices, null-space bases, and an
-exact simplex solver for LPs whose slacks are a feasible starting basis.
+exact simplex solver for ``min c.x  s.t.  A x <= b,  x >= 0`` with b >= 0.
 
 Everything is exact rational arithmetic: inputs and results are
 ``fractions.Fraction``, and the simplex pivots on sparse integer rows
@@ -21,8 +21,6 @@ from math import gcd, lcm
 from typing import Literal, Sequence
 
 Rat = Fraction
-
-Relation = Literal["<=", ">="]
 
 # characters occasionally pasted in place of an ASCII minus
 _MINUS_VARIANTS = ("−", "–")
@@ -190,53 +188,44 @@ def matrix_rank(m: RatMatrix) -> int:
 
 @dataclass(frozen=True)
 class LpProblem:
-    """A linear program ``sense c.x  subject to  A x rel b`` with optional
-    per-variable bounds, ``rel`` being ``<=`` or ``>=``. Variables without
-    bounds are free. Every value must be an int or a Fraction
-    (``_as_rat``). ``solve_lp`` takes only problems whose slacks are a
-    feasible starting basis (see there)."""
+    """The linear program ``min c.x  subject to  A x <= b,  x >= 0`` with
+    ``b >= 0``: ``objective`` is c, ``matrix`` is A and ``rhs`` is b. So
+    x = 0 is feasible, and every row's slack starts the simplex's basis.
+    Every value must be an int or a Fraction (``_as_rat``); a negative rhs
+    raises ValueError naming its row."""
 
     objective: tuple[Fraction, ...]
     matrix: RatMatrix
-    relations: tuple[Relation, ...]
     rhs: tuple[Fraction, ...]
-    lower: tuple[Fraction | None, ...]
-    upper: tuple[Fraction | None, ...]
-    sense: Literal["min", "max"] = "min"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "objective", tuple(map(_as_rat, self.objective)))
         object.__setattr__(self, "rhs", tuple(map(_as_rat, self.rhs)))
-        for name in ("lower", "upper"):
-            bounds = tuple(None if v is None else _as_rat(v) for v in getattr(self, name))
-            object.__setattr__(self, name, bounds)
-        n, m = self.matrix.cols, self.matrix.rows
-        if len(self.objective) != n:
+        if len(self.objective) != self.matrix.cols:
             raise ValueError("objective length does not match column count")
-        if len(self.relations) != m or len(self.rhs) != m:
-            raise ValueError("relations/rhs length does not match row count")
-        if len(self.lower) != n or len(self.upper) != n:
-            raise ValueError("bounds length does not match column count")
-        if any(rel not in ("<=", ">=") for rel in self.relations):
-            raise ValueError("relation must be <= or >=")
-        if self.sense not in ("min", "max"):
-            raise ValueError("sense must be min or max")
+        if len(self.rhs) != self.matrix.rows:
+            raise ValueError("rhs length does not match row count")
+        for i, b in enumerate(self.rhs):
+            if b < 0:
+                raise ValueError(
+                    f"row {i} has rhs {b} < 0, so x = 0 is not feasible and its slack"
+                    " cannot start the basis"
+                )
 
 
 @dataclass(frozen=True)
 class LpSolution:
-    """Outcome of ``solve_lp``. ``infeasible`` means a variable's upper bound
-    lies below its lower bound; rows cannot make the problem infeasible,
-    since ``solve_lp`` takes only rows its slacks satisfy at the start.
+    """Outcome of ``solve_lp``: ``optimal`` or ``unbounded`` (x = 0 is
+    always feasible).
 
-    ``dual`` holds one multiplier per original constraint row, read from
-    the final reduced costs of the rows' slack columns. At an optimum the pair
-    is audited for primal feasibility, dual feasibility and complementary
-    slackness, and for bound-free problems ``sum(dual[i] * rhs[i])`` equals
-    the objective value exactly.
+    ``dual`` holds one multiplier y_i <= 0 per row, read from the final
+    reduced costs of the rows' slack columns. At an optimum the pair is
+    audited for primal feasibility, dual feasibility and complementary
+    slackness, which make ``sum(dual[i] * rhs[i])`` equal the objective
+    value exactly.
     """
 
-    status: Literal["optimal", "infeasible", "unbounded"]
+    status: Literal["optimal", "unbounded"]
     primal: tuple[Fraction, ...]
     dual: tuple[Fraction, ...]
     objective: Fraction | None
@@ -354,171 +343,78 @@ def _pivot(
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
-    """Exact primal simplex with Bland's anti-cycling rule, started from the
-    slack basis.
-
-    Bounded variables are shifted or reflected onto nonnegative internal
-    columns (an upper bound on a lower-bounded variable becomes one extra
-    internal ``<=`` row; a variable with only an upper bound u becomes
-    u - z with z >= 0 and adds no row); free variables are split into
-    positive and negative parts. Every ``>=`` row is negated into a ``<=``
-    row, and every row's slack starts the basis. That basis must be
-    feasible: a row whose rhs, net of the bound offsets, is negative after
-    the negation raises ValueError, since only a phase 1 could start from
-    it. The error LP of ``best_error`` always has this form.
+    """Exact primal simplex with Bland's anti-cycling rule for
+    ``min c.x  s.t.  A x <= b,  x >= 0``, started from the slack basis at
+    x = 0, which ``b >= 0`` makes feasible.
 
     The tableau holds sparse integer rows (``_row_op``): each row keeps only
     its nonzero numerators, the rhs among them, plus one positive
     denominator, in lowest terms with one gcd per row update, so a pivot
-    touches no zero and makes no ``Fraction``. A row is built from the
-    nonzeros of its problem row over the lcm of the row's denominators; its
-    slack entry is that lcm, the integer form of 1. The pivots, and hence
-    the result, are those of the same Bland simplex over dense rational
-    rows. A row's simplex multiplier ``y = c_B B^-1`` is the negated final
-    reduced cost of its slack column. The duals are exact, and every optimum
-    is audited for primal feasibility, dual feasibility and complementary
-    slackness; a failed audit raises CertificateError.
+    touches no zero and makes no ``Fraction``. Row i is the nonzeros of
+    A's row i and b_i over the lcm of their denominators; its slack is
+    column n + i, with that lcm as entry, the integer form of 1. The pivots,
+    and hence the result, are those of the same Bland simplex over dense
+    rational rows. A row's simplex multiplier ``y = c_B B^-1`` is the
+    negated final reduced cost of its slack column. The duals are exact,
+    and every optimum is audited for primal feasibility, dual feasibility
+    and complementary slackness; a failed audit raises CertificateError.
     """
-    n = problem.matrix.cols
-    m = problem.matrix.rows
-    minimize = problem.sense == "min"
-    c_orig = list(problem.objective)
-    c_signed = c_orig if minimize else [-v for v in c_orig]
-
-    # variable transforms: x_j = offset_j + sum(sign * z_col)
-    terms: list[list[tuple[int, int]]] = []
-    offsets: list[Fraction] = []
-    synthetic: list[tuple[int, Fraction]] = []  # (internal col, upper rhs)
-    ncols_int = 0
-    for j in range(n):
-        lo, up = problem.lower[j], problem.upper[j]
-        if lo is not None and up is not None and up < lo:
-            return LpSolution("infeasible", (), (), None)
-        if lo is not None:
-            terms.append([(ncols_int, 1)])
-            offsets.append(lo)
-            if up is not None:
-                synthetic.append((ncols_int, up - lo))
-            ncols_int += 1
-        elif up is not None:
-            terms.append([(ncols_int, -1)])
-            offsets.append(up)
-            ncols_int += 1
-        else:
-            terms.append([(ncols_int, 1), (ncols_int + 1, -1)])
-            offsets.append(_ZERO)
-            ncols_int += 2
-
-    cost = [_ZERO] * (ncols_int + m + len(synthetic))
-    for j in range(n):
-        for col, sign in terms[j]:
-            cost[col] = c_signed[j] if sign > 0 else -c_signed[j]
-
-    # internal <= rows, written straight as integer numerators over the lcm
-    # of their denominators from the nonzeros of the problem row: the
-    # original constraints, rhs net of the offsets and negated with the row
-    # when it is a >= row, then the synthetic upper-bound rows. Row i's slack
-    # is column ncols_int + i, with entry den (the integer form of 1), and
-    # the rhs is column ``total``.
-    total = len(cost)
+    n, m = problem.matrix.cols, problem.matrix.rows
+    total = n + m  # the rhs column
     tableau: list[_SparseRow] = []
-    flips: list[int] = []
-    for i in range(m):
-        arow = problem.matrix.row(i)
-        nonzero = [j for j, a in enumerate(arow) if a]
-        shift = sum((arow[j] * offsets[j] for j in nonzero if offsets[j]), _ZERO)
-        flip = 1 if problem.relations[i] == "<=" else -1
-        b = flip * (problem.rhs[i] - shift)
-        if b < 0:
-            raise ValueError(
-                f"row {i} ({problem.relations[i]} {problem.rhs[i]}) does not hold at the"
-                " starting point, so its slack cannot start the basis (there is no phase 1)"
-            )
-        den = lcm(b.denominator, *(arow[j].denominator for j in nonzero))
-        row: dict[int, int] = {}
-        for j in nonzero:
-            a = arow[j]
-            v = flip * a.numerator * (den // a.denominator)
-            for col, sign in terms[j]:
-                row[col] = v if sign > 0 else -v
-        row[ncols_int + i] = den
+    for i, b in enumerate(problem.rhs):
+        nonzero = [(j, a) for j, a in enumerate(problem.matrix.row(i)) if a]
+        den = lcm(b.denominator, *(a.denominator for _, a in nonzero))
+        row = {j: a.numerator * (den // a.denominator) for j, a in nonzero}
+        row[n + i] = den
         if b:
             row[total] = b.numerator * (den // b.denominator)
         tableau.append((row, den))
-        flips.append(flip)
-    for i, (col, ub) in enumerate(synthetic, start=m):
-        row = {col: ub.denominator, ncols_int + i: ub.denominator}
-        if ub:
-            row[total] = ub.numerator
-        tableau.append((row, ub.denominator))
-    basis = list(range(ncols_int, total))
+    basis = list(range(n, total))
 
-    status, z = _run_simplex(tableau, basis, cost)
+    status, z = _run_simplex(tableau, basis, [*problem.objective, *[_ZERO] * m])
     if status == "unbounded":
         return LpSolution("unbounded", (), (), None)
 
-    # primal recovery
-    x_int = [_ZERO] * total
-    for i, (entries, den) in enumerate(tableau):
-        if total in entries:
-            x_int[basis[i]] = Fraction(entries[total], den)
-    x = []
-    for j in range(n):
-        val = offsets[j]
-        for col, sign in terms[j]:
-            val += x_int[col] if sign > 0 else -x_int[col]
-        x.append(val)
-    objective = sum((c_orig[j] * x[j] for j in range(n)), _ZERO)
-
+    x = [_ZERO] * n
+    for col, (entries, den) in zip(basis, tableau):
+        if col < n and total in entries:
+            x[col] = Fraction(entries[total], den)
+    objective = sum((c * v for c, v in zip(problem.objective, x) if v), _ZERO)
     # the starting basis is the identity, so row i's slack column ends with
     # reduced cost -(c_B B^-1)_i, the row's simplex multiplier
     z_entries, z_den = z
-    dual = []
-    for i in range(m):
-        v = Fraction(-z_entries.get(ncols_int + i, 0) * flips[i], z_den)
-        dual.append(v if minimize else -v)
+    dual = [Fraction(-z_entries.get(n + i, 0), z_den) for i in range(m)]
 
-    _check_optimum(problem, x, dual, objective)
+    _check_optimum(problem, x, dual)
     return LpSolution("optimal", tuple(x), tuple(dual), objective)
 
 
-def _check_optimum(
-    problem: LpProblem,
-    x: list[Fraction],
-    dual: list[Fraction],
-    objective: Fraction,
-) -> None:
-    """Exactness audit: primal feasibility, dual signs, complementary
-    slackness, and dual feasibility of the reduced costs ``c - A^T y``,
-    walking each row's nonzeros once. Raises CertificateError on the first
-    violation."""
-    n, m = problem.matrix.cols, problem.matrix.rows
-    minimize = problem.sense == "min"
-    for j in range(n):
-        lo, up = problem.lower[j], problem.upper[j]
-        if (lo is not None and x[j] < lo) or (up is not None and x[j] > up):
-            raise CertificateError(f"x[{j}] = {x[j]} violates its bounds [{lo}, {up}]")
+def _check_optimum(problem: LpProblem, x: list[Fraction], dual: list[Fraction]) -> None:
+    """Exactness audit of ``min c.x  s.t.  A x <= b,  x >= 0``: x >= 0,
+    A x <= b, y <= 0, no multiplier on a slack row (complementary
+    slackness), and reduced costs ``c - A^T y`` that are >= 0 and 0 wherever
+    x > 0, walking each row's nonzeros once. Together they make c.x = y.b
+    and both optimal. Raises CertificateError on the first violation."""
+    for j, v in enumerate(x):
+        if v < 0:
+            raise CertificateError(f"x[{j}] = {v} is negative")
     reduced = list(problem.objective)
-    for i in range(m):
+    for i, (b, y) in enumerate(zip(problem.rhs, dual)):
         arow = problem.matrix.row(i)
         nonzero = [j for j, a in enumerate(arow) if a]
         lhs = sum((arow[j] * x[j] for j in nonzero if x[j]), _ZERO)
-        rel, b, y = problem.relations[i], problem.rhs[i], dual[i]
-        if not (lhs <= b if rel == "<=" else lhs >= b):
-            raise CertificateError(f"row {i}: {lhs} {rel} {b} does not hold")
-        # min: y <= 0 on a <= row and y >= 0 on a >= row; max flips both
-        if y > 0 if (rel == "<=") == minimize else y < 0:
-            raise CertificateError(f"row {i}: dual {y} has the wrong sign for {rel}")
-        if y != 0:
+        if lhs > b:
+            raise CertificateError(f"row {i}: {lhs} <= {b} does not hold")
+        if y > 0:
+            raise CertificateError(f"row {i}: dual {y} is positive on a <= row")
+        if y:
             if lhs != b:
                 raise CertificateError(
                     f"row {i}: dual {y} is nonzero on a slack row (complementary slackness)"
                 )
             for j in nonzero:
                 reduced[j] -= arow[j] * y
-    for j in range(n):
-        # moving x_j down (up) off its bound must not improve the objective
-        d = reduced[j] if minimize else -reduced[j]
-        lo, up = problem.lower[j], problem.upper[j]
-        if (d > 0 and (lo is None or x[j] != lo)) or (d < 0 and (up is None or x[j] != up)):
+    for j, d in enumerate(reduced):
+        if d < 0 or (d > 0 and x[j]):
             raise CertificateError(f"column {j}: reduced cost {d} is not dual feasible")

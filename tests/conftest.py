@@ -76,20 +76,13 @@ def rat_matrix(rows) -> RatMatrix:
     return RatMatrix(len(rows), width, tuple(v for row in rows for v in row))
 
 
-def lp(objective, rows, relations, rhs, sense="min", lower=None, upper=None) -> LpProblem:
-    """The LpProblem of plain lists: ``rows`` as in ``rat_matrix`` (with the
-    objective's width when there are none), a missing bound as None, and no
-    bounds at all by default. The constructor checks the values."""
+def lp(objective, rows, rhs) -> LpProblem:
+    """The LpProblem ``min objective.x  s.t.  rows x <= rhs,  x >= 0`` of
+    plain lists: ``rows`` as in ``rat_matrix`` (with the objective's width
+    when there are none). The constructor checks the values."""
     n = len(objective)
-    return LpProblem(
-        objective=tuple(objective),
-        matrix=rat_matrix(rows) if rows else RatMatrix(0, n, ()),
-        relations=tuple(relations),
-        rhs=tuple(rhs),
-        lower=tuple(lower or [None] * n),
-        upper=tuple(upper or [None] * n),
-        sense=sense,
-    )
+    matrix = rat_matrix(rows) if rows else RatMatrix(0, n, ())
+    return LpProblem(objective=tuple(objective), matrix=matrix, rhs=tuple(rhs))
 
 
 def reference_incidence_matrix(points, grid: ProductGrid) -> RatMatrix:
@@ -373,8 +366,9 @@ def sparse_row(row: list[int]) -> tuple[dict[int, int], int]:
 def two_phase_minimum(objective, rows, relations, rhs) -> Fraction | str:
     """Reference textbook two-phase simplex on the dense kernel above, for
     ``min c.x`` subject to ``rows rel rhs`` (``<=``, ``>=`` or ``=``) with
-    every variable free; ``linalg.solve_lp`` takes only problems whose
-    slacks are a feasible start, and this solves the rest.
+    every variable free; ``linalg.solve_lp`` takes only
+    ``min c.x  s.t.  A x <= b,  x >= 0`` with b >= 0, and this solves the
+    rest.
 
     Each variable is split into positive and negative parts. Every row is
     flipped to a nonnegative rhs, gets a slack if it is an inequality, and
@@ -431,3 +425,15 @@ def corrupt_relations(monkeypatch, corruption: str) -> None:
         return v
 
     monkeypatch.setattr(cycles, "_eliminate", corrupted)
+
+
+def corrupt_enumeration(monkeypatch, module) -> None:
+    """Make ``module._enumerate`` double the first entry of every relation it
+    returns, so that no hit is a cycle vector any more."""
+    real = module._enumerate
+
+    def corrupted(grid, points, max_support, budget):
+        hits, candidates, truncated = real(grid, points, max_support, budget)
+        return [(p, [2 * r[0]] + r[1:]) for p, r in hits], candidates, truncated
+
+    monkeypatch.setattr(module, "_enumerate", corrupted)

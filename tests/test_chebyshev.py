@@ -44,6 +44,7 @@ from conftest import (
     SIX_CERT,
     SIX_POINTS,
     SQUARE,
+    corrupt_enumeration,
     cycle_supremum_by_functional,
     lp,
     random_separable,
@@ -162,8 +163,9 @@ class TestErrorBound:
         error = best_error(f).error
         (problem,) = problems
         assert problem.matrix.rows == 2 * f.grid.volume
-        assert problem.upper[0] == max(abs(v) for v in f.values) + 1
-        assert problem.lower == (None,) * problem.matrix.cols
+        assert problem.objective == (-1,) + (0,) * (problem.matrix.cols - 1)
+        bound = max(abs(v) for v in f.values) + 1
+        assert problem.rhs == tuple(w for v in f.values for w in (bound - v, bound + v))
         assert error == error_without_bound(f)
         assert error == verify_golomb(f).cycle_supremum
         return error
@@ -209,29 +211,38 @@ class TestErrorBound:
 
 
 def error_lp_by_build(f: TabulatedFunction) -> LpProblem:
-    """Reference error LP, built from the dense Fraction rows that
-    best_error used to write: column 0 is t, then g_0(v) for every v and
-    g_i(v) for v >= 1 on the later axes; per point the row sum g + t >= f(x),
-    then sum g - t <= f(x); t bounded above by max|f| + 1."""
+    """Reference error LP in standard form, built from dense rows of the LP
+    over t and g: column 0 is t, then g_0(v) for every v and g_i(v) for
+    v >= 1 on the later axes; per point the row t + sum g >= f(x), then
+    -t + sum g <= f(x). With B = max|f| + 1, t = B - z and g = g+ - g-
+    turn them into z - sum g+ + sum g- <= B - f(x) and
+    z + sum g+ - sum g- <= B + f(x) over the columns z, then a (g+, g-)
+    pair per g; the objective is min -z."""
     grid = f.grid
     var_of = {(0, v): 1 + v for v in range(grid.factor_sizes[0])}
     for axis in range(1, grid.n):
         for value in range(1, grid.factor_sizes[axis]):
             var_of[(axis, value)] = len(var_of) + 1
     ncols = len(var_of) + 1
-    rows, relations, rhs = [], [], []
+    bound = max(abs(v) for v in f.values) + 1
+    rows, rhs = [], []
     for point in grid.points():
-        base = [Fraction(0)] * ncols
+        g = [0] * ncols
         for axis, value in enumerate(point):
             if (axis, value) in var_of:
-                base[var_of[(axis, value)]] = Fraction(1)
-        for sign, rel in ((1, ">="), (-1, "<=")):
-            rows.append([Fraction(sign)] + base[1:])
-            relations.append(rel)
-            rhs.append(f.value_at(point))
-    objective = [Fraction(1)] + [Fraction(0)] * (ncols - 1)
-    upper = [max(abs(v) for v in f.values) + 1] + [None] * (ncols - 1)
-    return lp(objective, rows, relations, rhs, sense="min", upper=upper)
+                g[var_of[(axis, value)]] = 1
+        value = f.value_at(point)
+        # (t coefficient, g coefficient, rhs) of the >= row negated into
+        # -t - sum g <= -f(x), then of the <= row; t = B - z moves
+        # -(t coefficient) B to the right-hand side
+        for t_coef, sign, b in ((-1, -1, -value), (-1, 1, value)):
+            row = [-t_coef]
+            for j in range(1, ncols):
+                row += [sign * g[j], -sign * g[j]]
+            rows.append(row)
+            rhs.append(b - t_coef * bound)
+    objective = [-1] + [0] * (2 * ncols - 2)
+    return lp(objective, rows, rhs)
 
 
 class TestErrorLpBuild:
@@ -563,19 +574,10 @@ class TestWitnessAudit:
     not a minimal cycle, or a functional that disagrees, is a certificate
     error."""
 
-    def corrupt_relations(self, monkeypatch) -> None:
-        real = chebyshev._enumerate
-
-        def corrupted(grid, points, max_support, budget):
-            hits, candidates, truncated = real(grid, points, max_support, budget)
-            return [(p, [2 * r[0]] + r[1:]) for p, r in hits], candidates, truncated
-
-        monkeypatch.setattr(chebyshev, "_enumerate", corrupted)
-
     def test_corrupted_relation_fails_the_audit(self, monkeypatch):
         f = random_table(random.Random(4147), ProductGrid((3, 3)))
         assert verify_golomb(f).equal
-        self.corrupt_relations(monkeypatch)
+        corrupt_enumeration(monkeypatch, chebyshev)
         with pytest.raises(CertificateError, match="not a minimal cycle"):
             verify_golomb(f)
 
@@ -584,7 +586,7 @@ class TestWitnessAudit:
 
         path = tmp_path / "f.json"
         assert main(["gen", "--shape", "3x3", "--seed", "4", "--output", str(path)]) == 0
-        self.corrupt_relations(monkeypatch)
+        corrupt_enumeration(monkeypatch, chebyshev)
         out = tmp_path / "report.json"
         assert main(["verify", "--input", str(path), "--output", str(out)]) == 3
         assert capsys.readouterr().err.startswith("certificate error: ")

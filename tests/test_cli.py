@@ -15,7 +15,7 @@ import golombdual.cli as cli
 from golombdual import LpSolution, function_from_json, measure_to_json
 from golombdual.cli import main
 
-from conftest import CUBE, SIX_POINTS, corrupt_relations
+from conftest import CUBE, SIX_POINTS, corrupt_enumeration, corrupt_relations
 
 XY_CSV = "0,0\n0,1\n"
 
@@ -203,6 +203,12 @@ class TestCyclesCommand:
         code, _, err = run_main(["cycles"], capsys)
         assert code == 2
         assert err != ""
+
+    def test_computed_relation_that_fails_its_audit_exits_3(self, capsys, monkeypatch):
+        corrupt_enumeration(monkeypatch, cli)
+        code, out, err = run_main(["cycles", "--shape", "3x3"], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("certificate error: ") and "not a minimal cycle" in err
 
 
 class TestSearchBudget:

@@ -51,6 +51,7 @@ from conftest import (
     bareiss_kernel_basis,
     bareiss_rank,
     brute_force_minimal_cycles,
+    corrupt_enumeration,
     corrupt_relations,
     has_lonely_point,
     reference_incidence_matrix,
@@ -591,6 +592,11 @@ class TestEnumeration:
     def test_rejects_duplicate_points(self):
         with pytest.raises(ValueError):
             enumerate_minimal_cycles(GRID22, ((0, 0), (0, 0)))
+
+    def test_computed_relation_that_fails_its_audit_is_a_certificate_error(self, monkeypatch):
+        corrupt_enumeration(monkeypatch, cycles)
+        with pytest.raises(CertificateError, match="not a minimal cycle"):
+            enumerate_minimal_cycles(ProductGrid((3, 3)))
 
 
 # every two-axis shape from 2x2 to 5x4, and the small grids with 3 and 4 axes

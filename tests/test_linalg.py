@@ -213,132 +213,127 @@ class TestMatrixRank:
 
 
 def planted_lp(rng: random.Random):
-    """``max c.x s.t. Ax <= b, x >= 0`` built around a known optimal pair:
-    choose x*, y* >= 0, make rows tight where y* > 0 and columns tight where
-    x* > 0. Weak duality then certifies both as optimal with value
-    c.x* = y*.b. Every b_i is nonnegative, so that x = 0 is a feasible
-    start: a row with (A x*)_i < 0 gets y*_i = 0 and slack to reach 0.
-    Returns (A, b, c, c.x*)."""
+    """``min c.x s.t. Ax <= b, x >= 0`` built around a known optimal pair:
+    choose x* >= 0 and y* <= 0, make rows tight where y* < 0 and reduced
+    costs c - A^T y* zero where x* > 0 and nonnegative elsewhere. Weak
+    duality then certifies both as optimal with value c.x* = y*.b. Every b_i
+    is nonnegative, as the form requires: a row with (A x*)_i < 0 gets
+    y*_i = 0 and slack to reach 0. Returns (A, b, c, c.x*)."""
     m = rng.randint(1, 4)
     n = rng.randint(1, 4)
     a = [[Fraction(rng.randint(-5, 5)) for _ in range(n)] for _ in range(m)]
     xs = [Fraction(max(0, rng.randint(-3, 5))) for _ in range(n)]
-    ys = [Fraction(max(0, rng.randint(-3, 5))) for _ in range(m)]
+    ys = [Fraction(min(0, rng.randint(-5, 3))) for _ in range(m)]
     b = []
     for i in range(m):
         row_value = sum(a[i][j] * xs[j] for j in range(n))
         if row_value < 0:
             ys[i] = Fraction(0)
-        slack = Fraction(0) if ys[i] > 0 else rng.randint(0, 4) - min(row_value, 0)
+        slack = Fraction(0) if ys[i] < 0 else rng.randint(0, 4) - min(row_value, 0)
         b.append(row_value + slack)
     c = []
     for j in range(n):
         col_value = sum(a[i][j] * ys[i] for i in range(m))
         surplus = Fraction(0) if xs[j] > 0 else Fraction(rng.randint(0, 4))
-        c.append(col_value - surplus)
+        c.append(col_value + surplus)
     return a, b, c, sum(c[j] * xs[j] for j in range(n))
 
 
 class TestSolveLp:
-    @pytest.mark.parametrize("field", ["objective", "rows", "rhs", "lower", "upper"])
+    @pytest.mark.parametrize("field", ["objective", "rows", "rhs"])
     def test_build_rejects_float_values(self, field):
-        args = {"objective": [1], "rows": [[1]], "rhs": [3], "lower": [0], "upper": [5]}
+        args = {"objective": [1], "rows": [[1]], "rhs": [3]}
         args[field] = [[0.1]] if field == "rows" else [0.1]
         with pytest.raises(ValueError, match="int or a Fraction"):
-            lp(args["objective"], args["rows"], ["<="], args["rhs"], "max",
-               args["lower"], args["upper"])
+            lp(args["objective"], args["rows"], args["rhs"])
 
     def test_single_bound_max(self):
-        sol = solve_lp(lp([1], [[1]], ["<="], [3], sense="max"))
+        # max x s.t. x <= 3 is min -x
+        sol = solve_lp(lp([-1], [[1]], [3]))
         assert sol.status == "optimal"
-        assert sol.objective == 3
+        assert sol.objective == -3
         assert sol.primal == (Fraction(3),)
-        assert sol.dual == (Fraction(1),)
-
-    def test_infeasible(self):
-        # a bound below its lower bound; rows are feasible at the start
-        sol = solve_lp(lp([0, 1], [[1, 1]], ["<="], [5], lower=[0, 2], upper=[3, 1]))
-        assert sol.status == "infeasible"
+        assert sol.dual == (Fraction(-1),)
 
     def test_unbounded(self):
-        sol = solve_lp(lp([1], [[1]], [">="], [0], sense="max"))
-        assert sol.status == "unbounded"
+        sol = solve_lp(lp([-1], [[-1]], [0]))
+        assert (sol.status, sol.primal, sol.dual, sol.objective) == ("unbounded", (), (), None)
 
     def test_lower_bound_drives_minimum(self):
-        sol = solve_lp(lp([1], [[1]], ["<="], [10], lower=[2]))
+        # min x s.t. x <= 10, x >= 2, written with x = 2 + w: min w s.t. w <= 8
+        sol = solve_lp(lp([1], [[1]], [8]))
         assert sol.status == "optimal"
-        assert sol.objective == 2
+        assert 2 + sol.primal[0] == 2 and sol.objective == 0
 
     def test_upper_bound_caps_maximum(self):
-        sol = solve_lp(lp([1], [[1]], ["<="], [9], sense="max", upper=[7]))
+        # max x s.t. x <= 9, x <= 7, written with the reflection x = 7 - w
+        # (as best_error writes t = B - z): min w s.t. -w <= 2
+        sol = solve_lp(lp([1], [[-1]], [2]))
         assert sol.status == "optimal"
-        assert sol.objective == 7
+        assert 7 - sol.primal[0] == 7
 
     def test_free_variable_reaches_negative_values(self):
-        sol = solve_lp(lp([1], [[1]], [">="], [-3]))
+        # min x s.t. x >= -3, x free, written with the split x = x+ - x-
+        # (as best_error writes g): min x+ - x- s.t. -x+ + x- <= 3
+        sol = solve_lp(lp([1, -1], [[-1, 1]], [3]))
         assert sol.status == "optimal"
-        assert sol.primal == (Fraction(-3),)
-        assert sol.objective == -3
+        assert sol.primal[0] - sol.primal[1] == -3 == sol.objective
 
     def test_two_sided_bounds(self):
-        sol = solve_lp(
-            lp([1, 2], [[1, 1]], ["<="], [10], sense="max", lower=[0, 0], upper=[4, 3])
-        )
+        # max x + 2y s.t. x + y <= 10, 0 <= x <= 4, 0 <= y <= 3: the upper
+        # bounds are rows of their own
+        sol = solve_lp(lp([-1, -2], [[1, 1], [1, 0], [0, 1]], [10, 4, 3]))
         assert sol.status == "optimal"
-        assert sol.objective == 10  # x=4, y=3
+        assert sol.objective == -10 and sol.primal == (4, 3)
+
+    def test_equality_constraint(self):
+        # an equality row is a <= row and its negation, which b >= 0 allows
+        # only for b = 0: min -x0 s.t. x0 - x1 = 0, x1 <= 3
+        problem = lp([-1, 0], [[1, -1], [-1, 1], [0, 1]], [0, 0, 3])
+        sol = solve_lp(problem)
+        assert sol.status == "optimal"
+        assert sol.primal == (3, 3) and sol.objective == -3
+        assert_strong_duality(problem, sol)
 
     def test_fractional_data(self):
-        sol = solve_lp(
-            lp(
-                [Fraction(1, 3)],
-                [[Fraction(2, 5)]],
-                ["<="],
-                [Fraction(1, 7)],
-                sense="max",
-                lower=[0],
-            )
-        )
+        sol = solve_lp(lp([Fraction(-1, 3)], [[Fraction(2, 5)]], [Fraction(1, 7)]))
         assert sol.status == "optimal"
-        assert sol.objective == Fraction(1, 3) * Fraction(5, 14)
+        assert sol.objective == -Fraction(1, 3) * Fraction(5, 14)
 
     def test_two_sided_approximation_problem(self):
-        # min t with u(x) + v(y) within t of the table f = x*y on {0,1}^2,
-        # one pair of rows per point; v(0) pinned to zero by omission.
-        # Variables: t, u(0), u(1), v(1). As in best_error, t <= 2 never
-        # binds and makes every slack feasible at t = 2, u = v = 0.
-        rows = []
-        relations = []
-        rhs = []
+        # the error LP of the table f = x*y on {0,1}^2 as best_error writes
+        # it: B = max|f| + 1 = 2, columns z = B - t, then (g+, g-) for u(0),
+        # u(1) and v(1), with v(0) pinned to zero by omission; per point
+        # z - g+ + g- <= B - f and z + g+ - g- <= B + f, minimizing -z
+        rows, rhs = [], []
         for x in (0, 1):
             for y in (0, 1):
                 f = x * y
-                u = [1 if x == 0 else 0, 1 if x == 1 else 0]
-                v = [1 if y == 1 else 0]
-                rows.append([1, *u, *v])
-                relations.append(">=")
-                rhs.append(f)
-                rows.append([-1, *u, *v])
-                relations.append("<=")
-                rhs.append(f)
-        sol = solve_lp(lp([1, 0, 0, 0], rows, relations, rhs, upper=[2, None, None, None]))
+                g = [x == 0, x == 1, y == 1]
+                for sign in (-1, 1):
+                    row = [1]
+                    for used in g:
+                        row += [sign * used, -sign * used]
+                    rows.append(row)
+                    rhs.append(2 + sign * f)
+        sol = solve_lp(lp([-1, 0, 0, 0, 0, 0, 0], rows, rhs))
         assert sol.status == "optimal"
-        assert sol.objective == Fraction(1, 4)
+        assert 2 + sol.objective == Fraction(1, 4)
+        assert sum(sol.dual) == -1
 
     def test_planted_optima_with_nonneg_rows(self):
-        # Nonnegativity is encoded as explicit rows so the reported duals
-        # account for every constraint.
+        # Nonnegativity is also written as explicit rows -x_j <= 0, so the
+        # reported duals account for those constraints too.
         rng = random.Random(2024)
         for _ in range(30):
             a, b, c, target = planted_lp(rng)
             m, n = len(a), len(c)
             rows = [list(row) for row in a]
-            relations = ["<="] * m
             rhs = list(b)
             for j in range(n):
-                rows.append([1 if k == j else 0 for k in range(n)])
-                relations.append(">=")
+                rows.append([-1 if k == j else 0 for k in range(n)])
                 rhs.append(0)
-            sol = solve_lp(lp(c, rows, relations, rhs, sense="max"))
+            sol = solve_lp(lp(c, rows, rhs))
             assert sol.status == "optimal"
             assert sol.objective == target
             assert all(x >= 0 for x in sol.primal)
@@ -347,93 +342,63 @@ class TestSolveLp:
             assert sum(sol.dual[i] * rhs[i] for i in range(m + n)) == target
 
     def test_planted_optima_with_bounds(self):
-        # Same construction, nonnegativity via variable bounds instead of rows.
+        # Same construction, nonnegativity by the form's own bounds x >= 0.
         rng = random.Random(55)
         for _ in range(30):
             a, b, c, target = planted_lp(rng)
-            sol = solve_lp(lp(c, a, ["<="] * len(a), b, sense="max", lower=[0] * len(c)))
+            sol = solve_lp(lp(c, a, b))
             assert sol.status == "optimal"
             assert sol.objective == target
 
     def test_dimension_mismatches_rejected(self):
-        with pytest.raises(ValueError):
-            lp([1, 2], [[1]], ["<="], [1])
-        with pytest.raises(ValueError):
-            lp([1], [[1]], ["<=", ">="], [1])
-        with pytest.raises(ValueError):
-            lp([1], [[1]], ["!"], [1])
-        with pytest.raises(ValueError):
-            lp([1], [[1]], ["<="], [1], sense="best")
+        with pytest.raises(ValueError, match="objective length"):
+            lp([1, 2], [[1]], [1])
+        with pytest.raises(ValueError, match="rhs length"):
+            lp([1], [[1]], [1, 2])
 
-    @pytest.mark.parametrize("relations,rhs,lower", [
-        (["<="], [-1], None),  # x <= -1 with x free starts at x = 0
-        ([">="], [1], None),
-        (["<="], [1], [2]),  # x >= 2 starts at x = 2, so x <= 1 is violated
-        ([">="], [3], [2]),
+    @pytest.mark.parametrize("rows,rhs,row", [
+        ([[1]], [-1], 0),
+        ([[1, 1], [0, 0]], [3, Fraction(-1, 2)], 1),  # no point satisfies 0 <= -1/2
+        ([[1], [1], [-1]], [0, 2, -3], 2),
     ])
-    def test_row_needing_phase_one_is_rejected(self, relations, rhs, lower):
-        with pytest.raises(ValueError, match="row 0"):
-            solve_lp(lp([1], [[1]], relations, rhs, lower=lower))
-
-    def test_equality_constraint(self):
-        # an equality row has no slack to start from; it is written as a
-        # <= row and a >= row, or not at all
-        with pytest.raises(ValueError, match="<= or >="):
-            lp([1], [[1]], ["="], [0])
+    def test_negative_rhs_is_rejected(self, rows, rhs, row):
+        # x = 0 must be feasible, since the simplex starts from the slack
+        # basis and has no phase 1
+        with pytest.raises(ValueError, match=f"row {row} has rhs"):
+            lp([0] * len(rows[0]), rows, rhs)
 
 
 def random_lp(rng: random.Random) -> LpProblem:
-    """A small LP whose slacks are a feasible start: free variables only, or
-    a mix of free, upper-only, nonnegative and two-sided bounds; ``<=`` and
-    ``>=`` rows whose rhs lies 0 to 5 on the slack's side of the row's
-    value at the start (every variable at its lower bound, else at its
-    upper bound, else 0); at random a redundant copy of a row scaled by
-    +-1, 2 or -1/2 (a negative scale flips its relation), which makes ratio
-    ties; and either sense."""
-    m = rng.randint(1, 4)
-    n = rng.randint(1, 4)
-    lower: list[int | None] = [None] * n
-    upper: list[int | None] = [None] * n
-    if rng.random() < 0.5:
-        for j in range(n):
-            kind = rng.choice(["free", "upper", "nonneg", "two-sided"])
-            if kind == "upper":
-                upper[j] = rng.randint(-2, 3)
-            elif kind == "nonneg":
-                lower[j] = 0
-            elif kind == "two-sided":
-                lower[j] = rng.randint(-2, 2)
-                upper[j] = lower[j] + rng.randint(0, 3)
-    start = [lo if lo is not None else up if up is not None else 0 for lo, up in zip(lower, upper)]
+    """A small LP ``min c.x s.t. Ax <= b, x >= 0``: up to 6 rows and
+    columns, A of mixed sign, b from 0 to 5, at random a redundant copy of a
+    row scaled by 1, 2 or 1/2, which makes ratio ties, and an objective of
+    either sign."""
+    m = rng.randint(1, 6)
+    n = rng.randint(1, 6)
     rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
-    relations = [rng.choice(["<=", ">="]) for _ in range(m)]
-    rhs = []
-    for row, rel in zip(rows, relations):
-        room = rng.randint(0, 5)
-        rhs.append(sum(a * x for a, x in zip(row, start)) + (room if rel == "<=" else -room))
+    rhs = [rng.randint(0, 5) for _ in range(m)]
     if rng.random() < 0.5:
         i = rng.randrange(m)
-        k = rng.choice([1, 2, -1, Fraction(-1, 2)])
+        k = rng.choice([1, 2, Fraction(1, 2)])
         rows.append([k * v for v in rows[i]])
-        relations.append(relations[i] if k > 0 else {"<=": ">=", ">=": "<="}[relations[i]])
         rhs.append(k * rhs[i])
-    objective = [rng.randint(-4, 4) for _ in range(n)]
-    return lp(objective, rows, relations, rhs, rng.choice(["min", "max"]), lower, upper)
+    return lp([rng.randint(-4, 4) for _ in range(n)], rows, rhs)
 
 
 class TestDuals:
     def test_dual_feasibility_audit_rejects_wrong_dual(self):
-        # min x s.t. x >= 0, x free: y = 2 has the right sign and satisfies
-        # complementary slackness, but only y = 1 makes the reduced cost zero.
-        problem = lp([1], [[1]], [">="], [0])
-        _check_optimum(problem, [Fraction(0)], [Fraction(1)], Fraction(0))
+        # min -x s.t. x <= 1: y = -2 has the right sign and satisfies
+        # complementary slackness, but only y = -1 makes the reduced cost
+        # of x > 0 zero.
+        problem = lp([-1], [[1]], [1])
+        _check_optimum(problem, [Fraction(1)], [Fraction(-1)])
         with pytest.raises(AssertionError):
-            _check_optimum(problem, [Fraction(0)], [Fraction(2)], Fraction(0))
+            _check_optimum(problem, [Fraction(1)], [Fraction(-2)])
 
     def test_strong_duality_on_random_lps(self):
         rng = random.Random(8128)
         statuses = set()
-        bound_free_optima = 0
+        optima = 0
         for _ in range(1000):
             problem = random_lp(rng)
             sol = solve_lp(problem)
@@ -441,15 +406,10 @@ class TestDuals:
             if sol.status != "optimal":
                 continue
             assert len(sol.dual) == problem.matrix.rows
-            if all(v is None for v in problem.lower + problem.upper):
-                bound_free_optima += 1
-                m, n = problem.matrix.rows, problem.matrix.cols
-                assert sum(sol.dual[i] * problem.rhs[i] for i in range(m)) == sol.objective
-                for j in range(n):
-                    column = sum(problem.matrix.row(i)[j] * sol.dual[i] for i in range(m))
-                    assert column == problem.objective[j]
+            assert_strong_duality(problem, sol)
+            optima += 1
         assert statuses == {"optimal", "unbounded"}
-        assert bound_free_optima >= 100
+        assert optima >= 300
 
 
 def beale_lp() -> LpProblem:
@@ -462,9 +422,7 @@ def beale_lp() -> LpProblem:
             [Fraction(1, 2), -12, Fraction(-1, 2), 3],
             [0, 0, 1, 0],
         ],
-        ["<=", "<=", "<="],
         [0, 0, 1],
-        lower=[0, 0, 0, 0],
     )
 
 
@@ -584,93 +542,50 @@ class TestSparseKernelMatchesDense:
 
 
 def assert_strong_duality(problem: LpProblem, sol) -> None:
-    """The dual objective, with the reduced costs d = c - A^T y priced at the
-    bounds they press against, equals the primal objective exactly."""
+    """The objective is c.x, the dual objective y.b equals it exactly, and
+    the reduced costs d = c - A^T y are nonnegative and zero wherever
+    x > 0."""
     m, n = problem.matrix.rows, problem.matrix.cols
-    assert sol.objective == sum(
-        (c * x for c, x in zip(problem.objective, sol.primal)), Fraction(0)
-    )
-    value = sum((y * b for y, b in zip(sol.dual, problem.rhs)), Fraction(0))
+    assert sol.objective == sum((c * x for c, x in zip(problem.objective, sol.primal)), Fraction(0))
+    assert sum((y * b for y, b in zip(sol.dual, problem.rhs)), Fraction(0)) == sol.objective
     for j in range(n):
         d = problem.objective[j] - sum(
             (problem.matrix.row(i)[j] * sol.dual[i] for i in range(m)), Fraction(0)
         )
-        if d:
-            lower_side = (d > 0) == (problem.sense == "min")
-            bound = problem.lower[j] if lower_side else problem.upper[j]
-            assert bound is not None and sol.primal[j] == bound
-            value += d * bound
-    assert value == sol.objective
-
-
-def no_rows(objective, sense="min", lower=None, upper=None) -> LpProblem:
-    return lp(objective, [], [], [], sense, lower, upper)
+        assert d >= 0 and (d == 0 or sol.primal[j] == 0)
 
 
 class TestSparseTableauEdges:
     """Rows and columns with no nonzero entry, large mixed denominators, and
     problems without rows."""
 
-    def test_zero_row_below_a_negative_rhs_is_infeasible(self):
-        # no point satisfies 0 <= -1, and its slack cannot start the basis
-        with pytest.raises(ValueError, match="row 0"):
-            solve_lp(lp([1, 1], [[0, 0], [1, 1]], ["<=", "<="], [-1, 3], lower=[0, 0]))
-
-    @pytest.mark.parametrize("rel,rhs", [(">=", 0), (">=", -1), ("<=", 0), ("<=", 3)])
-    def test_satisfied_zero_row_is_harmless(self, rel, rhs):
-        problem = lp([1, 2], [[0, 0], [1, 1]], [rel, "<="], [rhs, 2], "max", lower=[0, 0])
+    @pytest.mark.parametrize("rhs", [0, 3], ids=["<=-0", "<=-3"])
+    def test_satisfied_zero_row_is_harmless(self, rhs):
+        problem = lp([-1, -2], [[0, 0], [1, 1]], [rhs, 2])
         sol = solve_lp(problem)
         assert sol.status == "optimal"
-        assert sol.objective == 4
+        assert sol.objective == -4
         assert sol.primal == (0, 2)
-        assert sol.dual == (0, 2)
+        assert sol.dual == (0, -2)
         assert_strong_duality(problem, sol)
 
     def test_free_zero_column(self):
-        rows = [[1, 0], [1, 0]]
-        problem = lp([1, 0], rows, [">=", "<="], [-2, 5])
+        # no row constrains x1
+        rows = [[-1, 0], [1, 0]]
+        problem = lp([1, 0], rows, [2, 5])
         sol = solve_lp(problem)
-        assert (sol.status, sol.objective, sol.primal) == ("optimal", -2, (-2, 0))
+        assert (sol.status, sol.objective, sol.primal) == ("optimal", 0, (0, 0))
         assert_strong_duality(problem, sol)
-        assert solve_lp(lp([1, 3], rows, [">=", "<="], [-2, 5])).status == "unbounded"
-
-    @pytest.mark.parametrize("sense,cost,status,objective", [
-        ("max", 3, "optimal", 1 + 3 * Fraction(7, 2)),
-        ("min", -3, "optimal", 1 - 3 * Fraction(7, 2)),
-        ("min", 0, "optimal", 1),
-        ("min", 3, "unbounded", None),
-    ])
-    def test_upper_bounded_zero_column(self, sense, cost, status, objective):
-        problem = lp(
-            [1, cost], [[1, 0]], ["<="], [1], sense=sense, lower=[1, None],
-            upper=[None, Fraction(7, 2)],
-        )
+        problem = lp([-1, 3], rows, [2, 5])
         sol = solve_lp(problem)
-        assert (sol.status, sol.objective) == (status, objective)
-        if status == "optimal":
-            assert_strong_duality(problem, sol)
-
-    @pytest.mark.parametrize("cost,value", [(5, Fraction(-3, 2)), (-5, 4), (0, Fraction(-3, 2))])
-    def test_two_sided_zero_column(self, cost, value):
-        problem = lp(
-            [1, cost],
-            [[2, 0], [-1, 0]],
-            ["<=", "<="],
-            [6, -1],
-            lower=[1, Fraction(-3, 2)],
-            upper=[None, 4],
-        )
-        sol = solve_lp(problem)
-        assert sol.status == "optimal"
-        assert sol.primal == (1, value)
-        assert sol.objective == 1 + cost * value
+        assert (sol.status, sol.objective, sol.primal) == ("optimal", -5, (5, 0))
         assert_strong_duality(problem, sol)
+        assert solve_lp(lp([1, -3], rows, [2, 5])).status == "unbounded"
 
     def test_rows_with_large_mixed_denominators(self):
         # Beale's LP plus a slack row whose rhs has its own large denominator,
-        # every row scaled by a rational of large numerator and denominator,
-        # some negative so their relation and the sign of their rhs flip; the
-        # optimum and the optimal x cannot move.
+        # every row scaled by a positive rational of large numerator and
+        # denominator; the optimum and the optimal x cannot move.
         base_rows = [
             [Fraction(1, 4), -8, -1, 9],
             [Fraction(1, 2), -12, Fraction(-1, 2), 3],
@@ -681,15 +596,12 @@ class TestSparseTableauEdges:
         objective = [Fraction(-3, 4), 20, Fraction(-1, 2), 6]
         rng = random.Random(1009)
         for _ in range(20):
-            rows, relations, rhs = [], [], []
+            rows, rhs = [], []
             for row, b in zip(base_rows, base_rhs):
                 k = Fraction(rng.randint(1, 10**9), rng.randint(1, 10**9))
-                if rng.random() < 0.5:
-                    k = -k
                 rows.append([k * a for a in row])
-                relations.append("<=" if k > 0 else ">=")
                 rhs.append(k * b)
-            problem = lp(objective, rows, relations, rhs, lower=[0, 0, 0, 0])
+            problem = lp(objective, rows, rhs)
             sol = solve_lp(problem)
             assert sol.status == "optimal"
             assert sol.objective == Fraction(-5, 4)
@@ -697,15 +609,11 @@ class TestSparseTableauEdges:
             assert_strong_duality(problem, sol)
 
     @pytest.mark.parametrize("problem,status,objective,primal", [
-        (no_rows([]), "optimal", 0, ()),
-        (no_rows([1, -1], lower=[3, None], upper=[None, 5]), "optimal", -2, (3, 5)),
-        (
-            no_rows([2], sense="max", lower=[-1], upper=[Fraction(1, 3)]),
-            "optimal", Fraction(2, 3), (Fraction(1, 3),),
-        ),
-        (no_rows([0, 0]), "optimal", 0, (0, 0)),
-        (no_rows([1]), "unbounded", None, ()),
-        (no_rows([1], lower=[2], upper=[1]), "infeasible", None, ()),
+        (lp([], [], []), "optimal", 0, ()),
+        (lp([1, 2], [], []), "optimal", 0, (0, 0)),
+        (lp([Fraction(1, 3)], [], []), "optimal", 0, (0,)),
+        (lp([0, 0], [], []), "optimal", 0, (0, 0)),
+        (lp([1, -1], [], []), "unbounded", None, ()),
     ])
     def test_problem_without_rows(self, problem, status, objective, primal):
         sol = solve_lp(problem)
@@ -715,43 +623,55 @@ class TestSparseTableauEdges:
 
 
 class TestCertificateAudits:
+    """Each check of ``_check_optimum`` rejects one corrupted x or y. The LP
+    is min -x0 - x1 s.t. x0 + 2 x1 <= 4, 3 x0 + x1 <= 6, x0 <= 5, with the
+    optimum x = (8/5, 6/5), y = (-2/5, -1/5, 0); the third row is slack."""
+
+    PROBLEM = lp([-1, -1], [[1, 2], [3, 1], [1, 0]], [4, 6, 5])
+    X = [Fraction(8, 5), Fraction(6, 5)]
+    Y = [Fraction(-2, 5), Fraction(-1, 5), Fraction(0)]
+
     def test_is_an_assertion_error(self):
         assert issubclass(CertificateError, AssertionError)
 
+    def test_the_optimum_passes(self):
+        sol = solve_lp(self.PROBLEM)
+        assert (list(sol.primal), list(sol.dual), sol.objective) == (self.X, self.Y, Fraction(-14, 5))
+        _check_optimum(self.PROBLEM, self.X, self.Y)
+
     def test_corrupted_primal_is_rejected(self):
-        problem = lp([1, 1], [[1, 2], [3, 1]], ["<=", "<="], [4, 6], "max", lower=[0, 0])
-        sol = solve_lp(problem)
-        x, y = list(sol.primal), list(sol.dual)
-        _check_optimum(problem, x, y, sol.objective)
-        for j, delta in ((0, Fraction(-1, 7)), (1, Fraction(-1, 3))):
-            bad = x[:]
-            bad[j] += delta
-            with pytest.raises(CertificateError):
-                _check_optimum(problem, bad, y, sol.objective)
-        with pytest.raises(CertificateError, match="bounds"):
-            _check_optimum(problem, [Fraction(-1), Fraction(10)], y, sol.objective)
+        corruptions = [
+            ([Fraction(-1), Fraction(6, 5)], "negative"),
+            ([Fraction(8, 5) + Fraction(1, 7), Fraction(6, 5)], "does not hold"),
+        ]
+        for x, match in corruptions:
+            with pytest.raises(CertificateError, match=match):
+                _check_optimum(self.PROBLEM, x, self.Y)
 
     def test_corrupted_dual_is_rejected(self):
-        problem = lp([1, 1], [[1, 2], [3, 1]], ["<=", "<="], [4, 6], "max", lower=[0, 0])
-        sol = solve_lp(problem)
-        x, y = list(sol.primal), list(sol.dual)
-        with pytest.raises(CertificateError, match="wrong sign"):
-            _check_optimum(problem, x, [-y[0], y[1]], sol.objective)
-        with pytest.raises(CertificateError, match="dual feasible"):
-            _check_optimum(problem, x, [y[0] + Fraction(1, 5), y[1]], sol.objective)
-        # a slack row may carry no multiplier
-        slack = lp([1], [[1], [1]], [">=", ">="], [1, 0], lower=[0])
-        with pytest.raises(CertificateError, match="complementary"):
-            _check_optimum(slack, [Fraction(1)], [Fraction(1), Fraction(1)], Fraction(1))
+        corruptions = [
+            # a positive multiplier on a <= row
+            ([Fraction(2, 5), Fraction(-1, 5), Fraction(0)], "positive"),
+            # a multiplier on the slack row
+            ([Fraction(-2, 5), Fraction(-1, 5), Fraction(-1)], "complementary"),
+            # reduced costs (-2/5, -4/5), both negative
+            ([Fraction(0), Fraction(-1, 5), Fraction(0)], "dual feasible"),
+            # reduced costs (3/5, 6/5), positive where x > 0
+            ([Fraction(-1), Fraction(-1, 5), Fraction(0)], "dual feasible"),
+        ]
+        for y, match in corruptions:
+            with pytest.raises(CertificateError, match=match):
+                _check_optimum(self.PROBLEM, self.X, y)
 
     def test_audits_survive_python_optimize(self):
         code = (
             "from fractions import Fraction as F\n"
             "from golombdual import CertificateError, LpProblem, RatMatrix\n"
             "from golombdual.linalg import _check_optimum\n"
-            "p = LpProblem((1,), RatMatrix(1, 1, (1,)), ('>=',), (0,), (None,), (None,))\n"
+            "p = LpProblem((-1,), RatMatrix(1, 1, (1,)), (1,))\n"
+            "_check_optimum(p, [F(1)], [F(-1)])\n"
             "try:\n"
-            "    _check_optimum(p, [F(0)], [F(2)], F(0))\n"
+            "    _check_optimum(p, [F(1)], [F(-2)])\n"
             "except CertificateError:\n"
             "    print('raised')\n"
         )
