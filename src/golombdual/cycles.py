@@ -416,39 +416,30 @@ def enumerate_minimal_cycles(
     return tuple(_normalized_cycle(pts, relation, grid) for pts, relation in hits)
 
 
-def extract_extreme_cycle(mu: FiniteSignedMeasure) -> MinimalCycle:
-    """One minimal cycle inside the support of an annihilating measure, with
-    weights matching the measure's signs.
+def _circuit_walk(mu: FiniteSignedMeasure) -> tuple[list[int], list[int]]:
+    """A conformal circuit walk (Rockafellar 1969, elementary vectors) on the
+    integer class columns of the support (``_class_ids``), for any number of
+    axes. Returns the support indices of a minimal cycle, ascending, and its
+    integer weights.
 
-    A conformal circuit walk (Rockafellar 1969, elementary vectors) on the
-    integer class columns of the support (``_class_ids``). The masses,
-    scaled to integers x, are a nowhere-zero kernel vector of the columns.
-    The columns are cleared in support order with ``_eliminate``, each
-    carrying a tail indexed by basis slot as in ``_circuits``; the first one
-    that clears to zero closes a circuit r among itself and the independent
-    columns before it. When r uses every remaining atom, the kernel there is
-    the line of x, so the remaining atoms are a minimal cycle with weights x.
-    Otherwise r is oriented to agree with x at its last column, and x - t r,
-    with the largest t that keeps every sign, stays a kernel vector that
-    agrees with x in sign and zeroes at least one atom. The zeroed atoms are
-    dropped, the basis rows of the columns before the first of them are
-    kept, and the walk resumes there; every step drops an atom, so it ends.
-
-    The points are the support's, taken by index. The cycle's signs are
-    checked against the masses of ``mu``, and it is built by
-    ``_normalized_cycle``, whose MinimalCycle rank check is independent of
-    the walk; a failed check raises CertificateError.
+    The masses, scaled to integers x, are a nowhere-zero kernel vector of
+    the columns. The columns are cleared in support order with
+    ``_eliminate``, each carrying a tail indexed by basis slot as in
+    ``_circuits``; the first one that clears to zero closes a circuit r
+    among itself and the independent columns before it. When r uses every
+    remaining atom, the kernel there is the line of x, so the remaining
+    atoms are a minimal cycle with weights x. Otherwise r is oriented to
+    agree with x at its last column, and x - t r, with the largest t that
+    keeps every sign, stays a kernel vector that agrees with x in sign and
+    zeroes at least one atom. The zeroed atoms are dropped, the basis rows
+    of the columns before the first of them are kept, and the walk resumes
+    there; every step drops an atom, so it ends.
     """
-    if mu.is_zero():
-        raise ValueError("cannot extract a cycle from the zero measure")
-    if not is_orthogonal(mu):
-        raise ValueError("measure does not annihilate separable sums")
     support = [p for p, _ in mu.atoms]
-    masses = [m for _, m in mu.atoms]
     classes, nrows = _class_ids(support, mu.grid.n)
     cols = _class_columns(classes, nrows)
     alive = list(range(len(support)))  # the support indices left
-    x = _int_row(masses)[:-1]  # their integer weights
+    x = _int_row([m for _, m in mu.atoms])[:-1]  # their integer weights
     basis: list[tuple[int, list[int]]] = []
     while True:
         d = len(basis)
@@ -462,7 +453,7 @@ def extract_extreme_cycle(mu: FiniteSignedMeasure) -> MinimalCycle:
             continue
         r = v[nrows : nrows + d + 1]
         if d + 1 == len(alive) and all(r):
-            break
+            return alive, x
         if not r[d]:
             raise CertificateError("a cleared column is missing from its own relation")
         if (r[d] > 0) != (x[d] > 0):
@@ -478,9 +469,76 @@ def extract_extreme_cycle(mu: FiniteSignedMeasure) -> MinimalCycle:
         x = [xi for xi in x if xi]
         g = gcd(*x)
         x = [xi // g for xi in x]
-    if any((xi > 0) != (masses[i] > 0) for i, xi in zip(alive, x)):
+
+
+def _bolt_exits(mu: FiniteSignedMeasure) -> dict[int, int]:
+    """For each vertex of the two-axis graph of ``_bolt_walk`` (row value a
+    as a, column value b as s1 + b), the index of the first atom in support
+    order that leaves it."""
+    rows = mu.grid.factor_sizes[0]
+    exits: dict[int, int] = {}
+    for i, ((a, b), m) in enumerate(mu.atoms):
+        exits.setdefault(a if m > 0 else rows + b, i)
+    return exits
+
+
+def _bolt_walk(mu: FiniteSignedMeasure) -> tuple[list[int], list[int]]:
+    """A circulation walk to one closed bolt of a two-axis measure, whose
+    minimal cycles are the simple cycles of the bipartite row/column graph
+    (Diliberto and Straus 1951). Returns the support indices of the bolt,
+    ascending, and its weights, +1 or -1 by the signs of their masses.
+
+    A positive atom (a, b) is an edge from row a to column b, a negative one
+    an edge from column b to row a. The class sums vanish, so a vertex that
+    is entered can also be left. The walk takes the first atom, then leaves
+    each vertex by its first exit (``_bolt_exits``) until a vertex repeats;
+    the loop from that vertex on is a directed simple cycle, with signs
+    alternating on 2k >= 4 distinct points, one step per atom. A vertex
+    without an exit or a loop that does not alternate raises
+    CertificateError.
+    """
+    rows = mu.grid.factor_sizes[0]
+    exits = _bolt_exits(mu)
+    (a, b), m = mu.atoms[0]
+    v = a if m > 0 else rows + b
+    seen: dict[int, int] = {}  # a vertex on the path -> the step that left it
+    path: list[int] = []
+    while v not in seen:
+        seen[v] = len(path)
+        if v not in exits:
+            raise CertificateError("the walk reached a vertex with no atom leaving it")
+        i = exits[v]
+        path.append(i)
+        (a, b), _ = mu.atoms[i]
+        v = a if v >= rows else rows + b  # the atom's other end
+    loop = path[seen[v] :]
+    signs = [mu.atoms[i][1] > 0 for i in loop]
+    if any(s == t for s, t in zip(signs, signs[1:] + signs[:1])):
+        raise CertificateError("the walk's loop is not a closed bolt: its signs do not alternate")
+    alive = sorted(loop)
+    return alive, [1 if mu.atoms[i][1] > 0 else -1 for i in alive]
+
+
+def extract_extreme_cycle(mu: FiniteSignedMeasure) -> MinimalCycle:
+    """One minimal cycle inside the support of an annihilating measure, with
+    weights matching the measure's signs.
+
+    On two axes it is the closed bolt of a circulation walk
+    (``_bolt_walk``), with no elimination; for n >= 3 it is the conformal
+    circuit walk by integer elimination (``_circuit_walk``).
+
+    The cycle's signs are checked against the masses of ``mu``, and it is
+    built by ``_normalized_cycle``, whose MinimalCycle rank check is
+    independent of either walk; a failed check raises CertificateError.
+    """
+    if mu.is_zero():
+        raise ValueError("cannot extract a cycle from the zero measure")
+    if not is_orthogonal(mu):
+        raise ValueError("measure does not annihilate separable sums")
+    alive, x = (_bolt_walk if mu.grid.n == 2 else _circuit_walk)(mu)
+    if any((xi > 0) != (mu.atoms[i][1] > 0) for i, xi in zip(alive, x)):
         raise CertificateError("the extracted cycle's signs disagree with the measure")
-    return _normalized_cycle(tuple(support[i] for i in alive), x, mu.grid)
+    return _normalized_cycle(tuple(mu.atoms[i][0] for i in alive), x, mu.grid)
 
 
 def decompose(mu: FiniteSignedMeasure) -> Decomposition:
@@ -488,11 +546,11 @@ def decompose(mu: FiniteSignedMeasure) -> Decomposition:
     of minimal-cycle measures.
 
     Each round extracts a sign-compatible minimal cycle from the residual
-    (``extract_extreme_cycle``, by integer elimination, with no LP) and
-    subtracts the largest multiple that keeps every residual mass on the same
-    side of zero; that zeroes at least one atom, so there are at most
-    support-size many terms, and sign compatibility makes the total
-    variations add up, so the weights sum to 1 exactly.
+    (``extract_extreme_cycle``, with no LP) and subtracts the largest
+    multiple that keeps every residual mass on the same side of zero; that
+    zeroes at least one atom, so there are at most support-size many terms,
+    and sign compatibility makes the total variations add up, so the weights
+    sum to 1 exactly.
 
     The residual is a point -> mass dict in flat-index order; a round
     updates only the atoms of its cycle and drops those that reach zero.

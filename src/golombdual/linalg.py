@@ -10,7 +10,7 @@ is a decidable exact test and results are reproducible bit for bit.
 ``_eliminate`` is the package's one fraction-free elimination: it clears
 integer columns against a basis of earlier ones. Kernel bases, ranks, the
 minimality check of a cycle, and the circuit search and the decomposition's
-circuit walk of ``cycles`` all run on it.
+circuit walk (n >= 3) of ``cycles`` all run on it.
 """
 
 from __future__ import annotations

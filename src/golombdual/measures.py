@@ -38,10 +38,9 @@ class FiniteSignedMeasure:
         seen = set()
         last = -1
         for point, mass in self.atoms:
-            self.grid.check_point(point)
+            idx = point_index(self.grid, point)  # checks the point
             if _as_rat(mass) == 0:
                 raise ValueError("zero-mass atom in canonical measure")
-            idx = point_index(self.grid, point)
             if idx in seen:
                 raise ValueError(f"duplicate atom at {point}")
             if idx < last:

@@ -427,6 +427,33 @@ def corrupt_relations(monkeypatch, corruption: str) -> None:
     monkeypatch.setattr(cycles, "_eliminate", corrupted)
 
 
+def corrupt_walk(monkeypatch, corruption: str) -> None:
+    """Corrupt the two-axis circulation walk of ``cycles``, which never calls
+    ``_eliminate``. "wrong-sign": the exit of every vertex becomes the first
+    atom at it whatever its sign; the first atom comes first at both of its
+    ends, so the walk leaves by it again, an atom of the wrong sign there.
+    "flipped": the first weight of every walk's cycle is negated."""
+    if corruption == "wrong-sign":
+
+        def exits(mu):
+            rows = mu.grid.factor_sizes[0]
+            table: dict[int, int] = {}
+            for i, ((a, b), _) in enumerate(mu.atoms):
+                table.setdefault(a, i)
+                table.setdefault(rows + b, i)
+            return table
+
+        monkeypatch.setattr(cycles, "_bolt_exits", exits)
+    else:
+        walk = cycles._bolt_walk
+
+        def flipped(mu):
+            alive, x = walk(mu)
+            return alive, [-x[0]] + x[1:]
+
+        monkeypatch.setattr(cycles, "_bolt_walk", flipped)
+
+
 def corrupt_enumeration(monkeypatch, module) -> None:
     """Make ``module._enumerate`` double the first entry of every relation it
     returns, so that no hit is a cycle vector any more."""

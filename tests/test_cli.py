@@ -15,7 +15,7 @@ import golombdual.cli as cli
 from golombdual import LpSolution, function_from_json, measure_to_json
 from golombdual.cli import main
 
-from conftest import CUBE, SIX_POINTS, corrupt_enumeration, corrupt_relations
+from conftest import CUBE, SIX_POINTS, corrupt_enumeration, corrupt_relations, corrupt_walk
 
 XY_CSV = "0,0\n0,1\n"
 
@@ -264,6 +264,18 @@ class TestDecomposeCommand:
         corrupt_relations(monkeypatch, "shifted")
         mu = measure_from_pair(CycleVectorPair(CUBE, SIX_POINTS, (3, -1, -1, -2, 2, -1)))
         path = write(tmp_path / "mu.json", json.dumps(measure_to_json(mu)))
+        code, out, err = run_main(["decompose", "--input", path], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("certificate error: ")
+
+    @pytest.mark.parametrize("corruption", ["wrong-sign", "flipped"])
+    def test_corrupted_walk_exits_3(self, corruption, tmp_path, capsys, monkeypatch):
+        # a closed bolt on six points of a 3x3 grid
+        corrupt_walk(monkeypatch, corruption)
+        atoms = [([0, 0], "1/6"), ([0, 1], "-1/6"), ([1, 1], "1/6"),
+                 ([1, 2], "-1/6"), ([2, 0], "-1/6"), ([2, 2], "1/6")]
+        payload = {"shape": [3, 3], "atoms": [{"point": p, "mass": m} for p, m in atoms]}
+        path = write(tmp_path / "mu.json", json.dumps(payload))
         code, out, err = run_main(["decompose", "--input", path], capsys)
         assert (code, out) == (3, "")
         assert err.startswith("certificate error: ")

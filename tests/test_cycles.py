@@ -53,6 +53,7 @@ from conftest import (
     brute_force_minimal_cycles,
     corrupt_enumeration,
     corrupt_relations,
+    corrupt_walk,
     has_lonely_point,
     reference_incidence_matrix,
     subset_scan_cycles,
@@ -855,23 +856,48 @@ class TestDecompose:
 
     @pytest.mark.parametrize("corruption", ["negated", "shifted"])
     def test_corrupted_relation_is_rejected(self, corruption, monkeypatch):
-        # a relation off the kernel leads the walk to a point set that has no
-        # relation left, or to weights whose class sums do not vanish
+        # a relation off the kernel leads the elimination walk (n >= 3) to a
+        # point set that has no relation left, or to weights whose class
+        # sums do not vanish
         corrupt_relations(monkeypatch, corruption)
-        near = normalize_minimal(SQUARE, GRID44)
-        far = normalize_minimal(SQUARE_FAR, GRID44)
-        measures = [
-            near.measure() * Fraction(1, 2) + far.measure() * Fraction(1, 2),
-            measure_from_pair(CycleVectorPair(CUBE, SIX_POINTS, SIX_CERT)),
-        ]
-        rng = random.Random(3)
-        measures += [rectangle_sum(rng, shape, 14) for shape in ((10, 10), (5, 5, 4), (2, 2, 2, 2))]
-        for mu in measures:
-            mu = mu * (1 / total_variation(mu))
-            with pytest.raises(CertificateError):
-                extract_extreme_cycle(mu)
-            with pytest.raises(CertificateError):
-                decompose(mu)
+        for mu in corruption_measures():
+            if mu.grid.n >= 3:
+                with pytest.raises(CertificateError):
+                    extract_extreme_cycle(mu)
+                with pytest.raises(CertificateError):
+                    decompose(mu)
+
+    @pytest.mark.parametrize(
+        "corruption,check",
+        [("wrong-sign", "do not alternate"), ("flipped", "signs disagree")],
+        ids=["wrong-sign", "flipped"],
+    )
+    def test_corrupted_walk_is_rejected(self, corruption, check, monkeypatch):
+        # a wrong-sign exit closes a loop whose signs do not alternate; a
+        # flipped weight disagrees with its atom's mass. The MinimalCycle
+        # audit would catch both too, so the match pins the walk's own check.
+        corrupt_walk(monkeypatch, corruption)
+        for mu in corruption_measures():
+            if mu.grid.n == 2:
+                with pytest.raises(CertificateError, match=check):
+                    extract_extreme_cycle(mu)
+                with pytest.raises(CertificateError, match=check):
+                    decompose(mu)
+
+
+def corruption_measures() -> list[FiniteSignedMeasure]:
+    """Two disjoint squares on 4x4, the six-point measure on 2x2x2 and
+    seeded rectangle sums on 10x10, 5x5x4 and 2x2x2x2, each normalized to
+    total variation 1."""
+    near = normalize_minimal(SQUARE, GRID44)
+    far = normalize_minimal(SQUARE_FAR, GRID44)
+    measures = [
+        near.measure() * Fraction(1, 2) + far.measure() * Fraction(1, 2),
+        measure_from_pair(CycleVectorPair(CUBE, SIX_POINTS, SIX_CERT)),
+    ]
+    rng = random.Random(3)
+    measures += [rectangle_sum(rng, shape, 14) for shape in ((10, 10), (5, 5, 4), (2, 2, 2, 2))]
+    return [mu * (1 / total_variation(mu)) for mu in measures]
 
 
 def rectangle_sum(rng: random.Random, shape: tuple[int, ...], atoms: int) -> FiniteSignedMeasure:
@@ -928,14 +954,41 @@ def assert_every_residual_extracts(mu: FiniteSignedMeasure) -> None:
     assert not any(residual.values())
 
 
+def assert_both_walks_extract(mu: FiniteSignedMeasure) -> None:
+    """Decompose the two-axis measure ``mu`` with the circulation walk, and
+    again with the elimination walk in its place. On every residual of the
+    first decomposition both walks give a conformal minimal cycle, and both
+    decompositions recombine to ``mu``."""
+    assert mu.grid.n == 2
+    dec = decompose(mu)
+    eliminations = []
+
+    def circuit_walk(measure):
+        eliminations.append(measure)
+        return cycles._circuit_walk(measure)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cycles, "_bolt_walk", circuit_walk)
+        oracle = decompose(mu)
+        residual = dict(mu.atoms)
+        for t, mc in dec.terms:
+            measure = FiniteSignedMeasure.from_atoms(mu.grid, residual.items())
+            assert_conformal_minimal(mc, measure)
+            assert_conformal_minimal(extract_extreme_cycle(measure), measure)
+            for p, w in zip(mc.points, mc.weights):
+                residual[p] -= t * w
+    assert len(eliminations) == len(oracle.terms) + len(dec.terms)
+    assert dec.combined() == mu and oracle.combined() == mu
+
+
 @st.composite
-def annihilating_measures(draw) -> FiniteSignedMeasure:
+def annihilating_measures(draw, max_axes: int = 4) -> FiniteSignedMeasure:
     """A nonzero sum of signed 2x2 rectangles (``rectangle_sum``), which span
-    the annihilating measures, normalized to total variation 1: axes of size
-    1 to 4 with at least two of size 2 or more, one rectangle (a single
-    cycle) or several, which may be disjoint, and coefficients with
-    numerators up to 10^9 and denominators up to 10^12."""
-    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=2, max_size=4)))
+    the annihilating measures, normalized to total variation 1: 2 to
+    ``max_axes`` axes of size 1 to 4 with at least two of size 2 or more,
+    one rectangle (a single cycle) or several, which may be disjoint, and
+    coefficients with numerators up to 10^9 and denominators up to 10^12."""
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=2, max_size=max_axes)))
     wide = [axis for axis, size in enumerate(shape) if size >= 2]
     assume(len(wide) >= 2)
     acc: dict[tuple[int, ...], Fraction] = {}
@@ -980,6 +1033,17 @@ class TestExtractionOracle:
     @given(annihilating_measures())
     def test_cycle_on_every_residual_of_drawn_measures(self, mu):
         assert_every_residual_extracts(mu)
+
+    def test_both_walks_on_two_axis_residuals(self):
+        shape, targets = RECTANGLE_SUMS[0]
+        rng = random.Random(4201)
+        for atoms in targets:
+            assert_both_walks_extract(rectangle_sum(rng, shape, atoms))
+
+    @settings(max_examples=60, deadline=None)
+    @given(annihilating_measures(max_axes=2))
+    def test_both_walks_on_residuals_of_drawn_two_axis_measures(self, mu):
+        assert_both_walks_extract(mu)
 
     @pytest.mark.parametrize("shape,targets", RECTANGLE_SUMS)
     def test_decomposition_is_sound(self, shape, targets):

@@ -385,6 +385,26 @@ def random_lp(rng: random.Random) -> LpProblem:
     return lp([rng.randint(-4, 4) for _ in range(n)], rows, rhs)
 
 
+def budget_lp(rng: random.Random) -> LpProblem:
+    """A small LP in the form of ``random_lp`` with a budget row: 3 to 8
+    columns and 3 to 8 rows of mixed sign, at random a redundant copy of one
+    of them, and a last row whose coefficients are all at least 1 and whose
+    rhs is at least 1. The budget row bounds every column, so every LP has
+    an optimum, and the simplex takes several pivots to reach it."""
+    m = rng.randint(3, 8)
+    n = rng.randint(3, 8)
+    rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+    rhs = [rng.randint(0, 5) for _ in range(m)]
+    if rng.random() < 0.5:
+        i = rng.randrange(m)
+        k = rng.choice([1, 2, Fraction(1, 2)])
+        rows.append([k * v for v in rows[i]])
+        rhs.append(k * rhs[i])
+    rows.append([rng.randint(1, 5) for _ in range(n)])
+    rhs.append(rng.randint(1, 20))
+    return lp([rng.randint(-4, 4) for _ in range(n)], rows, rhs)
+
+
 class TestDuals:
     def test_dual_feasibility_audit_rejects_wrong_dual(self):
         # min -x s.t. x <= 1: y = -2 has the right sign and satisfies
@@ -525,6 +545,13 @@ class TestSparseKernelMatchesDense:
         assert statuses == {"optimal", "unbounded"}
         # one simplex run per LP, straight from the slack basis
         assert replay.runs == 300 and replay.pivots > 300
+
+    def test_budget_row_lps(self, monkeypatch):
+        replay = DenseReplay(monkeypatch)
+        rng = random.Random(4111)
+        statuses = {solve_lp(budget_lp(rng)).status for _ in range(300)}
+        assert statuses == {"optimal"}
+        assert replay.runs == 300 and replay.pivots > 2 * 300
 
     def test_beale_cycling_example(self, monkeypatch):
         replay = DenseReplay(monkeypatch)

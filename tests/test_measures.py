@@ -100,6 +100,11 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             FiniteSignedMeasure(GRID22, (((0, 5), Fraction(1)),))
 
+    @pytest.mark.parametrize("bad", [1.0, True, "1"], ids=["float", "bool", "string"])
+    def test_constructor_rejects_coordinates_that_are_not_ints(self, bad):
+        with pytest.raises(ValueError, match="not an integer"):
+            FiniteSignedMeasure(GRID22, (((0, bad), Fraction(1)),))
+
     def test_mass_at_and_support(self):
         assert SQUARE_BOLT.mass_at((0, 1)) == Fraction(-1, 4)
         assert SQUARE_BOLT.mass_at((1, 1)) == Fraction(1, 4)
