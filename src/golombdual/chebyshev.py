@@ -168,30 +168,11 @@ def best_error(f: TabulatedFunction) -> ApproximationResult:
 
 
 def cycle_functional(f: TabulatedFunction, cycle: MinimalCycle) -> Fraction:
-    """|integral of f| against the cycle's normalized measure: the sum over
-    its own distinct points and weights, which have total mass 1.
-
-    The cycle's points were checked when it was built, so f's values are read
-    by flat index, and the sum is kept as one integer fraction num/den that
-    is reduced once at the end.
-    """
+    """|integral of f| against the cycle's normalized measure: the exact sum
+    over its own distinct points and weights, which have total mass 1."""
     if f.grid != cycle.grid:
         raise ValueError("grid mismatch")
-    values = f.values
-    sizes = f.grid.factor_sizes
-    num, den = 0, 1
-    for p, w in zip(cycle.points, cycle.weights):
-        i = 0
-        for c, s in zip(p, sizes):
-            i = i * s + c
-        v = values[i]
-        a = w.numerator * v.numerator
-        b = w.denominator * v.denominator
-        if b == den:
-            num += a
-        else:
-            num, den = num * b + a * den, den * b
-    return abs(Fraction(num, den))
+    return abs(sum((w * f.value_at(p) for p, w in zip(cycle.points, cycle.weights)), _F0))
 
 
 def _cycle_supremum(

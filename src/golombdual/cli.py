@@ -16,8 +16,8 @@ import functools
 import json
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .bolts import bolt_to_json, cycle_to_closed_bolts
 from .chebyshev import DEFAULT_ENUM_BUDGET, best_error, report_to_json, verify_golomb
@@ -31,17 +31,6 @@ from .grids import (
 )
 from .linalg import CertificateError, format_rat
 from .measures import measure_from_json, measure_to_json
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    input: str | None = None
-    output: str | None = None
-    max_support: int | None = None
-    seed: int = 0
-    shape: tuple[int, ...] | None = None
-    value_range: int = 10
 
 
 def _parse_shape(text: str) -> tuple[int, ...]:
@@ -62,17 +51,17 @@ def _load_function(path: str) -> TabulatedFunction:
     return function_from_json(json.loads(text))
 
 
-def _emit(config: RunConfig, payload: dict) -> None:
+def _emit(args: argparse.Namespace, payload: dict) -> None:
     text = json.dumps(payload, indent=2) + "\n"
-    if config.output:
-        with open(config.output, "w", encoding="utf-8") as fh:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _cmd_error(config: RunConfig) -> int:
-    f = _load_function(config.input)
+def _cmd_error(args: argparse.Namespace) -> int:
+    f = _load_function(args.input)
     result = best_error(f)
     payload = {
         "shape": list(f.grid.factor_sizes),
@@ -80,7 +69,7 @@ def _cmd_error(config: RunConfig) -> int:
         "best_g": [[format_rat(v) for v in table] for table in result.best_g.tables],
         "optimal_measure": measure_to_json(result.optimal_measure),
     }
-    _emit(config, payload)
+    _emit(args, payload)
     return 0
 
 
@@ -90,35 +79,35 @@ def _cut_short() -> int:
     return 1
 
 
-def _cmd_verify(config: RunConfig) -> int:
-    f = _load_function(config.input)
-    report = verify_golomb(f, max_support=config.max_support)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    f = _load_function(args.input)
+    report = verify_golomb(f, max_support=args.max_support)
     payload = report_to_json(report)
     payload["shape"] = list(f.grid.factor_sizes)
-    _emit(config, payload)
+    _emit(args, payload)
     return 0 if report.equal else 1
 
 
-def _cmd_cycles(config: RunConfig) -> int:
-    if config.shape is not None:
-        grid = ProductGrid(config.shape)
-    elif config.input:
-        grid = _load_function(config.input).grid
+def _cmd_cycles(args: argparse.Namespace) -> int:
+    if args.shape is not None:
+        grid = ProductGrid(_parse_shape(args.shape))
+    elif args.input:
+        grid = _load_function(args.input).grid
     else:
         raise ValueError("cycles needs --shape or --input")
-    hits, _, truncated = _enumerate(grid, None, config.max_support, DEFAULT_ENUM_BUDGET)
+    hits, _, truncated = _enumerate(grid, None, args.max_support, DEFAULT_ENUM_BUDGET)
     if truncated:
         return _cut_short()
     payload = {
         "shape": list(grid.factor_sizes),
         "cycles": [pair_to_json(_normalized_cycle(*hit, grid).pair) for hit in hits],
     }
-    _emit(config, payload)
+    _emit(args, payload)
     return 0
 
 
-def _cmd_decompose(config: RunConfig) -> int:
-    with open(config.input, "r", encoding="utf-8") as fh:
+def _cmd_decompose(args: argparse.Namespace) -> int:
+    with open(args.input, "r", encoding="utf-8") as fh:
         mu = measure_from_json(json.load(fh))
     dec = decompose(mu)
     payload = {
@@ -128,15 +117,15 @@ def _cmd_decompose(config: RunConfig) -> int:
             for t, c in dec.terms
         ],
     }
-    _emit(config, payload)
+    _emit(args, payload)
     return 0
 
 
-def _cmd_bolts(config: RunConfig) -> int:
-    f = _load_function(config.input)
+def _cmd_bolts(args: argparse.Namespace) -> int:
+    f = _load_function(args.input)
     if f.grid.n != 2:
         raise ValueError("bolts requires a two-axis grid")
-    report = verify_golomb(f, max_support=config.max_support, budget=DEFAULT_ENUM_BUDGET)
+    report = verify_golomb(f, max_support=args.max_support, budget=DEFAULT_ENUM_BUDGET)
     if not report.enumerated:
         return _cut_short()
     witness = report.witness
@@ -148,48 +137,22 @@ def _cmd_bolts(config: RunConfig) -> int:
         "equal": report.equal,
         "witness_bolts": [bolt_to_json(cb) for cb in bolts],
     }
-    _emit(config, payload)
+    _emit(args, payload)
     return 0
 
 
-def _cmd_gen(config: RunConfig) -> int:
-    if config.shape is None:
-        raise ValueError("gen needs --shape")
-    r = config.value_range
+def _cmd_gen(args: argparse.Namespace) -> int:
+    shape = _parse_shape(args.shape)
+    r = args.value_range
     if r < 0:
         raise ValueError(f"--range must be at least 0, got {r}")
-    grid = ProductGrid(config.shape)
-    rng = random.Random(config.seed)
+    grid = ProductGrid(shape)
+    rng = random.Random(args.seed)
     values = tuple(
         Fraction(rng.randint(-r, r)) for _ in range(grid.volume)
     )
-    _emit(config, function_to_json(TabulatedFunction(grid, values)))
+    _emit(args, function_to_json(TabulatedFunction(grid, values)))
     return 0
-
-
-_COMMANDS = {
-    "error": _cmd_error,
-    "verify": _cmd_verify,
-    "cycles": _cmd_cycles,
-    "decompose": _cmd_decompose,
-    "bolts": _cmd_bolts,
-    "gen": _cmd_gen,
-}
-
-
-def run(config: RunConfig) -> int:
-    handler = _COMMANDS.get(config.command)
-    if handler is None:
-        print(f"unknown command: {config.command}", file=sys.stderr)
-        return 2
-    try:
-        return handler(config)
-    except (ValueError, OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CertificateError as exc:
-        print(f"certificate error: {exc}", file=sys.stderr)
-        return 3
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -202,31 +165,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    def add(
+        name: str, handler: Callable[[argparse.Namespace], int], help_text: str
+    ) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--output", help="write JSON here instead of stdout")
+        p.set_defaults(handler=handler)
         return p
 
-    p = add("error", "best approximation error, best g, optimal dual measure")
+    p = add("error", _cmd_error, "best approximation error, best g, optimal dual measure")
     p.add_argument("--input", required=True, help="function file (JSON, or CSV for two axes)")
 
-    p = add("verify", "check error == minimal-cycle supremum")
+    p = add("verify", _cmd_verify, "check error == minimal-cycle supremum")
     p.add_argument("--input", required=True)
     p.add_argument("--max-support", type=int, default=None)
 
-    p = add("cycles", "enumerate minimal cycles of a grid")
+    p = add("cycles", _cmd_cycles, "enumerate minimal cycles of a grid")
     p.add_argument("--input", help="take the grid from this function file")
     p.add_argument("--shape", help="grid shape like 3x3x2")
     p.add_argument("--max-support", type=int, default=None)
 
-    p = add("decompose", "decompose an annihilating measure into minimal cycles")
+    p = add("decompose", _cmd_decompose, "decompose an annihilating measure into minimal cycles")
     p.add_argument("--input", required=True, help="measure JSON file")
 
-    p = add("bolts", "closed-bolt supremum report (two-axis grids)")
+    p = add("bolts", _cmd_bolts, "closed-bolt supremum report (two-axis grids)")
     p.add_argument("--input", required=True)
     p.add_argument("--max-support", type=int, default=None)
 
-    p = add("gen", "generate a random integer-valued function file")
+    p = add("gen", _cmd_gen, "generate a random integer-valued function file")
     p.add_argument("--shape", required=True, help="grid shape like 3x3x2")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--range", type=int, default=10, dest="value_range",
@@ -244,23 +210,14 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    shape = None
-    if getattr(args, "shape", None):
-        try:
-            shape = _parse_shape(args.shape)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    config = RunConfig(
-        command=args.command,
-        input=getattr(args, "input", None),
-        output=getattr(args, "output", None),
-        max_support=getattr(args, "max_support", None),
-        seed=getattr(args, "seed", 0),
-        shape=shape,
-        value_range=getattr(args, "value_range", 10),
-    )
-    return run(config)
+    try:
+        return args.handler(args)
+    except (ValueError, OSError, KeyError, TypeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except CertificateError as exc:
+        print(f"certificate error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -44,7 +44,6 @@ from .linalg import (
 from .measures import (
     FiniteSignedMeasure,
     _class_sums_vanish,
-    is_orthogonal,
     measure_from_pair,
     total_variation,
 )
@@ -416,30 +415,42 @@ def enumerate_minimal_cycles(
     return tuple(_normalized_cycle(pts, relation, grid) for pts, relation in hits)
 
 
-def _circuit_walk(mu: FiniteSignedMeasure) -> tuple[list[int], list[int]]:
-    """A conformal circuit walk (Rockafellar 1969, elementary vectors) on the
-    integer class columns of the support (``_class_ids``), for any number of
-    axes. Returns the support indices of a minimal cycle, ascending, and its
-    integer weights.
+def _conformal_step(x: list[int], r: list[int]) -> tuple[int, int, list[int]]:
+    """The largest step t = num / den that keeps every sign of x in x - t r:
+    the least x_i / r_i over the entries where r agrees with x in sign, of
+    which there must be one. Returns num, den and the integer vector
+    den x - num r, which agrees with x in sign and is zero wherever the
+    least ratio is attained."""
+    num, den = 0, 0
+    for xi, e in zip(x, r):
+        if e and (e > 0) == (xi > 0) and (not den or abs(xi) * den < num * abs(e)):
+            num, den = abs(xi), abs(e)
+    return num, den, [den * xi - num * e for xi, e in zip(x, r)]
 
-    The masses, scaled to integers x, are a nowhere-zero kernel vector of
-    the columns. The columns are cleared in support order with
-    ``_eliminate``, each carrying a tail indexed by basis slot as in
-    ``_circuits``; the first one that clears to zero closes a circuit r
-    among itself and the independent columns before it. When r uses every
-    remaining atom, the kernel there is the line of x, so the remaining
-    atoms are a minimal cycle with weights x. Otherwise r is oriented to
-    agree with x at its last column, and x - t r, with the largest t that
-    keeps every sign, stays a kernel vector that agrees with x in sign and
-    zeroes at least one atom. The zeroed atoms are dropped, the basis rows
-    of the columns before the first of them are kept, and the walk resumes
-    there; every step drops an atom, so it ends.
+
+def _circuit_walk(
+    grid: ProductGrid, points: list[GridPoint], x: list[int]
+) -> tuple[list[int], list[int]]:
+    """A conformal circuit walk (Rockafellar 1969, elementary vectors) on the
+    integer class columns of ``points`` (``_class_ids``), for any number of
+    axes. Returns the indices of a minimal cycle among ``points``, ascending,
+    and its integer weights.
+
+    The integer masses x are a nowhere-zero kernel vector of the columns.
+    The columns are cleared in order with ``_eliminate``, each carrying a
+    tail indexed by basis slot as in ``_circuits``; the first one that
+    clears to zero closes a circuit r among itself and the independent
+    columns before it. When r uses every remaining atom, the kernel there is
+    the line of x, so the remaining atoms are a minimal cycle with weights
+    x. Otherwise r is oriented to agree with x at its last column, and the
+    conformal step x - t r (``_conformal_step``) stays a kernel vector that
+    agrees with x in sign and zeroes at least one atom. The zeroed atoms are
+    dropped, the basis rows of the columns before the first of them are
+    kept, and the walk resumes there; every step drops an atom, so it ends.
     """
-    support = [p for p, _ in mu.atoms]
-    classes, nrows = _class_ids(support, mu.grid.n)
+    classes, nrows = _class_ids(points, grid.n)
     cols = _class_columns(classes, nrows)
-    alive = list(range(len(support)))  # the support indices left
-    x = _int_row([m for _, m in mu.atoms])[:-1]  # their integer weights
+    alive = list(range(len(points)))  # the indices left
     basis: list[tuple[int, list[int]]] = []
     while True:
         d = len(basis)
@@ -458,12 +469,7 @@ def _circuit_walk(mu: FiniteSignedMeasure) -> tuple[list[int], list[int]]:
             raise CertificateError("a cleared column is missing from its own relation")
         if (r[d] > 0) != (x[d] > 0):
             r = [-e for e in r]
-        # x - t r with t = num / den, the least x_i / r_i where r agrees with x
-        num, den = abs(x[d]), abs(r[d])
-        for xi, e in zip(x, r):
-            if e and (e > 0) == (xi > 0) and abs(xi) * den < num * abs(e):
-                num, den = abs(xi), abs(e)
-        x = [den * xi - num * e for xi, e in zip(x, r)] + [den * xi for xi in x[d + 1 :]]
+        x = _conformal_step(x, r + [0] * (len(x) - d - 1))[2]
         del basis[x.index(0) :]
         alive = [i for i, xi in zip(alive, x) if xi]
         x = [xi for xi in x if xi]
@@ -471,22 +477,27 @@ def _circuit_walk(mu: FiniteSignedMeasure) -> tuple[list[int], list[int]]:
         x = [xi // g for xi in x]
 
 
-def _bolt_exits(mu: FiniteSignedMeasure) -> dict[int, int]:
+def _bolt_exits(
+    grid: ProductGrid, points: list[GridPoint], x: list[int]
+) -> dict[int, int]:
     """For each vertex of the two-axis graph of ``_bolt_walk`` (row value a
-    as a, column value b as s1 + b), the index of the first atom in support
-    order that leaves it."""
-    rows = mu.grid.factor_sizes[0]
+    as a, column value b as s1 + b), the index of the first atom in order
+    that leaves it."""
+    rows = grid.factor_sizes[0]
     exits: dict[int, int] = {}
-    for i, ((a, b), m) in enumerate(mu.atoms):
+    for i, ((a, b), m) in enumerate(zip(points, x)):
         exits.setdefault(a if m > 0 else rows + b, i)
     return exits
 
 
-def _bolt_walk(mu: FiniteSignedMeasure) -> tuple[list[int], list[int]]:
-    """A circulation walk to one closed bolt of a two-axis measure, whose
-    minimal cycles are the simple cycles of the bipartite row/column graph
-    (Diliberto and Straus 1951). Returns the support indices of the bolt,
-    ascending, and its weights, +1 or -1 by the signs of their masses.
+def _bolt_walk(
+    grid: ProductGrid, points: list[GridPoint], x: list[int]
+) -> tuple[list[int], list[int]]:
+    """A circulation walk to one closed bolt of a two-axis measure with atoms
+    at ``points`` and integer masses x, whose minimal cycles are the simple
+    cycles of the bipartite row/column graph (Diliberto and Straus 1951).
+    Returns the indices of the bolt, ascending, and its weights, +1 or -1
+    by the signs of their masses.
 
     A positive atom (a, b) is an edge from row a to column b, a negative one
     an edge from column b to row a. The class sums vanish, so a vertex that
@@ -497,10 +508,10 @@ def _bolt_walk(mu: FiniteSignedMeasure) -> tuple[list[int], list[int]]:
     without an exit or a loop that does not alternate raises
     CertificateError.
     """
-    rows = mu.grid.factor_sizes[0]
-    exits = _bolt_exits(mu)
-    (a, b), m = mu.atoms[0]
-    v = a if m > 0 else rows + b
+    rows = grid.factor_sizes[0]
+    exits = _bolt_exits(grid, points, x)
+    a, b = points[0]
+    v = a if x[0] > 0 else rows + b
     seen: dict[int, int] = {}  # a vertex on the path -> the step that left it
     path: list[int] = []
     while v not in seen:
@@ -509,72 +520,87 @@ def _bolt_walk(mu: FiniteSignedMeasure) -> tuple[list[int], list[int]]:
             raise CertificateError("the walk reached a vertex with no atom leaving it")
         i = exits[v]
         path.append(i)
-        (a, b), _ = mu.atoms[i]
+        a, b = points[i]
         v = a if v >= rows else rows + b  # the atom's other end
     loop = path[seen[v] :]
-    signs = [mu.atoms[i][1] > 0 for i in loop]
+    signs = [x[i] > 0 for i in loop]
     if any(s == t for s, t in zip(signs, signs[1:] + signs[:1])):
         raise CertificateError("the walk's loop is not a closed bolt: its signs do not alternate")
     alive = sorted(loop)
-    return alive, [1 if mu.atoms[i][1] > 0 else -1 for i in alive]
+    return alive, [1 if x[i] > 0 else -1 for i in alive]
+
+
+def _extract(
+    grid: ProductGrid, points: list[GridPoint], x: list[int]
+) -> tuple[list[int], list[int], MinimalCycle]:
+    """One minimal cycle inside the nonzero integer masses x at ``points``
+    (distinct, in flat-index order), as (its indices ascending, its integer
+    weights, the cycle).
+
+    The class sums of x must vanish, or ValueError is raised. On two axes
+    the cycle is the closed bolt of a circulation walk (``_bolt_walk``),
+    with no elimination; for n >= 3 it is the conformal circuit walk by
+    integer elimination (``_circuit_walk``). Its signs are checked against
+    x, and it is built by ``_normalized_cycle``, whose MinimalCycle rank
+    check is independent of either walk; a failed check raises
+    CertificateError.
+    """
+    if not _class_sums_vanish(points, x, grid.n):
+        raise ValueError("measure does not annihilate separable sums")
+    alive, w = (_bolt_walk if grid.n == 2 else _circuit_walk)(grid, points, x)
+    if any((wi > 0) != (x[i] > 0) for i, wi in zip(alive, w)):
+        raise CertificateError("the extracted cycle's signs disagree with the measure")
+    return alive, w, _normalized_cycle(tuple(points[i] for i in alive), w, grid)
 
 
 def extract_extreme_cycle(mu: FiniteSignedMeasure) -> MinimalCycle:
     """One minimal cycle inside the support of an annihilating measure, with
-    weights matching the measure's signs.
-
-    On two axes it is the closed bolt of a circulation walk
-    (``_bolt_walk``), with no elimination; for n >= 3 it is the conformal
-    circuit walk by integer elimination (``_circuit_walk``).
-
-    The cycle's signs are checked against the masses of ``mu``, and it is
-    built by ``_normalized_cycle``, whose MinimalCycle rank check is
-    independent of either walk; a failed check raises CertificateError.
-    """
+    weights matching the measure's signs (``_extract`` on its masses scaled
+    to integers)."""
     if mu.is_zero():
         raise ValueError("cannot extract a cycle from the zero measure")
-    if not is_orthogonal(mu):
-        raise ValueError("measure does not annihilate separable sums")
-    alive, x = (_bolt_walk if mu.grid.n == 2 else _circuit_walk)(mu)
-    if any((xi > 0) != (mu.atoms[i][1] > 0) for i, xi in zip(alive, x)):
-        raise CertificateError("the extracted cycle's signs disagree with the measure")
-    return _normalized_cycle(tuple(mu.atoms[i][0] for i in alive), x, mu.grid)
+    return _extract(mu.grid, list(mu.support), _int_row([m for _, m in mu.atoms])[:-1])[2]
 
 
 def decompose(mu: FiniteSignedMeasure) -> Decomposition:
     """Write a total-variation-1 annihilating measure as a convex combination
     of minimal-cycle measures.
 
-    Each round extracts a sign-compatible minimal cycle from the residual
-    (``extract_extreme_cycle``, with no LP) and subtracts the largest
-    multiple that keeps every residual mass on the same side of zero; that
-    zeroes at least one atom, so there are at most support-size many terms,
-    and sign compatibility makes the total variations add up, so the weights
-    sum to 1 exactly.
-
-    The residual is a point -> mass dict in flat-index order; a round
-    updates only the atoms of its cycle and drops those that reach zero.
-    Every round's extraction still sees the residual as a canonical measure
-    and checks it annihilates, and the terms must recombine to ``mu``.
+    The masses are scaled to integers once: the residual is ``scale * x``
+    on ``points``, with x integer and nonzero. Each round extracts a
+    sign-compatible minimal cycle from x (``_extract``, which also checks
+    that x annihilates) and takes the conformal step along its integer
+    weights (``_conformal_step``): the largest multiple that keeps every
+    residual mass on the same side of zero. That zeroes at least one atom,
+    so there are at most support-size many terms, and sign compatibility
+    makes the total variations add up, so the weights sum to 1 exactly. The
+    zeroed atoms are dropped and x is divided by its gcd. The terms must
+    recombine to ``mu``.
     """
     if total_variation(mu) != 1:
         raise ValueError("measure must have total variation 1")
-    if not is_orthogonal(mu):
-        raise ValueError("measure does not annihilate separable sums")
-    residual = dict(mu.atoms)
+    points = list(mu.support)
+    *x, den = _int_row([m for _, m in mu.atoms])
+    scale = Fraction(1, den)
     terms: list[tuple[Fraction, MinimalCycle]] = []
-    while residual:
-        mc = extract_extreme_cycle(FiniteSignedMeasure(mu.grid, tuple(residual.items())))
-        t = min(abs(residual[p]) / abs(w) for p, w in zip(mc.points, mc.weights))
-        terms.append((t, mc))
-        for p, w in zip(mc.points, mc.weights):
-            left = residual[p] - t * w
-            if left:
-                residual[p] = left
-            else:
-                del residual[p]
-    dec = Decomposition(tuple(terms))
-    if dec.combined() != mu:
+    while points:
+        alive, w, mc = _extract(mu.grid, points, x)
+        r = [0] * len(x)
+        for i, wi in zip(alive, w):
+            r[i] = wi
+        num, den, y = _conformal_step(x, r)
+        # the cycle's measure is w / sum|w|, and the step removes (num / den) w
+        terms.append((scale * sum(map(abs, w)) * Fraction(num, den), mc))
+        points = [p for p, yi in zip(points, y) if yi]
+        g = gcd(*y)
+        x = [yi // g for yi in y if yi]
+        scale = scale * g / den
+    try:
+        dec = Decomposition(tuple(terms))
+        recombines = dec.combined() == mu
+    except ValueError:  # weights that are not convex cannot recombine to mu
+        recombines = False
+    if not recombines:
         raise CertificateError("the decomposition does not recombine to the measure")
     return dec
 

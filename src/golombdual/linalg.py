@@ -280,21 +280,19 @@ def _run_simplex(
 ) -> tuple[str, _SparseRow]:
     """Bland-rule simplex on an equality-form tableau of sparse integer rows
     (``_row_op``). Column ``len(cost)`` is the rhs; the basic column of row
-    i has entry 1.
+    i has entry 1, its numerator equal to the row's denominator.
 
     Bland's rule (lowest eligible index for both the entering column and the
     tie-broken leaving row) guarantees termination without any perturbation.
     A row's denominator cancels in its own ratio rhs/a, so the ratio test
-    compares numerators by cross-multiplication. Returns the status and the
-    final reduced costs ``z = cost - c_B B^-1 A`` as a sparse integer row
-    (its rhs entry is the negated objective value).
+    compares numerators by cross-multiplication. The starting basic columns
+    cost 0, so ``cost`` is already the reduced-cost row. Returns the status
+    and the final reduced costs ``z = cost - c_B B^-1 A`` as a sparse integer
+    row (its rhs entry is the negated objective value).
     """
     ncols = len(cost)
     den = lcm(*(c.denominator for c in cost))
     z = ({j: c.numerator * (den // c.denominator) for j, c in enumerate(cost) if c}, den)
-    for i, row in enumerate(tableau):
-        if basis[i] in z[0]:
-            z = _row_op(z, row, basis[i])
     while True:
         enter = min(
             (j for j, v in z[0].items() if v < 0 and j < ncols),
@@ -322,16 +320,13 @@ def _pivot(
     tableau: list[_SparseRow], basis: list[int], z: _SparseRow, row: int, col: int
 ) -> _SparseRow:
     """Pivot on (row, col) and return the updated reduced-cost row."""
+    # Every row holds its basic column's entry equal to its denominator (the
+    # integer form of 1), and the ratio test pivots only on a positive entry.
+    # Dividing by piv / den keeps the numerators and makes piv the
+    # denominator; the old den is still an entry, so the row stays in lowest
+    # terms and the invariant holds for the new basic column.
     entries = tableau[row][0]
-    piv = entries[col]
-    # dividing by piv / den: the numerators stay, the denominator becomes
-    # |piv|; a negative g divides out the sign of piv too
-    g = gcd(*entries.values())  # piv is an entry, so g divides it
-    if piv < 0:
-        g = -g
-    if g != 1:
-        entries = {k: v // g for k, v in entries.items()}
-    prow = (entries, piv // g)
+    prow = (entries, entries[col])
     tableau[row] = prow
     for i, cur in enumerate(tableau):
         if i != row and col in cur[0]:

@@ -22,10 +22,13 @@ from golombdual import (
     SeparableSum,
     TabulatedFunction,
     CycleVectorPair,
+    Decomposition,
+    FiniteSignedMeasure,
     closed_bolt_measure,
     cycle_functional,
     cycle_to_closed_bolts,
     enumerate_minimal_cycles,
+    extract_extreme_cycle,
     integrate,
     point_index,
     to_golomb_form,
@@ -435,10 +438,10 @@ def corrupt_walk(monkeypatch, corruption: str) -> None:
     "flipped": the first weight of every walk's cycle is negated."""
     if corruption == "wrong-sign":
 
-        def exits(mu):
-            rows = mu.grid.factor_sizes[0]
+        def exits(grid, points, x):
+            rows = grid.factor_sizes[0]
             table: dict[int, int] = {}
-            for i, ((a, b), _) in enumerate(mu.atoms):
+            for i, (a, b) in enumerate(points):
                 table.setdefault(a, i)
                 table.setdefault(rows + b, i)
             return table
@@ -447,11 +450,46 @@ def corrupt_walk(monkeypatch, corruption: str) -> None:
     else:
         walk = cycles._bolt_walk
 
-        def flipped(mu):
-            alive, x = walk(mu)
-            return alive, [-x[0]] + x[1:]
+        def flipped(grid, points, x):
+            alive, w = walk(grid, points, x)
+            return alive, [-w[0]] + w[1:]
 
         monkeypatch.setattr(cycles, "_bolt_walk", flipped)
+
+
+def corrupt_term_weights(monkeypatch) -> None:
+    """Make ``cycles._conformal_step`` return its step num / den as
+    num * den, so that ``decompose`` scales each term weight by the step's
+    denominator instead of dividing by it. The step's vector, which the
+    walks and the residual use, stays intact."""
+    step = cycles._conformal_step
+
+    def corrupted(x, r):
+        num, den, y = step(x, r)
+        return num * den * den, den, y
+
+    monkeypatch.setattr(cycles, "_conformal_step", corrupted)
+
+
+def decompose_by_measures(mu: FiniteSignedMeasure) -> Decomposition:
+    """Reference decomposition: the loop that the integer residual of
+    ``decompose`` replaced. The residual is a point -> mass dict of
+    ``Fraction``s; every round rebuilds it as a canonical measure, extracts
+    a cycle from that (``extract_extreme_cycle``), and subtracts the largest
+    multiple of the cycle's measure that keeps every mass's sign."""
+    residual = dict(mu.atoms)
+    terms = []
+    while residual:
+        mc = extract_extreme_cycle(FiniteSignedMeasure(mu.grid, tuple(residual.items())))
+        t = min(abs(residual[p]) / abs(w) for p, w in zip(mc.points, mc.weights))
+        terms.append((t, mc))
+        for p, w in zip(mc.points, mc.weights):
+            left = residual[p] - t * w
+            if left:
+                residual[p] = left
+            else:
+                del residual[p]
+    return Decomposition(tuple(terms))
 
 
 def corrupt_enumeration(monkeypatch, module) -> None:

@@ -15,7 +15,16 @@ import golombdual.cli as cli
 from golombdual import LpSolution, function_from_json, measure_to_json
 from golombdual.cli import main
 
-from conftest import CUBE, SIX_POINTS, corrupt_enumeration, corrupt_relations, corrupt_walk
+from conftest import (
+    CUBE,
+    FIVE_CERT,
+    FIVE_POINTS,
+    SIX_POINTS,
+    corrupt_enumeration,
+    corrupt_relations,
+    corrupt_term_weights,
+    corrupt_walk,
+)
 
 XY_CSV = "0,0\n0,1\n"
 
@@ -268,6 +277,17 @@ class TestDecomposeCommand:
         assert (code, out) == (3, "")
         assert err.startswith("certificate error: ")
 
+    def test_corrupted_term_weights_exit_3(self, tmp_path, capsys, monkeypatch):
+        from golombdual import CycleVectorPair, measure_from_pair
+
+        # the five-point cycle's weight 2 makes its one step 2 / 2
+        corrupt_term_weights(monkeypatch)
+        mu = measure_from_pair(CycleVectorPair(CUBE, FIVE_POINTS, FIVE_CERT))
+        path = write(tmp_path / "mu.json", json.dumps(measure_to_json(mu)))
+        code, out, err = run_main(["decompose", "--input", path], capsys)
+        assert (code, out) == (3, "")
+        assert err == "certificate error: the decomposition does not recombine to the measure\n"
+
     @pytest.mark.parametrize("corruption", ["wrong-sign", "flipped"])
     def test_corrupted_walk_exits_3(self, corruption, tmp_path, capsys, monkeypatch):
         # a closed bolt on six points of a 3x3 grid
@@ -447,6 +467,26 @@ class TestConsoleScript:
         assert done.returncode == 0
         assert done.stderr == ""
         assert json.loads(done.stdout)["shape"] == [2, 2]
+
+    def test_module_entry_point_under_warnings_as_errors(self, capsys):
+        # running golombdual.cli as a module must not find it imported by
+        # its own package, which runpy would warn about
+        argv = ["gen", "--shape", "2x2", "--seed", "1"]
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "golombdual.cli", *argv],
+            capture_output=True,
+        )
+        assert done.returncode == 0
+        assert main(argv) == 0
+        assert done.stdout == capsys.readouterr().out.encode()
+
+    def test_public_names_resolve(self):
+        import golombdual
+
+        for name in golombdual.__all__:
+            assert getattr(golombdual, name) is not None
+        assert golombdual.main is golombdual.cli.main
+        assert not hasattr(golombdual, "RunConfig") and not hasattr(golombdual, "run")
 
     def test_reingesting_emitted_function_is_identity(self, tmp_path, capsys):
         out = tmp_path / "f.json"

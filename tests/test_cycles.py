@@ -53,7 +53,9 @@ from conftest import (
     brute_force_minimal_cycles,
     corrupt_enumeration,
     corrupt_relations,
+    corrupt_term_weights,
     corrupt_walk,
+    decompose_by_measures,
     has_lonely_point,
     reference_incidence_matrix,
     subset_scan_cycles,
@@ -963,9 +965,9 @@ def assert_both_walks_extract(mu: FiniteSignedMeasure) -> None:
     dec = decompose(mu)
     eliminations = []
 
-    def circuit_walk(measure):
-        eliminations.append(measure)
-        return cycles._circuit_walk(measure)
+    def circuit_walk(grid, points, x):
+        eliminations.append(points)
+        return cycles._circuit_walk(grid, points, x)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cycles, "_bolt_walk", circuit_walk)
@@ -1063,6 +1065,39 @@ class TestExtractionOracle:
                     assert (w > 0) == (masses[p] > 0)  # p in the support, same sign
                     recombined[p] = recombined.get(p, Fraction(0)) + t * w
             assert {p: m for p, m in recombined.items() if m} == masses
+
+
+class TestDecomposeMatchesMeasureLoop:
+    """``decompose`` on an integer residual gives the same terms, weights
+    and cycles as the loop that rebuilt a ``Fraction`` measure every round
+    (``conftest.decompose_by_measures``)."""
+
+    @pytest.mark.parametrize("shape,targets", RECTANGLE_SUMS)
+    def test_rectangle_sums(self, shape, targets):
+        rng = random.Random(4201)
+        for atoms in targets:
+            mu = rectangle_sum(rng, shape, atoms)
+            assert decompose(mu).terms == decompose_by_measures(mu).terms
+
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_seeded_5x5x4_rectangle_sums(self, seed):
+        rng = random.Random(seed)
+        for atoms in (30, 60, 100):
+            mu = rectangle_sum(rng, (5, 5, 4), atoms)
+            assert decompose(mu).terms == decompose_by_measures(mu).terms
+
+    @settings(max_examples=60, deadline=None)
+    @given(annihilating_measures())
+    def test_drawn_measures(self, mu):
+        assert decompose(mu).terms == decompose_by_measures(mu).terms
+
+    def test_term_weight_scaled_by_the_step_denominator_is_rejected(self, monkeypatch):
+        # the five-point cycle's weight 2 makes its one step 2 / 2, so its
+        # term weight becomes 4; the walk and the residual stay right, only
+        # the weight is wrong, and the recombination audit catches it
+        corrupt_term_weights(monkeypatch)
+        with pytest.raises(CertificateError, match="recombine"):
+            decompose(normalize_minimal(FIVE_POINTS, CUBE).measure())
 
 
 class TestCycleJson:

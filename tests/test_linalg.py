@@ -488,6 +488,9 @@ class DenseReplay:
     Each simplex run must take the same pivots as the dense one and end
     with the same status, basis, rows and reduced costs; so must every
     single pivot. No sparse row may store a zero or a denominator below 1.
+    Every pivot entry must be positive, and every row's basic-column entry
+    must equal its denominator: together they keep a pivot row in lowest
+    terms without a gcd, which ``linalg._pivot`` relies on.
     """
 
     def __init__(self, monkeypatch: pytest.MonkeyPatch) -> None:
@@ -510,6 +513,7 @@ class DenseReplay:
         dense_basis = basis[:]
         dense_z = self.dense_pivot(dense, dense_basis, dense_row(z, width), row, col)
         self.sparse_pivots.append((row, col))
+        assert tableau[row][0].get(col, 0) > 0
         z = self.pivot(tableau, basis, z, row, col)
         self.check(tableau, basis, z, dense, dense_basis, dense_z)
         self.pivots += 1
@@ -535,6 +539,8 @@ class DenseReplay:
         assert z == sparse_row(dense_z)
         for entries, den in [*tableau, z]:
             assert den > 0 and 0 not in entries.values()
+        for (entries, den), col in zip(tableau, basis):
+            assert entries[col] == den
 
 
 class TestSparseKernelMatchesDense:
