@@ -104,25 +104,19 @@ def best_error(f: TabulatedFunction) -> ApproximationResult:
             plus[(axis, value)] = 2 * len(plus) + 1
     ncols = 2 * len(plus) + 1
 
-    # two rows per point, written as one flat entries tuple with shared
-    # constants
-    entries: list[Fraction] = []
+    rows: list[dict[int, Fraction]] = []
     for point in grid.points():
-        row = [_F0] * ncols
-        row[0] = _F1
         cols = [plus[key] for key in enumerate(point) if key in plus]
-        for j in cols:
-            row[j], row[j + 1] = _FM1, _F1
-        entries += row
-        for j in cols:
-            row[j], row[j + 1] = _F1, _FM1
-        entries += row
-    npoints = grid.volume
+        for gp, gm in ((_FM1, _F1), (_F1, _FM1)):
+            row = {0: _F1}
+            for j in cols:
+                row[j], row[j + 1] = gp, gm
+            rows.append(row)
     bound = max(abs(v) for v in f.values) + 1
     sol = solve_lp(
         LpProblem(
             objective=(_FM1,) + (_F0,) * (ncols - 1),
-            matrix=RatMatrix(2 * npoints, ncols, tuple(entries)),
+            matrix=RatMatrix(len(rows), ncols, tuple(rows)),
             rhs=tuple(w for v in f.values for w in (bound - v, bound + v)),
         )
     )

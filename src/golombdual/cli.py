@@ -89,12 +89,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_cycles(args: argparse.Namespace) -> int:
+    if (args.shape is None) == (not args.input):
+        raise ValueError("cycles needs exactly one of --shape and --input")
     if args.shape is not None:
         grid = ProductGrid(_parse_shape(args.shape))
-    elif args.input:
-        grid = _load_function(args.input).grid
     else:
-        raise ValueError("cycles needs --shape or --input")
+        grid = _load_function(args.input).grid
     hits, _, truncated = _enumerate(grid, None, args.max_support, DEFAULT_ENUM_BUDGET)
     if truncated:
         return _cut_short()

@@ -179,7 +179,7 @@ def _class_ids(points: Sequence[GridPoint], n: int) -> tuple[list[tuple[int, ...
     """Each point's n (axis, value) classes as incidence row indices, and
     the number of rows. The rows are the realized classes, axis-major,
     values ascending within each axis: every incidence structure of the
-    package, dense or integer, takes its row order from here."""
+    package, ``RatMatrix`` or integer, takes its row order from here."""
     ids: dict[tuple[int, int], int] = {}
     for axis in range(n):
         for value in sorted({p[axis] for p in points}):
@@ -206,18 +206,19 @@ def incidence_matrix(points: Sequence[GridPoint], grid: ProductGrid) -> RatMatri
 
     A vector in its kernel has vanishing class sums along every axis, which
     is exactly the projection-cycle condition on the weights. The package
-    decides that on the integer columns (``_class_columns``); this dense
-    ``Fraction`` form is for callers of the public API.
+    decides that on the integer columns (``_class_columns``); this
+    ``RatMatrix`` form, one ``{point: 1}`` mapping per class row, is for
+    callers of the public API.
     """
     pts = [grid.check_point(p) for p in points]
     if len(set(pts)) != len(pts):
         raise ValueError("duplicate point in incidence input")
     classes, nrows = _class_ids(pts, grid.n)
-    entries = [Fraction(0)] * (nrows * len(pts))
+    rows: list[dict[int, int]] = [{} for _ in range(nrows)]
     for j, cs in enumerate(classes):
         for c in cs:
-            entries[c * len(pts) + j] = Fraction(1)
-    return RatMatrix(nrows, len(pts), tuple(entries))
+            rows[c][j] = 1
+    return RatMatrix(nrows, len(pts), tuple(rows))
 
 
 def _points_from_json(obj: object, key: str) -> tuple[tuple, ...]:

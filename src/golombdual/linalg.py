@@ -1,5 +1,5 @@
-"""Exact rational linear algebra: dense matrices, null-space bases, and an
-exact simplex solver for ``min c.x  s.t.  A x <= b,  x >= 0`` with b >= 0.
+"""Exact rational linear algebra: row-sparse matrices, null-space bases, and
+an exact simplex solver for ``min c.x  s.t.  A x <= b,  x >= 0`` with b >= 0.
 
 Everything is exact rational arithmetic: inputs and results are
 ``fractions.Fraction``, and the simplex pivots on sparse integer rows
@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Literal, Sequence
+from types import MappingProxyType
+from typing import Literal, Mapping, Sequence
 
 Rat = Fraction
 
@@ -68,25 +69,31 @@ def _as_rat(value: object) -> Fraction:
 
 @dataclass(frozen=True)
 class RatMatrix:
-    """Dense row-major matrix of rationals; each entry must be an int or a
-    Fraction (``_as_rat``)."""
+    """Row-sparse matrix of rationals: ``entries[i]`` maps each column of
+    row i to its value, ``{column: value}``. Every column must be an int in
+    ``range(cols)`` and every value an int or a Fraction (``_as_rat``).
+    Zeros are dropped, so equal matrices compare equal. The rows are stored
+    as read-only copies, so the checks hold for the matrix's lifetime."""
 
     rows: int
     cols: int
-    entries: tuple[Fraction, ...]
+    entries: tuple[Mapping[int, Fraction], ...]
 
     def __post_init__(self) -> None:
-        if not set(map(type, self.entries)) <= {Fraction}:
-            object.__setattr__(self, "entries", tuple(map(_as_rat, self.entries)))
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
+        if len(self.entries) != self.rows:
+            raise ValueError(f"expected {self.rows} rows, got {len(self.entries)}")
+        for i, row in enumerate(self.entries):
+            for j in row:
+                if type(j) is not int or not 0 <= j < self.cols:
+                    raise ValueError(f"row {i}: column {j!r} is not an int in range({self.cols})")
+        kept = ({j: v for j, a in row.items() if (v := _as_rat(a))} for row in self.entries)
+        object.__setattr__(self, "entries", tuple(map(MappingProxyType, kept)))
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+    def row(self, i: int) -> Mapping[int, Fraction]:
+        """Row i's nonzeros, ``{column: value}``."""
+        return self.entries[i]
 
 
 def _int_row(values: Sequence[Fraction]) -> list[int]:
@@ -102,8 +109,11 @@ def _int_row(values: Sequence[Fraction]) -> list[int]:
 def _integer_columns(m: RatMatrix) -> list[list[int]]:
     """The columns of ``m`` with each row cleared of its denominators; row
     scaling changes neither the rank nor the kernel."""
-    rows = [_int_row(m.row(i))[:-1] for i in range(m.rows)]
-    return [[r[j] for r in rows] for j in range(m.cols)]
+    cols = [[0] * m.rows for _ in range(m.cols)]
+    for i, row in enumerate(m.entries):
+        for j, v in zip(row, _int_row(list(row.values()))):  # zip drops the denominator
+            cols[j][i] = v
+    return cols
 
 
 def _eliminate(col: list[int], basis: list[tuple[int, list[int]]]) -> list[int]:
@@ -357,10 +367,9 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     n, m = problem.matrix.cols, problem.matrix.rows
     total = n + m  # the rhs column
     tableau: list[_SparseRow] = []
-    for i, b in enumerate(problem.rhs):
-        nonzero = [(j, a) for j, a in enumerate(problem.matrix.row(i)) if a]
-        den = lcm(b.denominator, *(a.denominator for _, a in nonzero))
-        row = {j: a.numerator * (den // a.denominator) for j, a in nonzero}
+    for i, (arow, b) in enumerate(zip(problem.matrix.entries, problem.rhs)):
+        den = lcm(b.denominator, *(a.denominator for a in arow.values()))
+        row = {j: a.numerator * (den // a.denominator) for j, a in arow.items()}
         row[n + i] = den
         if b:
             row[total] = b.numerator * (den // b.denominator)
@@ -395,10 +404,8 @@ def _check_optimum(problem: LpProblem, x: list[Fraction], dual: list[Fraction]) 
         if v < 0:
             raise CertificateError(f"x[{j}] = {v} is negative")
     reduced = list(problem.objective)
-    for i, (b, y) in enumerate(zip(problem.rhs, dual)):
-        arow = problem.matrix.row(i)
-        nonzero = [j for j, a in enumerate(arow) if a]
-        lhs = sum((arow[j] * x[j] for j in nonzero if x[j]), _ZERO)
+    for i, (arow, b, y) in enumerate(zip(problem.matrix.entries, problem.rhs, dual)):
+        lhs = sum((a * x[j] for j, a in arow.items() if x[j]), _ZERO)
         if lhs > b:
             raise CertificateError(f"row {i}: {lhs} <= {b} does not hold")
         if y > 0:
@@ -408,8 +415,8 @@ def _check_optimum(problem: LpProblem, x: list[Fraction], dual: list[Fraction]) 
                 raise CertificateError(
                     f"row {i}: dual {y} is nonzero on a slack row (complementary slackness)"
                 )
-            for j in nonzero:
-                reduced[j] -= arow[j] * y
+            for j, a in arow.items():
+                reduced[j] -= a * y
     for j, d in enumerate(reduced):
         if d < 0 or (d > 0 and x[j]):
             raise CertificateError(f"column {j}: reduced cost {d} is not dual feasible")

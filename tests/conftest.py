@@ -73,10 +73,17 @@ def random_separable(
 
 
 def rat_matrix(rows) -> RatMatrix:
-    """The RatMatrix of a list of equal-length rows of ints or Fractions."""
+    """The RatMatrix of a list of equal-length dense rows of ints or
+    Fractions, zeros included; the constructor drops the zeros."""
     width = len(rows[0]) if rows else 0
     assert all(len(row) == width for row in rows), "ragged rows"
-    return RatMatrix(len(rows), width, tuple(v for row in rows for v in row))
+    return RatMatrix(len(rows), width, tuple(dict(enumerate(row)) for row in rows))
+
+
+def dense_matrix_row(m: RatMatrix, i: int) -> list[Fraction]:
+    """Row i of ``m`` as a dense list of its ``m.cols`` values, zeros
+    included: the inverse of ``rat_matrix`` on one row."""
+    return [m.row(i).get(j, Fraction(0)) for j in range(m.cols)]
 
 
 def lp(objective, rows, rhs) -> LpProblem:
@@ -110,7 +117,7 @@ def _bareiss_echelon(m: RatMatrix) -> tuple[list[list[int]], list[int]]:
     the nonzero echelon rows and the pivot column indices."""
     rows = []
     for i in range(m.rows):
-        row = m.row(i)
+        row = dense_matrix_row(m, i)
         den = lcm(*(v.denominator for v in row))
         rows.append([v.numerator * (den // v.denominator) for v in row])
     pivots: list[int] = []

@@ -213,6 +213,13 @@ class TestCyclesCommand:
         assert code == 2
         assert err != ""
 
+    def test_shape_and_input_together_are_rejected(self, tmp_path, capsys):
+        # the grids disagree, so neither flag may win silently
+        path = write(tmp_path / "f.csv", "0,0,0\n0,1,0\n0,0,0\n")
+        code, out, err = run_main(["cycles", "--shape", "2x2", "--input", path], capsys)
+        assert (code, out) == (2, "")
+        assert "exactly one of --shape and --input" in err
+
     def test_computed_relation_that_fails_its_audit_exits_3(self, capsys, monkeypatch):
         corrupt_enumeration(monkeypatch, cli)
         code, out, err = run_main(["cycles", "--shape", "3x3"], capsys)

@@ -905,7 +905,12 @@ def corruption_measures() -> list[FiniteSignedMeasure]:
 def rectangle_sum(rng: random.Random, shape: tuple[int, ...], atoms: int) -> FiniteSignedMeasure:
     """A sum of signed 2x2 rectangles (two values on each of two axes, the
     other coordinates fixed, masses +c, -c, -c, +c) with at least ``atoms``
-    atoms, normalized to total variation 1. It annihilates separable sums."""
+    atoms, normalized to total variation 1. It annihilates separable sums.
+    Raises ValueError when ``atoms`` exceeds the grid's volume, which no
+    draw could reach."""
+    grid = ProductGrid(shape)
+    if atoms > grid.volume:
+        raise ValueError(f"{atoms} atoms do not fit on a grid of {grid.volume} points")
     acc: dict[tuple[int, ...], int] = {}
     while sum(1 for m in acc.values() if m) < atoms:
         a1, a2 = rng.sample(range(len(shape)), 2)
@@ -919,9 +924,7 @@ def rectangle_sum(rng: random.Random, shape: tuple[int, ...], atoms: int) -> Fin
                 point[a1], point[a2] = u[i], v[j]
                 acc[tuple(point)] = acc.get(tuple(point), 0) + c * si * sj
     tv = sum(abs(m) for m in acc.values())
-    return FiniteSignedMeasure.from_atoms(
-        ProductGrid(shape), ((p, Fraction(m, tv)) for p, m in acc.items())
-    )
+    return FiniteSignedMeasure.from_atoms(grid, ((p, Fraction(m, tv)) for p, m in acc.items()))
 
 
 def assert_conformal_minimal(cycle: MinimalCycle, mu: FiniteSignedMeasure) -> None:
@@ -1035,6 +1038,12 @@ class TestExtractionOracle:
     @given(annihilating_measures())
     def test_cycle_on_every_residual_of_drawn_measures(self, mu):
         assert_every_residual_extracts(mu)
+
+    def test_rectangle_sum_rejects_more_atoms_than_points(self):
+        # the 2x2x2x2 grid has 16 points; the draw loop would never end
+        with pytest.raises(ValueError, match="do not fit"):
+            rectangle_sum(random.Random(3), (2, 2, 2, 2), 17)
+        assert len(rectangle_sum(random.Random(3), (2, 2, 2, 2), 14).atoms) >= 14
 
     def test_both_walks_on_two_axis_residuals(self):
         shape, targets = RECTANGLE_SUMS[0]

@@ -31,6 +31,7 @@ from conftest import (
     SQUARE,
     bareiss_kernel_basis,
     bareiss_rank,
+    dense_matrix_row,
     dense_row,
     lp,
     random_table,
@@ -95,13 +96,49 @@ class TestRatMatrix:
     def test_from_rows(self):
         m = rat_matrix([[1, 2], [3, 4]])
         assert (m.rows, m.cols) == (2, 2)
-        assert m.entries == (1, 2, 3, 4)
-        assert m.row(1) == (Fraction(3), Fraction(4))
-        assert all(type(v) is Fraction for v in m.entries)
+        assert m.entries == ({0: 1, 1: 2}, {0: 3, 1: 4})
+        assert m.row(1) == {0: Fraction(3), 1: Fraction(4)}
+        assert all(type(v) is Fraction for row in m.entries for v in row.values())
+        assert [dense_matrix_row(m, i) for i in range(2)] == [[1, 2], [3, 4]]
 
     def test_entry_count_checked(self):
-        with pytest.raises(ValueError):
-            RatMatrix(rows=2, cols=2, entries=(Fraction(1),) * 3)
+        # one mapping per row, so the row count must match ``rows``
+        for entries in (({0: 1},) * 3, ({0: 1},), ()):
+            with pytest.raises(ValueError, match="expected 2 rows"):
+                RatMatrix(rows=2, cols=2, entries=entries)
+
+    @pytest.mark.parametrize("col", [2, 5, -1], ids=["cols", "beyond", "negative"])
+    def test_column_out_of_range_is_rejected(self, col):
+        with pytest.raises(ValueError, match=r"not an int in range\(2\)"):
+            RatMatrix(1, 2, ({0: 1, col: 1},))
+
+    @pytest.mark.parametrize("col", [True, False, 1.0, "0", Fraction(1)],
+                             ids=["true", "false", "float", "string", "fraction"])
+    def test_column_that_is_not_an_int_is_rejected(self, col):
+        with pytest.raises(ValueError, match="not an int"):
+            RatMatrix(1, 2, ({col: 1},))
+
+    @pytest.mark.parametrize("value", [0.5, 0.0], ids=["float", "zero-float"])
+    def test_float_value_is_rejected(self, value):
+        with pytest.raises(ValueError, match="int or a Fraction"):
+            RatMatrix(1, 2, ({1: value},))
+
+    def test_zeros_are_dropped(self):
+        half = Fraction(-1, 2)
+        spelled_with_zeros = RatMatrix(3, 3, ({0: 1, 1: 0}, {2: Fraction(0)}, {2: half}))
+        sparse = RatMatrix(3, 3, ({0: Fraction(1)}, {}, {2: half}))
+        assert spelled_with_zeros == sparse == rat_matrix([[1, 0, 0], [0, 0, 0], [0, 0, half]])
+        assert spelled_with_zeros.entries == ({0: 1}, {}, {2: half})
+        assert sparse != RatMatrix(3, 3, ({0: 1}, {}, {1: half}))
+
+    def test_rows_are_read_only_copies(self):
+        row = {0: 1}
+        m = RatMatrix(1, 2, (row,))
+        row[1] = 2
+        assert m.row(0) == {0: 1}
+        with pytest.raises(TypeError):
+            m.row(0)[1] = 0.5
+        assert m == RatMatrix(1, 2, ({0: 1},))
 
     @pytest.mark.parametrize("bad", [0.1, True, "1/4"], ids=["float", "bool", "string"])
     def test_from_rows_rejects_values_that_are_not_ints_or_fractions(self, bad):
@@ -172,7 +209,7 @@ class TestKernelBasis:
             assert len(basis) == cols - matrix_rank(m)
             for v in basis:
                 for i in range(rows):
-                    assert sum(a * w for a, w in zip(m.row(i), v)) == 0
+                    assert sum(a * w for a, w in zip(dense_matrix_row(m, i), v)) == 0
             if basis:
                 stacked = rat_matrix([list(v) for v in basis])
                 assert matrix_rank(stacked) == len(basis)
@@ -199,7 +236,7 @@ class TestKernelBasis:
                 assert matrix_rank(m) == bareiss_rank(m), (name, table)
                 checked += 1
         for rows, cols in ((0, 0), (0, 1), (0, 4), (1, 0), (3, 0)):
-            m = RatMatrix(rows, cols, ())
+            m = RatMatrix(rows, cols, ({},) * rows)
             assert kernel_basis(m) == bareiss_kernel_basis(m)
             assert matrix_rank(m) == bareiss_rank(m) == 0
         assert checked == 450
@@ -579,11 +616,12 @@ def assert_strong_duality(problem: LpProblem, sol) -> None:
     the reduced costs d = c - A^T y are nonnegative and zero wherever
     x > 0."""
     m, n = problem.matrix.rows, problem.matrix.cols
+    rows = [dense_matrix_row(problem.matrix, i) for i in range(m)]
     assert sol.objective == sum((c * x for c, x in zip(problem.objective, sol.primal)), Fraction(0))
     assert sum((y * b for y, b in zip(sol.dual, problem.rhs)), Fraction(0)) == sol.objective
     for j in range(n):
         d = problem.objective[j] - sum(
-            (problem.matrix.row(i)[j] * sol.dual[i] for i in range(m)), Fraction(0)
+            (rows[i][j] * sol.dual[i] for i in range(m)), Fraction(0)
         )
         assert d >= 0 and (d == 0 or sol.primal[j] == 0)
 
@@ -701,7 +739,7 @@ class TestCertificateAudits:
             "from fractions import Fraction as F\n"
             "from golombdual import CertificateError, LpProblem, RatMatrix\n"
             "from golombdual.linalg import _check_optimum\n"
-            "p = LpProblem((-1,), RatMatrix(1, 1, (1,)), (1,))\n"
+            "p = LpProblem((-1,), RatMatrix(1, 1, ({0: 1},)), (1,))\n"
             "_check_optimum(p, [F(1)], [F(-1)])\n"
             "try:\n"
             "    _check_optimum(p, [F(1)], [F(-2)])\n"
