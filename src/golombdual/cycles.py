@@ -434,23 +434,27 @@ def _circuit_walk(
     """A conformal circuit walk (Rockafellar 1969, elementary vectors) on the
     integer class columns of ``points`` (``_class_ids``), for any number of
     axes. Returns the indices of a minimal cycle among ``points``, ascending,
-    and its integer weights.
+    and its integer weights, which agree with x in sign.
 
     The integer masses x are a nowhere-zero kernel vector of the columns.
-    The columns are cleared in order with ``_eliminate``, each carrying a
-    tail indexed by basis slot as in ``_circuits``; the first one that
-    clears to zero closes a circuit r among itself and the independent
-    columns before it. When r uses every remaining atom, the kernel there is
-    the line of x, so the remaining atoms are a minimal cycle with weights
-    x. Otherwise r is oriented to agree with x at its last column, and the
-    conformal step x - t r (``_conformal_step``) stays a kernel vector that
-    agrees with x in sign and zeroes at least one atom. The zeroed atoms are
-    dropped, the basis rows of the columns before the first of them are
-    kept, and the walk resumes there; every step drops an atom, so it ends.
+    The columns are cleared heaviest first (by |x| descending, ties in
+    index order) with ``_eliminate``, each carrying a tail indexed by basis
+    slot as in ``_circuits``; the first one that clears to zero closes a
+    circuit r among itself and the independent columns before it. r is
+    oriented to agree with x at its last column. When r agrees with x in
+    sign wherever r is nonzero, it is a conformal circuit and is returned.
+    Otherwise the conformal step x - t r (``_conformal_step``) stays a
+    kernel vector that agrees with x in sign and zeroes at least one atom.
+    The zeroed atoms are dropped, the basis rows of the columns before the
+    first of them are kept, and the walk resumes there; every step drops an
+    atom, so it ends. An r that uses every remaining atom is proportional to
+    x, hence conformal.
     """
     classes, nrows = _class_ids(points, grid.n)
     cols = _class_columns(classes, nrows)
-    alive = list(range(len(points)))  # the indices left
+    # the indices left, heaviest first; the sort is stable, so ties keep index order
+    alive = sorted(range(len(points)), key=lambda i: -abs(x[i]))
+    x = [x[i] for i in alive]
     basis: list[tuple[int, list[int]]] = []
     while True:
         d = len(basis)
@@ -463,12 +467,13 @@ def _circuit_walk(
             basis.append(_basis_row(v))
             continue
         r = v[nrows : nrows + d + 1]
-        if d + 1 == len(alive) and all(r):
-            return alive, x
         if not r[d]:
             raise CertificateError("a cleared column is missing from its own relation")
         if (r[d] > 0) != (x[d] > 0):
             r = [-e for e in r]
+        if all((e > 0) == (xi > 0) for e, xi in zip(r, x) if e):
+            circuit = sorted((i, e) for i, e in zip(alive, r) if e)
+            return [i for i, _ in circuit], [e for _, e in circuit]
         x = _conformal_step(x, r + [0] * (len(x) - d - 1))[2]
         del basis[x.index(0) :]
         alive = [i for i, xi in zip(alive, x) if xi]
@@ -539,11 +544,11 @@ def _extract(
 
     The class sums of x must vanish, or ValueError is raised. On two axes
     the cycle is the closed bolt of a circulation walk (``_bolt_walk``),
-    with no elimination; for n >= 3 it is the conformal circuit walk by
-    integer elimination (``_circuit_walk``). Its signs are checked against
-    x, and it is built by ``_normalized_cycle``, whose MinimalCycle rank
-    check is independent of either walk; a failed check raises
-    CertificateError.
+    with no elimination; for n >= 3 it is the first conformal circuit that
+    a walk by integer elimination closes, clearing the heaviest atoms first
+    (``_circuit_walk``). Its signs are checked against x, and it is built
+    by ``_normalized_cycle``, whose MinimalCycle rank check is independent
+    of either walk; a failed check raises CertificateError.
     """
     if not _class_sums_vanish(points, x, grid.n):
         raise ValueError("measure does not annihilate separable sums")
@@ -569,13 +574,14 @@ def decompose(mu: FiniteSignedMeasure) -> Decomposition:
     The masses are scaled to integers once: the residual is ``scale * x``
     on ``points``, with x integer and nonzero. Each round extracts a
     sign-compatible minimal cycle from x (``_extract``, which also checks
-    that x annihilates) and takes the conformal step along its integer
-    weights (``_conformal_step``): the largest multiple that keeps every
-    residual mass on the same side of zero. That zeroes at least one atom,
-    so there are at most support-size many terms, and sign compatibility
-    makes the total variations add up, so the weights sum to 1 exactly. The
-    zeroed atoms are dropped and x is divided by its gcd. The terms must
-    recombine to ``mu``.
+    that x annihilates: a closed bolt on two axes, the first conformal
+    circuit of the elimination walk on more) and takes the conformal step
+    along its integer weights (``_conformal_step``): the largest multiple
+    that keeps every residual mass on the same side of zero. That zeroes at
+    least one atom, so there are at most support-size many terms, and sign
+    compatibility makes the total variations add up, so the weights sum to
+    1 exactly. The zeroed atoms are dropped and x is divided by its gcd.
+    The terms must recombine to ``mu``.
     """
     if total_variation(mu) != 1:
         raise ValueError("measure must have total variation 1")

@@ -422,19 +422,63 @@ def two_phase_minimum(objective, rows, relations, rhs) -> Fraction | str:
 
 def corrupt_relations(monkeypatch, corruption: str) -> None:
     """Make ``cycles._eliminate`` corrupt every relation it closes in the
-    extraction: the first tail entry of a column that clears to zero is
-    negated or raised by 1. Basis rows stay intact. The extraction's columns
-    hold nrows class entries and a tail of nrows + 1."""
+    extraction: the first nonzero tail entry of a column that clears to zero
+    is negated or raised by 1, so the corruption reaches every circuit the
+    walk returns. Basis rows stay intact. The extraction's columns hold
+    nrows class entries and a tail of nrows + 1."""
     eliminate = cycles._eliminate
 
     def corrupted(col, basis):
         v = eliminate(col, basis)
         nrows = (len(col) - 1) // 2
         if not any(v[:nrows]):
-            v[nrows] = -v[nrows] if corruption == "negated" else v[nrows] + 1
+            k = next(k for k in range(nrows, len(v)) if v[k])
+            v[k] = -v[k] if corruption == "negated" else v[k] + 1
         return v
 
     monkeypatch.setattr(cycles, "_eliminate", corrupted)
+
+
+def whole_support_walk(grid: ProductGrid, points, x) -> tuple[list[int], list[int]]:
+    """Reference conformal circuit walk for any number of axes: the walk
+    that ``cycles._circuit_walk`` replaced, which returns only once the
+    whole remaining support is one circuit. Returns the indices of that
+    circuit, ascending, and its integer weights.
+
+    The columns are cleared in flat-index order with ``cycles._eliminate``,
+    each carrying a tail indexed by basis slot. The first that clears to
+    zero closes a circuit r. When r uses every remaining atom, those atoms
+    are a minimal cycle with weights x. Otherwise r is oriented to agree
+    with x at its last column, x takes the conformal step x - t r, the
+    zeroed atoms are dropped, the basis rows before the first of them are
+    kept, and the walk resumes there."""
+    classes, nrows = cycles._class_ids(points, grid.n)
+    cols = cycles._class_columns(classes, nrows)
+    alive = list(range(len(points)))
+    basis: list[tuple[int, list[int]]] = []
+    while True:
+        d = len(basis)
+        if d == len(alive):
+            raise cycles.CertificateError("the remaining support has no integer relation")
+        col = cols[alive[d]] + [0] * (nrows + 1)
+        col[nrows + d] = 1
+        v = cycles._eliminate(col, basis)
+        if any(v[:nrows]):
+            basis.append(cycles._basis_row(v))
+            continue
+        r = v[nrows : nrows + d + 1]
+        if d + 1 == len(alive) and all(r):
+            return alive, x
+        if not r[d]:
+            raise cycles.CertificateError("a cleared column is missing from its own relation")
+        if (r[d] > 0) != (x[d] > 0):
+            r = [-e for e in r]
+        x = cycles._conformal_step(x, r + [0] * (len(x) - d - 1))[2]
+        del basis[x.index(0) :]
+        alive = [i for i, xi in zip(alive, x) if xi]
+        x = [xi for xi in x if xi]
+        g = gcd(*x)
+        x = [xi // g for xi in x]
 
 
 def corrupt_walk(monkeypatch, corruption: str) -> None:

@@ -39,6 +39,7 @@ from golombdual import (
     to_golomb_form,
     total_variation,
 )
+from golombdual.linalg import _int_row
 
 from conftest import (
     CUBE,
@@ -59,6 +60,7 @@ from conftest import (
     has_lonely_point,
     reference_incidence_matrix,
     subset_scan_cycles,
+    whole_support_walk,
 )
 
 GRID22 = ProductGrid((2, 2))
@@ -960,20 +962,25 @@ def assert_every_residual_extracts(mu: FiniteSignedMeasure) -> None:
 
 
 def assert_both_walks_extract(mu: FiniteSignedMeasure) -> None:
-    """Decompose the two-axis measure ``mu`` with the circulation walk, and
-    again with the elimination walk in its place. On every residual of the
-    first decomposition both walks give a conformal minimal cycle, and both
-    decompositions recombine to ``mu``."""
-    assert mu.grid.n == 2
+    """Decompose ``mu``, and again with an oracle walk in place of the
+    package's: on two axes the elimination walk (``cycles._circuit_walk``)
+    replaces the circulation walk, and on n >= 3 axes the whole-support walk
+    (``conftest.whole_support_walk``) replaces the elimination walk. On every
+    residual of the first decomposition both walks give a conformal minimal
+    cycle, and both decompositions recombine to ``mu``."""
+    if mu.grid.n == 2:
+        name, walk = "_bolt_walk", cycles._circuit_walk
+    else:
+        name, walk = "_circuit_walk", whole_support_walk
     dec = decompose(mu)
-    eliminations = []
+    oracle_walks = []
 
-    def circuit_walk(grid, points, x):
-        eliminations.append(points)
-        return cycles._circuit_walk(grid, points, x)
+    def oracle_walk(grid, points, x):
+        oracle_walks.append(points)
+        return walk(grid, points, x)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cycles, "_bolt_walk", circuit_walk)
+        mp.setattr(cycles, name, oracle_walk)
         oracle = decompose(mu)
         residual = dict(mu.atoms)
         for t, mc in dec.terms:
@@ -982,18 +989,21 @@ def assert_both_walks_extract(mu: FiniteSignedMeasure) -> None:
             assert_conformal_minimal(extract_extreme_cycle(measure), measure)
             for p, w in zip(mc.points, mc.weights):
                 residual[p] -= t * w
-    assert len(eliminations) == len(oracle.terms) + len(dec.terms)
+    assert len(oracle_walks) == len(oracle.terms) + len(dec.terms)
     assert dec.combined() == mu and oracle.combined() == mu
 
 
 @st.composite
-def annihilating_measures(draw, max_axes: int = 4) -> FiniteSignedMeasure:
+def annihilating_measures(
+    draw, min_axes: int = 2, max_axes: int = 4
+) -> FiniteSignedMeasure:
     """A nonzero sum of signed 2x2 rectangles (``rectangle_sum``), which span
-    the annihilating measures, normalized to total variation 1: 2 to
-    ``max_axes`` axes of size 1 to 4 with at least two of size 2 or more,
-    one rectangle (a single cycle) or several, which may be disjoint, and
-    coefficients with numerators up to 10^9 and denominators up to 10^12."""
-    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=2, max_size=max_axes)))
+    the annihilating measures, normalized to total variation 1:
+    ``min_axes`` to ``max_axes`` axes of size 1 to 4 with at least two of
+    size 2 or more, one rectangle (a single cycle) or several, which may be
+    disjoint, and coefficients with numerators up to 10^9 and denominators
+    up to 10^12."""
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=min_axes, max_size=max_axes)))
     wide = [axis for axis, size in enumerate(shape) if size >= 2]
     assume(len(wide) >= 2)
     acc: dict[tuple[int, ...], Fraction] = {}
@@ -1056,6 +1066,17 @@ class TestExtractionOracle:
     def test_both_walks_on_residuals_of_drawn_two_axis_measures(self, mu):
         assert_both_walks_extract(mu)
 
+    @pytest.mark.parametrize("shape,targets", RECTANGLE_SUMS[1:])
+    def test_both_walks_on_n_axis_residuals(self, shape, targets):
+        rng = random.Random(4201)
+        for atoms in targets:
+            assert_both_walks_extract(rectangle_sum(rng, shape, atoms))
+
+    @settings(max_examples=60, deadline=None)
+    @given(annihilating_measures(min_axes=3, max_axes=4))
+    def test_both_walks_on_residuals_of_drawn_n_axis_measures(self, mu):
+        assert_both_walks_extract(mu)
+
     @pytest.mark.parametrize("shape,targets", RECTANGLE_SUMS)
     def test_decomposition_is_sound(self, shape, targets):
         rng = random.Random(7919)
@@ -1074,6 +1095,81 @@ class TestExtractionOracle:
                     assert (w > 0) == (masses[p] > 0)  # p in the support, same sign
                     recombined[p] = recombined.get(p, Fraction(0)) + t * w
             assert {p: m for p, m in recombined.items() if m} == masses
+
+
+class TestCircuitWalkWork:
+    """The elimination walk (n >= 3) clears the heaviest atoms first and
+    returns the first conformal circuit it closes, which saves most of the
+    eliminations of the whole-support walk it replaced. Both counts are
+    deterministic."""
+
+    @staticmethod
+    def eliminations(mu: FiniteSignedMeasure, walk=None) -> int:
+        """The ``_eliminate`` calls of ``decompose(mu)``, with ``walk`` in
+        place of ``cycles._circuit_walk`` when given."""
+        calls = []
+        real = cycles._eliminate
+
+        def counted(col, basis):
+            calls.append(1)
+            return real(col, basis)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cycles, "_eliminate", counted)
+            if walk is not None:
+                mp.setattr(cycles, "_circuit_walk", walk)
+            decompose(mu)
+        return len(calls)
+
+    def test_fewer_eliminations_than_the_whole_support_walk(self):
+        mu = rectangle_sum(random.Random(1), (5, 5, 4), 80)
+        assert self.eliminations(mu) < self.eliminations(mu, whole_support_walk)
+
+    def test_a_conformal_circuit_is_returned_without_a_step(self, monkeypatch):
+        # two five-point cycles on disjoint coordinate values: every relation
+        # the walk can close is one of them, conformal to the measure, so
+        # the walk returns the first one; the whole-support walk would step
+        grid = ProductGrid((4, 4, 4))
+        near = normalize_minimal(FIVE_POINTS, grid)
+        far = normalize_minimal([tuple(c + 2 for c in p) for p in FIVE_POINTS], grid)
+        mu = near.measure() * Fraction(1, 3) + far.measure() * Fraction(2, 3)
+        points = list(mu.support)
+        steps = []
+        real = cycles._conformal_step
+
+        def counted(x, r):
+            steps.append(1)
+            return real(x, r)
+
+        monkeypatch.setattr(cycles, "_conformal_step", counted)
+        alive, _ = cycles._circuit_walk(grid, points, _int_row([m for _, m in mu.atoms])[:-1])
+        assert not steps
+        assert {points[i] for i in alive} in (set(near.points), set(far.points))
+
+    def test_columns_are_cleared_heaviest_first(self, monkeypatch):
+        # up to the first relation, the walk clears the atoms by |mass|
+        # descending, ties in flat-index order
+        mu = rectangle_sum(random.Random(1), (5, 5, 4), 80)
+        points = list(mu.support)
+        x = _int_row([m for _, m in mu.atoms])[:-1]
+        classes, nrows = cycles._class_ids(points, mu.grid.n)
+        atom_of = {tuple(c): i for i, c in enumerate(cycles._class_columns(classes, nrows))}
+        cleared: list[int] = []
+        closed: list[bool] = []
+        real = cycles._eliminate
+
+        def recorded(col, basis):
+            v = real(col, basis)
+            if not closed:
+                cleared.append(atom_of[tuple(col[:nrows])])
+                if not any(v[:nrows]):
+                    closed.append(True)
+            return v
+
+        monkeypatch.setattr(cycles, "_eliminate", recorded)
+        cycles._circuit_walk(mu.grid, points, x)
+        heaviest = sorted(range(len(x)), key=lambda i: (-abs(x[i]), i))
+        assert closed and cleared == heaviest[: len(cleared)] != sorted(cleared)
 
 
 class TestDecomposeMatchesMeasureLoop:
