@@ -28,7 +28,6 @@ from .grids import (
     _class_columns,
     _class_ids,
     _points_from_json,
-    point_index,
 )
 from .linalg import (
     CertificateError,
@@ -232,12 +231,6 @@ def _distinct(points: Iterable[GridPoint], grid: ProductGrid) -> list[GridPoint]
     return pts
 
 
-def _sorted_by_index(
-    points: Iterable[GridPoint], grid: ProductGrid
-) -> tuple[GridPoint, ...]:
-    return tuple(sorted(_distinct(points, grid), key=lambda p: point_index(grid, p)))
-
-
 def _normalized_cycle(
     points: tuple[GridPoint, ...], vec: Sequence[int], grid: ProductGrid
 ) -> MinimalCycle:
@@ -263,7 +256,7 @@ def normalize_minimal(points: Sequence[GridPoint], grid: ProductGrid) -> Minimal
     """Canonical representative of a minimal cycle: points sorted by flat
     index, weights scaled to total mass 1 with the lowest-index weight
     positive. Invariant under permutations of the input."""
-    pts = _sorted_by_index(points, grid)
+    pts = tuple(sorted(_distinct(points, grid)))
     relations = _kernel_relations(pts, grid.n)
     if len(relations) != 1 or not all(relations[0]):
         raise ValueError("point set is not a minimal cycle")
@@ -387,7 +380,7 @@ def _enumerate(
     """
     if max_support is not None and max_support < 2:
         raise ValueError(f"max_support must be at least 2, got {max_support}")
-    pts = tuple(grid.points()) if points is None else _sorted_by_index(points, grid)
+    pts = tuple(grid.points()) if points is None else tuple(sorted(_distinct(points, grid)))
     classes, nrows = _class_ids(pts, grid.n)
     cap = _incidence_rank(pts, grid.n) + 1 if max_support is None else max_support
     hits, candidates, truncated = _circuits(classes, nrows, min(cap, len(pts)), budget)
@@ -542,20 +535,32 @@ def _extract(
     (distinct, in flat-index order), as (its indices ascending, its integer
     weights, the cycle).
 
-    The class sums of x must vanish, or ValueError is raised. On two axes
-    the cycle is the closed bolt of a circulation walk (``_bolt_walk``),
-    with no elimination; for n >= 3 it is the first conformal circuit that
-    a walk by integer elimination closes, clearing the heaviest atoms first
+    The class sums of x must vanish; the callers test that once, on the
+    input's masses (``_integer_masses``), and a later residual of
+    ``decompose`` is ``den x - num w`` for such an x and a cycle w whose
+    class sums ``CycleVectorPair`` has checked. On two axes the cycle is the
+    closed bolt of a circulation walk (``_bolt_walk``), with no elimination;
+    for n >= 3 it is the first conformal circuit that a walk by integer
+    elimination closes, clearing the heaviest atoms first
     (``_circuit_walk``). Its signs are checked against x, and it is built
     by ``_normalized_cycle``, whose MinimalCycle rank check is independent
     of either walk; a failed check raises CertificateError.
     """
-    if not _class_sums_vanish(points, x, grid.n):
-        raise ValueError("measure does not annihilate separable sums")
     alive, w = (_bolt_walk if grid.n == 2 else _circuit_walk)(grid, points, x)
     if any((wi > 0) != (x[i] > 0) for i, wi in zip(alive, w)):
         raise CertificateError("the extracted cycle's signs disagree with the measure")
     return alive, w, _normalized_cycle(tuple(points[i] for i in alive), w, grid)
+
+
+def _integer_masses(mu: FiniteSignedMeasure) -> tuple[list[GridPoint], list[int], int]:
+    """The support of ``mu``, its masses over their common denominator as
+    integers x, and that denominator. Raises ValueError unless the class
+    sums of x vanish, that is unless ``mu`` annihilates separable sums."""
+    points = list(mu.support)
+    *x, den = _int_row([m for _, m in mu.atoms])
+    if not _class_sums_vanish(points, x, mu.grid.n):
+        raise ValueError("measure does not annihilate separable sums")
+    return points, x, den
 
 
 def extract_extreme_cycle(mu: FiniteSignedMeasure) -> MinimalCycle:
@@ -564,29 +569,30 @@ def extract_extreme_cycle(mu: FiniteSignedMeasure) -> MinimalCycle:
     to integers)."""
     if mu.is_zero():
         raise ValueError("cannot extract a cycle from the zero measure")
-    return _extract(mu.grid, list(mu.support), _int_row([m for _, m in mu.atoms])[:-1])[2]
+    points, x, _ = _integer_masses(mu)
+    return _extract(mu.grid, points, x)[2]
 
 
 def decompose(mu: FiniteSignedMeasure) -> Decomposition:
     """Write a total-variation-1 annihilating measure as a convex combination
     of minimal-cycle measures.
 
-    The masses are scaled to integers once: the residual is ``scale * x``
-    on ``points``, with x integer and nonzero. Each round extracts a
-    sign-compatible minimal cycle from x (``_extract``, which also checks
-    that x annihilates: a closed bolt on two axes, the first conformal
-    circuit of the elimination walk on more) and takes the conformal step
-    along its integer weights (``_conformal_step``): the largest multiple
-    that keeps every residual mass on the same side of zero. That zeroes at
-    least one atom, so there are at most support-size many terms, and sign
-    compatibility makes the total variations add up, so the weights sum to
-    1 exactly. The zeroed atoms are dropped and x is divided by its gcd.
-    The terms must recombine to ``mu``.
+    The masses are scaled to integers once, and their class sums are tested
+    once (``_integer_masses``): the residual is ``scale * x`` on ``points``,
+    with x integer and nonzero. Each round extracts a sign-compatible
+    minimal cycle from x (``_extract``: a closed bolt on two axes, the first
+    conformal circuit of the elimination walk on more) and takes the
+    conformal step along its integer weights (``_conformal_step``): the
+    largest multiple that keeps every residual mass on the same side of
+    zero. The cycle's class sums vanish, so the residual's stay zero. The
+    step zeroes at least one atom, so there are at most support-size many
+    terms, and sign compatibility makes the total variations add up, so
+    the weights sum to 1 exactly. The zeroed atoms are dropped and x is
+    divided by its gcd. The terms must recombine to ``mu``.
     """
     if total_variation(mu) != 1:
         raise ValueError("measure must have total variation 1")
-    points = list(mu.support)
-    *x, den = _int_row([m for _, m in mu.atoms])
+    points, x, den = _integer_masses(mu)
     scale = Fraction(1, den)
     terms: list[tuple[Fraction, MinimalCycle]] = []
     while points:

@@ -1,16 +1,20 @@
 """Finitely supported signed measures on a product grid.
 
 The measures of interest annihilate every separable sum; by the marginal
-criterion that holds exactly when all axis marginals vanish. Atom lists are
-kept canonical (sorted by flat index, no zero masses) so equality of measures
-is plain structural equality.
+criterion that holds exactly when all axis marginals vanish.
+
+A measure is canonical once constructed: each atom's point is checked to
+lie on the grid and stored as a tuple of ints, its mass as a nonzero
+``Fraction``, and the atoms are in strictly increasing tuple order, which
+for grid points is flat-index order. So equality and hashing of measures
+are plain structural equality and hashing, whatever sequences the caller
+passed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .grids import (
@@ -19,9 +23,8 @@ from .grids import (
     TabulatedFunction,
     _grid_from_json,
     _points_from_json,
-    point_index,
 )
-from .linalg import _as_rat, format_rat, parse_rat
+from .linalg import _as_rat, _int_row, format_rat, parse_rat
 
 if TYPE_CHECKING:  # only for annotations; cycles.py imports this module at runtime
     from .cycles import CycleVectorPair, GolombCycle
@@ -35,18 +38,15 @@ class FiniteSignedMeasure:
     atoms: tuple[Atom, ...]
 
     def __post_init__(self) -> None:
-        seen = set()
-        last = -1
-        for point, mass in self.atoms:
-            idx = point_index(self.grid, point)  # checks the point
-            if _as_rat(mass) == 0:
-                raise ValueError("zero-mass atom in canonical measure")
-            if idx in seen:
-                raise ValueError(f"duplicate atom at {point}")
-            if idx < last:
+        atoms = tuple((self.grid.check_point(p), _as_rat(m)) for p, m in self.atoms)
+        if any(m == 0 for _, m in atoms):
+            raise ValueError("zero-mass atom in canonical measure")
+        for (p, _), (q, _) in zip(atoms, atoms[1:]):
+            if p == q:
+                raise ValueError(f"duplicate atom at {q}")
+            if p > q:
                 raise ValueError("atoms must be sorted by flat index")
-            seen.add(idx)
-            last = idx
+        object.__setattr__(self, "atoms", atoms)
 
     @classmethod
     def from_atoms(
@@ -57,12 +57,7 @@ class FiniteSignedMeasure:
         for point, mass in pairs:
             pt = grid.check_point(point)
             acc[pt] = acc.get(pt, Fraction(0)) + _as_rat(mass)
-        atoms = tuple(
-            (pt, acc[pt])
-            for pt in sorted(acc, key=lambda p: point_index(grid, p))
-            if acc[pt] != 0
-        )
-        return cls(grid, atoms)
+        return cls(grid, tuple((pt, acc[pt]) for pt in sorted(acc) if acc[pt] != 0))
 
     def mass_at(self, point: GridPoint) -> Fraction:
         pt = self.grid.check_point(point)
@@ -124,9 +119,9 @@ def _class_sums_vanish(
 ) -> bool:
     """True when, on each of the ``n`` axes, the weights of the points
     sharing a coordinate value sum to zero."""
-    # over the weights' common denominator the class sums are integer sums
-    den = lcm(*(w.denominator for w in weights))
-    ints = [w.numerator * (den // w.denominator) for w in weights]
+    # over the weights' common denominator the class sums are integer sums;
+    # zip drops the denominator _int_row appends
+    ints = _int_row(weights)
     for axis in range(n):
         sums: dict[int, int] = {}
         for p, w in zip(points, ints):

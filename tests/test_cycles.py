@@ -837,6 +837,14 @@ class TestDecompose:
         with pytest.raises(ValueError):
             decompose(FiniteSignedMeasure(GRID22, (((0, 0), Fraction(1)),)))
 
+    def test_measure_built_from_lists_decomposes_like_its_twin(self):
+        near = normalize_minimal(SQUARE, GRID44)
+        far = normalize_minimal(SQUARE_FAR, GRID44)
+        twin = near.measure() * Fraction(1, 4) + far.measure() * Fraction(3, 4)
+        listed = FiniteSignedMeasure(GRID44, tuple((list(p), m) for p, m in twin.atoms))
+        assert decompose(listed) == decompose(twin)
+        assert extract_extreme_cycle(listed) == extract_extreme_cycle(twin)
+
     def test_decomposition_validation(self):
         mc = square_cycle()
         with pytest.raises(ValueError):
@@ -1124,6 +1132,22 @@ class TestCircuitWalkWork:
     def test_fewer_eliminations_than_the_whole_support_walk(self):
         mu = rectangle_sum(random.Random(1), (5, 5, 4), 80)
         assert self.eliminations(mu) < self.eliminations(mu, whole_support_walk)
+
+    def test_class_sums_are_tested_once_plus_once_per_term(self, monkeypatch):
+        # the input's integer masses once, then each term's weights in
+        # CycleVectorPair; the residuals are not re-tested
+        mu = rectangle_sum(random.Random(1), (5, 5, 4), 80)
+        calls = []
+        real = cycles._class_sums_vanish
+
+        def counted(points, weights, n):
+            calls.append(1)
+            return real(points, weights, n)
+
+        monkeypatch.setattr(cycles, "_class_sums_vanish", counted)
+        dec = decompose(mu)
+        assert len(dec.terms) > 1
+        assert len(calls) == 1 + len(dec.terms)
 
     def test_a_conformal_circuit_is_returned_without_a_step(self, monkeypatch):
         # two five-point cycles on disjoint coordinate values: every relation

@@ -96,6 +96,30 @@ class TestCanonicalForm:
                 GRID22, (((0, 1), Fraction(1)), ((0, 0), Fraction(2)))
             )
 
+    def test_constructor_rejects_a_duplicate_that_is_not_adjacent(self):
+        with pytest.raises(ValueError):
+            FiniteSignedMeasure(
+                GRID22, (((0, 0), Fraction(1)), ((0, 1), Fraction(1)), ((0, 0), Fraction(2)))
+            )
+        with pytest.raises(ValueError, match="duplicate"):
+            FiniteSignedMeasure(GRID22, (([0, 0], Fraction(1)), ((0, 0), Fraction(2))))
+
+    def test_constructor_stores_checked_tuples_and_fractions(self):
+        # a measure built from list coordinates and int masses is the same
+        # canonical measure as its from_atoms twin: equal, equally hashed,
+        # and its atoms are found by mass_at
+        listed = FiniteSignedMeasure(
+            GRID22, (([0, 0], 1), ([0, 1], -1), ([1, 0], -1), ([1, 1], 1))
+        )
+        twin = FiniteSignedMeasure.from_atoms(
+            GRID22, [((0, 0), 1), ((0, 1), -1), ((1, 0), -1), ((1, 1), 1)]
+        )
+        assert listed == twin
+        assert hash(listed) == hash(twin)
+        assert listed.mass_at((0, 0)) == 1
+        assert listed.mass_at([1, 0]) == -1
+        assert all(type(p) is tuple and type(m) is Fraction for p, m in listed.atoms)
+
     def test_constructor_rejects_off_grid_points(self):
         with pytest.raises(ValueError):
             FiniteSignedMeasure(GRID22, (((0, 5), Fraction(1)),))
