@@ -3,9 +3,14 @@ an exact simplex solver for ``min c.x  s.t.  A x <= b,  x >= 0`` with b >= 0.
 
 Everything is exact rational arithmetic: inputs and results are
 ``fractions.Fraction``, and the simplex pivots on sparse integer rows
-that keep their nonzero numerators and one common denominator each. There
-is no floating point anywhere in this package, so every comparison below
-is a decidable exact test and results are reproducible bit for bit.
+that keep their nonzero numerators and one common denominator each. It
+stores such a row only for each basic structural column, at most one per
+column of A, and derives the rows of basic slacks from A's own rows when
+the ratio test reads them, so a pivot's row updates grow with the columns
+of A, not with its rows (the partitioned form of the revised simplex;
+Dantzig and Orchard-Hays 1954). There is no floating point anywhere in
+this package, so every comparison below is a decidable exact test and
+results are reproducible bit for bit.
 
 ``_eliminate`` is the package's one fraction-free elimination: it clears
 integer columns against a basis of earlier ones. Kernel bases, ranks, the
@@ -250,6 +255,9 @@ class CertificateError(AssertionError):
 
 
 _SparseRow = tuple[dict[int, int], int]
+# One row of A x <= b over the lcm of its denominators: the nonzero integer
+# numerators by structural column, the rhs numerator and that lcm.
+_Constraint = tuple[dict[int, int], int, int]
 
 
 def _row_op(cur: _SparseRow, prow: _SparseRow, col: int) -> _SparseRow:
@@ -285,65 +293,130 @@ def _row_op(cur: _SparseRow, prow: _SparseRow, col: int) -> _SparseRow:
     return out, den
 
 
-def _run_simplex(
-    tableau: list[_SparseRow], basis: list[int], cost: list[Fraction]
-) -> tuple[str, _SparseRow]:
-    """Bland-rule simplex on an equality-form tableau of sparse integer rows
-    (``_row_op``). Column ``len(cost)`` is the rhs; the basic column of row
-    i has entry 1, its numerator equal to the row's denominator.
+def _slack_row(
+    con: _Constraint, slack: int, total: int, rows: dict[int, _SparseRow]
+) -> _SparseRow:
+    """The tableau row of a constraint whose slack column ``slack`` is
+    basic: the constraint with its slack and rhs (column ``total``), less
+    each basic structural column's stored row times the constraint's entry
+    there, one ``_row_op`` per such column."""
+    entries, b, den = con
+    out = dict(entries)
+    out[slack] = den
+    if b:
+        out[total] = b
+    row = (out, den)
+    for k in entries:
+        if k in rows:
+            row = _row_op(row, rows[k], k)
+    return row
 
-    Bland's rule (lowest eligible index for both the entering column and the
-    tie-broken leaving row) guarantees termination without any perturbation.
-    A row's denominator cancels in its own ratio rhs/a, so the ratio test
-    compares numerators by cross-multiplication. The starting basic columns
-    cost 0, so ``cost`` is already the reduced-cost row. Returns the status
-    and the final reduced costs ``z = cost - c_B B^-1 A`` as a sparse integer
-    row (its rhs entry is the negated objective value).
+
+def _run_simplex(
+    cons: list[_Constraint], cost: list[Fraction]
+) -> tuple[str, _SparseRow, dict[int, _SparseRow]]:
+    """Bland-rule simplex on ``cost.x`` subject to the rows ``cons`` of
+    A x <= b, started from the slack basis; column j < n = ``len(cost)`` is
+    structural, n + i is constraint i's slack and n + len(cons) the rhs.
+
+    Only the rows of basic structural columns are stored, as sparse integer
+    rows (``_row_op``) keyed by their basic column, whose entry equals the
+    row's denominator, the integer form of 1: at most n rows however many
+    constraints there are. A constraint whose slack is basic has its row
+    implied by the stored ones (``_slack_row``); the ratio test derives its
+    entering-column entry and rhs from the constraint's own numerators and
+    the stored rows of its basic structural columns, all over one common
+    denominator, and the row is built only when it leaves. Bland's rule
+    (lowest eligible index for both the entering column and the leaving
+    row's basic column) guarantees termination without any perturbation.
+    A row's positive scale cancels in its own ratio rhs/a, so the ratio
+    test compares numerators by cross-multiplication. The slacks cost 0,
+    so ``cost`` is already the reduced-cost row. Returns the status, the
+    final reduced costs ``z = c - c_B B^-1 A`` as a sparse integer row (its
+    rhs entry is the negated objective value) and the stored rows.
     """
-    ncols = len(cost)
+    n = len(cost)
+    total = n + len(cons)
     den = lcm(*(c.denominator for c in cost))
     z = ({j: c.numerator * (den // c.denominator) for j, c in enumerate(cost) if c}, den)
+    rows: dict[int, _SparseRow] = {}
+    nonbasic: set[int] = set()  # the constraints whose slack is nonbasic
+    b_num = [b for _, b, _ in cons]
+    cols: dict[int, list[tuple[int, int]]] = {}  # (constraint, numerator) by column
+    for i, (entries, _, _) in enumerate(cons):
+        for j, v in entries.items():
+            cols.setdefault(j, []).append((i, v))
     while True:
-        enter = min(
-            (j for j, v in z[0].items() if v < 0 and j < ncols),
-            default=None,
-        )
+        enter = min((j for j, v in z[0].items() if v < 0 and j < total), default=None)
         if enter is None:
-            return "optimal", z
-        leave, best_a, best_b = -1, 0, 0
-        for i, (entries, _) in enumerate(tableau):
-            a = entries.get(enter, 0)
-            if a <= 0:
-                continue
-            b = entries.get(ncols, 0)
-            if leave >= 0:
-                lhs, rhs = b * best_a, best_b * a
-                if lhs > rhs or (lhs == rhs and basis[i] > basis[leave]):
-                    continue
-            leave, best_a, best_b = i, a, b
-        if leave < 0:
-            return "unbounded", z
-        z = _pivot(tableau, basis, z, leave, enter)
+            return "optimal", z, rows
+        # (basic column, entering-column entry a > 0, rhs b) of the stored
+        # rows; the rows of basic slacks join them below
+        ratios = [
+            (k, entries[enter], entries.get(total, 0))
+            for k, (entries, _) in rows.items()
+            if entries.get(enter, 0) > 0
+        ]
+        # A basic slack's row is its constraint less, for each basic
+        # structural column k, the constraint's entry at k times k's stored
+        # row. So over the lcm of the stored rows' denominators, each
+        # constraint's entering-column entry (alpha) and rhs (beta) are sums
+        # over its structural entries, the entry in column j weighed by
+        # enter_w[j] and rhs_w[j]; the sums run column by column.
+        scale = lcm(*(d for _, d in rows.values()))
+        enter_w = {enter: scale} if enter < n else {}
+        rhs_w = {}
+        for k, (entries, d) in rows.items():
+            if enter in entries:
+                enter_w[k] = -entries[enter] * (scale // d)
+            if total in entries:
+                rhs_w[k] = -entries[total] * (scale // d)
+        alpha = [0] * len(cons)
+        beta = [b * scale for b in b_num]
+        for out, weights in ((alpha, enter_w), (beta, rhs_w)):
+            for j, w in weights.items():
+                for i, v in cols.get(j, ()):
+                    out[i] += v * w
+        ratios += [(n + i, a, beta[i]) for i, a in enumerate(alpha) if a > 0 and i not in nonbasic]
+        if not ratios:
+            return "unbounded", z, rows
+        leave, best_a, best_b = ratios[0]
+        for col, a, b in ratios[1:]:
+            lhs, rhs = b * best_a, best_b * a
+            if lhs < rhs or (lhs == rhs and col < leave):
+                leave, best_a, best_b = col, a, b
+        if leave < n:
+            prow = rows[leave]
+        else:
+            prow = _slack_row(cons[leave - n], leave, total, rows)
+            nonbasic.add(leave - n)
+        if enter >= n:
+            nonbasic.discard(enter - n)
+        z = _pivot(rows, z, prow, leave, enter, n)
 
 
 def _pivot(
-    tableau: list[_SparseRow], basis: list[int], z: _SparseRow, row: int, col: int
+    rows: dict[int, _SparseRow], z: _SparseRow, prow: _SparseRow, leave: int, enter: int, n: int
 ) -> _SparseRow:
-    """Pivot on (row, col) and return the updated reduced-cost row."""
+    """Pivot on column ``enter`` of ``prow``, the row of basic column
+    ``leave``, and return the updated reduced-cost row. The row is stored
+    under ``enter`` when that column is structural (< n), and dropped from
+    storage when a slack enters."""
     # Every row holds its basic column's entry equal to its denominator (the
     # integer form of 1), and the ratio test pivots only on a positive entry.
     # Dividing by piv / den keeps the numerators and makes piv the
     # denominator; the old den is still an entry, so the row stays in lowest
     # terms and the invariant holds for the new basic column.
-    entries = tableau[row][0]
-    prow = (entries, entries[col])
-    tableau[row] = prow
-    for i, cur in enumerate(tableau):
-        if i != row and col in cur[0]:
-            tableau[i] = _row_op(cur, prow, col)
-    if col in z[0]:
-        z = _row_op(z, prow, col)
-    basis[row] = col
+    rows.pop(leave, None)
+    entries = prow[0]
+    prow = (entries, entries[enter])
+    for k, cur in rows.items():
+        if enter in cur[0]:
+            rows[k] = _row_op(cur, prow, enter)
+    if enter in z[0]:
+        z = _row_op(z, prow, enter)
+    if enter < n:
+        rows[enter] = prow
     return z
 
 
@@ -352,43 +425,40 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     ``min c.x  s.t.  A x <= b,  x >= 0``, started from the slack basis at
     x = 0, which ``b >= 0`` makes feasible.
 
-    The tableau holds sparse integer rows (``_row_op``): each row keeps only
-    its nonzero numerators, the rhs among them, plus one positive
-    denominator, in lowest terms with one gcd per row update, so a pivot
-    touches no zero and makes no ``Fraction``. Row i is the nonzeros of
-    A's row i and b_i over the lcm of their denominators; its slack is
-    column n + i, with that lcm as entry, the integer form of 1. The pivots,
-    and hence the result, are those of the same Bland simplex over dense
-    rational rows. A row's simplex multiplier ``y = c_B B^-1`` is the
-    negated final reduced cost of its slack column. The duals are exact,
-    and every optimum is audited for primal feasibility, dual feasibility
-    and complementary slackness; a failed audit raises CertificateError.
+    Each row of A and b is written once as integers over the lcm of its
+    denominators, and the simplex (``_run_simplex``) stores sparse integer
+    tableau rows only for the basic structural columns, at most one per
+    column of A, however many rows A has: the rows of basic slacks are
+    derived from A when the ratio test needs them. A pivot touches no zero
+    and makes no ``Fraction``. The pivots, and hence the result, are those
+    of the same Bland simplex over the full tableau of dense rational rows.
+    x is read from the stored rows. A row's simplex multiplier
+    ``y = c_B B^-1`` is the negated final reduced cost of its slack column.
+    The duals are exact, and every optimum is audited for primal
+    feasibility, dual feasibility and complementary slackness; a failed
+    audit raises CertificateError.
     """
     n, m = problem.matrix.cols, problem.matrix.rows
     total = n + m  # the rhs column
-    tableau: list[_SparseRow] = []
-    for i, (arow, b) in enumerate(zip(problem.matrix.entries, problem.rhs)):
+    cons: list[_Constraint] = []
+    for arow, b in zip(problem.matrix.entries, problem.rhs):
         den = lcm(b.denominator, *(a.denominator for a in arow.values()))
         row = {j: a.numerator * (den // a.denominator) for j, a in arow.items()}
-        row[n + i] = den
-        if b:
-            row[total] = b.numerator * (den // b.denominator)
-        tableau.append((row, den))
-    basis = list(range(n, total))
+        cons.append((row, b.numerator * (den // b.denominator), den))
 
-    status, z = _run_simplex(tableau, basis, [*problem.objective, *[_ZERO] * m])
+    status, z, rows = _run_simplex(cons, list(problem.objective))
     if status == "unbounded":
         return LpSolution("unbounded", (), (), None)
 
     x = [_ZERO] * n
-    for col, (entries, den) in zip(basis, tableau):
-        if col < n and total in entries:
+    for col, (entries, den) in rows.items():
+        if total in entries:
             x[col] = Fraction(entries[total], den)
     objective = sum((c * v for c, v in zip(problem.objective, x) if v), _ZERO)
     # the starting basis is the identity, so row i's slack column ends with
     # reduced cost -(c_B B^-1)_i, the row's simplex multiplier
     z_entries, z_den = z
-    dual = [Fraction(-z_entries.get(n + i, 0), z_den) for i in range(m)]
+    dual = [Fraction(-v, z_den) if (v := z_entries.get(n + i)) else _ZERO for i in range(m)]
 
     _check_optimum(problem, x, dual)
     return LpSolution("optimal", tuple(x), tuple(dual), objective)
@@ -399,24 +469,41 @@ def _check_optimum(problem: LpProblem, x: list[Fraction], dual: list[Fraction]) 
     A x <= b, y <= 0, no multiplier on a slack row (complementary
     slackness), and reduced costs ``c - A^T y`` that are >= 0 and 0 wherever
     x > 0, walking each row's nonzeros once. Together they make c.x = y.b
-    and both optimal. Raises CertificateError on the first violation."""
+    and both optimal. The sums run on integers: x, y and c each over one
+    common denominator, and each row of A and b over the lcm of its own.
+    Raises CertificateError on the first violation."""
     for j, v in enumerate(x):
         if v < 0:
             raise CertificateError(f"x[{j}] = {v} is negative")
-    reduced = list(problem.objective)
-    for i, (arow, b, y) in enumerate(zip(problem.matrix.entries, problem.rhs, dual)):
-        lhs = sum((a * x[j] for j, a in arow.items() if x[j]), _ZERO)
-        if lhs > b:
-            raise CertificateError(f"row {i}: {lhs} <= {b} does not hold")
+    *xs, xden = _int_row(x)
+    *ys, yden = _int_row(dual)
+    tight: list[tuple[Mapping[int, Fraction], int, int]] = []
+    for i, (arow, b, y) in enumerate(zip(problem.matrix.entries, problem.rhs, ys)):
+        den = lcm(b.denominator, *(a.denominator for a in arow.values()))
+        # A_i x and b_i, both times den * xden
+        lhs = sum(a.numerator * (den // a.denominator) * xs[j] for j, a in arow.items() if xs[j])
+        rhs = b.numerator * (den // b.denominator) * xden
+        if lhs > rhs:
+            raise CertificateError(f"row {i}: {Fraction(lhs, den * xden)} <= {b} does not hold")
         if y > 0:
-            raise CertificateError(f"row {i}: dual {y} is positive on a <= row")
+            raise CertificateError(f"row {i}: dual {dual[i]} is positive on a <= row")
         if y:
-            if lhs != b:
+            if lhs != rhs:
                 raise CertificateError(
-                    f"row {i}: dual {y} is nonzero on a slack row (complementary slackness)"
+                    f"row {i}: dual {dual[i]} is nonzero on a slack row (complementary slackness)"
                 )
-            for j, a in arow.items():
-                reduced[j] -= a * y
+            tight.append((arow, den, y))
+    # c - A^T y over cden * rden * yden, rden the lcm of the tight rows' dens
+    *reduced, cden = _int_row(problem.objective)
+    rden = lcm(*(den for _, den, _ in tight))
+    scale = rden * yden
+    reduced = [c * scale for c in reduced]
+    for arow, den, y in tight:
+        w = y * cden * (rden // den)
+        for j, a in arow.items():
+            reduced[j] -= a.numerator * (den // a.denominator) * w
     for j, d in enumerate(reduced):
-        if d < 0 or (d > 0 and x[j]):
-            raise CertificateError(f"column {j}: reduced cost {d} is not dual feasible")
+        if d < 0 or (d > 0 and xs[j]):
+            raise CertificateError(
+                f"column {j}: reduced cost {Fraction(d, cden * scale)} is not dual feasible"
+            )

@@ -297,10 +297,11 @@ def dense_run_simplex(
     cost: list[Fraction],
     barred: set[int],
 ) -> tuple[str, list[int]]:
-    """Reference Bland-rule simplex on dense integer rows, the kernel that
-    ``linalg._run_simplex`` runs on sparse rows: lowest eligible entering
-    column, ratio ties left by the row with the lower basic column. Returns
-    the status and the final reduced costs as a dense integer row."""
+    """Reference Bland-rule simplex on the full tableau of dense integer
+    rows, of which ``linalg._run_simplex`` stores only the rows of basic
+    structural columns: lowest eligible entering column, ratio ties left by
+    the row with the lower basic column. Returns the status and the final
+    reduced costs as a dense integer row."""
     ncols = len(cost)
     z = _int_row([*cost, Fraction(0)])
     for i in range(len(tableau)):

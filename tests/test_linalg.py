@@ -492,25 +492,49 @@ class TestIntegerPivots:
         assert sol.primal == (Fraction(1), Fraction(0), Fraction(1), Fraction(0))
         assert sum(y * b for y, b in zip(sol.dual, problem.rhs)) == Fraction(-5, 4)
 
-    def test_ratio_tie_leaves_the_row_with_the_lower_basic_column(self):
-        # columns x0, x1, s_a (2), s_b (3), rhs (4); row 0 is basic in s_b,
-        # row 1 in s_a. x0 enters, and both ratios are 2: 1 / (1/2) and 6 / 3.
-        # Bland's rule lets the row whose basic column has the lower index
-        # leave, which is row 1 although it comes second.
-        tableau = [
-            sparse_row(_int_row([Fraction(1, 2), Fraction(1), Fraction(0), Fraction(1), Fraction(1)])),
-            sparse_row(_int_row([Fraction(3), Fraction(0), Fraction(1), Fraction(0), Fraction(6)])),
-        ]
-        assert tableau[0] == ({0: 1, 1: 2, 3: 2, 4: 2}, 2)
-        basis = [3, 2]
-        status, z = _run_simplex(tableau, basis, [Fraction(-1), *[Fraction(0)] * 3])
-        assert status == "optimal"
-        assert basis == [3, 0]
-        # x0 = 2 in lowest terms (x0 + s_a/3 = 2), x1 + s_b - s_a/6 = 0, and
-        # z = (0, 0, 1/3, 0) with the negated objective 2 in the rhs column;
-        # the cancelled x0 entry of row 0 and the zero rhs are not stored
-        assert tableau == [({1: 6, 2: -1, 3: 6}, 6), ({0: 3, 2: 1, 4: 6}, 3)]
-        assert z == ({2: 1, 4: 6}, 3)
+    def test_ratio_tie_between_slack_rows_leaves_the_lower_slack(self, monkeypatch):
+        # min -x0 s.t. x0/2 + x1 <= 1 (slack column 2), 3 x0 <= 6 (slack 3);
+        # the rhs is column 4. x0 enters, and both ratios are 2: 1 / (1/2)
+        # and 6 / 3. Bland's rule lets the row whose basic column has the
+        # lower index leave, the first constraint's slack.
+        pivots = record_pivots(monkeypatch)
+        cons = [({0: 1, 1: 2}, 2, 2), ({0: 3}, 6, 1)]
+        status, z, rows = _run_simplex(cons, [Fraction(-1), Fraction(0)])
+        assert (status, pivots) == ("optimal", [(0, 2)])
+        # x0 + 2 x1 + 2 s_2 = 2 is stored under x0, in lowest terms; the
+        # second constraint's slack stays basic, and its row is not stored
+        assert rows == {0: ({0: 1, 1: 2, 2: 2, 4: 2}, 1)}
+        assert z == ({1: 2, 2: 2, 4: 2}, 1)
+
+    def test_ratio_tie_leaves_the_stored_row_before_a_slack_row(self, monkeypatch):
+        # min -x0 - 2 x1 s.t. x0 + x1 <= 2 (slack column 2), x1 <= 2 (slack
+        # 3). x0 enters first and is stored as x0 + x1 + s_2 = 2. Then x1
+        # enters, and its ratio is 2 both on that stored row and on the
+        # derived row of the second constraint. The stored row's basic
+        # column 0 is lower than the slack's 3, so x0 leaves.
+        pivots = record_pivots(monkeypatch)
+        cons = [({0: 1, 1: 1}, 2, 1), ({1: 1}, 2, 1)]
+        status, z, rows = _run_simplex(cons, [Fraction(-1), Fraction(-2)])
+        assert (status, pivots) == ("optimal", [(0, 2), (1, 0)])
+        # the same row is now stored under x1; the slack of x1 <= 2 stays
+        # basic at level 0
+        assert rows == {1: ({0: 1, 1: 1, 2: 1, 4: 2}, 1)}
+        assert z == ({0: 1, 2: 2, 4: 4}, 1)
+        sol = solve_lp(lp([-1, -2], [[1, 1], [0, 1]], [2, 2]))
+        assert (sol.primal, sol.dual, sol.objective) == ((0, 2), (-2, 0), -4)
+
+    def test_ratio_tie_leaves_the_row_with_the_lower_basic_column(self, monkeypatch):
+        # min -x1 - 2 x2 s.t. x1 - x0 <= 0 (slack column 3), x0 + x2 <= 1
+        # (slack 4). x1 enters first (x0 costs 0) and is stored as
+        # x1 - x0 + s_3 = 0; then x0 enters and is stored second. When x2
+        # enters, both stored rows have ratio 1. Bland's rule lets x0's row
+        # leave, the lower basic column, although it was stored last.
+        pivots = record_pivots(monkeypatch)
+        cons = [({0: -1, 1: 1}, 0, 1), ({0: 1, 2: 1}, 1, 1)]
+        status, z, rows = _run_simplex(cons, [Fraction(0), Fraction(-1), Fraction(-2)])
+        assert (status, pivots) == ("optimal", [(1, 3), (0, 4), (2, 0)])
+        assert rows == {1: ({0: -1, 1: 1, 3: 1}, 1), 2: ({0: 1, 2: 1, 4: 1, 5: 1}, 1)}
+        assert z == ({0: 1, 3: 1, 4: 2, 5: 2}, 1)
 
     def test_int_row_is_in_lowest_terms(self):
         assert _int_row([Fraction(6, 4), Fraction(10, 3)]) == [9, 20, 6]
@@ -518,16 +542,35 @@ class TestIntegerPivots:
         assert _int_row([]) == [1]
 
 
-class DenseReplay:
-    """Replays every kernel call of ``solve_lp`` on the dense reference
-    kernel of ``conftest``, from the same starting tableau.
+def record_pivots(monkeypatch: pytest.MonkeyPatch) -> list[tuple[int, int]]:
+    """The list that each later ``linalg._pivot`` call appends its
+    (entering column, leaving basic column) to."""
+    pivots: list[tuple[int, int]] = []
+    pivot = linalg._pivot
 
-    Each simplex run must take the same pivots as the dense one and end
-    with the same status, basis, rows and reduced costs; so must every
-    single pivot. No sparse row may store a zero or a denominator below 1.
-    Every pivot entry must be positive, and every row's basic-column entry
-    must equal its denominator: together they keep a pivot row in lowest
-    terms without a gcd, which ``linalg._pivot`` relies on.
+    def recording_pivot(rows, z, prow, leave, enter, n):
+        pivots.append((enter, leave))
+        return pivot(rows, z, prow, leave, enter, n)
+
+    monkeypatch.setattr(linalg, "_pivot", recording_pivot)
+    return pivots
+
+
+class DenseReplay:
+    """Replays every simplex run of ``solve_lp`` on the dense reference
+    kernel of ``conftest``, from the full starting tableau: every
+    constraint's row with its slack, the slack basis and the cost row.
+
+    A run must make the same pivots, as (entering column, leaving basic
+    column), and end with the same status and reduced costs. A second dense
+    copy pivots in step with the run: each pivot row, stored or built from
+    its constraint, must equal the dense row of its basic column, and after
+    each pivot so must every stored row, the reduced costs too. Exactly
+    the basic structural columns have a stored row, so a slack's row is
+    never stored. No stored row holds a zero or a denominator below 1, every
+    pivot entry is positive, and every stored row's basic-column entry
+    equals its denominator: together they keep a pivot row in lowest terms
+    without a gcd, which ``linalg._pivot`` relies on.
     """
 
     def __init__(self, monkeypatch: pytest.MonkeyPatch) -> None:
@@ -541,42 +584,56 @@ class DenseReplay:
         monkeypatch.setattr(conftest, "dense_pivot", self._dense_pivot)
 
     def _dense_pivot(self, tableau, basis, z, row, col):
-        self.dense_pivots.append((row, col))
+        self.dense_pivots.append((col, basis[row]))
         return self.dense_pivot(tableau, basis, z, row, col)
 
-    def _pivot(self, tableau, basis, z, row, col):
-        width = 1 + max(k for entries, _ in [*tableau, z] for k in entries)
-        dense = [dense_row(r, width) for r in tableau]
-        dense_basis = basis[:]
-        dense_z = self.dense_pivot(dense, dense_basis, dense_row(z, width), row, col)
-        self.sparse_pivots.append((row, col))
-        assert tableau[row][0].get(col, 0) > 0
-        z = self.pivot(tableau, basis, z, row, col)
-        self.check(tableau, basis, z, dense, dense_basis, dense_z)
+    @staticmethod
+    def start(cons, cost):
+        """The dense starting tableau, slack basis and cost of ``cons``."""
+        n, total = len(cost), len(cost) + len(cons)
+        tableau = [
+            dense_row(({**entries, n + i: den, total: b}, den), total + 1)
+            for i, (entries, b, den) in enumerate(cons)
+        ]
+        return tableau, list(range(n, total)), [*cost, *[Fraction(0)] * len(cons)]
+
+    def _run_simplex(self, cons, cost):
+        dense, dense_basis, dense_cost = self.start(cons, cost)
+        self.dense_pivots.clear()
+        dense_status, dense_z = conftest.dense_run_simplex(dense, dense_basis, dense_cost, set())
+        self.n = len(cost)
+        self.step, self.step_basis, _ = self.start(cons, cost)
+        self.step_z = _int_row([*dense_cost, Fraction(0)])
+        self.sparse_pivots.clear()
+        status, z, rows = self.run_simplex(cons, cost)
+        assert self.sparse_pivots == self.dense_pivots
+        assert status == dense_status
+        assert z == sparse_row(dense_z)
+        self.check(rows, dense, dense_basis, self.n)
+        self.runs += 1
+        return status, z, rows
+
+    def _pivot(self, rows, z, prow, leave, enter, n):
+        assert n == self.n
+        row = self.step_basis.index(leave)
+        assert prow == sparse_row(self.step[row])
+        assert prow[0].get(enter, 0) > 0
+        self.step_z = self.dense_pivot(self.step, self.step_basis, self.step_z, row, enter)
+        self.sparse_pivots.append((enter, leave))
+        z = self.pivot(rows, z, prow, leave, enter, n)
+        assert z == sparse_row(self.step_z)
+        self.check(rows, self.step, self.step_basis, n)
         self.pivots += 1
         return z
 
-    def _run_simplex(self, tableau, basis, cost):
-        dense = [dense_row(r, len(cost) + 1) for r in tableau]
-        dense_basis = basis[:]
-        self.dense_pivots.clear()
-        dense_status, dense_z = conftest.dense_run_simplex(dense, dense_basis, cost, set())
-        self.sparse_pivots.clear()
-        status, z = self.run_simplex(tableau, basis, cost)
-        assert self.sparse_pivots == self.dense_pivots
-        assert status == dense_status
-        self.check(tableau, basis, z, dense, dense_basis, dense_z)
-        self.runs += 1
-        return status, z
-
     @staticmethod
-    def check(tableau, basis, z, dense, dense_basis, dense_z) -> None:
-        assert basis == dense_basis
-        assert tableau == [sparse_row(r) for r in dense]
-        assert z == sparse_row(dense_z)
-        for entries, den in [*tableau, z]:
+    def check(rows, dense, dense_basis, n) -> None:
+        assert sorted(rows) == sorted(col for col in dense_basis if col < n)
+        for row, col in zip(dense, dense_basis):
+            if col < n:
+                assert rows[col] == sparse_row(row)
+        for col, (entries, den) in rows.items():
             assert den > 0 and 0 not in entries.values()
-        for (entries, den), col in zip(tableau, basis):
             assert entries[col] == den
 
 
@@ -609,6 +666,48 @@ class TestSparseKernelMatchesDense:
             best_error(random_table(rng, ProductGrid(shape)))
         # the error LP starts at a feasible basis: one simplex run per table
         assert replay.runs == 2 and replay.pivots > 2
+
+
+class TestStoredRowWork:
+    """The simplex stores a row only for each basic structural column, and a
+    pivot makes at most one ``_row_op`` per other stored row, one for the
+    reduced costs and one per structural entry of a leaving slack's
+    constraint: at most cols + max nnz per row + 1, however many rows."""
+
+    @pytest.mark.parametrize("shape", [(8, 8), (4, 4, 4)])
+    def test_error_lps(self, monkeypatch, shape):
+        run_simplex, pivot, row_op = linalg._run_simplex, linalg._pivot, linalg._row_op
+        work = []  # per run: (cols, max nnz per row, pivots, row ops)
+        basic: set[int] = set()  # the basic structural columns
+
+        def counting_run_simplex(cons, cost):
+            basic.clear()
+            work.append([len(cost), max(len(entries) for entries, _, _ in cons), 0, 0])
+            return run_simplex(cons, cost)
+
+        def checking_pivot(rows, z, prow, leave, enter, n):
+            z = pivot(rows, z, prow, leave, enter, n)
+            basic.discard(leave)
+            if enter < n:
+                basic.add(enter)
+            assert len(rows) <= len(basic)
+            work[-1][2] += 1
+            return z
+
+        def counting_row_op(cur, prow, col):
+            work[-1][3] += 1
+            return row_op(cur, prow, col)
+
+        monkeypatch.setattr(linalg, "_run_simplex", counting_run_simplex)
+        monkeypatch.setattr(linalg, "_pivot", checking_pivot)
+        monkeypatch.setattr(linalg, "_row_op", counting_row_op)
+        rng = random.Random(sum(shape))
+        for bound in (10, 1000):
+            best_error(random_table(rng, ProductGrid(shape), bound))
+        assert len(work) == 2
+        for cols, nnz, pivots, row_ops in work:
+            assert pivots > 0
+            assert row_ops <= pivots * (cols + nnz + 1)
 
 
 def assert_strong_duality(problem: LpProblem, sol) -> None:
