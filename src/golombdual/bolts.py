@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Sequence
+from typing import Literal, Sequence, get_args
 
 from .chebyshev import _cycle_supremum
 from .cycles import GolombCycle, _enumerate
@@ -37,48 +37,33 @@ def _require_two_axes(grid: ProductGrid) -> None:
 def is_bolt(grid: ProductGrid, vertices: Sequence[GridPoint]) -> StartAxis | None:
     """Detect the alternation pattern of a vertex list, or None.
 
-    A single vertex is a bolt under both patterns; "shared-x-first" is
-    returned for determinism. An empty list is not a bolt.
+    Each pattern is one rule: consecutive vertices are distinct and share
+    the coordinate of the axis that alternates, starting at its own axis.
+    Two distinct vertices never share both coordinates, so at most one
+    pattern holds past a single vertex, which passes both; "shared-x-first"
+    is tried first and returned for determinism. An empty list is not a
+    bolt.
     """
     _require_two_axes(grid)
     pts = [grid.check_point(p) for p in vertices]
-    if not pts:
-        return None
-    if len(pts) == 1:
-        return "shared-x-first"
-    if pts[0][0] == pts[1][0] and pts[0] != pts[1]:
-        start: StartAxis = "shared-x-first"
-        first_axis = 0
-    elif pts[0][1] == pts[1][1] and pts[0] != pts[1]:
-        start = "shared-y-first"
-        first_axis = 1
-    else:
-        return None
-    for i in range(1, len(pts) - 1):
-        axis = (first_axis + i) % 2
-        a, b = pts[i], pts[i + 1]
-        if a == b or a[axis] != b[axis]:
-            return None
-    return start
+    for axis, start in enumerate(get_args(StartAxis)):
+        pairs = enumerate(zip(pts, pts[1:]), axis)
+        if pts and all(a != b and a[i % 2] == b[i % 2] for i, (a, b) in pairs):
+            return start
+    return None
 
 
 def is_closed_bolt(grid: ProductGrid, vertices: Sequence[GridPoint]) -> bool:
-    """A bolt of even length whose rotation by one is again a bolt, so the
-    alternation (and distinctness) holds cyclically.
+    """A bolt of even length whose alternation (and distinctness) holds
+    cyclically: the wrap-around pair is one more step of the same rule, so
+    the list with its first vertex appended is again a bolt.
 
-    Even length makes the rotated pattern consistent; the only extra content
-    is the wrap-around pair, which must share the coordinate that continues
-    the alternation. Two vertices can never close: the wrap would have to
-    share the other coordinate as well, forcing the vertices to coincide.
+    Even length makes the rotated pattern consistent. Two vertices can
+    never close: the wrap would have to share the other coordinate as well,
+    forcing the vertices to coincide.
     """
     pts = [grid.check_point(p) for p in vertices]
-    if len(pts) < 2 or len(pts) % 2 != 0:
-        return False
-    start = is_bolt(grid, pts)
-    if start is None:
-        return False
-    wrap_axis = 1 if start == "shared-x-first" else 0
-    return pts[-1][wrap_axis] == pts[0][wrap_axis] and pts[-1] != pts[0]
+    return 0 < len(pts) and len(pts) % 2 == 0 and is_bolt(grid, pts + pts[:1]) is not None
 
 
 @dataclass(frozen=True)
@@ -133,44 +118,24 @@ def cycle_to_closed_bolts(gc: GolombCycle) -> tuple[ClosedBolt, ...]:
 
     View b entries as plus edges and c entries as minus edges between axis-0
     and axis-1 values; the permutation property makes plus and minus degrees
-    match at every value, so alternating closed walks cover all edges. Walks
-    start at the lexicographically least unused plus edge, always take the
-    least-index matching minus edge (sharing the current x) and then the
-    least-index matching plus edge (sharing the current y), and close at the
-    first return to the start vertex's y.
+    match at every value, so alternating closed walks cover all edges. Each
+    walk starts at the least remaining plus edge, then takes the least
+    remaining minus edge sharing the current x and the least remaining plus
+    edge sharing the current y in turn, and closes at the first return to
+    the start vertex's y. Edges are taken from the sorted lists of the
+    remaining ones, so a repeated point is used once per copy.
     """
     _require_two_axes(gc.grid)
     plus = sorted(gc.b_part)
     minus = sorted(gc.c_part)
-    used_plus = [False] * len(plus)
-    used_minus = [False] * len(minus)
     bolts: list[ClosedBolt] = []
-    for start in range(len(plus)):
-        if used_plus[start]:
-            continue
-        used_plus[start] = True
-        x0, y0 = plus[start]
-        walk: list[GridPoint] = [plus[start]]
-        cur_x = x0
-        while True:
-            j = next(
-                i
-                for i, p in enumerate(minus)
-                if not used_minus[i] and p[0] == cur_x
-            )
-            used_minus[j] = True
-            walk.append(minus[j])
-            cur_y = minus[j][1]
-            if cur_y == y0:
-                break
-            i2 = next(
-                i
-                for i, p in enumerate(plus)
-                if not used_plus[i] and p[1] == cur_y
-            )
-            used_plus[i2] = True
-            walk.append(plus[i2])
-            cur_x = plus[i2][0]
+    while plus:
+        walk = [plus.pop(0)]
+        while len(walk) % 2 or walk[-1][1] != walk[0][1]:
+            edges, axis = (minus, 0) if len(walk) % 2 else (plus, 1)
+            edge = next(q for q in edges if q[axis] == walk[-1][axis])
+            edges.remove(edge)
+            walk.append(edge)
         bolts.append(ClosedBolt(Bolt(gc.grid, tuple(walk), "shared-x-first")))
     return tuple(bolts)
 

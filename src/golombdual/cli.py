@@ -138,7 +138,7 @@ def _cmd_bolts(args: argparse.Namespace) -> int:
         "witness_bolts": [bolt_to_json(cb) for cb in bolts],
     }
     _emit(args, payload)
-    return 0
+    return 0 if report.equal else 1
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:

@@ -15,6 +15,9 @@ from math import gcd, lcm
 
 import golombdual.cycles as cycles
 from golombdual import (
+    Bolt,
+    ClosedBolt,
+    GolombCycle,
     LpProblem,
     MinimalCycle,
     ProductGrid,
@@ -33,6 +36,7 @@ from golombdual import (
     point_index,
     to_golomb_form,
 )
+from golombdual.bolts import _require_two_axes
 from golombdual.linalg import _int_row
 
 CUBE = ProductGrid((2, 2, 2))
@@ -279,6 +283,76 @@ def bolt_supremum_by_conversion(f: TabulatedFunction, cycles=None) -> Fraction:
     return best
 
 
+def reference_is_bolt(grid: ProductGrid, vertices) -> str | None:
+    """Reference bolt detection: the ``bolts.is_bolt`` that one alternation
+    rule replaced, which special-cases the first pair and then loops."""
+    _require_two_axes(grid)
+    pts = [grid.check_point(p) for p in vertices]
+    if not pts:
+        return None
+    if len(pts) == 1:
+        return "shared-x-first"
+    if pts[0][0] == pts[1][0] and pts[0] != pts[1]:
+        start = "shared-x-first"
+        first_axis = 0
+    elif pts[0][1] == pts[1][1] and pts[0] != pts[1]:
+        start = "shared-y-first"
+        first_axis = 1
+    else:
+        return None
+    for i in range(1, len(pts) - 1):
+        axis = (first_axis + i) % 2
+        a, b = pts[i], pts[i + 1]
+        if a == b or a[axis] != b[axis]:
+            return None
+    return start
+
+
+def reference_is_closed_bolt(grid: ProductGrid, vertices) -> bool:
+    """Reference closed-bolt test: the ``bolts.is_closed_bolt`` that works
+    out the wrap-around pair's axis by hand."""
+    pts = [grid.check_point(p) for p in vertices]
+    if len(pts) < 2 or len(pts) % 2 != 0:
+        return False
+    start = reference_is_bolt(grid, pts)
+    if start is None:
+        return False
+    wrap_axis = 1 if start == "shared-x-first" else 0
+    return pts[-1][wrap_axis] == pts[0][wrap_axis] and pts[-1] != pts[0]
+
+
+def reference_cycle_to_closed_bolts(gc: GolombCycle) -> tuple[ClosedBolt, ...]:
+    """Reference bolt partition: the ``bolts.cycle_to_closed_bolts`` that
+    walks with used flags over the sorted parts, always taking the
+    least-index unused matching edge."""
+    _require_two_axes(gc.grid)
+    plus = sorted(gc.b_part)
+    minus = sorted(gc.c_part)
+    used_plus = [False] * len(plus)
+    used_minus = [False] * len(minus)
+    bolts: list[ClosedBolt] = []
+    for start in range(len(plus)):
+        if used_plus[start]:
+            continue
+        used_plus[start] = True
+        x0, y0 = plus[start]
+        walk = [plus[start]]
+        cur_x = x0
+        while True:
+            j = next(i for i, p in enumerate(minus) if not used_minus[i] and p[0] == cur_x)
+            used_minus[j] = True
+            walk.append(minus[j])
+            cur_y = minus[j][1]
+            if cur_y == y0:
+                break
+            i2 = next(i for i, p in enumerate(plus) if not used_plus[i] and p[1] == cur_y)
+            used_plus[i2] = True
+            walk.append(plus[i2])
+            cur_x = plus[i2][0]
+        bolts.append(ClosedBolt(Bolt(gc.grid, tuple(walk), "shared-x-first")))
+    return tuple(bolts)
+
+
 def dense_row_op(cur: list[int], prow: list[int], col: int) -> list[int]:
     """Reference row update of the dense integer kernel the sparse rows
     replaced: ``cur - cur[col] * prow`` for a pivot row whose entry at
@@ -424,15 +498,19 @@ def two_phase_minimum(objective, rows, relations, rhs) -> Fraction | str:
 def corrupt_relations(monkeypatch, corruption: str) -> None:
     """Make ``cycles._eliminate`` corrupt every relation it closes in the
     extraction: the first nonzero tail entry of a column that clears to zero
-    is negated or raised by 1, so the corruption reaches every circuit the
-    walk returns. Basis rows stay intact. The extraction's columns hold
-    nrows class entries and a tail of nrows + 1."""
+    is negated ("negated") or raised by 1 ("shifted"), so the corruption
+    reaches every circuit the walk returns, or the column's own tail entry,
+    in the slot after the basis rows, is zeroed ("dropped"). Basis rows stay
+    intact. The extraction's columns hold nrows class entries and a tail of
+    nrows + 1."""
     eliminate = cycles._eliminate
 
     def corrupted(col, basis):
         v = eliminate(col, basis)
         nrows = (len(col) - 1) // 2
-        if not any(v[:nrows]):
+        if not any(v[:nrows]) and corruption == "dropped":
+            v[nrows + len(basis)] = 0
+        elif not any(v[:nrows]):
             k = next(k for k in range(nrows, len(v)) if v[k])
             v[k] = -v[k] if corruption == "negated" else v[k] + 1
         return v

@@ -30,7 +30,16 @@ from golombdual import (
     total_variation,
 )
 
-from conftest import SQUARE, bolt_supremum_by_conversion, random_separable, random_table, table
+from conftest import (
+    SQUARE,
+    bolt_supremum_by_conversion,
+    random_separable,
+    random_table,
+    reference_cycle_to_closed_bolts,
+    reference_is_bolt,
+    reference_is_closed_bolt,
+    table,
+)
 
 GRID22 = ProductGrid((2, 2))
 GRID33 = ProductGrid((3, 3))
@@ -305,3 +314,131 @@ class TestBoltJson:
             with pytest.raises(ValueError, match='"closed" must be true or false'):
                 bolt_from_json(GRID22, {**obj, "closed": closed})
         assert isinstance(bolt_from_json(GRID22, obj), Bolt)
+
+
+def outcome(fn, *args):
+    """What fn(*args) gives: its return value, or the type and message of
+    the exception it raises."""
+    try:
+        return "returned", fn(*args)
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
+
+
+BOLT_SHAPES = ((2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 4))
+OFF_GRID = ((4, 0), (0, -1), (0, 0, 0), (0,), (0.0, 1), (True, 0), ("0", 1))
+
+
+def alternating_walk(rng: random.Random, sizes, length: int) -> list[list[int]]:
+    """A walk of ``length`` vertices whose first pair shares a random axis;
+    each step redraws the coordinate that moves, so values revisit."""
+    axis = rng.randrange(2)
+    p = [rng.randrange(s) for s in sizes]
+    walk = [p[:]]
+    for i in range(length - 1):
+        moving = 1 - (axis + i) % 2
+        p[moving] = rng.choice([v for v in range(sizes[moving]) if v != p[moving]])
+        walk.append(p[:])
+    if length > 1 and rng.random() < 0.5:
+        # close the walk up: its last step lands on the first vertex's value
+        walk[-1][moving] = walk[0][moving]
+    return walk
+
+
+def random_vertex_list(rng: random.Random) -> tuple[ProductGrid, list]:
+    """A seeded vertex list: empty, single, an alternating walk of 2 to 10
+    vertices (closed up half the time, odd lengths included) that may be
+    rotated, reversed, broken by a redrawn or doubled vertex, or given an
+    off-grid point; or a list of points on the 2x2x2 grid."""
+    kind = rng.randrange(8)
+    if kind == 7:
+        grid = ProductGrid((2, 2, 2))
+        points = [tuple(rng.randrange(2) for _ in range(3)) for _ in range(rng.randrange(7))]
+        if points and rng.random() < 0.2:
+            points[rng.randrange(len(points))] = (0, 1)
+        return grid, points
+    sizes = rng.choice(BOLT_SHAPES)
+    grid = ProductGrid(sizes)
+    if kind == 0:
+        return grid, []
+    walk = alternating_walk(rng, sizes, 1 if kind == 1 else rng.randint(2, 10))
+    points = [tuple(p) for p in walk]
+    r = rng.random()
+    i = rng.randrange(len(points))
+    if r < 0.1:
+        points = points[i:] + points[:i]
+    elif r < 0.2:
+        points.reverse()
+    elif r < 0.3:
+        points[i] = (rng.randrange(sizes[0]), rng.randrange(sizes[1]))
+    elif r < 0.4:
+        points.insert(i, points[i])
+    elif r < 0.5:
+        points[i] = rng.choice(OFF_GRID)
+    return grid, points
+
+
+def closed_bolt_walk(rng: random.Random, sizes) -> list[tuple[int, int]]:
+    """A closed bolt of 2k vertices (k from 2 to 4) starting with a shared
+    x: (x_i, y_i), (x_i, y_i+1) for i < k, indices mod k, with consecutive
+    x values and consecutive y values distinct around the cycle (which takes
+    an even k on an axis of two values)."""
+    k = rng.choice((2, 4) if 2 in sizes else (2, 3, 4))
+
+    def cyclic(size: int) -> list[int]:
+        while True:
+            values = [rng.randrange(size) for _ in range(k)]
+            if all(values[i] != values[i - 1] for i in range(k)):
+                return values
+
+    xs, ys = cyclic(sizes[0]), cyclic(sizes[1])
+    return [v for i in range(k) for v in ((xs[i], ys[i]), (xs[i], ys[(i + 1) % k]))]
+
+
+def random_bolt_sum(rng: random.Random) -> GolombCycle:
+    """The Golomb cycle of the sum of 1 to 3 seeded closed bolts' signed
+    vertex multisets on a small grid, opposite signs cancelled, each part
+    shuffled; points repeat within a part."""
+    sizes = rng.choice(BOLT_SHAPES)
+    while True:
+        signed: Counter = Counter()
+        for _ in range(rng.randint(1, 3)):
+            for i, v in enumerate(closed_bolt_walk(rng, sizes)):
+                signed[v] += 1 if i % 2 == 0 else -1
+        b = [v for v, m in signed.items() for _ in range(m)]
+        c = [v for v, m in signed.items() for _ in range(-m)]
+        if b:
+            rng.shuffle(b)
+            rng.shuffle(c)
+            return GolombCycle(ProductGrid(sizes), tuple(b), tuple(c))
+
+
+class TestMatchesTheReference:
+    """The one-rule bolt functions against the ones they replaced
+    (``tests/conftest.py``): the same return value, or the same exception
+    type and message, on seeded inputs."""
+
+    def test_vertex_lists(self):
+        rng = random.Random(20)
+        closed_up = raised = 0
+        for _ in range(2400):
+            grid, points = random_vertex_list(rng)
+            got = outcome(is_bolt, grid, points)
+            assert got == outcome(reference_is_bolt, grid, points), points
+            closes = outcome(is_closed_bolt, grid, points)
+            assert closes == outcome(reference_is_closed_bolt, grid, points), points
+            closed_up += closes == ("returned", True)
+            raised += got[0] == "raised"
+        # both answers and both kinds of failure occur often
+        assert closed_up > 150 and raised > 300
+
+    def test_bolt_sums(self):
+        rng = random.Random(20)
+        repeated = split = 0
+        for _ in range(1200):
+            gc = random_bolt_sum(rng)
+            got = outcome(cycle_to_closed_bolts, gc)
+            assert got == outcome(reference_cycle_to_closed_bolts, gc), gc
+            repeated += len(set(gc.b_part)) < gc.k
+            split += len(got[1]) > 1
+        assert repeated > 200 and split > 200

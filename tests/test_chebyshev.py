@@ -290,6 +290,25 @@ class TestCertificateAudits:
         with pytest.raises(CertificateError, match="annihilate"):
             best_error(XY)
 
+    @pytest.mark.parametrize(
+        "scale,check",
+        [(2, "total variation 2 > 1"), (Fraction(1, 2), "integrates f to 1/8, not 1/4")],
+        ids=["doubled", "halved"],
+    )
+    def test_scaled_dual(self, scale, check, monkeypatch):
+        # a multiple of the dual measure still annihilates, but twice it
+        # weighs 2 and half of it integrates f to half the error
+        self.corrupt(monkeypatch, dual=lambda y: (scale * v for v in y))
+        with pytest.raises(CertificateError, match=check):
+            best_error(XY)
+
+    def test_negated_residual(self, monkeypatch):
+        # |f - g| still levels at the error, but every dual mass now sits
+        # where the residual has the opposite sign
+        monkeypatch.setattr(chebyshev, "residual", lambda f, g: -residual(f, g))
+        with pytest.raises(CertificateError, match="sits where the residual is"):
+            best_error(XY)
+
     def test_non_optimal_status(self, monkeypatch):
         monkeypatch.setattr(
             chebyshev, "solve_lp", lambda problem: LpSolution("unbounded", (), (), None)

@@ -7,12 +7,13 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import golombdual.chebyshev as chebyshev
 import golombdual.cli as cli
-from golombdual import LpSolution, function_from_json, measure_to_json
+from golombdual import LpSolution, MinimalCycle, function_from_json, measure_to_json
 from golombdual.cli import main
 
 from conftest import (
@@ -334,6 +335,16 @@ class TestBoltsCommand:
             {"vertices": [[0, 0], [0, 2], [1, 2], [1, 3], [2, 3], [2, 0]], "closed": True}
         ]
 
+    def test_missed_witness_exits_one(self, tmp_path, capsys):
+        # as verify: a cap of 3 misses the square, so the bolt supremum 0
+        # falls short of the error 1/4, and the report is still written
+        path = write(tmp_path / "xy.csv", XY_CSV)
+        code, out, _ = run_main(["bolts", "--input", path, "--max-support", "3"], capsys)
+        assert code == 1
+        obj = json.loads(out)
+        assert (obj["error"], obj["bolt_supremum"], obj["equal"]) == ("1/4", "0", False)
+        assert obj["witness_bolts"] == []
+
     def test_support_cap_below_two_exits_before_the_lp(self, tmp_path, capsys, monkeypatch):
         path = str(tmp_path / "f.json")
         assert main(["gen", "--shape", "12x12", "--seed", "5", "--output", path]) == 0
@@ -528,3 +539,23 @@ class TestNoCyclicGarbage:
                 gc.enable()
         assert "argparse" not in kinds
         assert collected <= 40
+
+
+class TestReadme:
+    def test_python_api_tour(self):
+        # run the README's Python tour as printed and check the values its
+        # comments state
+        text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        tour = text[text.index("## Python API") :]
+        tour = tour[tour.index("```python\n") + len("```python\n") :]
+        ns: dict = {}
+        exec(tour[: tour.index("```")], ns)
+        assert ns["result"].error == Fraction(1, 4)
+        assert ns["report"].equal is True
+        assert isinstance(ns["report"].witness, MinimalCycle)
+        two_part = ns["gc"]
+        assert (two_part.b_part, two_part.c_part) == (((0, 0), (1, 1)), ((0, 1), (1, 0)))
+        pair = ns["from_golomb_form"](two_part)
+        assert pair.points == two_part.b_part + two_part.c_part
+        assert pair.weights == (1, 1, -1, -1)
+        assert all(w.denominator == 1 for w in pair.weights)

@@ -879,6 +879,21 @@ class TestDecompose:
                 with pytest.raises(CertificateError):
                     decompose(mu)
 
+    def test_relation_without_its_closing_column_is_rejected(self, monkeypatch):
+        # the column that cleared to zero must carry a nonzero tail entry of
+        # its own; zeroed, the relation names only the basis columns
+        corrupt_relations(monkeypatch, "dropped")
+        for mu in corruption_measures():
+            if mu.grid.n >= 3:
+                with pytest.raises(CertificateError, match="missing from its own relation"):
+                    decompose(mu)
+
+    def test_bolt_walk_stops_at_a_vertex_without_exit(self):
+        # masses that do not annihilate: both atoms leave row 0, and the
+        # walk enters column 0, which no atom leaves
+        with pytest.raises(CertificateError, match="no atom leaving it"):
+            cycles._bolt_walk(GRID22, [(0, 0), (0, 1)], [1, 1])
+
     @pytest.mark.parametrize(
         "corruption,check",
         [("wrong-sign", "do not alternate"), ("flipped", "signs disagree")],
