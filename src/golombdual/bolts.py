@@ -60,8 +60,10 @@ def is_closed_bolt(grid: ProductGrid, vertices: Sequence[GridPoint]) -> bool:
 
     Even length makes the rotated pattern consistent. Two vertices can
     never close: the wrap would have to share the other coordinate as well,
-    forcing the vertices to coincide.
+    forcing the vertices to coincide. Like is_bolt it checks the axes
+    first, so on a grid with other than two axes every list raises.
     """
+    _require_two_axes(grid)
     pts = [grid.check_point(p) for p in vertices]
     return 0 < len(pts) and len(pts) % 2 == 0 and is_bolt(grid, pts + pts[:1]) is not None
 

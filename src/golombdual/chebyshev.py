@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice, product
+from math import prod
 
 from .cycles import (
     CycleVectorPair,
@@ -29,14 +31,9 @@ from .cycles import (
     _normalized_cycle,
     pair_to_json,
 )
-from .grids import GridPoint, SeparableSum, TabulatedFunction, residual, sup_norm
+from .grids import GridPoint, SeparableSum, TabulatedFunction
 from .linalg import CertificateError, LpProblem, RatMatrix, _int_row, format_rat, solve_lp
-from .measures import (
-    FiniteSignedMeasure,
-    integrate,
-    is_orthogonal,
-    total_variation,
-)
+from .measures import FiniteSignedMeasure, _class_sums_vanish
 
 DEFAULT_ENUM_BUDGET = 1 << 20
 
@@ -93,8 +90,8 @@ def best_error(f: TabulatedFunction) -> ApproximationResult:
     reduced cost 0 and the row multipliers y <= 0 sum to -1. The dual
     measure puts y(second row) - y(first row) at each point. A positive
     error makes it one minimal-cycle measure (module docstring); at error 0
-    it need not be. Every result is audited exactly; a failed audit raises
-    CertificateError.
+    it need not be. Every result is audited exactly by _check_certificate;
+    a failed audit raises CertificateError.
     """
     grid = f.grid
     sizes = grid.factor_sizes
@@ -125,40 +122,64 @@ def best_error(f: TabulatedFunction) -> ApproximationResult:
     if error is None or error < 0:
         raise CertificateError(f"the error LP ended {sol.status} with error {error}")
 
-    x = sol.primal
-    tables = []
-    for axis in range(grid.n):
-        table = []
-        for value in range(sizes[axis]):
-            j = plus.get((axis, value))
-            table.append(x[j] - x[j + 1] if j is not None else Fraction(0))
-        tables.append(tuple(table))
-    best_g = SeparableSum(grid, tuple(tables))
+    g = {key: sol.primal[j] - sol.primal[j + 1] for key, j in plus.items()}
+    tables = [[g.get((axis, v), _F0) for v in range(s)] for axis, s in enumerate(sizes)]
+    best_g = SeparableSum(grid, tables)
+    atoms = ((p, sol.dual[2 * i + 1] - sol.dual[2 * i]) for i, p in enumerate(grid.points()))
+    mu = FiniteSignedMeasure(grid, tuple((p, m) for p, m in atoms if m))
+    result = ApproximationResult(error=error, best_g=best_g, optimal_measure=mu)
+    _check_certificate(f, result)
+    return result
 
-    atoms = []
-    for idx, point in enumerate(grid.points()):
-        mass = sol.dual[2 * idx + 1] - sol.dual[2 * idx]
-        if mass != 0:
-            atoms.append((point, mass))
-    mu = FiniteSignedMeasure(grid, tuple(atoms))
 
-    res = residual(f, best_g)
-    if sup_norm(res) != error:
-        raise CertificateError(f"sup |f - g| = {sup_norm(res)} differs from the error {error}")
-    if not is_orthogonal(mu):
+def _check_certificate(f: TabulatedFunction, result: ApproximationResult) -> None:
+    """Weak duality, checked exactly: sup |f - g| equals the error E, and mu
+    annihilates separable sums, has total variation at most 1 and
+    integrates f to E. Then no separable sum is closer to f than E, and
+    best_g attains it. A failed check raises CertificateError.
+
+    f, the g tables and E share one common denominator and the masses have
+    their own, so every check compares integers; the residual is a flat
+    list in row-major order, read at each atom's flat index.
+
+    The last check, complementary slackness (each atom sits where the
+    residual is +-E with the mass's sign), can fail only at E = 0. Since mu
+    annihilates g, E = int f dmu = sum m_i r_i <= sum |m_i| E <= E, so for
+    E > 0 the first four checks force |r_i| = E and sign(r_i) = sign(m_i)
+    on the support. At E = 0 every r_i is 0, so it admits no positive mass,
+    and an annihilating measure without one is empty, which is the measure
+    the LP returns for a separable table.
+    """
+    grid, g, mu, error = f.grid, result.best_g, result.optimal_measure, result.error
+    if g.grid != grid or mu.grid != grid:
+        raise ValueError("grid mismatch")
+    *ints, e, den = _int_row([*f.values, *(v for t in g.tables for v in t), error])
+    rest = iter(ints[grid.volume :])
+    tables = [list(islice(rest, size)) for size in grid.factor_sizes]
+    # product runs over the points in row-major order; zip stops at the volume
+    res = [v - sum(gs) for v, gs in zip(ints, product(*tables))]
+    sup = max(map(abs, res))
+    if sup != e:
+        raise CertificateError(f"sup |f - g| = {Fraction(sup, den)} differs from the error {error}")
+    *masses, mden = _int_row([m for _, m in mu.atoms])
+    if not _class_sums_vanish(mu.support, masses, grid.n):
         raise CertificateError("the dual measure does not annihilate separable sums")
-    if total_variation(mu) > 1:
-        raise CertificateError(f"the dual measure has total variation {total_variation(mu)} > 1")
-    if integrate(f, mu) != error:
-        raise CertificateError(f"the dual measure integrates f to {integrate(f, mu)}, not {error}")
-    for point, mass in mu.atoms:
-        r = res.value_at(point)
-        if abs(r) != error or (r > 0) != (mass > 0):
+    tv = sum(map(abs, masses))
+    if tv > mden:
+        raise CertificateError(f"the dual measure has total variation {Fraction(tv, mden)} > 1")
+    strides = [prod(grid.factor_sizes[axis + 1 :]) for axis in range(grid.n)]
+    flat = [sum(c * stride for c, stride in zip(p, strides)) for p in mu.support]
+    integral = sum(m * ints[i] for m, i in zip(masses, flat))
+    if integral != e * mden:
+        raise CertificateError(
+            f"the dual measure integrates f to {Fraction(integral, mden * den)}, not {error}"
+        )
+    for (point, mass), i in zip(mu.atoms, flat):
+        if abs(res[i]) != e or (res[i] > 0) != (mass > 0):
             raise CertificateError(
-                f"dual mass {mass} at {point} sits where the residual is {r}, not +-{error}"
-                " of the same sign"
+                f"dual mass {mass} at {point} sits where the residual is {Fraction(res[i], den)},"
+                f" not +-{error} of the same sign"
             )
-    return ApproximationResult(error=error, best_g=best_g, optimal_measure=mu)
 
 
 def cycle_functional(f: TabulatedFunction, cycle: MinimalCycle) -> Fraction:
@@ -244,7 +265,9 @@ def optimal_witness_from_dual(
     """A minimal cycle achieving the error. For a positive error the dual
     measure is one normalized minimal-cycle measure (module docstring), read
     off here as the witness and its one-term decomposition; MinimalCycle
-    re-checks it exactly, and any other measure raises ValueError.
+    re-checks it exactly, and any other measure raises ValueError. The
+    witness's weights are the measure's masses, so the certificate check on
+    ``result`` is the check that the witness's functional equals the error.
     """
     if result is None:
         result = best_error(f)
@@ -252,11 +275,7 @@ def optimal_witness_from_dual(
         raise ValueError("zero error: every annihilating measure integrates f to 0")
     mu = result.optimal_measure
     cycle = MinimalCycle(CycleVectorPair(mu.grid, mu.support, tuple(m for _, m in mu.atoms)))
-    if cycle_functional(f, cycle) != result.error:
-        raise CertificateError(
-            f"the witness cycle's functional {cycle_functional(f, cycle)}"
-            f" differs from the error {result.error}"
-        )
+    _check_certificate(f, result)
     return cycle, Decomposition(((Fraction(1), cycle),))
 
 

@@ -15,7 +15,9 @@ from math import gcd, lcm
 
 import golombdual.cycles as cycles
 from golombdual import (
+    ApproximationResult,
     Bolt,
+    CertificateError,
     ClosedBolt,
     GolombCycle,
     LpProblem,
@@ -33,8 +35,12 @@ from golombdual import (
     enumerate_minimal_cycles,
     extract_extreme_cycle,
     integrate,
+    is_orthogonal,
     point_index,
+    residual,
+    sup_norm,
     to_golomb_form,
+    total_variation,
 )
 from golombdual.bolts import _require_two_axes
 from golombdual.linalg import _int_row
@@ -310,7 +316,10 @@ def reference_is_bolt(grid: ProductGrid, vertices) -> str | None:
 
 def reference_is_closed_bolt(grid: ProductGrid, vertices) -> bool:
     """Reference closed-bolt test: the ``bolts.is_closed_bolt`` that works
-    out the wrap-around pair's axis by hand."""
+    out the wrap-around pair's axis by hand, with the axis check moved
+    first as in the one-rule version, so that every list raises on a grid
+    with other than two axes."""
+    _require_two_axes(grid)
     pts = [grid.check_point(p) for p in vertices]
     if len(pts) < 2 or len(pts) % 2 != 0:
         return False
@@ -632,3 +641,27 @@ def corrupt_enumeration(monkeypatch, module) -> None:
         return [(p, [2 * r[0]] + r[1:]) for p, r in hits], candidates, truncated
 
     monkeypatch.setattr(module, "_enumerate", corrupted)
+
+
+def fraction_certificate_audit(f: TabulatedFunction, result: ApproximationResult) -> None:
+    """Reference certificate check: the ``Fraction`` audit that ended
+    ``chebyshev.best_error`` before the integer ``_check_certificate``
+    replaced it, built from the public residual, norm and measure
+    functions."""
+    error, mu = result.error, result.optimal_measure
+    res = residual(f, result.best_g)
+    if sup_norm(res) != error:
+        raise CertificateError(f"sup |f - g| = {sup_norm(res)} differs from the error {error}")
+    if not is_orthogonal(mu):
+        raise CertificateError("the dual measure does not annihilate separable sums")
+    if total_variation(mu) > 1:
+        raise CertificateError(f"the dual measure has total variation {total_variation(mu)} > 1")
+    if integrate(f, mu) != error:
+        raise CertificateError(f"the dual measure integrates f to {integrate(f, mu)}, not {error}")
+    for point, mass in mu.atoms:
+        r = res.value_at(point)
+        if abs(r) != error or (r > 0) != (mass > 0):
+            raise CertificateError(
+                f"dual mass {mass} at {point} sits where the residual is {r}, not +-{error}"
+                " of the same sign"
+            )

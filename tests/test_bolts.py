@@ -114,6 +114,14 @@ class TestIsClosedBolt:
     def test_revisiting_walk_closes(self):
         assert is_closed_bolt(GRID44, REVISIT)
 
+    @pytest.mark.parametrize(
+        "vertices", [[], [(0, 0, 0)], [(0, 0, 0), (0, 0, 1)]], ids=["empty", "odd", "even"]
+    )
+    def test_requires_two_axes_at_every_length(self, vertices):
+        # the axis check runs before the length test, as in is_bolt
+        with pytest.raises(ValueError, match="two-axis grids only"):
+            is_closed_bolt(ProductGrid((2, 2, 2)), vertices)
+
 
 class TestBoltTypes:
     def test_bolt_records_start_axis(self):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ import golombdual.cycles as cycles
 from golombdual import (
     ApproximationResult,
     CertificateError,
+    FiniteSignedMeasure,
     LpProblem,
     LpSolution,
     TabulatedFunction,
@@ -46,6 +48,7 @@ from conftest import (
     SQUARE,
     corrupt_enumeration,
     cycle_supremum_by_functional,
+    fraction_certificate_audit,
     lp,
     random_separable,
     random_table,
@@ -302,12 +305,15 @@ class TestCertificateAudits:
         with pytest.raises(CertificateError, match=check):
             best_error(XY)
 
-    def test_negated_residual(self, monkeypatch):
-        # |f - g| still levels at the error, but every dual mass now sits
-        # where the residual has the opposite sign
-        monkeypatch.setattr(chebyshev, "residual", lambda f, g: -residual(f, g))
-        with pytest.raises(CertificateError, match="sits where the residual is"):
-            best_error(XY)
+    def test_mass_on_a_zero_residual(self):
+        # a separable table with its exact g has error 0; a 2x2 rectangle of
+        # total variation 1 annihilates and integrates f to 0, so only
+        # complementary slackness fails: it admits no mass at error 0
+        g = random_separable(random.Random(21), ProductGrid((2, 3)))
+        rectangle = normalize_minimal(SQUARE, g.grid).measure()
+        result = ApproximationResult(Fraction(0), g, rectangle)
+        with pytest.raises(CertificateError, match="sits where the residual is 0"):
+            chebyshev._check_certificate(tabulate(g), result)
 
     def test_non_optimal_status(self, monkeypatch):
         monkeypatch.setattr(
@@ -319,8 +325,109 @@ class TestCertificateAudits:
     def test_witness_of_a_wrong_error(self):
         result = best_error(XY)
         wrong = ApproximationResult(Fraction(1, 3), result.best_g, result.optimal_measure)
-        with pytest.raises(CertificateError, match="functional"):
+        with pytest.raises(CertificateError, match="differs from the error 1/3"):
             optimal_witness_from_dual(XY, wrong)
+
+
+def certificate_verdict(check, f: TabulatedFunction, result: ApproximationResult) -> str | None:
+    """The message of the CertificateError that check(f, result) raises,
+    or None when the result passes."""
+    try:
+        check(f, result)
+    except CertificateError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def corrupted_results(draw) -> tuple[TabulatedFunction, ApproximationResult]:
+    """A real best_error result on 1-4 axes (size-1 axes included, values
+    with denominators up to 10**12, separable about a third of the time),
+    left whole or with one corruption: one g value or the error moved by
+    1/q, one mass scaled or moved to another point, the measure negated, or
+    a 2x2 rectangle of total variation 1 added to it."""
+    shape = draw(
+        st.lists(st.integers(1, 3), min_size=1, max_size=4).filter(lambda s: prod(s) <= 24)
+    )
+    grid = ProductGrid(tuple(shape))
+    value = st.one_of(
+        st.integers(-10, 10).map(Fraction),
+        st.builds(Fraction, st.integers(-10**13, 10**13), st.integers(1, 10**12)),
+    )
+    if draw(st.integers(0, 2)) == 0:
+        f = tabulate(SeparableSum(grid, [[draw(value) for _ in range(s)] for s in shape]))
+    else:
+        f = TabulatedFunction(grid, tuple(draw(value) for _ in range(grid.volume)))
+    result = best_error(f)
+    error, g, mu = result.error, result.best_g, result.optimal_measure
+    step = Fraction(draw(st.sampled_from((1, -1))), draw(st.integers(1, 10**12)))
+    kind = draw(st.sampled_from(("none", "g", "error", "scale", "move", "negate", "rectangle")))
+    atoms = list(mu.atoms)
+    if kind == "g":
+        axis = draw(st.integers(0, grid.n - 1))
+        at = draw(st.integers(0, shape[axis] - 1))
+        tables = [list(t) for t in g.tables]
+        tables[axis][at] += step
+        g = SeparableSum(grid, tables)
+    elif kind == "error":
+        error += step
+    elif kind in ("scale", "move") and atoms:
+        i = draw(st.integers(0, len(atoms) - 1))
+        point, mass = atoms.pop(i)
+        if kind == "scale":
+            factor = Fraction(draw(st.integers(-4, 4).filter(bool)), draw(st.integers(1, 4)))
+            atoms.append((point, factor * mass))
+        else:
+            atoms.append((tuple(draw(st.integers(0, s - 1)) for s in shape), mass))
+        mu = FiniteSignedMeasure.from_atoms(grid, atoms)
+    elif kind == "negate":
+        mu = -mu
+    elif kind == "rectangle" and sum(s > 1 for s in shape) >= 2:
+        a, b = [axis for axis, s in enumerate(shape) if s > 1][:2]
+        corner = [draw(st.integers(0, s - 1)) for s in shape]
+        pairs = []
+        for da, db, sign in ((0, 0, 1), (0, 1, -1), (1, 0, -1), (1, 1, 1)):
+            point = list(corner)
+            point[a], point[b] = (corner[a] + da) % shape[a], (corner[b] + db) % shape[b]
+            pairs.append((tuple(point), Fraction(sign, 4)))
+        mu = mu + FiniteSignedMeasure.from_atoms(grid, pairs)
+    return f, ApproximationResult(error, g, mu)
+
+
+class TestCertificateCheck:
+    """The integer certificate check against the Fraction audit it replaced
+    (``conftest.fraction_certificate_audit``): on real and corrupted results
+    both pass, or both fail with the same message, so at the same first
+    check."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(corrupted_results())
+    def test_same_verdict_as_the_fraction_audit(self, case):
+        f, result = case
+        assert certificate_verdict(chebyshev._check_certificate, f, result) == (
+            certificate_verdict(fraction_certificate_audit, f, result)
+        )
+
+    def test_every_corruption_kind_is_caught_on_the_product_table(self):
+        result = best_error(XY)
+        mu = result.optimal_measure
+        moved = FiniteSignedMeasure.from_atoms(XY.grid, [*mu.atoms[1:], ((0, 1), mu.atoms[0][1])])
+        cases = [
+            (result.error + Fraction(1, 10**12), result.best_g, mu, "differs from the error"),
+            (result.error, result.best_g, moved, "annihilate"),
+            (result.error, result.best_g, 2 * mu, "total variation 2 > 1"),
+            (result.error, result.best_g, -mu, "integrates f to -1/4, not 1/4"),
+        ]
+        for error, g, measure, message in cases:
+            with pytest.raises(CertificateError, match=message):
+                chebyshev._check_certificate(XY, ApproximationResult(error, g, measure))
+
+    def test_grid_mismatch(self):
+        result = best_error(XY)
+        g = SeparableSum.zero(ProductGrid((2, 3)))
+        other = ApproximationResult(result.error, g, result.optimal_measure)
+        with pytest.raises(ValueError, match="grid mismatch"):
+            chebyshev._check_certificate(XY, other)
 
 
 class TestCycleFunctional:
