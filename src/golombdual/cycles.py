@@ -235,9 +235,13 @@ def _normalized_cycle(
     points: tuple[GridPoint, ...], vec: Sequence[int], grid: ProductGrid
 ) -> MinimalCycle:
     """The MinimalCycle on ``points`` with the integer relation ``vec``
-    scaled to total mass 1, the one place that builds a cycle the package
-    computed. A relation that fails the constructor's checks is a fault of
-    that computation, so it raises CertificateError."""
+    scaled to total mass 1: every cycle the package computes from an
+    integer relation is built here. A relation that fails the constructor's
+    checks is a fault of that computation, so it raises CertificateError.
+    The one cycle built elsewhere is the dual vertex's:
+    ``chebyshev.optimal_witness_from_dual`` builds it from the LP measure's
+    masses, and a measure that is not one minimal cycle raises ValueError
+    there."""
     total = sum(abs(x) for x in vec)
     try:
         return MinimalCycle(CycleVectorPair(grid, points, tuple(Fraction(x, total) for x in vec)))

@@ -105,7 +105,9 @@ def _int_row(values: Sequence[Fraction]) -> list[int]:
     """Integer row for ``values``: the numerators over one common
     positive denominator, which is appended as the last entry. Clearing by
     the lcm of reduced denominators leaves the row in lowest terms."""
-    den = lcm(*(v.denominator for v in values))
+    # a list, not a generator: CPython sizes the argument tuple of a generator
+    # by resizing, and one such tuple per row piles up in its tuple free list
+    den = lcm(*[v.denominator for v in values])
     row = [v.numerator * (den // v.denominator) for v in values]
     row.append(den)
     return row
@@ -235,9 +237,10 @@ class LpSolution:
 
     ``dual`` holds one multiplier y_i <= 0 per row, read from the final
     reduced costs of the rows' slack columns. At an optimum the pair is
-    audited for primal feasibility, dual feasibility and complementary
-    slackness, which make ``sum(dual[i] * rhs[i])`` equal the objective
-    value exactly.
+    audited for weak duality: x >= 0, A x <= b, y <= 0, ``c - A^T y >= 0``
+    and ``c.x = b.y``, which make both optimal. ``objective`` is the value
+    c.x that the audit proved, so ``sum(dual[i] * rhs[i])`` equals it
+    exactly.
     """
 
     status: Literal["optimal", "unbounded"]
@@ -434,17 +437,17 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     of the same Bland simplex over the full tableau of dense rational rows.
     x is read from the stored rows. A row's simplex multiplier
     ``y = c_B B^-1`` is the negated final reduced cost of its slack column.
-    The duals are exact, and every optimum is audited for primal
-    feasibility, dual feasibility and complementary slackness; a failed
-    audit raises CertificateError.
+    The duals are exact. Every optimum is audited for weak duality
+    (``_check_optimum``) on the same integer rows the simplex ran on: x and
+    y feasible and ``c.x = b.y``. A failed audit raises CertificateError;
+    the objective reported is the c.x the audit proved.
     """
     n, m = problem.matrix.cols, problem.matrix.rows
     total = n + m  # the rhs column
     cons: list[_Constraint] = []
     for arow, b in zip(problem.matrix.entries, problem.rhs):
-        den = lcm(b.denominator, *(a.denominator for a in arow.values()))
-        row = {j: a.numerator * (den // a.denominator) for j, a in arow.items()}
-        cons.append((row, b.numerator * (den // b.denominator), den))
+        *nums, den = _int_row([*arow.values(), b])
+        cons.append((dict(zip(arow, nums)), nums[-1], den))
 
     status, z, rows = _run_simplex(cons, list(problem.objective))
     if status == "unbounded":
@@ -454,56 +457,54 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     for col, (entries, den) in rows.items():
         if total in entries:
             x[col] = Fraction(entries[total], den)
-    objective = sum((c * v for c, v in zip(problem.objective, x) if v), _ZERO)
     # the starting basis is the identity, so row i's slack column ends with
     # reduced cost -(c_B B^-1)_i, the row's simplex multiplier
     z_entries, z_den = z
     dual = [Fraction(-v, z_den) if (v := z_entries.get(n + i)) else _ZERO for i in range(m)]
-
-    _check_optimum(problem, x, dual)
+    objective = _check_optimum(cons, problem.objective, x, dual)
     return LpSolution("optimal", tuple(x), tuple(dual), objective)
 
 
-def _check_optimum(problem: LpProblem, x: list[Fraction], dual: list[Fraction]) -> None:
-    """Exactness audit of ``min c.x  s.t.  A x <= b,  x >= 0``: x >= 0,
-    A x <= b, y <= 0, no multiplier on a slack row (complementary
-    slackness), and reduced costs ``c - A^T y`` that are >= 0 and 0 wherever
-    x > 0, walking each row's nonzeros once. Together they make c.x = y.b
-    and both optimal. The sums run on integers: x, y and c each over one
-    common denominator, and each row of A and b over the lcm of its own.
-    Raises CertificateError on the first violation."""
+def _check_optimum(cons: list[_Constraint], c: Sequence[Rat], x: list[Rat], y: list[Rat]) -> Rat:
+    """Weak-duality audit of ``min c.x  s.t.  A x <= b,  x >= 0`` on the
+    integer rows ``cons`` the simplex ran on: x >= 0, A x <= b, y <= 0,
+    reduced costs ``c - A^T y >= 0`` and ``c.x = b.y``, which make x and y
+    both optimal; returns c.x. Complementary slackness needs no check of its
+    own: ``c.x - b.y = (c - A^T y).x + y.(A x - b)``, and on a pair that
+    passes the first four checks both terms are >= 0, so c.x = b.y forces
+    each product in them to 0. The sums run on integers: x, y and c each
+    over one common denominator, and ``c - A^T y`` and ``b.y`` over the lcm
+    of the denominators of the rows with y != 0 only, since an lcm over
+    every row grows with coprime denominators. Raises CertificateError on
+    the first violation."""
     for j, v in enumerate(x):
         if v < 0:
             raise CertificateError(f"x[{j}] = {v} is negative")
     *xs, xden = _int_row(x)
-    *ys, yden = _int_row(dual)
-    tight: list[tuple[Mapping[int, Fraction], int, int]] = []
-    for i, (arow, b, y) in enumerate(zip(problem.matrix.entries, problem.rhs, ys)):
-        den = lcm(b.denominator, *(a.denominator for a in arow.values()))
-        # A_i x and b_i, both times den * xden
-        lhs = sum(a.numerator * (den // a.denominator) * xs[j] for j, a in arow.items() if xs[j])
-        rhs = b.numerator * (den // b.denominator) * xden
-        if lhs > rhs:
-            raise CertificateError(f"row {i}: {Fraction(lhs, den * xden)} <= {b} does not hold")
-        if y > 0:
-            raise CertificateError(f"row {i}: dual {dual[i]} is positive on a <= row")
-        if y:
-            if lhs != rhs:
-                raise CertificateError(
-                    f"row {i}: dual {dual[i]} is nonzero on a slack row (complementary slackness)"
-                )
-            tight.append((arow, den, y))
-    # c - A^T y over cden * rden * yden, rden the lcm of the tight rows' dens
-    *reduced, cden = _int_row(problem.objective)
-    rden = lcm(*(den for _, den, _ in tight))
+    *ys, yden = _int_row(y)
+    for i, ((entries, b, den), yi) in enumerate(zip(cons, ys)):
+        ax = sum(a * xs[j] for j, a in entries.items())  # A_i x times den * xden
+        if ax > b * xden:
+            raise CertificateError(f"row {i}: {Fraction(ax, den * xden)} > rhs {Fraction(b, den)}")
+        if yi > 0:
+            raise CertificateError(f"row {i}: dual {y[i]} is positive on a <= row")
+    # c - A^T y and b.y over cden * rden * yden, rden the lcm of the used rows' dens
+    *cs, cden = _int_row(c)
+    used = [(con, yi) for con, yi in zip(cons, ys) if yi]
+    rden = lcm(*(den for (_, _, den), _ in used))
     scale = rden * yden
-    reduced = [c * scale for c in reduced]
-    for arow, den, y in tight:
-        w = y * cden * (rden // den)
-        for j, a in arow.items():
-            reduced[j] -= a.numerator * (den // a.denominator) * w
+    reduced = [v * scale for v in cs]
+    by = 0
+    for (entries, b, den), yi in used:
+        w = yi * cden * (rden // den)
+        by += b * w
+        for j, a in entries.items():
+            reduced[j] -= a * w
     for j, d in enumerate(reduced):
-        if d < 0 or (d > 0 and xs[j]):
-            raise CertificateError(
-                f"column {j}: reduced cost {Fraction(d, cden * scale)} is not dual feasible"
-            )
+        if d < 0:
+            raise CertificateError(f"column {j}: reduced cost {Fraction(d, cden * scale)} < 0")
+    cx = sum(u * v for u, v in zip(cs, xs))  # c.x times cden * xden
+    objective = Fraction(cx, cden * xden)
+    if cx * scale != by * xden:
+        raise CertificateError(f"c.x = {objective} but b.y = {Fraction(by, cden * scale)}")
+    return objective

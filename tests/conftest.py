@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from typing import Mapping
 
 import golombdual.cycles as cycles
 from golombdual import (
@@ -103,6 +104,66 @@ def lp(objective, rows, rhs) -> LpProblem:
     n = len(objective)
     matrix = rat_matrix(rows) if rows else RatMatrix(0, n, ())
     return LpProblem(objective=tuple(objective), matrix=matrix, rhs=tuple(rhs))
+
+
+def lp_constraints(problem: LpProblem) -> list[tuple[dict[int, int], int, int]]:
+    """The rows of ``A x <= b`` in the integer form the simplex and its
+    audit read, built from the ``Fraction`` rows directly: each row's
+    numerators by column, its rhs numerator, and the lcm of the row's
+    denominators, rhs included."""
+    cons = []
+    for arow, b in zip(problem.matrix.entries, problem.rhs):
+        den = lcm(b.denominator, *(a.denominator for a in arow.values()))
+        cons.append(({j: int(a * den) for j, a in arow.items()}, int(b * den), den))
+    return cons
+
+
+def reference_check_optimum(problem: LpProblem, x: list[Fraction], dual: list[Fraction]) -> None:
+    """Exactness audit of ``min c.x  s.t.  A x <= b,  x >= 0``: x >= 0,
+    A x <= b, y <= 0, no multiplier on a slack row (complementary
+    slackness), and reduced costs ``c - A^T y`` that are >= 0 and 0 wherever
+    x > 0, walking each row's nonzeros once. Together they make c.x = y.b
+    and both optimal. The sums run on integers: x, y and c each over one
+    common denominator, and each row of A and b over the lcm of its own.
+    Raises CertificateError on the first violation.
+
+    The audit that ended ``linalg.solve_lp`` before the weak-duality
+    ``_check_optimum`` replaced it, kept as its oracle."""
+    for j, v in enumerate(x):
+        if v < 0:
+            raise CertificateError(f"x[{j}] = {v} is negative")
+    *xs, xden = _int_row(x)
+    *ys, yden = _int_row(dual)
+    tight: list[tuple[Mapping[int, Fraction], int, int]] = []
+    for i, (arow, b, y) in enumerate(zip(problem.matrix.entries, problem.rhs, ys)):
+        den = lcm(b.denominator, *(a.denominator for a in arow.values()))
+        # A_i x and b_i, both times den * xden
+        lhs = sum(a.numerator * (den // a.denominator) * xs[j] for j, a in arow.items() if xs[j])
+        rhs = b.numerator * (den // b.denominator) * xden
+        if lhs > rhs:
+            raise CertificateError(f"row {i}: {Fraction(lhs, den * xden)} <= {b} does not hold")
+        if y > 0:
+            raise CertificateError(f"row {i}: dual {dual[i]} is positive on a <= row")
+        if y:
+            if lhs != rhs:
+                raise CertificateError(
+                    f"row {i}: dual {dual[i]} is nonzero on a slack row (complementary slackness)"
+                )
+            tight.append((arow, den, y))
+    # c - A^T y over cden * rden * yden, rden the lcm of the tight rows' dens
+    *reduced, cden = _int_row(problem.objective)
+    rden = lcm(*(den for _, den, _ in tight))
+    scale = rden * yden
+    reduced = [c * scale for c in reduced]
+    for arow, den, y in tight:
+        w = y * cden * (rden // den)
+        for j, a in arow.items():
+            reduced[j] -= a.numerator * (den // a.denominator) * w
+    for j, d in enumerate(reduced):
+        if d < 0 or (d > 0 and xs[j]):
+            raise CertificateError(
+                f"column {j}: reduced cost {Fraction(d, cden * scale)} is not dual feasible"
+            )
 
 
 def reference_incidence_matrix(points, grid: ProductGrid) -> RatMatrix:

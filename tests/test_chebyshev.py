@@ -462,6 +462,11 @@ class TestCycleFunctional:
                 assert cycle_functional(f, mc) == expected
                 assert cycle_functional(f, flipped) == expected
 
+    def test_grid_mismatch(self):
+        mc = normalize_minimal(SQUARE, ProductGrid((2, 2)))
+        with pytest.raises(ValueError, match="grid mismatch"):
+            cycle_functional(table((3, 3), range(9)), mc)
+
     def test_never_exceeds_best_error(self):
         rng = random.Random(7)
         grid = ProductGrid((3, 3))

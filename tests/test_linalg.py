@@ -6,9 +6,10 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from golombdual import (
@@ -21,7 +22,7 @@ from golombdual import (
     parse_rat,
     solve_lp,
 )
-from golombdual import linalg
+from golombdual import chebyshev, linalg
 from golombdual.linalg import _check_optimum, _int_row, _run_simplex
 
 import conftest
@@ -34,6 +35,8 @@ from conftest import (
     dense_matrix_row,
     dense_row,
     lp,
+    lp_constraints,
+    reference_check_optimum,
     random_table,
     rat_matrix,
     sparse_row,
@@ -444,13 +447,13 @@ def budget_lp(rng: random.Random) -> LpProblem:
 
 class TestDuals:
     def test_dual_feasibility_audit_rejects_wrong_dual(self):
-        # min -x s.t. x <= 1: y = -2 has the right sign and satisfies
-        # complementary slackness, but only y = -1 makes the reduced cost
-        # of x > 0 zero.
-        problem = lp([-1], [[1]], [1])
-        _check_optimum(problem, [Fraction(1)], [Fraction(-1)])
+        # min -x s.t. x <= 1: y = -2 has the right sign and leaves the
+        # reduced cost 1 >= 0, but only y = -1 gives b.y = -1 = c.x (the
+        # reduced cost of x > 0 must be zero).
+        cons = lp_constraints(lp([-1], [[1]], [1]))
+        assert _check_optimum(cons, [Fraction(-1)], [Fraction(1)], [Fraction(-1)]) == -1
         with pytest.raises(AssertionError):
-            _check_optimum(problem, [Fraction(1)], [Fraction(-2)])
+            _check_optimum(cons, [Fraction(-1)], [Fraction(1)], [Fraction(-2)])
 
     def test_strong_duality_on_random_lps(self):
         rng = random.Random(8128)
@@ -798,6 +801,8 @@ class TestCertificateAudits:
     optimum x = (8/5, 6/5), y = (-2/5, -1/5, 0); the third row is slack."""
 
     PROBLEM = lp([-1, -1], [[1, 2], [3, 1], [1, 0]], [4, 6, 5])
+    CONS = [({0: 1, 1: 2}, 4, 1), ({0: 3, 1: 1}, 6, 1), ({0: 1}, 5, 1)]
+    COST = PROBLEM.objective
     X = [Fraction(8, 5), Fraction(6, 5)]
     Y = [Fraction(-2, 5), Fraction(-1, 5), Fraction(0)]
 
@@ -807,41 +812,45 @@ class TestCertificateAudits:
     def test_the_optimum_passes(self):
         sol = solve_lp(self.PROBLEM)
         assert (list(sol.primal), list(sol.dual), sol.objective) == (self.X, self.Y, Fraction(-14, 5))
-        _check_optimum(self.PROBLEM, self.X, self.Y)
+        assert lp_constraints(self.PROBLEM) == self.CONS
+        assert _check_optimum(self.CONS, self.COST, self.X, self.Y) == Fraction(-14, 5)
 
     def test_corrupted_primal_is_rejected(self):
         corruptions = [
-            ([Fraction(-1), Fraction(6, 5)], "negative"),
-            ([Fraction(8, 5) + Fraction(1, 7), Fraction(6, 5)], "does not hold"),
+            ([Fraction(-1), Fraction(6, 5)], r"x\[0\] = -1 is negative"),
+            ([Fraction(8, 5) + Fraction(1, 7), Fraction(6, 5)], "row 0: 29/7 > rhs 4"),
+            # feasible but not optimal: c.x = -13/5 > b.y
+            ([Fraction(7, 5), Fraction(6, 5)], "c.x = -13/5 but b.y = -14/5"),
         ]
         for x, match in corruptions:
             with pytest.raises(CertificateError, match=match):
-                _check_optimum(self.PROBLEM, x, self.Y)
+                _check_optimum(self.CONS, self.COST, x, self.Y)
 
     def test_corrupted_dual_is_rejected(self):
         corruptions = [
             # a positive multiplier on a <= row
-            ([Fraction(2, 5), Fraction(-1, 5), Fraction(0)], "positive"),
-            # a multiplier on the slack row
-            ([Fraction(-2, 5), Fraction(-1, 5), Fraction(-1)], "complementary"),
+            ([Fraction(2, 5), Fraction(-1, 5), Fraction(0)], "row 0: dual 2/5 is positive"),
+            # a multiplier on the slack row: reduced costs (1, 0) >= 0, but
+            # complementary slackness fails, so b.y < c.x
+            ([Fraction(-2, 5), Fraction(-1, 5), Fraction(-1)], "c.x = -14/5 but b.y = -39/5"),
             # reduced costs (-2/5, -4/5), both negative
-            ([Fraction(0), Fraction(-1, 5), Fraction(0)], "dual feasible"),
+            ([Fraction(0), Fraction(-1, 5), Fraction(0)], "column 0: reduced cost -2/5 < 0"),
             # reduced costs (3/5, 6/5), positive where x > 0
-            ([Fraction(-1), Fraction(-1, 5), Fraction(0)], "dual feasible"),
+            ([Fraction(-1), Fraction(-1, 5), Fraction(0)], "c.x = -14/5 but b.y = -26/5"),
         ]
         for y, match in corruptions:
             with pytest.raises(CertificateError, match=match):
-                _check_optimum(self.PROBLEM, self.X, y)
+                _check_optimum(self.CONS, self.COST, self.X, y)
 
     def test_audits_survive_python_optimize(self):
         code = (
             "from fractions import Fraction as F\n"
-            "from golombdual import CertificateError, LpProblem, RatMatrix\n"
+            "from golombdual import CertificateError\n"
             "from golombdual.linalg import _check_optimum\n"
-            "p = LpProblem((-1,), RatMatrix(1, 1, ({0: 1},)), (1,))\n"
-            "_check_optimum(p, [F(1)], [F(-1)])\n"
+            "cons = [({0: 1}, 1, 1)]\n"
+            "_check_optimum(cons, [F(-1)], [F(1)], [F(-1)])\n"
             "try:\n"
-            "    _check_optimum(p, [F(1)], [F(-2)])\n"
+            "    _check_optimum(cons, [F(-1)], [F(1)], [F(-2)])\n"
             "except CertificateError:\n"
             "    print('raised')\n"
         )
@@ -849,3 +858,160 @@ class TestCertificateAudits:
             [sys.executable, "-O", "-c", code], capture_output=True, text=True
         )
         assert (done.returncode, done.stdout, done.stderr) == (0, "raised\n", "")
+
+
+def audit_verdict(check, *args) -> str | None:
+    """The message of the CertificateError that ``check(*args)`` raises,
+    or None when the audit passes."""
+    try:
+        check(*args)
+    except CertificateError as exc:
+        return str(exc)
+    return None
+
+
+CORRUPTIONS = ("whole", "x up", "x down", "y positive", "y scaled", "y onto slack", "c up", "c down")
+
+
+def corrupt(problem: LpProblem, x, y, kind: str, j: int, q: int):
+    """(cost, x, y) of an LP optimum with one corruption of ``kind`` at
+    index ``j`` (taken modulo the length) by 1/q: x moved; y made positive,
+    scaled by q/2, or moved onto a row with slack (a new multiplier -1/q
+    there when y is 0); or a cost moved, which breaks a reduced cost in
+    that direction."""
+    cost, x, y = list(problem.objective), list(x), list(y)
+    n, m = len(x), len(y)
+    step = Fraction(1, q)
+    if kind in ("x up", "x down") and n:
+        x[j % n] += step if kind == "x up" else -step
+    elif kind in ("c up", "c down") and n:
+        cost[j % n] += step if kind == "c up" else -step
+    elif kind == "y positive" and m:
+        y[j % m] = abs(y[j % m]) + step
+    elif kind == "y scaled":
+        y = [v * Fraction(q, 2) for v in y]
+    elif kind == "y onto slack":
+        slack = [
+            i for i in range(m)
+            if sum((a * x[k] for k, a in problem.matrix.row(i).items()), Fraction(0)) < problem.rhs[i]
+        ]
+        if slack:
+            to = slack[j % len(slack)]
+            used = [i for i in range(m) if y[i] and i != to]
+            moved = y[used[j % len(used)]] if used else -step
+            if used:
+                y[used[j % len(used)]] = Fraction(0)
+            y[to] += moved
+    return cost, x, y
+
+
+def same_verdict(problem: LpProblem, x, y, kind: str, j: int, q: int) -> tuple[str | None, str | None]:
+    """The reference audit's and ``_check_optimum``'s messages on one
+    corruption; they must pass or fail together."""
+    cost, x, y = corrupt(problem, x, y, kind, j, q)
+    reference = audit_verdict(
+        reference_check_optimum, LpProblem(tuple(cost), problem.matrix, problem.rhs), x, y
+    )
+    audit = audit_verdict(_check_optimum, lp_constraints(problem), cost, x, y)
+    assert (reference is None) == (audit is None), (kind, j, q, reference, audit)
+    return reference, audit
+
+
+def error_lps(monkeypatch) -> list[LpProblem]:
+    """The LPs that ``best_error`` solves for a few seeded small tables."""
+    problems = []
+    real = linalg.solve_lp
+
+    def recording(problem):
+        problems.append(problem)
+        return real(problem)
+
+    monkeypatch.setattr(chebyshev, "solve_lp", recording)
+    rng = random.Random(22)
+    for shape in ((2, 2), (3, 3), (2, 3), (2, 2, 2), (3,)):
+        for bound in (3, 1000):
+            best_error(random_table(rng, ProductGrid(shape), bound))
+    monkeypatch.undo()
+    return problems
+
+
+class TestWeakDualityAudit:
+    """``_check_optimum`` checks weak duality on ``solve_lp``'s integer
+    rows and gives the verdict of the former audit (``reference_check_optimum``),
+    which also checked complementary slackness row by row and column by
+    column, on every optimum and every corruption of one."""
+
+    def test_audit_reads_the_problems_rows(self, monkeypatch):
+        calls = []
+        real = linalg._check_optimum
+
+        def recording(cons, cost, x, y):
+            objective = real(cons, cost, x, y)
+            calls.append((cons, cost, objective))
+            return objective
+
+        monkeypatch.setattr(linalg, "_check_optimum", recording)
+        rng = random.Random(2207)
+        problems = [random_lp(rng) for _ in range(60)]
+        problems.append(lp(
+            [Fraction(-1, 3), Fraction(-2, 7)],
+            [[Fraction(1, 6), Fraction(3, 10)], [Fraction(5, 4), 0], [0, Fraction(1, 9)]],
+            [Fraction(7, 15), Fraction(11, 8), 2],
+        ))
+        solved = 0
+        for problem in problems:
+            calls.clear()
+            sol = solve_lp(problem)
+            if sol.status != "optimal":
+                assert calls == []
+                continue
+            solved += 1
+            ((cons, cost, objective),) = calls
+            assert cost is problem.objective and objective == sol.objective
+            assert cons == lp_constraints(problem)
+            assert len(cons) == problem.matrix.rows
+            for i, (entries, b, den) in enumerate(cons):
+                assert {j: Fraction(a, den) for j, a in entries.items()} == dict(problem.matrix.row(i))
+                assert Fraction(b, den) == problem.rhs[i]
+                assert den > 0 and gcd(den, b, *entries.values()) == 1
+        assert solved >= 20
+
+    def test_same_verdict_as_reference_on_seeded_optima(self, monkeypatch):
+        rng = random.Random(2022)
+        problems = [random_lp(rng) for _ in range(80)] + error_lps(monkeypatch)
+        reference_checks = ("negative", "does not hold", "positive", "complementary", "dual feasible")
+        audit_checks = ("negative", "> rhs", "positive", "< 0", "but b.y")
+        reference_hits, audit_hits = set(), set()
+        for problem in problems:
+            sol = solve_lp(problem)
+            if sol.status != "optimal":
+                continue
+            for kind in CORRUPTIONS:
+                for j in range(3):
+                    for q in (1, 7):
+                        reference, audit = same_verdict(problem, sol.primal, sol.dual, kind, j, q)
+                        reference_hits |= {c for c in reference_checks if c in (reference or "pass")}
+                        audit_hits |= {c for c in audit_checks if c in (audit or "pass")}
+                        reference_hits.add(reference is None)
+        # both audits passed some pairs and raised at each of their checks
+        assert reference_hits == {*reference_checks, True, False}
+        assert audit_hits == set(audit_checks)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_same_verdict_as_reference_on_drawn_optima(self, data):
+        rat = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5, 12]))
+        n = data.draw(st.integers(1, 4))
+        m = data.draw(st.integers(0, 4))
+        rows = data.draw(st.lists(st.lists(rat, min_size=n, max_size=n), min_size=m, max_size=m))
+        rhs = [abs(v) for v in data.draw(st.lists(rat, min_size=m, max_size=m))]
+        # a row with positive entries bounds the feasible set
+        rows.append(data.draw(st.lists(rat.map(lambda v: abs(v) + 1), min_size=n, max_size=n)))
+        rhs.append(data.draw(rat.map(abs)))
+        problem = lp(data.draw(st.lists(rat, min_size=n, max_size=n)), rows, rhs)
+        sol = solve_lp(problem)
+        assert sol.status == "optimal"
+        kind = data.draw(st.sampled_from(CORRUPTIONS))
+        j = data.draw(st.integers(0, 5))
+        q = data.draw(st.integers(1, 12))
+        same_verdict(problem, sol.primal, sol.dual, kind, j, q)
