@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -36,6 +37,7 @@ from .linalg import (
     _column_relations,
     _eliminate,
     _int_row,
+    _primitive,
     _rank,
     format_rat,
     parse_rat,
@@ -185,15 +187,7 @@ def find_cycle_vector(
         return None
     v = basis[0]
     for b in basis[1:]:
-        forbidden = set()
-        for vj, bj in zip(v, b):
-            if bj and vj:
-                q, r = divmod(-vj, bj)
-                if q > 0 and not r:
-                    forbidden.add(q)
-        c = 1
-        while c in forbidden:
-            c += 1
+        c = next(c for c in count(1) if all(vj + c * bj for vj, bj in zip(v, b) if vj))
         v = [vj + c * bj for vj, bj in zip(v, b)]
     return tuple(Fraction(x) for x in v)
 
@@ -202,12 +196,10 @@ def to_golomb_form(pair: CycleVectorPair) -> GolombCycle:
     """Golomb's two-part form of a weighted cycle: the weights scaled to
     coprime integers n_i, each point repeated |n_i| times, positives in b,
     negatives in c."""
-    ints = _int_row(pair.weights)[:-1]
-    g = gcd(*ints)
     b: list[GridPoint] = []
     c: list[GridPoint] = []
-    for p, n_i in zip(pair.points, ints):
-        (b if n_i > 0 else c).extend([p] * (abs(n_i) // g))
+    for p, n_i in zip(pair.points, _primitive(_int_row(pair.weights)[:-1])):
+        (b if n_i > 0 else c).extend([p] * abs(n_i))
     return GolombCycle(pair.grid, tuple(b), tuple(c))
 
 
@@ -220,8 +212,7 @@ def from_golomb_form(gc: GolombCycle) -> CycleVectorPair:
         counts[p] = counts.get(p, 0) + 1
     for p in gc.c_part:
         counts[p] = counts.get(p, 0) - 1
-    g = gcd(*counts.values())
-    return CycleVectorPair(gc.grid, tuple(counts), tuple(e // g for e in counts.values()))
+    return CycleVectorPair(gc.grid, tuple(counts), tuple(_primitive(list(counts.values()))))
 
 
 def _distinct(points: Iterable[GridPoint], grid: ProductGrid) -> list[GridPoint]:
@@ -342,8 +333,7 @@ def _circuits(
             if not any(v[:nrows]):
                 relation = v[nrows : nrows + d + 1]
                 if all(relation):
-                    g = gcd(*relation) if relation[0] > 0 else -gcd(*relation)
-                    hits.append((tuple(chosen) + (j,), [x // g for x in relation]))
+                    hits.append((tuple(chosen) + (j,), _primitive(relation, orient=True)))
                 continue
             if not room:
                 continue
@@ -412,17 +402,21 @@ def enumerate_minimal_cycles(
     return tuple(_normalized_cycle(pts, relation, grid) for pts, relation in hits)
 
 
-def _conformal_step(x: list[int], r: list[int]) -> tuple[int, int, list[int]]:
+def _conformal_step(x: list[int], r: list[int]) -> tuple[int, int, list[int], int]:
     """The largest step t = num / den that keeps every sign of x in x - t r:
     the least x_i / r_i over the entries where r agrees with x in sign, of
-    which there must be one. Returns num, den and the integer vector
-    den x - num r, which agrees with x in sign and is zero wherever the
-    least ratio is attained."""
+    which there must be one. Returns num, den, the integer vector
+    den x - num r divided by its gcd g, and g, so that
+    x = (num r + g y) / den for the returned y. y agrees with x in sign and
+    is zero wherever the least ratio is attained; when that is everywhere,
+    y is the zero vector and g is 0."""
     num, den = 0, 0
     for xi, e in zip(x, r):
         if e and (e > 0) == (xi > 0) and (not den or abs(xi) * den < num * abs(e)):
             num, den = abs(xi), abs(e)
-    return num, den, [den * xi - num * e for xi, e in zip(x, r)]
+    y = [den * xi - num * e for xi, e in zip(x, r)]
+    g = gcd(*y)
+    return num, den, [yi // g for yi in y] if g else y, g
 
 
 def _circuit_walk(
@@ -440,8 +434,9 @@ def _circuit_walk(
     circuit r among itself and the independent columns before it. r is
     oriented to agree with x at its last column. When r agrees with x in
     sign wherever r is nonzero, it is a conformal circuit and is returned.
-    Otherwise the conformal step x - t r (``_conformal_step``) stays a
-    kernel vector that agrees with x in sign and zeroes at least one atom.
+    Otherwise the conformal step x - t r (``_conformal_step``, which also
+    divides it by its gcd) stays a kernel vector that agrees with x in sign
+    and zeroes at least one atom.
     The zeroed atoms are dropped, the basis rows of the columns before the
     first of them are kept, and the walk resumes there; every step drops an
     atom, so it ends. An r that uses every remaining atom is proportional to
@@ -475,8 +470,6 @@ def _circuit_walk(
         del basis[x.index(0) :]
         alive = [i for i, xi in zip(alive, x) if xi]
         x = [xi for xi in x if xi]
-        g = gcd(*x)
-        x = [xi // g for xi in x]
 
 
 def _bolt_exits(
@@ -591,8 +584,9 @@ def decompose(mu: FiniteSignedMeasure) -> Decomposition:
     zero. The cycle's class sums vanish, so the residual's stay zero. The
     step zeroes at least one atom, so there are at most support-size many
     terms, and sign compatibility makes the total variations add up, so
-    the weights sum to 1 exactly. The zeroed atoms are dropped and x is
-    divided by its gcd. The terms must recombine to ``mu``.
+    the weights sum to 1 exactly. The step returns the residual divided
+    by its gcd, and the zeroed atoms are dropped. The terms must recombine
+    to ``mu``.
     """
     if total_variation(mu) != 1:
         raise ValueError("measure must have total variation 1")
@@ -604,12 +598,11 @@ def decompose(mu: FiniteSignedMeasure) -> Decomposition:
         r = [0] * len(x)
         for i, wi in zip(alive, w):
             r[i] = wi
-        num, den, y = _conformal_step(x, r)
+        num, den, y, g = _conformal_step(x, r)
         # the cycle's measure is w / sum|w|, and the step removes (num / den) w
         terms.append((scale * sum(map(abs, w)) * Fraction(num, den), mc))
         points = [p for p, yi in zip(points, y) if yi]
-        g = gcd(*y)
-        x = [yi // g for yi in y if yi]
+        x = [yi for yi in y if yi]
         scale = scale * g / den
     try:
         dec = Decomposition(tuple(terms))

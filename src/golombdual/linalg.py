@@ -135,11 +135,21 @@ def _eliminate(col: list[int], basis: list[tuple[int, list[int]]]) -> list[int]:
     return col
 
 
-def _basis_row(v: list[int]) -> tuple[int, list[int]]:
-    """``v`` divided by the gcd of its entries, keyed by its first nonzero
-    position as pivot (``v`` must be nonzero there)."""
+def _primitive(v: list[int], orient: bool = False) -> list[int]:
+    """The nonzero integer vector ``v`` divided by the gcd of its entries;
+    with ``orient``, also by the sign of its first nonzero entry, which
+    makes that entry positive. Every integer relation of the package is
+    made primitive here, except the conformal step's, which
+    ``cycles._conformal_step`` divides itself since it returns the gcd."""
     g = gcd(*v)
-    return next(i for i, x in enumerate(v) if x), [x // g for x in v]
+    if orient and next(filter(None, v)) < 0:
+        g = -g
+    return [x // g for x in v]
+
+
+def _basis_row(v: list[int]) -> tuple[int, list[int]]:
+    """``_primitive(v)``, keyed by its first nonzero position as pivot."""
+    return next(i for i, x in enumerate(v) if x), _primitive(v)
 
 
 def _rank(columns: Sequence[list[int]]) -> int:
@@ -173,11 +183,7 @@ def _column_relations(columns: Sequence[list[int]]) -> list[list[int]]:
         if any(v[: len(col)]):
             basis.append(_basis_row(v))
             continue
-        rel = v[len(col) :]
-        g = gcd(*rel)
-        if next(x for x in rel if x) < 0:
-            g = -g
-        relations.append([x // g for x in rel])
+        relations.append(_primitive(v[len(col) :], orient=True))
     return relations
 
 

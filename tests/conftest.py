@@ -626,8 +626,6 @@ def whole_support_walk(grid: ProductGrid, points, x) -> tuple[list[int], list[in
         del basis[x.index(0) :]
         alive = [i for i, xi in zip(alive, x) if xi]
         x = [xi for xi in x if xi]
-        g = gcd(*x)
-        x = [xi // g for xi in x]
 
 
 def corrupt_walk(monkeypatch, corruption: str) -> None:
@@ -660,13 +658,13 @@ def corrupt_walk(monkeypatch, corruption: str) -> None:
 def corrupt_term_weights(monkeypatch) -> None:
     """Make ``cycles._conformal_step`` return its step num / den as
     num * den, so that ``decompose`` scales each term weight by the step's
-    denominator instead of dividing by it. The step's vector, which the
-    walks and the residual use, stays intact."""
+    denominator instead of dividing by it. The step's primitive vector and
+    its gcd, which the walks and the residual use, stay intact."""
     step = cycles._conformal_step
 
     def corrupted(x, r):
-        num, den, y = step(x, r)
-        return num * den * den, den, y
+        num, den, y, g = step(x, r)
+        return num * den * den, den, y, g
 
     monkeypatch.setattr(cycles, "_conformal_step", corrupted)
 

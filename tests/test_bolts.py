@@ -323,6 +323,11 @@ class TestBoltJson:
                 bolt_from_json(GRID22, {**obj, "closed": closed})
         assert isinstance(bolt_from_json(GRID22, obj), Bolt)
 
+    def test_rejects_vertices_that_are_not_a_bolt(self):
+        # (0, 0) and (1, 1) share no coordinate, so no step alternates
+        with pytest.raises(ValueError, match="vertex list is not a bolt"):
+            bolt_from_json(GRID22, {"vertices": [[0, 0], [1, 1]]})
+
 
 def outcome(fn, *args):
     """What fn(*args) gives: its return value, or the type and message of

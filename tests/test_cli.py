@@ -419,6 +419,14 @@ class TestInputErrors:
         assert (code, out) == (2, "")
         assert "not an integer" in err
 
+    def test_values_and_atoms_must_be_lists(self, tmp_path, capsys):
+        function = write(tmp_path / "f.json", json.dumps({"shape": [2, 2], "values": "0 1 1 0"}))
+        measure = write(tmp_path / "mu.json", json.dumps({"shape": [2, 2], "atoms": {}}))
+        for command, path, key in (("error", function, "values"), ("decompose", measure, "atoms")):
+            code, out, err = run_main([command, "--input", path], capsys)
+            assert (code, out) == (2, "")
+            assert err == f'error: "{key}" must be a list\n'
+
     def test_shape_entries_must_not_be_booleans(self, tmp_path, capsys):
         function = write(tmp_path / "f.json", json.dumps({"shape": [True, 2], "values": ["0", "1"]}))
         measure = write(tmp_path / "mu.json", json.dumps({"shape": [True, 2], "atoms": []}))

@@ -101,6 +101,10 @@ class TestCycleVectorPair:
         with pytest.raises(ValueError):
             CycleVectorPair(GRID22, SQUARE, (1, -1, 1))
 
+    def test_rejects_empty_support(self):
+        with pytest.raises(ValueError, match="a cycle needs at least one point"):
+            CycleVectorPair(GRID22, (), ())
+
     def test_six_point_certificate_validates(self):
         pair = CycleVectorPair(CUBE, SIX_POINTS, SIX_CERT)
         assert pair.weights == SIX_CERT
@@ -851,6 +855,8 @@ class TestDecompose:
             Decomposition(((Fraction(1, 2), mc),))
         with pytest.raises(ValueError):
             Decomposition(((Fraction(-1), mc), (Fraction(2), mc)))
+        with pytest.raises(ValueError, match="empty decomposition"):
+            Decomposition(())
 
     def test_corrupted_decomposition_is_rejected(self, monkeypatch):
         # every term keeps its weight but names the first term's cycle, so
@@ -1209,6 +1215,38 @@ class TestCircuitWalkWork:
         cycles._circuit_walk(mu.grid, points, x)
         heaviest = sorted(range(len(x)), key=lambda i: (-abs(x[i]), i))
         assert closed and cleared == heaviest[: len(cleared)] != sorted(cleared)
+
+
+class TestConformalStep:
+    """``_conformal_step`` returns num, den, the stepped vector
+    den x - num r divided by its gcd g, and g."""
+
+    def test_the_stepped_vector_is_primitive(self):
+        # the least ratio 2 / 1 is at the second atom, and x - 2r = (2, 0, 4)
+        assert cycles._conformal_step([4, -2, 6], [1, -1, 1]) == (2, 1, [1, 0, 2], 2)
+        # r is zero on the last two atoms; the step 3 / 2 leaves
+        # 2x - 3r = (2, 0, -6, 10)
+        assert cycles._conformal_step([4, 3, -3, 5], [2, 2, 0, 0]) == (3, 2, [1, 0, -3, 5], 2)
+
+    def test_a_step_that_zeroes_every_atom_returns_gcd_0(self):
+        assert cycles._conformal_step([2, -2], [1, -1]) == (2, 1, [0, 0], 0)
+
+    def test_decompose_residuals_are_primitive(self, monkeypatch):
+        mu = rectangle_sum(random.Random(1), (5, 5, 4), 80)
+        steps = []
+        real = cycles._conformal_step
+
+        def recorded(x, r):
+            out = real(x, r)
+            steps.append((x, r, out))
+            return out
+
+        monkeypatch.setattr(cycles, "_conformal_step", recorded)
+        decompose(mu)
+        assert len(steps) > 20
+        for x, r, (num, den, y, g) in steps:
+            assert [den * xi - num * e for xi, e in zip(x, r)] == [g * yi for yi in y]
+            assert gcd(*y) == (1 if any(y) else 0)
 
 
 class TestDecomposeMatchesMeasureLoop:

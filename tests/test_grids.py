@@ -290,6 +290,10 @@ class TestSerialization:
         with pytest.raises(ValueError):
             function_from_json([1, 2, 3])
 
+    def test_json_values_must_be_a_list(self):
+        with pytest.raises(ValueError, match='"values" must be a list'):
+            function_from_json({"shape": [2, 2], "values": "0 1 1 0"})
+
     def test_json_shape_entries_must_not_be_booleans(self):
         with pytest.raises(ValueError, match="list of integers"):
             function_from_json({"shape": [True, 2], "values": ["0", "1"]})

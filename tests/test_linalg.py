@@ -104,6 +104,11 @@ class TestRatMatrix:
         assert all(type(v) is Fraction for row in m.entries for v in row.values())
         assert [dense_matrix_row(m, i) for i in range(2)] == [[1, 2], [3, 4]]
 
+    @pytest.mark.parametrize("rows, cols", [(-1, 0), (0, -1)])
+    def test_negative_dimensions_are_rejected(self, rows, cols):
+        with pytest.raises(ValueError, match="matrix dimensions must be nonnegative"):
+            RatMatrix(rows, cols, ())
+
     def test_entry_count_checked(self):
         # one mapping per row, so the row count must match ``rows``
         for entries in (({0: 1},) * 3, ({0: 1},), ()):
@@ -975,6 +980,36 @@ class TestWeakDualityAudit:
                 assert Fraction(b, den) == problem.rhs[i]
                 assert den > 0 and gcd(den, b, *entries.values()) == 1
         assert solved >= 20
+
+    def test_rows_with_zero_dual_stay_out_of_the_common_denominator(self, monkeypatch):
+        # one binding row with dual -1, and a slack row x1 <= 1/p with dual 0
+        # for each of the 46 primes p < 200: an lcm over every row's
+        # denominator would be their product, about 270 bits, while the one
+        # row in use has denominator 1, as have x, y and c
+        primes = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
+        problem = lp([-1, 0], [[1, 0]] + [[0, 1]] * len(primes), [1] + [Fraction(1, p) for p in primes])
+        lcms: list[int] = []
+        auditing: list[bool] = []
+        real_lcm, real_audit = linalg.lcm, linalg._check_optimum
+
+        def recording(*args):
+            value = real_lcm(*args)
+            if auditing:
+                lcms.append(value)
+            return value
+
+        def audit(*args):
+            auditing.append(True)
+            try:
+                return real_audit(*args)
+            finally:
+                auditing.clear()
+
+        monkeypatch.setattr(linalg, "lcm", recording)
+        monkeypatch.setattr(linalg, "_check_optimum", audit)
+        sol = solve_lp(problem)
+        assert sol.objective == -1 and sol.dual == (-1,) + (0,) * len(primes)
+        assert lcms and max(v.bit_length() for v in lcms) <= 8
 
     def test_same_verdict_as_reference_on_seeded_optima(self, monkeypatch):
         rng = random.Random(2022)

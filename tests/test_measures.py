@@ -360,6 +360,10 @@ class TestMeasureJson:
         with pytest.raises(ValueError):
             measure_from_json({"shape": [2, 2], "atoms": [{"point": [0.4, 0], "mass": "1"}]})
 
+    def test_atoms_must_be_a_list(self):
+        with pytest.raises(ValueError, match='"atoms" must be a list'):
+            measure_from_json({"shape": [2, 2], "atoms": {"point": [0, 0], "mass": "0"}})
+
     def test_rejects_a_point_that_is_not_a_list(self):
         for point in (1, "00", None):
             atoms = [{"point": point, "mass": "1"}, {"point": [1, 1], "mass": "-1"}]
