@@ -16,7 +16,6 @@ both parts.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
@@ -281,11 +280,25 @@ def _circuits(
     A depth-first search over independent sets in index order. The basis
     rows are the chosen columns cleared against each other; each row also
     carries, after the ``nrows`` class entries, the coefficients of the
-    chosen columns it combines. A column that clears to zero closes the one
-    circuit of the chosen set plus it: that set is a circuit exactly when the
-    relation uses every chosen column, and it is never extended, since every
+    chosen columns it combines, the one chosen at depth d in slot
+    ``nrows + d``. A column that clears to zero closes the one circuit of
+    the chosen set plus it: that set is a circuit exactly when the relation
+    uses every chosen column, and it is never extended, since every
     superset contains that circuit. Each circuit is found once, from its
     prefix without its last column, which is independent.
+
+    ``_eliminate`` clears rows in insertion order, so a column cleared
+    against the first d basis rows is its column cleared against the first
+    d - 1 rows, cleared by one more row. ``levels[d][j]`` keeps column j
+    cleared against ``basis[:d]`` while the search is at depth d or deeper,
+    filled on demand from the level above: a test clears one row, or more
+    only for a column the levels above never cleared, and a level is
+    dropped when the search backs out of its depth. While a column is a
+    candidate its own coefficient sits one slot past the tail, at
+    ``nrows + cap``, which no basis row touches; choosing it moves that
+    coefficient to ``nrows + d``. So every vector is, entry for entry, the
+    one ``_eliminate`` gives the column with its coefficient in slot
+    ``nrows + d``: the same rows, relations, hits and candidates.
 
     A class holding one chosen column, with no later column in it, keeps
     that column's weight at zero in every extension, so such a prefix is cut:
@@ -306,44 +319,79 @@ def _circuits(
     for cs in classes:
         for axis, c in enumerate(cs):
             axis_of[c] = axis
+    axes = len(classes[0]) if classes else 0
+    own = nrows + cap
     cols = _class_columns(classes, nrows)
+    levels: list[list[list[int] | None]] = [[col + [0] * cap + [1] for col in cols]]
     count = [0] * nrows
     chosen: list[int] = []
     basis: list[tuple[int, list[int]]] = []
     hits: list[tuple[tuple[int, ...], list[int]]] = []
     tested = 0
 
+    def cleared(d: int, j: int) -> list[int]:
+        """Column j cleared against ``basis[:d]``: ``levels[d][j]``, filled
+        from the level above with one more row if it is empty."""
+        v = levels[d][j]
+        if v is None:
+            v = cleared(d - 1, j)
+            piv, row = basis[d - 1]
+            b = v[piv]
+            if b:
+                a = row[piv]
+                v = [a * x - b * y for x, y in zip(v, row)]
+            levels[d][j] = v
+        return v
+
     def extend(start: int, stop: int, single: list[int]) -> None:
         nonlocal tested
         d = len(chosen)
         room = cap - d - 1
+        level = levels[d]
+        if d:  # at depth 0 every column is in levels[0]
+            parent = levels[d - 1]
+            piv, row = basis[d - 1]
+            a = row[piv]
         for j in range(start, stop):
             cs = classes[j]
-            if any(count[c] == 0 for c in closes[j]):
+            if closes[j] and 0 in [count[c] for c in closes[j]]:
                 continue
             still = [c for c in single if c not in cs] + [c for c in cs if count[c] == 0]
-            if len(still) > room and max(Counter(axis_of[c] for c in still).values()) > room:
-                continue
+            if len(still) > room:
+                per_axis = [0] * axes
+                for c in still:
+                    per_axis[axis_of[c]] += 1
+                if max(per_axis) > room:
+                    continue
             tested += 1
             if budget is not None and tested > budget:
                 raise _Truncated
-            col = cols[j] + [0] * cap
-            col[nrows + d] = 1
-            v = _eliminate(col, basis)
+            v = level[j]
+            if v is None:  # a descendant did not fill it: one row step
+                v = parent[j]
+                if v is None:
+                    v = cleared(d - 1, j)
+                b = v[piv]
+                if b:
+                    v = [a * x - b * y for x, y in zip(v, row)]
             if not any(v[:nrows]):
-                relation = v[nrows : nrows + d + 1]
+                relation = v[nrows : nrows + d] + [v[own]]
                 if all(relation):
                     hits.append((tuple(chosen) + (j,), _primitive(relation, orient=True)))
                 continue
             if not room:
                 continue
+            pivot, new_row = _basis_row(v)  # a new list: v may sit in levels
+            new_row[nrows + d], new_row[own] = new_row[own], 0
             chosen.append(j)
-            basis.append(_basis_row(v))
+            basis.append((pivot, new_row))
+            levels.append([None] * m)
             for c in cs:
                 count[c] += 1
-            extend(j + 1, min((last[c] for c in still), default=m - 1) + 1, still)
+            extend(j + 1, min([last[c] for c in still], default=m - 1) + 1, still)
             for c in cs:
                 count[c] -= 1
+            levels.pop()
             basis.pop()
             chosen.pop()
 

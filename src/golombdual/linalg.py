@@ -14,8 +14,9 @@ results are reproducible bit for bit.
 
 ``_eliminate`` is the package's one fraction-free elimination: it clears
 integer columns against a basis of earlier ones. Kernel bases, ranks, the
-minimality check of a cycle, and the circuit search and the decomposition's
-circuit walk (n >= 3) of ``cycles`` all run on it.
+minimality check of a cycle, and the decomposition's circuit walk (n >= 3)
+of ``cycles`` all run on it; the circuit search of ``cycles`` takes its
+step one basis row at a time.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ cycle but destroys minimality (the kernel becomes two dimensional).
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -586,6 +587,75 @@ def corrupt_relations(monkeypatch, corruption: str) -> None:
         return v
 
     monkeypatch.setattr(cycles, "_eliminate", corrupted)
+
+
+def reference_circuits(
+    classes: list[tuple[int, ...]], nrows: int, cap: int, budget: int | None
+) -> tuple[list[tuple[tuple[int, ...], list[int]]], int, bool]:
+    """Reference circuit search: the ``cycles._circuits`` that cleared each
+    tested column from scratch against every chosen basis row, one
+    ``cycles._eliminate`` call per candidate, before the search kept its
+    cleared columns per depth. The search must return exactly this triple:
+    the same hits in the same order, the same count of tested sets and the
+    same truncation, at every budget."""
+    m = len(classes)
+    last = [0] * nrows
+    for j, cs in enumerate(classes):
+        for c in cs:
+            last[c] = j
+    closes = [[c for c in cs if last[c] == j] for j, cs in enumerate(classes)]
+    axis_of = [0] * nrows
+    for cs in classes:
+        for axis, c in enumerate(cs):
+            axis_of[c] = axis
+    cols = cycles._class_columns(classes, nrows)
+    count = [0] * nrows
+    chosen: list[int] = []
+    basis: list[tuple[int, list[int]]] = []
+    hits: list[tuple[tuple[int, ...], list[int]]] = []
+    tested = 0
+
+    def extend(start: int, stop: int, single: list[int]) -> None:
+        nonlocal tested
+        d = len(chosen)
+        room = cap - d - 1
+        for j in range(start, stop):
+            cs = classes[j]
+            if any(count[c] == 0 for c in closes[j]):
+                continue
+            still = [c for c in single if c not in cs] + [c for c in cs if count[c] == 0]
+            if len(still) > room and max(Counter(axis_of[c] for c in still).values()) > room:
+                continue
+            tested += 1
+            if budget is not None and tested > budget:
+                raise cycles._Truncated
+            col = cols[j] + [0] * cap
+            col[nrows + d] = 1
+            v = cycles._eliminate(col, basis)
+            if not any(v[:nrows]):
+                relation = v[nrows : nrows + d + 1]
+                if all(relation):
+                    hits.append((tuple(chosen) + (j,), cycles._primitive(relation, orient=True)))
+                continue
+            if not room:
+                continue
+            chosen.append(j)
+            basis.append(cycles._basis_row(v))
+            for c in cs:
+                count[c] += 1
+            extend(j + 1, min((last[c] for c in still), default=m - 1) + 1, still)
+            for c in cs:
+                count[c] -= 1
+            basis.pop()
+            chosen.pop()
+
+    truncated = False
+    try:
+        extend(0, m, [])
+    except cycles._Truncated:
+        truncated = True
+    hits.sort(key=lambda h: (len(h[0]), h[0]))
+    return hits, tested, truncated
 
 
 def whole_support_walk(grid: ProductGrid, points, x) -> tuple[list[int], list[int]]:

@@ -58,6 +58,7 @@ from conftest import (
     corrupt_walk,
     decompose_by_measures,
     has_lonely_point,
+    reference_circuits,
     reference_incidence_matrix,
     subset_scan_cycles,
     whole_support_walk,
@@ -725,9 +726,66 @@ class TestCircuitSearch:
                 rejected += 1
 
 
+class TestCircuitSearchMatchesReference:
+    """The search that keeps its cleared columns per depth returns the very
+    triple of the search that cleared each candidate from scratch
+    (``conftest.reference_circuits``): the same hits in the same order, the
+    same number of tested sets and the same truncation, budgets included."""
+
+    @staticmethod
+    def classes_of(points, grid):
+        pts = tuple(sorted(points))
+        classes, nrows = cycles._class_ids(pts, grid.n)
+        return classes, nrows, min(cycles._incidence_rank(pts, grid.n) + 1, len(pts))
+
+    @pytest.mark.parametrize("shape", SEARCH_SHAPES)
+    def test_full_grid_at_every_cap_and_budget(self, shape):
+        grid = ProductGrid(shape)
+        classes, nrows, top = self.classes_of(grid.points(), grid)
+        for cap in range(2, top + 1):
+            found = cycles._circuits(classes, nrows, cap, None)
+            assert found == reference_circuits(classes, nrows, cap, None)
+        tested = found[1]
+        for budget in (0, 1, tested // 3, tested - 1, tested, None):
+            assert cycles._circuits(classes, nrows, top, budget) == reference_circuits(
+                classes, nrows, top, budget
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_point_subsets(self, data):
+        grid = ProductGrid(data.draw(st.sampled_from(((3, 3, 2), (2, 2, 2, 2), (2, 3, 4), (4, 4)))))
+        points = data.draw(
+            st.lists(st.sampled_from(tuple(grid.points())), min_size=2, max_size=14, unique=True)
+        )
+        classes, nrows, top = self.classes_of(points, grid)
+        cap = data.draw(st.integers(2, top))
+        budget = data.draw(st.none() | st.integers(0, 300))
+        assert cycles._circuits(classes, nrows, cap, budget) == reference_circuits(
+            classes, nrows, cap, budget
+        )
+
+    @pytest.mark.parametrize(
+        "shape, found, candidates",
+        (
+            ((3, 3, 2), 1740, 9361),
+            ((2, 2, 2, 2), 1348, 6908),
+            ((4, 4), 204, 1454),
+            ((5, 5), 3940, 57352),
+        ),
+    )
+    def test_full_grid_counts(self, shape, found, candidates):
+        # the search tree itself: any change to it shows in these counts, and
+        # the candidates are the unit of the enumeration budget (README)
+        hits, tested, truncated = cycles._enumerate(ProductGrid(shape), None, None, None)
+        assert (len(hits), tested, truncated) == (found, candidates, False)
+
+
 class TestSearchBudget:
-    """A candidate is a point set whose independence was tested: one
-    elimination of a new column against the chosen ones."""
+    """A candidate is a point set whose independence was tested. The
+    reference search (``conftest.reference_circuits``) tests each one with
+    one elimination of a new column against the chosen ones; the search
+    clears a column one basis row at a time and tests the same sets."""
 
     def counting_eliminate(self, monkeypatch) -> list[int]:
         calls: list[int] = []
@@ -746,17 +804,22 @@ class TestSearchBudget:
         classes, nrows = cycles._class_ids(tuple(grid.points()), grid.n)
         cap = cycles._incidence_rank(tuple(grid.points()), grid.n) + 1
         calls = self.counting_eliminate(monkeypatch)
+        reference = reference_circuits(classes, nrows, cap, None)
         hits, tested, truncated = cycles._circuits(classes, nrows, cap, None)
+        assert (hits, tested, truncated) == reference
         assert not truncated
         assert tested == len(calls) > len(hits) > 0
         for b in (0, 1, tested // 3, tested - 1):
             calls.clear()
+            assert reference_circuits(classes, nrows, cap, b)[1:] == (b + 1, True)
+            assert len(calls) == b
             partial, count, truncated = cycles._circuits(classes, nrows, cap, b)
-            assert truncated and count == b + 1 and len(calls) == b
+            assert truncated and count == b + 1
             assert partial == [h for h in hits if h in partial]
         calls.clear()
-        assert cycles._circuits(classes, nrows, cap, tested) == (hits, tested, False)
+        assert reference_circuits(classes, nrows, cap, tested) == (hits, tested, False)
         assert len(calls) == tested
+        assert cycles._circuits(classes, nrows, cap, tested) == (hits, tested, False)
 
     def test_enumerate_truncates_exactly_past_the_budget(self):
         grid = ProductGrid((4, 4))
