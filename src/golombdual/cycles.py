@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
-from math import gcd
+from itertools import compress, count
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .grids import (
@@ -45,7 +45,6 @@ from .measures import (
     FiniteSignedMeasure,
     _class_sums_vanish,
     measure_from_pair,
-    total_variation,
 )
 
 
@@ -117,7 +116,9 @@ class MinimalCycle:
     pair: CycleVectorPair
 
     def __post_init__(self) -> None:
-        if sum(abs(w) for w in self.pair.weights) != 1:
+        # over the weights' common denominator D: sum |n_i| / D == 1
+        *nums, den = _int_row(self.pair.weights)
+        if sum(map(abs, nums)) != den:
             raise ValueError("minimal cycle weights must be normalized to total mass 1")
         if _incidence_rank(self.pair.points, self.pair.grid.n) != len(self.pair.points) - 1:
             raise ValueError("incidence kernel is not one dimensional; cycle not minimal")
@@ -161,11 +162,17 @@ class Decomposition:
         )
 
 
+def _incidence_columns(points: Sequence[GridPoint], n: int) -> list[list[int]]:
+    """The integer 0/1 incidence columns of ``points``, one per point, over
+    the classes they realize (``_class_ids``)."""
+    return _class_columns(*_class_ids(points, n))
+
+
 def _kernel_relations(points: Sequence[GridPoint], n: int) -> list[list[int]]:
     """The integer kernel basis of the 0/1 incidence columns of ``points``
     (``_column_relations``), equal to ``kernel_basis(incidence_matrix(points,
     grid))`` up to the ``Fraction`` wrapping."""
-    return _column_relations(_class_columns(*_class_ids(points, n)))
+    return _column_relations(_incidence_columns(points, n))
 
 
 def find_cycle_vector(
@@ -264,7 +271,7 @@ class _Truncated(Exception):
 def _incidence_rank(points: Sequence[GridPoint], n: int) -> int:
     """Exact rank of the 0/1 incidence columns of ``points`` over the
     rationals (equal to ``matrix_rank(incidence_matrix(points, grid))``)."""
-    return _rank(_class_columns(*_class_ids(points, n)))
+    return _rank(_incidence_columns(points, n))
 
 
 def _circuits(
@@ -467,13 +474,17 @@ def _conformal_step(x: list[int], r: list[int]) -> tuple[int, int, list[int], in
     return num, den, [yi // g for yi in y] if g else y, g
 
 
-def _circuit_walk(
-    grid: ProductGrid, points: list[GridPoint], x: list[int]
-) -> tuple[list[int], list[int]]:
-    """A conformal circuit walk (Rockafellar 1969, elementary vectors) on the
-    integer class columns of ``points`` (``_class_ids``), for any number of
-    axes. Returns the indices of a minimal cycle among ``points``, ascending,
+def _circuit_walk(cols: list[list[int]], x: list[int]) -> tuple[list[int], list[int]]:
+    """A conformal circuit walk (Rockafellar 1969, elementary vectors) on
+    the integer incidence columns ``cols`` of the atoms, for any number of
+    axes. Returns the indices of a minimal cycle among the atoms, ascending,
     and its integer weights, which agree with x in sign.
+
+    The columns may number the classes of a larger point set: ``decompose``
+    numbers its input's support once and passes the columns of the atoms
+    still alive. A class that no atom realizes is then a zero row, which
+    never holds a pivot, so the basis rows, relations and ``_eliminate``
+    calls are those of the atoms' own numbering, with zeros between.
 
     The integer masses x are a nowhere-zero kernel vector of the columns.
     The columns are cleared heaviest first (by |x| descending, ties in
@@ -490,10 +501,9 @@ def _circuit_walk(
     atom, so it ends. An r that uses every remaining atom is proportional to
     x, hence conformal.
     """
-    classes, nrows = _class_ids(points, grid.n)
-    cols = _class_columns(classes, nrows)
+    nrows = len(cols[0])
     # the indices left, heaviest first; the sort is stable, so ties keep index order
-    alive = sorted(range(len(points)), key=lambda i: -abs(x[i]))
+    alive = sorted(range(len(x)), key=lambda i: -abs(x[i]))
     x = [x[i] for i in alive]
     basis: list[tuple[int, list[int]]] = []
     while True:
@@ -574,14 +584,15 @@ def _bolt_walk(
 
 
 def _extract(
-    grid: ProductGrid, points: list[GridPoint], x: list[int]
+    grid: ProductGrid, points: list[GridPoint], x: list[int], cols: list[list[int]] | None
 ) -> tuple[list[int], list[int], MinimalCycle]:
     """One minimal cycle inside the nonzero integer masses x at ``points``
     (distinct, in flat-index order), as (its indices ascending, its integer
-    weights, the cycle).
+    weights, the cycle). ``cols`` holds the points' integer incidence
+    columns for the walk on n >= 3 axes, and is None on two.
 
     The class sums of x must vanish; the callers test that once, on the
-    input's masses (``_integer_masses``), and a later residual of
+    input's masses (``_check_annihilates``), and a later residual of
     ``decompose`` is ``den x - num w`` for such an x and a cycle w whose
     class sums ``CycleVectorPair`` has checked. On two axes the cycle is the
     closed bolt of a circulation walk (``_bolt_walk``), with no elimination;
@@ -591,7 +602,7 @@ def _extract(
     by ``_normalized_cycle``, whose MinimalCycle rank check is independent
     of either walk; a failed check raises CertificateError.
     """
-    alive, w = (_bolt_walk if grid.n == 2 else _circuit_walk)(grid, points, x)
+    alive, w = _bolt_walk(grid, points, x) if cols is None else _circuit_walk(cols, x)
     if any((wi > 0) != (x[i] > 0) for i, wi in zip(alive, w)):
         raise CertificateError("the extracted cycle's signs disagree with the measure")
     return alive, w, _normalized_cycle(tuple(points[i] for i in alive), w, grid)
@@ -599,13 +610,40 @@ def _extract(
 
 def _integer_masses(mu: FiniteSignedMeasure) -> tuple[list[GridPoint], list[int], int]:
     """The support of ``mu``, its masses over their common denominator as
-    integers x, and that denominator. Raises ValueError unless the class
-    sums of x vanish, that is unless ``mu`` annihilates separable sums."""
+    integers x, and that denominator den; the total variation of ``mu`` is
+    sum |x| / den."""
     points = list(mu.support)
     *x, den = _int_row([m for _, m in mu.atoms])
-    if not _class_sums_vanish(points, x, mu.grid.n):
-        raise ValueError("measure does not annihilate separable sums")
     return points, x, den
+
+
+def _check_annihilates(points: list[GridPoint], x: list[int], n: int) -> None:
+    """Raise ValueError unless the class sums of the integer masses x at
+    ``points`` vanish, that is unless their measure annihilates separable
+    sums."""
+    if not _class_sums_vanish(points, x, n):
+        raise ValueError("measure does not annihilate separable sums")
+
+
+def _recombines(dec: Decomposition, points: list[GridPoint], x: list[int], den: int) -> bool:
+    """Whether the terms of ``dec`` recombine to the measure with masses
+    x / den at ``points`` (``dec.combined()`` equals it), in integers: each
+    term t = p / q adds p n / (q D) at its cycle's points, n / D being the
+    cycle's weights as one ``_int_row``. Over the lcm L of den and every
+    q D, the terms' sums minus L / den times x must vanish everywhere."""
+    terms = []
+    common = den
+    for t, mc in dec.terms:
+        *n, d = _int_row(mc.weights)
+        terms.append((t.numerator, t.denominator * d, mc.points, n))
+        common = lcm(common, t.denominator * d)
+    k = common // den
+    acc = {p: -k * xi for p, xi in zip(points, x)}
+    for num, q, pts, n in terms:
+        c = num * (common // q)
+        for p, ni in zip(pts, n):
+            acc[p] = acc.get(p, 0) + c * ni
+    return not any(acc.values())
 
 
 def extract_extreme_cycle(mu: FiniteSignedMeasure) -> MinimalCycle:
@@ -615,17 +653,22 @@ def extract_extreme_cycle(mu: FiniteSignedMeasure) -> MinimalCycle:
     if mu.is_zero():
         raise ValueError("cannot extract a cycle from the zero measure")
     points, x, _ = _integer_masses(mu)
-    return _extract(mu.grid, points, x)[2]
+    n = mu.grid.n
+    _check_annihilates(points, x, n)
+    return _extract(mu.grid, points, x, None if n == 2 else _incidence_columns(points, n))[2]
 
 
 def decompose(mu: FiniteSignedMeasure) -> Decomposition:
     """Write a total-variation-1 annihilating measure as a convex combination
     of minimal-cycle measures.
 
-    The masses are scaled to integers once, and their class sums are tested
-    once (``_integer_masses``): the residual is ``scale * x`` on ``points``,
-    with x integer and nonzero. Each round extracts a sign-compatible
-    minimal cycle from x (``_extract``: a closed bolt on two axes, the first
+    The masses are scaled to integers x over their denominator den once
+    (``_integer_masses``), and the total variation (sum |x| = den) and the
+    class sums are tested once, on them: the residual is ``scale * x`` on
+    ``points``, with x integer and nonzero. On n >= 3 axes the support's
+    classes are numbered once too, and each round's walk gets the columns
+    of the atoms still alive. Each round extracts a sign-compatible minimal
+    cycle from x (``_extract``: a closed bolt on two axes, the first
     conformal circuit of the elimination walk on more) and takes the
     conformal step along its integer weights (``_conformal_step``): the
     largest multiple that keeps every residual mass on the same side of
@@ -633,31 +676,36 @@ def decompose(mu: FiniteSignedMeasure) -> Decomposition:
     step zeroes at least one atom, so there are at most support-size many
     terms, and sign compatibility makes the total variations add up, so
     the weights sum to 1 exactly. The step returns the residual divided
-    by its gcd, and the zeroed atoms are dropped. The terms must recombine
-    to ``mu``.
+    by its gcd, and the zeroed atoms are dropped. The reported terms must
+    recombine to ``mu``, which ``_recombines`` checks in integers.
     """
-    if total_variation(mu) != 1:
-        raise ValueError("measure must have total variation 1")
+    n = mu.grid.n
     points, x, den = _integer_masses(mu)
+    if sum(map(abs, x)) != den:
+        raise ValueError("measure must have total variation 1")
+    _check_annihilates(points, x, n)
+    masses = (points, x, den)
+    cols = None if n == 2 else _incidence_columns(points, n)
     scale = Fraction(1, den)
     terms: list[tuple[Fraction, MinimalCycle]] = []
     while points:
-        alive, w, mc = _extract(mu.grid, points, x)
+        alive, w, mc = _extract(mu.grid, points, x, cols)
         r = [0] * len(x)
         for i, wi in zip(alive, w):
             r[i] = wi
         num, den, y, g = _conformal_step(x, r)
         # the cycle's measure is w / sum|w|, and the step removes (num / den) w
         terms.append((scale * sum(map(abs, w)) * Fraction(num, den), mc))
-        points = [p for p, yi in zip(points, y) if yi]
+        points = list(compress(points, y))
+        if cols is not None:
+            cols = list(compress(cols, y))
         x = [yi for yi in y if yi]
         scale = scale * g / den
     try:
         dec = Decomposition(tuple(terms))
-        recombines = dec.combined() == mu
     except ValueError:  # weights that are not convex cannot recombine to mu
-        recombines = False
-    if not recombines:
+        dec = None
+    if dec is None or not _recombines(dec, *masses):
         raise CertificateError("the decomposition does not recombine to the measure")
     return dec
 

@@ -141,7 +141,8 @@ def _primitive(v: list[int], orient: bool = False) -> list[int]:
     with ``orient``, also by the sign of its first nonzero entry, which
     makes that entry positive. Every integer relation of the package is
     made primitive here, except the conformal step's, which
-    ``cycles._conformal_step`` divides itself since it returns the gcd."""
+    ``cycles._conformal_step`` divides itself since it returns the gcd,
+    and the basis rows, which ``_basis_row`` copies when the gcd is 1."""
     g = gcd(*v)
     if orient and next(filter(None, v)) < 0:
         g = -g
@@ -149,8 +150,15 @@ def _primitive(v: list[int], orient: bool = False) -> list[int]:
 
 
 def _basis_row(v: list[int]) -> tuple[int, list[int]]:
-    """``_primitive(v)``, keyed by its first nonzero position as pivot."""
-    return next(i for i, x in enumerate(v) if x), _primitive(v)
+    """``_primitive(v)`` as a new list, keyed by its first nonzero position
+    as pivot. Most rows already have gcd 1: those are copied, not divided.
+    The result is always a new list, because the circuit search writes into
+    it while ``v`` may still be one of the cleared columns it keeps."""
+    pivot = 0
+    while not v[pivot]:
+        pivot += 1
+    g = gcd(*v)
+    return pivot, v[:] if g == 1 else [x // g for x in v]
 
 
 def _rank(columns: Sequence[list[int]]) -> int:

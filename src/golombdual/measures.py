@@ -56,7 +56,8 @@ class FiniteSignedMeasure:
         acc: dict[GridPoint, Fraction] = {}
         for point, mass in pairs:
             pt = grid.check_point(point)
-            acc[pt] = acc.get(pt, Fraction(0)) + _as_rat(mass)
+            m = _as_rat(mass)
+            acc[pt] = acc[pt] + m if pt in acc else m  # add only on a repeat
         return cls(grid, tuple((pt, acc[pt]) for pt in sorted(acc) if acc[pt] != 0))
 
     def mass_at(self, point: GridPoint) -> Fraction:

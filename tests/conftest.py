@@ -658,10 +658,12 @@ def reference_circuits(
     return hits, tested, truncated
 
 
-def whole_support_walk(grid: ProductGrid, points, x) -> tuple[list[int], list[int]]:
+def whole_support_walk(cols: list[list[int]], x) -> tuple[list[int], list[int]]:
     """Reference conformal circuit walk for any number of axes: the walk
     that ``cycles._circuit_walk`` replaced, which returns only once the
-    whole remaining support is one circuit. Returns the indices of that
+    whole remaining support is one circuit. It takes the same arguments,
+    the atoms' integer incidence columns (which may number the classes of a
+    larger point set) and their integer masses. Returns the indices of that
     circuit, ascending, and its integer weights.
 
     The columns are cleared in flat-index order with ``cycles._eliminate``,
@@ -671,9 +673,8 @@ def whole_support_walk(grid: ProductGrid, points, x) -> tuple[list[int], list[in
     with x at its last column, x takes the conformal step x - t r, the
     zeroed atoms are dropped, the basis rows before the first of them are
     kept, and the walk resumes there."""
-    classes, nrows = cycles._class_ids(points, grid.n)
-    cols = cycles._class_columns(classes, nrows)
-    alive = list(range(len(points)))
+    nrows = len(cols[0])
+    alive = list(range(len(x)))
     basis: list[tuple[int, list[int]]] = []
     while True:
         d = len(basis)

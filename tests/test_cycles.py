@@ -69,6 +69,15 @@ GRID44 = ProductGrid((4, 4))
 
 SQUARE_FAR = ((2, 2), (2, 3), (3, 3), (3, 2))
 
+# a minimal cycle on 3x3x3x3 whose normalized weights (over 30) have the
+# coprime denominators 5 (6/30) and 6 (5/30)
+COPRIME_GRID = ProductGrid((3, 3, 3, 3))
+COPRIME_POINTS = (
+    (0, 0, 0, 0), (0, 0, 2, 1), (0, 2, 0, 2), (1, 1, 1, 0), (1, 1, 2, 2),
+    (1, 2, 0, 2), (1, 2, 1, 2), (2, 0, 1, 2), (2, 1, 2, 1), (2, 2, 2, 0),
+)
+COPRIME_CERT = (5, -3, -2, -4, 1, -3, 6, -2, 3, -1)
+
 
 def square_cycle() -> MinimalCycle:
     return normalize_minimal(SQUARE, GRID22)
@@ -474,6 +483,27 @@ class TestMinimality:
             for size in range(1, len(points)):
                 for subset in combinations(points, size):
                     assert find_cycle_vector(subset, grid) is None
+
+
+class TestMinimalCycleNormalization:
+    """``MinimalCycle`` tests sum |w| = 1 as sum |n_i| = D over the weights'
+    integer row n / D."""
+
+    def test_weights_with_coprime_denominators_summing_to_one(self):
+        weights = tuple(Fraction(v, 30) for v in COPRIME_CERT)
+        assert {5, 6} <= {w.denominator for w in weights}
+        assert sum(abs(w) for w in weights) == 1
+        mc = MinimalCycle(CycleVectorPair(COPRIME_GRID, COPRIME_POINTS, weights))
+        assert mc.weights == weights
+        assert mc == normalize_minimal(COPRIME_POINTS, COPRIME_GRID)
+
+    def test_a_sum_of_one_plus_one_over_a_large_prime_is_rejected(self):
+        p = 2**61 - 1  # a Mersenne prime
+        weights = tuple(Fraction(v, 30) * (1 + Fraction(1, p)) for v in COPRIME_CERT)
+        assert sum(abs(w) for w in weights) == 1 + Fraction(1, p)
+        pair = CycleVectorPair(COPRIME_GRID, COPRIME_POINTS, weights)
+        with pytest.raises(ValueError, match="normalized to total mass 1"):
+            MinimalCycle(pair)
 
 
 class TestNormalizeMinimal:
@@ -935,6 +965,49 @@ class TestDecompose:
         with pytest.raises(CertificateError, match="recombine"):
             decompose(mu)
 
+    def test_swapped_term_weights_are_rejected(self, monkeypatch):
+        # the first two terms trade weights: they still sum to 1, so only
+        # the recombination audit fails
+        near = normalize_minimal(SQUARE, GRID44)
+        far = normalize_minimal(SQUARE_FAR, GRID44)
+        mu = near.measure() * Fraction(1, 4) + far.measure() * Fraction(3, 4)
+
+        def swapped(terms):
+            (s, a), (t, b), *rest = terms
+            return Decomposition(((t, a), (s, b), *rest))
+
+        monkeypatch.setattr(cycles, "Decomposition", swapped)
+        with pytest.raises(CertificateError, match="recombine"):
+            decompose(mu)
+
+    def test_a_cycle_off_the_support_is_rejected(self, monkeypatch):
+        # the last term keeps its weight but names a square two of whose
+        # points carry no mass
+        near = normalize_minimal(SQUARE, GRID44)
+        far = normalize_minimal(SQUARE_FAR, GRID44)
+        mu = near.measure() * Fraction(1, 4) + far.measure() * Fraction(3, 4)
+        off = normalize_minimal(((2, 1), (2, 3), (3, 3), (3, 1)), GRID44)
+        assert not set(off.points) <= set(mu.support)
+        monkeypatch.setattr(
+            cycles,
+            "Decomposition",
+            lambda terms: Decomposition(terms[:-1] + ((terms[-1][0], off),)),
+        )
+        with pytest.raises(CertificateError, match="recombine"):
+            decompose(mu)
+
+    def test_total_variation_is_tested_first_in_integers(self):
+        # a measure that fails both input checks reports its total
+        # variation; one of 1 + 1/p for a large prime p is not 1
+        with pytest.raises(ValueError, match="total variation 1"):
+            decompose(FiniteSignedMeasure(GRID22, (((0, 0), Fraction(1, 2)),)))
+        p = 2**61 - 1
+        mu = square_cycle().measure() * (1 + Fraction(1, p))
+        with pytest.raises(ValueError, match="total variation 1"):
+            decompose(mu)
+        with pytest.raises(ValueError, match="does not annihilate separable sums"):
+            decompose(FiniteSignedMeasure(GRID22, (((0, 0), Fraction(1)),)))
+
     @pytest.mark.parametrize("corruption", ["negated", "shifted"])
     def test_corrupted_relation_is_rejected(self, corruption, monkeypatch):
         # a relation off the kernel leads the elimination walk (n >= 3) to a
@@ -1059,20 +1132,24 @@ def assert_both_walks_extract(mu: FiniteSignedMeasure) -> None:
     replaces the circulation walk, and on n >= 3 axes the whole-support walk
     (``conftest.whole_support_walk``) replaces the elimination walk. On every
     residual of the first decomposition both walks give a conformal minimal
-    cycle, and both decompositions recombine to ``mu``."""
-    if mu.grid.n == 2:
-        name, walk = "_bolt_walk", cycles._circuit_walk
-    else:
-        name, walk = "_circuit_walk", whole_support_walk
+    cycle, and both decompositions recombine to ``mu``. On two axes the
+    elimination walk gets the columns of the points it is handed."""
     dec = decompose(mu)
     oracle_walks = []
 
-    def oracle_walk(grid, points, x):
+    def oracle_bolt_walk(grid, points, x):
         oracle_walks.append(points)
-        return walk(grid, points, x)
+        return cycles._circuit_walk(cycles._incidence_columns(points, grid.n), x)
+
+    def oracle_circuit_walk(cols, x):
+        oracle_walks.append(cols)
+        return whole_support_walk(cols, x)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cycles, name, oracle_walk)
+        if mu.grid.n == 2:
+            mp.setattr(cycles, "_bolt_walk", oracle_bolt_walk)
+        else:
+            mp.setattr(cycles, "_circuit_walk", oracle_circuit_walk)
         oracle = decompose(mu)
         residual = dict(mu.atoms)
         for t, mc in dec.terms:
@@ -1233,6 +1310,22 @@ class TestCircuitWalkWork:
         assert len(dec.terms) > 1
         assert len(calls) == 1 + len(dec.terms)
 
+    def test_classes_are_numbered_once_plus_once_per_rank_check(self, monkeypatch):
+        # decompose numbers its input's classes once; each term's
+        # MinimalCycle numbers its own points for the rank check
+        mu = rectangle_sum(random.Random(1), (5, 5, 4), 80)
+        calls = []
+        real = cycles._class_ids
+
+        def counted(points, n):
+            calls.append(1)
+            return real(points, n)
+
+        monkeypatch.setattr(cycles, "_class_ids", counted)
+        dec = decompose(mu)
+        assert len(dec.terms) > 1
+        assert len(calls) == 1 + len(dec.terms)
+
     def test_a_conformal_circuit_is_returned_without_a_step(self, monkeypatch):
         # two five-point cycles on disjoint coordinate values: every relation
         # the walk can close is one of them, conformal to the measure, so
@@ -1250,7 +1343,8 @@ class TestCircuitWalkWork:
             return real(x, r)
 
         monkeypatch.setattr(cycles, "_conformal_step", counted)
-        alive, _ = cycles._circuit_walk(grid, points, _int_row([m for _, m in mu.atoms])[:-1])
+        cols = cycles._incidence_columns(points, grid.n)
+        alive, _ = cycles._circuit_walk(cols, _int_row([m for _, m in mu.atoms])[:-1])
         assert not steps
         assert {points[i] for i in alive} in (set(near.points), set(far.points))
 
@@ -1260,8 +1354,9 @@ class TestCircuitWalkWork:
         mu = rectangle_sum(random.Random(1), (5, 5, 4), 80)
         points = list(mu.support)
         x = _int_row([m for _, m in mu.atoms])[:-1]
-        classes, nrows = cycles._class_ids(points, mu.grid.n)
-        atom_of = {tuple(c): i for i, c in enumerate(cycles._class_columns(classes, nrows))}
+        cols = cycles._incidence_columns(points, mu.grid.n)
+        nrows = len(cols[0])
+        atom_of = {tuple(c): i for i, c in enumerate(cols)}
         cleared: list[int] = []
         closed: list[bool] = []
         real = cycles._eliminate
@@ -1275,7 +1370,7 @@ class TestCircuitWalkWork:
             return v
 
         monkeypatch.setattr(cycles, "_eliminate", recorded)
-        cycles._circuit_walk(mu.grid, points, x)
+        cycles._circuit_walk(cols, x)
         heaviest = sorted(range(len(x)), key=lambda i: (-abs(x[i]), i))
         assert closed and cleared == heaviest[: len(cleared)] != sorted(cleared)
 
@@ -1343,6 +1438,52 @@ class TestDecomposeMatchesMeasureLoop:
         corrupt_term_weights(monkeypatch)
         with pytest.raises(CertificateError, match="recombine"):
             decompose(normalize_minimal(FIVE_POINTS, CUBE).measure())
+
+
+def perturbed(dec: Decomposition, kind: str) -> Decomposition:
+    """``dec`` with its terms changed by ``kind``: "none"; "reversed" (the
+    same terms in reverse order); "swap-weights" (the first and last terms
+    trade weights); "shift" (half the smaller of those two weights moves from
+    the first term to the last); "negate" (the first term's cycle with its
+    weights negated, still a minimal cycle). A decomposition of one term
+    is left as it is by the last three."""
+    terms = list(dec.terms)
+    (s, a), (t, b) = terms[0], terms[-1]
+    if kind == "reversed":
+        terms.reverse()
+    elif len(terms) > 1 and kind == "swap-weights":
+        terms[0], terms[-1] = (t, a), (s, b)
+    elif len(terms) > 1 and kind == "shift":
+        e = min(s, t) / 2
+        terms[0], terms[-1] = (s - e, a), (t + e, b)
+    elif kind == "negate":
+        negated = CycleVectorPair(a.grid, a.points, tuple(-w for w in a.weights))
+        terms[0] = (s, MinimalCycle(negated))
+    return Decomposition(tuple(terms))
+
+
+class TestIntegerRecombinationAudit:
+    """``decompose``'s recombination audit (``_recombines``) decides in
+    integers what ``Decomposition.combined() == mu`` decides in
+    ``Fraction``s, on the reported terms."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        annihilating_measures(),
+        st.sampled_from(["none", "reversed", "swap-weights", "shift", "negate"]),
+    )
+    def test_verdict_equals_the_fraction_recombination(self, mu, kind):
+        dec = perturbed(decompose(mu), kind)
+        verdict = cycles._recombines(dec, *cycles._integer_masses(mu))
+        assert verdict == (dec.combined() == mu)
+        if kind in ("none", "reversed"):
+            assert verdict
+
+    def test_negated_cycle_is_rejected(self):
+        mu = normalize_minimal(FIVE_POINTS, CUBE).measure()
+        dec = perturbed(decompose(mu), "negate")
+        assert not cycles._recombines(dec, *cycles._integer_masses(mu))
+        assert dec.combined() != mu
 
 
 class TestCycleJson:

@@ -250,6 +250,31 @@ class TestKernelBasis:
         assert checked == 450
 
 
+class TestBasisRow:
+    """``_basis_row(v)`` is (first nonzero position, ``_primitive(v)``), in a
+    new list: the circuit search writes into the row while ``v`` may still
+    be one of its kept cleared columns."""
+
+    @pytest.mark.parametrize(
+        "v,pivot",
+        [([0, 0, 3, -2, 0, 5], 2), ([0, 6, -4, 0, 10], 1), ([-7], 0), ([0, 0, -9, 3], 2)],
+        ids=["gcd-1", "gcd-2", "single", "gcd-3-negative-lead"],
+    )
+    def test_equals_primitive_in_a_new_list(self, v, pivot):
+        before = list(v)
+        piv, row = linalg._basis_row(v)
+        assert (piv, row) == (pivot, linalg._primitive(before))
+        assert row is not v and v == before
+        row[-1] += 1  # the caller may write into the row
+        assert v == before
+
+    def test_gcd_one_row_is_copied_not_divided(self):
+        v = [0, 4, -6, 9]
+        piv, row = linalg._basis_row(v)
+        assert (piv, row) == (1, v) and row is not v
+        assert gcd(*row) == 1
+
+
 class TestMatrixRank:
     def test_examples(self):
         assert matrix_rank(rat_matrix([[1, 0], [0, 1]])) == 2

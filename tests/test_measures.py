@@ -66,6 +66,24 @@ class TestCanonicalForm:
         )
         assert mu.atoms == (((0, 0), Fraction(1)), ((0, 1), Fraction(1, 2)))
 
+    def test_from_atoms_accumulates_a_repeated_point_and_drops_one_summing_to_zero(self):
+        # masses are added only where a point repeats; a point given once
+        # keeps its mass as given, an int becoming a Fraction
+        mu = FiniteSignedMeasure.from_atoms(
+            GRID22,
+            [
+                ((0, 1), 1),
+                ((1, 0), Fraction(1, 3)),
+                ((0, 1), Fraction(1, 2)),
+                ((1, 1), Fraction(3, 4)),
+                ((1, 0), Fraction(-1, 3)),
+                ((0, 1), Fraction(-1, 4)),
+                ((0, 0), 0),
+            ],
+        )
+        assert mu.atoms == (((0, 1), Fraction(5, 4)), ((1, 1), Fraction(3, 4)))
+        assert all(type(m) is Fraction for _, m in mu.atoms)
+
     def test_constructor_rejects_zero_mass(self):
         with pytest.raises(ValueError):
             FiniteSignedMeasure(GRID22, (((0, 0), Fraction(0)),))
