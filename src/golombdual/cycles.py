@@ -51,7 +51,13 @@ from .measures import (
 @dataclass(frozen=True)
 class CycleVectorPair:
     """Distinct grid points together with a nowhere-zero weight vector whose
-    class sums vanish along every axis."""
+    class sums vanish along every axis.
+
+    The pair keeps its weights' integer form ``_ints``, the numerators over
+    the common denominator D and then D, as ``_int_row`` gives them. Its
+    checks (``_check``), MinimalCycle's normalization, ``to_golomb_form``
+    and ``_recombines`` read it. Equality, hashing and repr are on the
+    three fields alone."""
 
     grid: ProductGrid
     points: tuple[GridPoint, ...]
@@ -60,15 +66,22 @@ class CycleVectorPair:
     def __post_init__(self) -> None:
         object.__setattr__(self, "points", tuple(self.grid.check_point(p) for p in self.points))
         object.__setattr__(self, "weights", tuple(_as_rat(w) for w in self.weights))
-        if len(self.points) != len(self.weights):
+        self._check(tuple(_int_row(self.weights)))
+
+    def _check(self, ints: tuple[int, ...]) -> None:
+        """Keep ``ints`` as the weights' integer form and test on it that
+        there is one weight per point, at least one point, no point twice,
+        no zero weight and no nonzero class sum."""
+        object.__setattr__(self, "_ints", ints)
+        if len(ints) != len(self.points) + 1:
             raise ValueError("points and weights must have equal length")
         if not self.points:
             raise ValueError("a cycle needs at least one point")
         if len(set(self.points)) != len(self.points):
             raise ValueError("duplicate point in cycle")
-        if any(w == 0 for w in self.weights):
+        if not all(ints):
             raise ValueError("cycle weights must be nonzero")
-        if not _class_sums_vanish(self.points, self.weights, self.grid.n):
+        if not _class_sums_vanish(self.points, ints, self.grid.n):
             raise ValueError("class sums do not vanish; not a cycle vector")
 
 
@@ -117,7 +130,7 @@ class MinimalCycle:
 
     def __post_init__(self) -> None:
         # over the weights' common denominator D: sum |n_i| / D == 1
-        *nums, den = _int_row(self.pair.weights)
+        *nums, den = self.pair._ints
         if sum(map(abs, nums)) != den:
             raise ValueError("minimal cycle weights must be normalized to total mass 1")
         if _incidence_rank(self.pair.points, self.pair.grid.n) != len(self.pair.points) - 1:
@@ -204,7 +217,7 @@ def to_golomb_form(pair: CycleVectorPair) -> GolombCycle:
     negatives in c."""
     b: list[GridPoint] = []
     c: list[GridPoint] = []
-    for p, n_i in zip(pair.points, _primitive(_int_row(pair.weights)[:-1])):
+    for p, n_i in zip(pair.points, _primitive(pair._ints[:-1])):
         (b if n_i > 0 else c).extend([p] * abs(n_i))
     return GolombCycle(pair.grid, tuple(b), tuple(c))
 
@@ -233,15 +246,22 @@ def _normalized_cycle(
 ) -> MinimalCycle:
     """The MinimalCycle on ``points`` with the integer relation ``vec``
     scaled to total mass 1: every cycle the package computes from an
-    integer relation is built here. A relation that fails the constructor's
-    checks is a fault of that computation, so it raises CertificateError.
-    The one cycle built elsewhere is the dual vertex's:
-    ``chebyshev.optimal_witness_from_dual`` builds it from the LP measure's
-    masses, and a measure that is not one minimal cycle raises ValueError
-    there."""
-    total = sum(abs(x) for x in vec)
+    integer relation is built here. The primitive relation n and its total
+    T = sum |n_i| are the integer form of the weights n_i / T, so the pair
+    runs ``_check`` on them as they are; its points were checked where they
+    entered (``FiniteSignedMeasure``, ``grid.points()``, ``_distinct``).
+    A relation that fails a check is a fault of that computation, so it
+    raises CertificateError. The one cycle built elsewhere is the dual
+    vertex's: ``chebyshev.optimal_witness_from_dual`` builds it from the LP
+    measure's masses, and a measure that is not one minimal cycle raises
+    ValueError there."""
+    vec = _primitive(vec)
+    total = sum(map(abs, vec))
+    pair = object.__new__(CycleVectorPair)  # the fields, without __post_init__
+    pair.__dict__.update(grid=grid, points=points, weights=tuple(Fraction(x, total) for x in vec))
     try:
-        return MinimalCycle(CycleVectorPair(grid, points, tuple(Fraction(x, total) for x in vec)))
+        pair._check((*vec, total))
+        return MinimalCycle(pair)
     except ValueError as exc:
         raise CertificateError(f"a computed relation is not a minimal cycle: {exc}") from None
 
@@ -298,14 +318,15 @@ def _circuits(
     against the first d basis rows is its column cleared against the first
     d - 1 rows, cleared by one more row. ``levels[d][j]`` keeps column j
     cleared against ``basis[:d]`` while the search is at depth d or deeper,
-    filled on demand from the level above: a test clears one row, or more
-    only for a column the levels above never cleared, and a level is
-    dropped when the search backs out of its depth. While a column is a
-    candidate its own coefficient sits one slot past the tail, at
-    ``nrows + cap``, which no basis row touches; choosing it moves that
-    coefficient to ``nrows + d``. So every vector is, entry for entry, the
-    one ``_eliminate`` gives the column with its coefficient in slot
-    ``nrows + d``: the same rows, relations, hits and candidates.
+    filled on demand from the level above by ``cleared``, the one row step
+    that every test reads: a test clears one row, or more only for a column
+    the levels above never cleared, and a level is dropped when the search
+    backs out of its depth. While a column is a candidate its own
+    coefficient sits one slot past the tail, at ``nrows + cap``, which no
+    basis row touches; choosing it moves that coefficient to ``nrows + d``.
+    So every vector is, entry for entry, the one ``_eliminate`` gives the
+    column with its coefficient in slot ``nrows + d``: the same rows,
+    relations, hits and candidates.
 
     A class holding one chosen column, with no later column in it, keeps
     that column's weight at zero in every extension, so such a prefix is cut:
@@ -354,11 +375,6 @@ def _circuits(
         nonlocal tested
         d = len(chosen)
         room = cap - d - 1
-        level = levels[d]
-        if d:  # at depth 0 every column is in levels[0]
-            parent = levels[d - 1]
-            piv, row = basis[d - 1]
-            a = row[piv]
         for j in range(start, stop):
             cs = classes[j]
             if closes[j] and 0 in [count[c] for c in closes[j]]:
@@ -373,14 +389,7 @@ def _circuits(
             tested += 1
             if budget is not None and tested > budget:
                 raise _Truncated
-            v = level[j]
-            if v is None:  # a descendant did not fill it: one row step
-                v = parent[j]
-                if v is None:
-                    v = cleared(d - 1, j)
-                b = v[piv]
-                if b:
-                    v = [a * x - b * y for x, y in zip(v, row)]
+            v = cleared(d, j)
             if not any(v[:nrows]):
                 relation = v[nrows : nrows + d] + [v[own]]
                 if all(relation):
@@ -388,7 +397,7 @@ def _circuits(
                 continue
             if not room:
                 continue
-            pivot, new_row = _basis_row(v)  # a new list: v may sit in levels
+            pivot, new_row = _basis_row(v)  # a new list: v sits in levels
             new_row[nrows + d], new_row[own] = new_row[own], 0
             chosen.append(j)
             basis.append((pivot, new_row))
@@ -629,12 +638,13 @@ def _recombines(dec: Decomposition, points: list[GridPoint], x: list[int], den: 
     """Whether the terms of ``dec`` recombine to the measure with masses
     x / den at ``points`` (``dec.combined()`` equals it), in integers: each
     term t = p / q adds p n / (q D) at its cycle's points, n / D being the
-    cycle's weights as one ``_int_row``. Over the lcm L of den and every
-    q D, the terms' sums minus L / den times x must vanish everywhere."""
+    cycle's weights in the integer form its pair keeps. Over the lcm L of
+    den and every q D, the terms' sums minus L / den times x must vanish
+    everywhere."""
     terms = []
     common = den
     for t, mc in dec.terms:
-        *n, d = _int_row(mc.weights)
+        *n, d = mc.pair._ints
         terms.append((t.numerator, t.denominator * d, mc.points, n))
         common = lcm(common, t.denominator * d)
     k = common // den

@@ -115,14 +115,11 @@ def marginal(mu: FiniteSignedMeasure, axis: int) -> dict[int, Fraction]:
     return out
 
 
-def _class_sums_vanish(
-    points: Sequence[GridPoint], weights: Sequence[Fraction | int], n: int
-) -> bool:
-    """True when, on each of the ``n`` axes, the weights of the points
-    sharing a coordinate value sum to zero."""
-    # over the weights' common denominator the class sums are integer sums;
-    # zip drops the denominator _int_row appends
-    ints = _int_row(weights)
+def _class_sums_vanish(points: Sequence[GridPoint], ints: Sequence[int], n: int) -> bool:
+    """True when, on each of the ``n`` axes, the integer weights ``ints`` of
+    the points sharing a coordinate value sum to zero. Rational weights are
+    passed as their ``_int_row``, whose last entry, the denominator, zip
+    drops."""
     for axis in range(n):
         sums: dict[int, int] = {}
         for p, w in zip(points, ints):
@@ -140,7 +137,7 @@ def is_orthogonal(mu: FiniteSignedMeasure) -> bool:
     denominator and each axis's class sums are added up as integers, the
     same test ``CycleVectorPair`` makes of its weights.
     """
-    return _class_sums_vanish(mu.support, [m for _, m in mu.atoms], mu.grid.n)
+    return _class_sums_vanish(mu.support, _int_row([m for _, m in mu.atoms]), mu.grid.n)
 
 
 def integrate(f: TabulatedFunction, mu: FiniteSignedMeasure) -> Fraction:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
@@ -1484,6 +1485,97 @@ class TestIntegerRecombinationAudit:
         dec = perturbed(decompose(mu), "negate")
         assert not cycles._recombines(dec, *cycles._integer_masses(mu))
         assert dec.combined() != mu
+
+
+def assert_built_like_public(mc: MinimalCycle) -> None:
+    """``mc``, as ``_normalized_cycle`` built it, equals the cycle that the
+    public constructors build from its grid, points and weights, and both
+    keep the integer form ``_int_row(weights)``."""
+    public = MinimalCycle(CycleVectorPair(mc.grid, mc.points, mc.weights))
+    assert mc == public
+    assert hash(mc) == hash(public) and hash(mc.pair) == hash(public.pair)
+    assert repr(mc) == repr(public)
+    assert mc.pair._ints == public.pair._ints == tuple(_int_row(mc.weights))
+    assert all(type(w) is Fraction for w in mc.weights)
+
+
+class TestIntegerForm:
+    """A pair keeps its weights' integer form, numerators over the common
+    denominator D and then D. ``_normalized_cycle`` builds it from a
+    computed relation without re-deriving it, and gives the cycle that the
+    public constructors give, or fails the same checks."""
+
+    def test_fields_are_grid_points_and_weights(self):
+        assert [f.name for f in fields(CycleVectorPair)] == ["grid", "points", "weights"]
+        pair = CycleVectorPair(CUBE, FIVE_POINTS, FIVE_CERT)
+        assert pair._ints == (2, -1, -1, -1, 1, 1)
+        assert "_ints" not in repr(pair)
+
+    @pytest.mark.parametrize("shape", [(3, 3, 2), (2, 2, 2, 2), (4, 4)])
+    def test_every_enumerated_cycle(self, shape):
+        grid = ProductGrid(shape)
+        hits, _, _ = cycles._enumerate(grid, None, None, None)
+        for points, relation in hits:
+            mc = cycles._normalized_cycle(points, relation, grid)
+            assert mc.pair._ints == (*relation, sum(map(abs, relation)))
+            assert_built_like_public(mc)
+
+    @pytest.mark.parametrize("shape,targets", RECTANGLE_SUMS + (((6, 7), (12, 30)),))
+    def test_every_decompose_term(self, shape, targets):
+        rng = random.Random(2601)
+        for atoms in targets:
+            for _, mc in decompose(rectangle_sum(rng, shape, atoms)).terms:
+                assert_built_like_public(mc)
+
+    def test_a_relation_with_a_common_factor_is_made_primitive(self):
+        square = normalize_minimal(SQUARE, GRID22)
+        tripled = cycles._normalized_cycle(square.points, [3, -3, -3, 3], GRID22)
+        assert tripled == square
+        assert tripled.pair._ints == (1, -1, -1, 1, 4)
+        assert_built_like_public(tripled)
+
+    def test_no_point_or_weight_is_checked_again(self, monkeypatch):
+        square = normalize_minimal(SQUARE, GRID22)
+        calls = []
+
+        def counted(real):
+            def wrapper(*args):
+                calls.append(real.__name__)
+                return real(*args)
+            return wrapper
+
+        monkeypatch.setattr(ProductGrid, "check_point", counted(ProductGrid.check_point))
+        monkeypatch.setattr(cycles, "_as_rat", counted(cycles._as_rat))
+        monkeypatch.setattr(cycles, "_int_row", counted(cycles._int_row))
+        assert cycles._normalized_cycle(square.points, [1, -1, -1, 1], GRID22) == square
+        assert calls == []
+        CycleVectorPair(GRID22, square.points, square.weights)
+        assert sorted(set(calls)) == ["_as_rat", "_int_row", "check_point"]
+
+    @pytest.mark.parametrize(
+        "change,check",
+        [
+            (lambda e: 0, "cycle weights must be nonzero"),
+            (lambda e: e + 1 if e != -1 else e - 1, "class sums do not vanish"),
+        ],
+    )
+    def test_a_corrupted_relation_names_its_failed_check(self, change, check):
+        # one entry changed, at every position of some hits of each size
+        grid = ProductGrid((3, 3, 2))
+        hits, _, _ = cycles._enumerate(grid, None, 6, None)
+        for points, relation in hits[:: len(hits) // 7]:
+            for i, e in enumerate(relation):
+                corrupted = relation[:i] + [change(e)] + relation[i + 1 :]
+                with pytest.raises(CertificateError, match=f"not a minimal cycle: {check}"):
+                    cycles._normalized_cycle(points, corrupted, grid)
+
+    def test_two_disjoint_squares_are_not_minimal(self):
+        near = normalize_minimal(SQUARE, GRID44)
+        far = normalize_minimal(SQUARE_FAR, GRID44)
+        relation = [1, -1, -1, 1] * 2
+        assert cycles._class_sums_vanish(near.points + far.points, relation, 2)
+        with pytest.raises(CertificateError, match="not a minimal cycle: incidence kernel"):
+            cycles._normalized_cycle(near.points + far.points, relation, GRID44)
 
 
 class TestCycleJson:
