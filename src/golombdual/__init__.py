@@ -79,6 +79,15 @@ from .bolts import (
     is_closed_bolt,
 )
 
+from types import ModuleType as _Module
+
+# the public names are the ones the imports above bind, and the CLI's entry
+# point, which __getattr__ imports on first use
+__all__ = sorted(
+    [name for name, value in globals().items()
+     if not name.startswith("_") and not isinstance(value, _Module)] + ["main"]
+)
+
 __version__ = "0.1.0"
 
 
@@ -90,72 +99,3 @@ def __getattr__(name: str):
 
         return getattr(cli, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-__all__ = [
-    "ApproximationResult",
-    "Bolt",
-    "CertificateError",
-    "ClosedBolt",
-    "CycleVectorPair",
-    "Decomposition",
-    "FiniteSignedMeasure",
-    "GolombCycle",
-    "GolombReport",
-    "GridPoint",
-    "LpProblem",
-    "LpSolution",
-    "MinimalCycle",
-    "ProductGrid",
-    "Rat",
-    "RatMatrix",
-    "SeparableSum",
-    "TabulatedFunction",
-    "best_error",
-    "bolt_from_json",
-    "bolt_supremum",
-    "bolt_to_json",
-    "closed_bolt_measure",
-    "cycle_functional",
-    "cycle_to_closed_bolts",
-    "decompose",
-    "enumerate_minimal_cycles",
-    "evaluate",
-    "extract_extreme_cycle",
-    "find_cycle_vector",
-    "format_rat",
-    "from_golomb_form",
-    "function_from_csv",
-    "function_from_json",
-    "function_to_json",
-    "golomb_from_json",
-    "golomb_measure",
-    "golomb_to_json",
-    "incidence_matrix",
-    "integrate",
-    "is_bolt",
-    "is_closed_bolt",
-    "is_minimal",
-    "is_orthogonal",
-    "kernel_basis",
-    "main",
-    "marginal",
-    "matrix_rank",
-    "measure_from_json",
-    "measure_from_pair",
-    "measure_to_json",
-    "normalize_minimal",
-    "optimal_witness_from_dual",
-    "pair_from_json",
-    "pair_to_json",
-    "parse_rat",
-    "point_index",
-    "point_of",
-    "report_to_json",
-    "residual",
-    "solve_lp",
-    "sup_norm",
-    "tabulate",
-    "to_golomb_form",
-    "total_variation",
-    "verify_golomb",
-]

@@ -24,7 +24,7 @@ from typing import Literal, Sequence, get_args
 from .chebyshev import _cycle_supremum
 from .cycles import GolombCycle, _enumerate
 from .grids import GridPoint, ProductGrid, TabulatedFunction, _points_from_json
-from .measures import FiniteSignedMeasure
+from .measures import FiniteSignedMeasure, _unit_measure
 
 StartAxis = Literal["shared-x-first", "shared-y-first"]
 
@@ -106,12 +106,7 @@ def closed_bolt_measure(cb: ClosedBolt) -> FiniteSignedMeasure:
     """Alternating measure +1/(2k), -1/(2k) along the vertex list, starting
     positive. Repeated vertices accumulate, so opposite-sign revisits cancel
     and the total variation can drop below 1."""
-    vertices = cb.vertices
-    unit = Fraction(1, len(vertices))
-    pairs = [
-        (p, unit if i % 2 == 0 else -unit) for i, p in enumerate(vertices)
-    ]
-    return FiniteSignedMeasure.from_atoms(cb.grid, pairs)
+    return _unit_measure(cb.grid, cb.vertices[::2], cb.vertices[1::2])
 
 
 def cycle_to_closed_bolts(gc: GolombCycle) -> tuple[ClosedBolt, ...]:

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, product
-from math import prod
 
 from .cycles import (
     CycleVectorPair,
@@ -31,7 +30,7 @@ from .cycles import (
     _normalized_cycle,
     pair_to_json,
 )
-from .grids import GridPoint, SeparableSum, TabulatedFunction
+from .grids import GridPoint, SeparableSum, TabulatedFunction, _same_grid, point_index
 from .linalg import CertificateError, LpProblem, RatMatrix, _int_row, format_rat, solve_lp
 from .measures import FiniteSignedMeasure, _class_sums_vanish
 
@@ -151,8 +150,7 @@ def _check_certificate(f: TabulatedFunction, result: ApproximationResult) -> Non
     the LP returns for a separable table.
     """
     grid, g, mu, error = f.grid, result.best_g, result.optimal_measure, result.error
-    if g.grid != grid or mu.grid != grid:
-        raise ValueError("grid mismatch")
+    _same_grid(f, g, mu)
     *ints, e, den = _int_row([*f.values, *(v for t in g.tables for v in t), error])
     rest = iter(ints[grid.volume :])
     tables = [list(islice(rest, size)) for size in grid.factor_sizes]
@@ -167,8 +165,7 @@ def _check_certificate(f: TabulatedFunction, result: ApproximationResult) -> Non
     tv = sum(map(abs, masses))
     if tv > mden:
         raise CertificateError(f"the dual measure has total variation {Fraction(tv, mden)} > 1")
-    strides = [prod(grid.factor_sizes[axis + 1 :]) for axis in range(grid.n)]
-    flat = [sum(c * stride for c, stride in zip(p, strides)) for p in mu.support]
+    flat = [point_index(grid, p) for p in mu.support]
     integral = sum(m * ints[i] for m, i in zip(masses, flat))
     if integral != e * mden:
         raise CertificateError(
@@ -185,8 +182,7 @@ def _check_certificate(f: TabulatedFunction, result: ApproximationResult) -> Non
 def cycle_functional(f: TabulatedFunction, cycle: MinimalCycle) -> Fraction:
     """|integral of f| against the cycle's normalized measure: the exact sum
     over its own distinct points and weights, which have total mass 1."""
-    if f.grid != cycle.grid:
-        raise ValueError("grid mismatch")
+    _same_grid(f, cycle)
     return abs(sum((w * f.value_at(p) for p, w in zip(cycle.points, cycle.weights)), _F0))
 
 
@@ -268,14 +264,17 @@ def optimal_witness_from_dual(
     re-checks it exactly, and any other measure raises ValueError. The
     witness's weights are the measure's masses, so the certificate check on
     ``result`` is the check that the witness's functional equals the error.
+    It runs once: on a ``result`` the caller passes, here, and otherwise in
+    ``best_error``.
     """
     if result is None:
         result = best_error(f)
+    else:
+        _check_certificate(f, result)
     if result.error == 0:
         raise ValueError("zero error: every annihilating measure integrates f to 0")
     mu = result.optimal_measure
     cycle = MinimalCycle(CycleVectorPair(mu.grid, mu.support, tuple(m for _, m in mu.atoms)))
-    _check_certificate(f, result)
     return cycle, Decomposition(((Fraction(1), cycle),))
 
 

@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 from typing import Callable
 
-from .bolts import bolt_to_json, cycle_to_closed_bolts
+from .bolts import _require_two_axes, bolt_to_json, cycle_to_closed_bolts
 from .chebyshev import DEFAULT_ENUM_BUDGET, best_error, report_to_json, verify_golomb
 from .cycles import _enumerate, _normalized_cycle, decompose, pair_to_json, to_golomb_form
 from .grids import (
@@ -123,8 +123,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 def _cmd_bolts(args: argparse.Namespace) -> int:
     f = _load_function(args.input)
-    if f.grid.n != 2:
-        raise ValueError("bolts requires a two-axis grid")
+    _require_two_axes(f.grid)
     report = verify_golomb(f, max_support=args.max_support, budget=DEFAULT_ENUM_BUDGET)
     if not report.enumerated:
         return _cut_short()

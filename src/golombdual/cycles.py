@@ -20,14 +20,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .grids import (
     GridPoint,
     ProductGrid,
     _class_columns,
     _class_ids,
+    _distinct,
     _points_from_json,
+    _require_keys,
 )
 from .linalg import (
     CertificateError,
@@ -232,13 +234,6 @@ def from_golomb_form(gc: GolombCycle) -> CycleVectorPair:
     for p in gc.c_part:
         counts[p] = counts.get(p, 0) - 1
     return CycleVectorPair(gc.grid, tuple(counts), tuple(_primitive(list(counts.values()))))
-
-
-def _distinct(points: Iterable[GridPoint], grid: ProductGrid) -> list[GridPoint]:
-    pts = [grid.check_point(p) for p in points]
-    if len(set(pts)) != len(pts):
-        raise ValueError("duplicate point")
-    return pts
 
 
 def _normalized_cycle(
@@ -487,7 +482,7 @@ def _circuit_walk(cols: list[list[int]], x: list[int]) -> tuple[list[int], list[
     """A conformal circuit walk (Rockafellar 1969, elementary vectors) on
     the integer incidence columns ``cols`` of the atoms, for any number of
     axes. Returns the indices of a minimal cycle among the atoms, ascending,
-    and its integer weights, which agree with x in sign.
+    and its primitive integer weights, which agree with x in sign.
 
     The columns may number the classes of a larger point set: ``decompose``
     numbers its input's support once and passes the columns of the atoms
@@ -532,7 +527,7 @@ def _circuit_walk(cols: list[list[int]], x: list[int]) -> tuple[list[int], list[
             r = [-e for e in r]
         if all((e > 0) == (xi > 0) for e, xi in zip(r, x) if e):
             circuit = sorted((i, e) for i, e in zip(alive, r) if e)
-            return [i for i, _ in circuit], [e for _, e in circuit]
+            return [i for i, _ in circuit], _primitive([e for _, e in circuit])
         x = _conformal_step(x, r + [0] * (len(x) - d - 1))[2]
         del basis[x.index(0) :]
         alive = [i for i, xi in zip(alive, x) if xi]
@@ -728,8 +723,7 @@ def pair_to_json(pair: CycleVectorPair) -> dict:
 
 
 def pair_from_json(grid: ProductGrid, obj: object) -> CycleVectorPair:
-    if not isinstance(obj, dict) or "points" not in obj or "lambda" not in obj:
-        raise ValueError('cycle JSON needs "points" and "lambda" keys')
+    _require_keys(obj, "cycle", "points", "lambda")
     points = _points_from_json(obj["points"], "points")
     if not isinstance(obj["lambda"], list):
         raise ValueError('"lambda" must be a list')
@@ -744,8 +738,7 @@ def golomb_to_json(gc: GolombCycle) -> dict:
 
 
 def golomb_from_json(grid: ProductGrid, obj: object) -> GolombCycle:
-    if not isinstance(obj, dict) or "b" not in obj or "c" not in obj:
-        raise ValueError('two-part cycle JSON needs "b" and "c" keys')
+    _require_keys(obj, "two-part cycle", "b", "c")
     return GolombCycle(
         grid, _points_from_json(obj["b"], "b"), _points_from_json(obj["c"], "c")
     )

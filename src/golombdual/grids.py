@@ -13,7 +13,7 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .linalg import RatMatrix, _as_rat, format_rat, parse_rat
 
@@ -85,6 +85,20 @@ def point_of(grid: ProductGrid, index: int) -> GridPoint:
     return tuple(reversed(coords))
 
 
+def _distinct(points: Iterable[GridPoint], grid: ProductGrid) -> list[GridPoint]:
+    """The points as checked tuples, raising ValueError on a repeat."""
+    pts = [grid.check_point(p) for p in points]
+    if len(set(pts)) != len(pts):
+        raise ValueError("duplicate point")
+    return pts
+
+
+def _same_grid(*objects: object) -> None:
+    """Raise ValueError unless every object's ``grid`` is the first one's."""
+    if any(o.grid != objects[0].grid for o in objects[1:]):
+        raise ValueError("grid mismatch")
+
+
 @dataclass(frozen=True)
 class TabulatedFunction:
     """A function on a grid, stored as a row-major tuple of rationals."""
@@ -103,21 +117,14 @@ class TabulatedFunction:
     def value_at(self, point: GridPoint) -> Fraction:
         return self.values[point_index(self.grid, point)]
 
-    def _same_grid(self, other: "TabulatedFunction") -> None:
-        if self.grid != other.grid:
-            raise ValueError("grid mismatch")
-
     def __add__(self, other: "TabulatedFunction") -> "TabulatedFunction":
-        self._same_grid(other)
+        _same_grid(self, other)
         return TabulatedFunction(
             self.grid, tuple(a + b for a, b in zip(self.values, other.values))
         )
 
     def __sub__(self, other: "TabulatedFunction") -> "TabulatedFunction":
-        self._same_grid(other)
-        return TabulatedFunction(
-            self.grid, tuple(a - b for a, b in zip(self.values, other.values))
-        )
+        return self + (-other)
 
     def __neg__(self) -> "TabulatedFunction":
         return TabulatedFunction(self.grid, tuple(-v for v in self.values))
@@ -166,8 +173,6 @@ def tabulate(g: SeparableSum) -> TabulatedFunction:
 
 def residual(f: TabulatedFunction, g: SeparableSum) -> TabulatedFunction:
     """Pointwise difference f - g as a tabulated function."""
-    if f.grid != g.grid:
-        raise ValueError("grid mismatch")
     return f - tabulate(g)
 
 
@@ -210,9 +215,7 @@ def incidence_matrix(points: Sequence[GridPoint], grid: ProductGrid) -> RatMatri
     ``RatMatrix`` form, one ``{point: 1}`` mapping per class row, is for
     callers of the public API.
     """
-    pts = [grid.check_point(p) for p in points]
-    if len(set(pts)) != len(pts):
-        raise ValueError("duplicate point in incidence input")
+    pts = _distinct(points, grid)
     classes, nrows = _class_ids(pts, grid.n)
     rows: list[dict[int, int]] = [{} for _ in range(nrows)]
     for j, cs in enumerate(classes):
@@ -244,9 +247,16 @@ def function_to_json(f: TabulatedFunction) -> dict:
     }
 
 
+def _require_keys(obj: object, what: str, *keys: str) -> None:
+    """Raise ValueError unless ``obj`` is a JSON object holding every key;
+    ``what`` names the object in the message."""
+    if not isinstance(obj, dict) or any(k not in obj for k in keys):
+        names = " and ".join(f'"{k}"' for k in keys)
+        raise ValueError(f"{what} JSON needs {names} keys")
+
+
 def function_from_json(obj: object) -> TabulatedFunction:
-    if not isinstance(obj, dict) or "shape" not in obj or "values" not in obj:
-        raise ValueError('function JSON needs "shape" and "values" keys')
+    _require_keys(obj, "function", "shape", "values")
     grid = _grid_from_json(obj["shape"])
     values = obj["values"]
     if not isinstance(values, list):

@@ -23,6 +23,8 @@ from .grids import (
     TabulatedFunction,
     _grid_from_json,
     _points_from_json,
+    _require_keys,
+    _same_grid,
 )
 from .linalg import _as_rat, _int_row, format_rat, parse_rat
 
@@ -74,12 +76,8 @@ class FiniteSignedMeasure:
     def is_zero(self) -> bool:
         return not self.atoms
 
-    def _same_grid(self, other: "FiniteSignedMeasure") -> None:
-        if self.grid != other.grid:
-            raise ValueError("grid mismatch")
-
     def __add__(self, other: "FiniteSignedMeasure") -> "FiniteSignedMeasure":
-        self._same_grid(other)
+        _same_grid(self, other)
         return FiniteSignedMeasure.from_atoms(self.grid, [*self.atoms, *other.atoms])
 
     def __sub__(self, other: "FiniteSignedMeasure") -> "FiniteSignedMeasure":
@@ -141,8 +139,7 @@ def is_orthogonal(mu: FiniteSignedMeasure) -> bool:
 
 
 def integrate(f: TabulatedFunction, mu: FiniteSignedMeasure) -> Fraction:
-    if f.grid != mu.grid:
-        raise ValueError("grid mismatch")
+    _same_grid(f, mu)
     return sum((mass * f.value_at(point) for point, mass in mu.atoms), Fraction(0))
 
 
@@ -155,14 +152,22 @@ def measure_from_pair(pair: "CycleVectorPair") -> FiniteSignedMeasure:
     )
 
 
+def _unit_measure(
+    grid: ProductGrid, plus: Sequence[GridPoint], minus: Sequence[GridPoint]
+) -> FiniteSignedMeasure:
+    """+1/N on each point of ``plus`` and -1/N on each point of ``minus``,
+    N being the number of points in both, accumulated over repeats."""
+    unit = Fraction(1, len(plus) + len(minus))
+    return FiniteSignedMeasure.from_atoms(
+        grid, [(p, unit) for p in plus] + [(p, -unit) for p in minus]
+    )
+
+
 def golomb_measure(gc: "GolombCycle") -> FiniteSignedMeasure:
     """Measure of a cycle in two-part form: +1/(2k) per b entry, -1/(2k) per
     c entry, accumulated over multiplicities. Total variation is 1 because
     the parts are disjoint."""
-    k = len(gc.b_part)
-    unit = Fraction(1, 2 * k)
-    pairs = [(p, unit) for p in gc.b_part] + [(p, -unit) for p in gc.c_part]
-    return FiniteSignedMeasure.from_atoms(gc.grid, pairs)
+    return _unit_measure(gc.grid, gc.b_part, gc.c_part)
 
 
 def measure_to_json(mu: FiniteSignedMeasure) -> dict:
@@ -175,8 +180,7 @@ def measure_to_json(mu: FiniteSignedMeasure) -> dict:
 
 
 def measure_from_json(obj: object) -> FiniteSignedMeasure:
-    if not isinstance(obj, dict) or "shape" not in obj or "atoms" not in obj:
-        raise ValueError('measure JSON needs "shape" and "atoms" keys')
+    _require_keys(obj, "measure", "shape", "atoms")
     grid = _grid_from_json(obj["shape"])
     atoms = obj["atoms"]
     if not isinstance(atoms, list):

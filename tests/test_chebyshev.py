@@ -783,6 +783,23 @@ class TestOptimalWitness:
         with pytest.raises(ValueError):
             optimal_witness_from_dual(f, hand_built)
 
+    def test_the_certificate_is_audited_once(self, monkeypatch):
+        # best_error audits the result it solves; a result the caller passes
+        # is audited by optimal_witness_from_dual itself
+        result = best_error(XY)
+        calls = []
+        real = chebyshev._check_certificate
+
+        def counted(f, result):
+            calls.append(1)
+            real(f, result)
+
+        monkeypatch.setattr(chebyshev, "_check_certificate", counted)
+        for args in ((XY,), (XY, result)):
+            calls.clear()
+            optimal_witness_from_dual(*args)
+            assert len(calls) == 1
+
 
 class TestInvariance:
     def test_translation_by_separable_sums(self):

@@ -6,6 +6,7 @@ import gc
 import json
 import subprocess
 import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,6 +29,24 @@ from conftest import (
 )
 
 XY_CSV = "0,0\n0,1\n"
+
+# the package's public names, sorted
+PUBLIC_NAMES = [
+    "ApproximationResult", "Bolt", "CertificateError", "ClosedBolt", "CycleVectorPair",
+    "Decomposition", "FiniteSignedMeasure", "GolombCycle", "GolombReport", "GridPoint",
+    "LpProblem", "LpSolution", "MinimalCycle", "ProductGrid", "Rat", "RatMatrix",
+    "SeparableSum", "TabulatedFunction", "best_error", "bolt_from_json",
+    "bolt_supremum", "bolt_to_json", "closed_bolt_measure", "cycle_functional",
+    "cycle_to_closed_bolts", "decompose", "enumerate_minimal_cycles", "evaluate",
+    "extract_extreme_cycle", "find_cycle_vector", "format_rat", "from_golomb_form",
+    "function_from_csv", "function_from_json", "function_to_json", "golomb_from_json",
+    "golomb_measure", "golomb_to_json", "incidence_matrix", "integrate", "is_bolt",
+    "is_closed_bolt", "is_minimal", "is_orthogonal", "kernel_basis", "main", "marginal",
+    "matrix_rank", "measure_from_json", "measure_from_pair", "measure_to_json",
+    "normalize_minimal", "optimal_witness_from_dual", "pair_from_json", "pair_to_json",
+    "parse_rat", "point_index", "point_of", "report_to_json", "residual", "solve_lp",
+    "sup_norm", "tabulate", "to_golomb_form", "total_variation", "verify_golomb",
+]
 
 
 def write(path, text):
@@ -363,7 +382,7 @@ class TestBoltsCommand:
         path = write(tmp_path / "f.json", json.dumps(payload))
         code, _, err = run_main(["bolts", "--input", path], capsys)
         assert code == 2
-        assert err != ""
+        assert "bolts are defined on two-axis grids only" in err
 
 
 class TestInputErrors:
@@ -513,6 +532,16 @@ class TestConsoleScript:
             assert getattr(golombdual, name) is not None
         assert golombdual.main is golombdual.cli.main
         assert not hasattr(golombdual, "RunConfig") and not hasattr(golombdual, "run")
+
+    def test_public_names(self):
+        # __all__ is read off the package's imports; it must stay these names,
+        # none private and none a module
+        import golombdual
+
+        assert golombdual.__all__ == PUBLIC_NAMES
+        for name in golombdual.__all__:
+            assert not name.startswith("_")
+            assert not isinstance(getattr(golombdual, name), types.ModuleType)
 
     def test_reingesting_emitted_function_is_identity(self, tmp_path, capsys):
         out = tmp_path / "f.json"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations
@@ -756,6 +757,29 @@ class TestCircuitSearch:
                 assert not is_minimal(pair.points, grid)
                 rejected += 1
 
+    @pytest.mark.parametrize(
+        ("shape", "steps"), (((3, 3, 2), 22023), ((2, 2, 2, 2), 14769), ((4, 4), 3888))
+    )
+    def test_each_depth_keeps_its_cleared_columns(self, shape, steps):
+        # every read of a cleared column goes through _circuits' inner
+        # cleared, which stores what it computes in levels[d][j]; a search
+        # that recomputed a stored column would call it more often (55779,
+        # 36479 and 8045 times without the store)
+        calls = []
+
+        def profile(frame, event, arg):
+            code = frame.f_code
+            if event == "call" and code.co_name == "cleared" and code.co_filename == cycles.__file__:
+                calls.append(1)
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            cycles._enumerate(ProductGrid(shape), None, None, None)
+        finally:
+            sys.setprofile(previous)
+        assert len(calls) == steps
+
 
 class TestCircuitSearchMatchesReference:
     """The search that keeps its cleared columns per depth returns the very
@@ -1374,6 +1398,24 @@ class TestCircuitWalkWork:
         cycles._circuit_walk(cols, x)
         heaviest = sorted(range(len(x)), key=lambda i: (-abs(x[i]), i))
         assert closed and cleared == heaviest[: len(cleared)] != sorted(cleared)
+
+    def test_the_walk_returns_primitive_weights(self, monkeypatch):
+        # without the division by the gcd, 9 of the 134 walks on the 5x5x4
+        # sums and 3 of the 67 on the 3x3x3x2 sums return a common factor
+        weights = []
+        real = cycles._circuit_walk
+
+        def recorded(cols, x):
+            alive, w = real(cols, x)
+            weights.append(w)
+            return alive, w
+
+        monkeypatch.setattr(cycles, "_circuit_walk", recorded)
+        for shape, atoms in (((5, 5, 4), 80), ((3, 3, 3, 2), 40)):
+            for seed in range(1, 6):
+                decompose(rectangle_sum(random.Random(seed), shape, atoms))
+        assert len(weights) == 134 + 67
+        assert all(gcd(*w) == 1 for w in weights)
 
 
 class TestConformalStep:
