@@ -4,6 +4,7 @@ grids, with minimal-projection-cycle duality certificates."""
 from .linalg import (
     CertificateError,
     LpProblem,
+    LpRows,
     LpSolution,
     Rat,
     RatMatrix,

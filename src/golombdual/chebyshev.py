@@ -31,12 +31,12 @@ from .cycles import (
     pair_to_json,
 )
 from .grids import GridPoint, SeparableSum, TabulatedFunction, _same_grid, point_index
-from .linalg import CertificateError, LpProblem, RatMatrix, _int_row, format_rat, solve_lp
+from .linalg import CertificateError, LpProblem, LpRows, _int_row, format_rat, solve_lp
 from .measures import FiniteSignedMeasure, _class_sums_vanish
 
 DEFAULT_ENUM_BUDGET = 1 << 20
 
-_F0, _F1, _FM1 = Fraction(0), Fraction(1), Fraction(-1)
+_F0, _FM1 = Fraction(0), Fraction(-1)
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,9 @@ def best_error(f: TabulatedFunction) -> ApproximationResult:
     contributes the row z - sum g+ + sum g- <= B - f(x), then the row
     z + sum g+ - sum g- <= B + f(x), and the LP minimizes -z, so the error
     is B plus its value. Both rhs are at least 1, so the simplex starts from
-    the slack basis at t = B, g = 0, and the row count stays 2 |grid|.
+    the slack basis at t = B, g = 0, and the row count stays 2 |grid|. The
+    rows are written once, in integers over f's common denominator D
+    (``LpRows``): entries +-D, rhs D B -+ D f(x) and denominator D.
 
     z >= 0 bounds t by B, which never binds: g = 0 with t = max|f| is
     feasible, so the optimum has t <= max|f| and z >= 1. So z is basic with
@@ -100,24 +102,20 @@ def best_error(f: TabulatedFunction) -> ApproximationResult:
             plus[(axis, value)] = 2 * len(plus) + 1
     ncols = 2 * len(plus) + 1
 
-    rows: list[dict[int, Fraction]] = []
-    for point in grid.points():
+    # over f's common denominator D, with F = D f and D B = max|F| + D
+    *values, den = _int_row(f.values)
+    top = max(map(abs, values)) + den
+    rows: list[tuple[dict[int, int], int, int]] = []
+    for point, v in zip(grid.points(), values):
         cols = [plus[key] for key in enumerate(point) if key in plus]
-        for gp, gm in ((_FM1, _F1), (_F1, _FM1)):
-            row = {0: _F1}
+        for sign, b in ((-den, top - v), (den, top + v)):
+            row = {0: den}
             for j in cols:
-                row[j], row[j + 1] = gp, gm
-            rows.append(row)
-    bound = max(abs(v) for v in f.values) + 1
-    sol = solve_lp(
-        LpProblem(
-            objective=(_FM1,) + (_F0,) * (ncols - 1),
-            matrix=RatMatrix(len(rows), ncols, tuple(rows)),
-            rhs=tuple(w for v in f.values for w in (bound - v, bound + v)),
-        )
-    )
+                row[j], row[j + 1] = sign, -sign
+            rows.append((row, b, den))
+    sol = solve_lp(LpProblem((_FM1,) + (_F0,) * (ncols - 1), LpRows(ncols, tuple(rows))))
     # g = 0, t = max|f| is feasible and t >= 0 on every feasible point
-    error = bound + sol.objective if sol.status == "optimal" else None
+    error = Fraction(top, den) + sol.objective if sol.status == "optimal" else None
     if error is None or error < 0:
         raise CertificateError(f"the error LP ended {sol.status} with error {error}")
 

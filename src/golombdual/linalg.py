@@ -1,8 +1,9 @@
 """Exact rational linear algebra: row-sparse matrices, null-space bases, and
 an exact simplex solver for ``min c.x  s.t.  A x <= b,  x >= 0`` with b >= 0.
 
-Everything is exact rational arithmetic: inputs and results are
-``fractions.Fraction``, and the simplex pivots on sparse integer rows
+Everything is exact rational arithmetic: results are
+``fractions.Fraction``, an LP's rows are given as integers over a
+denominator each (``LpRows``), and the simplex pivots on sparse integer rows
 that keep their nonzero numerators and one common denominator each. It
 stores such a row only for each basic structural column, at most one per
 column of A, and derives the rows of basic slacks from A's own rows when
@@ -218,31 +219,60 @@ def matrix_rank(m: RatMatrix) -> int:
     return _rank(_integer_columns(m))
 
 
+# One row of A x <= b in integers: the nonzero numerators of A's row by
+# structural column, the rhs numerator and the row's positive denominator.
+_Constraint = tuple[Mapping[int, int], int, int]
+
+
+@dataclass(frozen=True)
+class LpRows:
+    """The rows of ``A x <= b`` over ``cols`` structural columns, each an
+    integer ``_Constraint`` ``(entries, rhs, den)``: row i of A is
+    ``entries / den`` and b_i is ``rhs / den``. A row need not be in lowest
+    terms. Every column must be an int in ``range(cols)``, every entry a
+    nonzero int, the rhs a nonnegative int and the denominator a positive
+    int (a bool or a float is no int here); a negative rhs raises ValueError
+    naming its row. The entries are stored as read-only copies, so the
+    checks hold for the rows' lifetime."""
+
+    cols: int
+    entries: tuple[_Constraint, ...]
+
+    def __post_init__(self) -> None:
+        kept = []
+        for i, (entries, b, den) in enumerate(self.entries):
+            for j, v in entries.items():
+                if type(j) is not int or not 0 <= j < self.cols:
+                    raise ValueError(f"row {i}: column {j!r} is not an int in range({self.cols})")
+                if type(v) is not int or not v:
+                    raise ValueError(f"row {i}: entry {v!r} is not a nonzero int")
+            if type(b) is not int or type(den) is not int or den <= 0:
+                raise ValueError(f"row {i}: rhs {b!r} over {den!r} is not an int over a positive int")
+            if b < 0:  # x = 0 must be feasible: the slacks start the basis
+                raise ValueError(f"row {i} has rhs {Fraction(b, den)} < 0, so x = 0 is not feasible")
+            kept.append((MappingProxyType(dict(entries)), b, den))
+        object.__setattr__(self, "entries", tuple(kept))
+
+    @property
+    def rows(self) -> int:
+        return len(self.entries)
+
+
 @dataclass(frozen=True)
 class LpProblem:
     """The linear program ``min c.x  subject to  A x <= b,  x >= 0`` with
-    ``b >= 0``: ``objective`` is c, ``matrix`` is A and ``rhs`` is b. So
-    x = 0 is feasible, and every row's slack starts the simplex's basis.
-    Every value must be an int or a Fraction (``_as_rat``); a negative rhs
-    raises ValueError naming its row."""
+    ``b >= 0``: ``objective`` is c, and ``matrix`` holds A and b as the
+    integer rows the simplex runs on (``LpRows``). So x = 0 is feasible,
+    and every row's slack starts the simplex's basis. Every objective value
+    must be an int or a Fraction (``_as_rat``)."""
 
     objective: tuple[Fraction, ...]
-    matrix: RatMatrix
-    rhs: tuple[Fraction, ...]
+    matrix: LpRows
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "objective", tuple(map(_as_rat, self.objective)))
-        object.__setattr__(self, "rhs", tuple(map(_as_rat, self.rhs)))
         if len(self.objective) != self.matrix.cols:
             raise ValueError("objective length does not match column count")
-        if len(self.rhs) != self.matrix.rows:
-            raise ValueError("rhs length does not match row count")
-        for i, b in enumerate(self.rhs):
-            if b < 0:
-                raise ValueError(
-                    f"row {i} has rhs {b} < 0, so x = 0 is not feasible and its slack"
-                    " cannot start the basis"
-                )
 
 
 @dataclass(frozen=True)
@@ -273,9 +303,6 @@ class CertificateError(AssertionError):
 
 
 _SparseRow = tuple[dict[int, int], int]
-# One row of A x <= b over the lcm of its denominators: the nonzero integer
-# numerators by structural column, the rhs numerator and that lcm.
-_Constraint = tuple[dict[int, int], int, int]
 
 
 def _row_op(cur: _SparseRow, prow: _SparseRow, col: int) -> _SparseRow:
@@ -331,7 +358,7 @@ def _slack_row(
 
 
 def _run_simplex(
-    cons: list[_Constraint], cost: list[Fraction]
+    cons: Sequence[_Constraint], cost: list[Fraction]
 ) -> tuple[str, _SparseRow, dict[int, _SparseRow]]:
     """Bland-rule simplex on ``cost.x`` subject to the rows ``cons`` of
     A x <= b, started from the slack basis; column j < n = ``len(cost)`` is
@@ -423,8 +450,10 @@ def _pivot(
     # Every row holds its basic column's entry equal to its denominator (the
     # integer form of 1), and the ratio test pivots only on a positive entry.
     # Dividing by piv / den keeps the numerators and makes piv the
-    # denominator; the old den is still an entry, so the row stays in lowest
-    # terms and the invariant holds for the new basic column.
+    # denominator; the old den is still an entry, so a row in lowest terms
+    # stays so, and the invariant holds for the new basic column. (A row
+    # built from a constraint that is not in lowest terms keeps its common
+    # factor until a ``_row_op`` updates it; its values are the same.)
     rows.pop(leave, None)
     entries = prow[0]
     prow = (entries, entries[enter])
@@ -443,13 +472,14 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     ``min c.x  s.t.  A x <= b,  x >= 0``, started from the slack basis at
     x = 0, which ``b >= 0`` makes feasible.
 
-    Each row of A and b is written once as integers over the lcm of its
-    denominators, and the simplex (``_run_simplex``) stores sparse integer
-    tableau rows only for the basic structural columns, at most one per
-    column of A, however many rows A has: the rows of basic slacks are
-    derived from A when the ratio test needs them. A pivot touches no zero
-    and makes no ``Fraction``. The pivots, and hence the result, are those
-    of the same Bland simplex over the full tableau of dense rational rows.
+    The simplex (``_run_simplex``) runs on the problem's integer rows as
+    they are (``LpRows``) and stores sparse integer tableau rows only for
+    the basic structural columns, at most one per column of A, however many
+    rows A has: the rows of basic slacks are derived from A when the ratio
+    test needs them. A pivot touches no zero and makes no ``Fraction``. The
+    pivots depend only on the rows' rational values, not on their integer
+    scale, so they, and hence the result, are those of the same Bland
+    simplex over the full tableau of dense rational rows.
     x is read from the stored rows. A row's simplex multiplier
     ``y = c_B B^-1`` is the negated final reduced cost of its slack column.
     The duals are exact. Every optimum is audited for weak duality
@@ -459,11 +489,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     """
     n, m = problem.matrix.cols, problem.matrix.rows
     total = n + m  # the rhs column
-    cons: list[_Constraint] = []
-    for arow, b in zip(problem.matrix.entries, problem.rhs):
-        *nums, den = _int_row([*arow.values(), b])
-        cons.append((dict(zip(arow, nums)), nums[-1], den))
-
+    cons = problem.matrix.entries
     status, z, rows = _run_simplex(cons, list(problem.objective))
     if status == "unbounded":
         return LpSolution("unbounded", (), (), None)
@@ -480,7 +506,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     return LpSolution("optimal", tuple(x), tuple(dual), objective)
 
 
-def _check_optimum(cons: list[_Constraint], c: Sequence[Rat], x: list[Rat], y: list[Rat]) -> Rat:
+def _check_optimum(cons: Sequence[_Constraint], c: Sequence[Rat], x: list[Rat], y: list[Rat]) -> Rat:
     """Weak-duality audit of ``min c.x  s.t.  A x <= b,  x >= 0`` on the
     integer rows ``cons`` the simplex ran on: x >= 0, A x <= b, y <= 0,
     reduced costs ``c - A^T y >= 0`` and ``c.x = b.y``, which make x and y

@@ -54,13 +54,17 @@ class FiniteSignedMeasure:
     def from_atoms(
         cls, grid: ProductGrid, pairs: Iterable[tuple[GridPoint, Fraction | int]]
     ) -> "FiniteSignedMeasure":
-        """Canonicalize: accumulate repeated points, drop zeros, sort."""
+        """Canonicalize: accumulate repeated points, drop zeros, sort. Each
+        point and mass is checked once, here, so the canonical atoms are
+        stored without a second pass of ``__post_init__``."""
         acc: dict[GridPoint, Fraction] = {}
         for point, mass in pairs:
             pt = grid.check_point(point)
             m = _as_rat(mass)
             acc[pt] = acc[pt] + m if pt in acc else m  # add only on a repeat
-        return cls(grid, tuple((pt, acc[pt]) for pt in sorted(acc) if acc[pt] != 0))
+        mu = object.__new__(cls)  # the fields, without __post_init__
+        mu.__dict__.update(grid=grid, atoms=tuple((pt, acc[pt]) for pt in sorted(acc) if acc[pt]))
+        return mu
 
     def mass_at(self, point: GridPoint) -> Fraction:
         pt = self.grid.check_point(point)

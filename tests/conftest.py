@@ -15,6 +15,7 @@ from itertools import combinations
 from math import gcd, lcm
 from typing import Mapping
 
+import golombdual.chebyshev as chebyshev
 import golombdual.cycles as cycles
 from golombdual import (
     ApproximationResult,
@@ -23,6 +24,7 @@ from golombdual import (
     ClosedBolt,
     GolombCycle,
     LpProblem,
+    LpRows,
     MinimalCycle,
     ProductGrid,
     RatMatrix,
@@ -45,7 +47,7 @@ from golombdual import (
     total_variation,
 )
 from golombdual.bolts import _require_two_axes
-from golombdual.linalg import _int_row
+from golombdual.linalg import _as_rat, _int_row, solve_lp
 
 CUBE = ProductGrid((2, 2, 2))
 
@@ -98,25 +100,38 @@ def dense_matrix_row(m: RatMatrix, i: int) -> list[Fraction]:
     return [m.row(i).get(j, Fraction(0)) for j in range(m.cols)]
 
 
+def lp_constraints(rows, rhs) -> list[tuple[dict[int, int], int, int]]:
+    """The rows ``rows x <= rhs`` of dense ints or Fractions in the integer
+    form of ``LpRows``, one ``_int_row`` per row over its entries and rhs:
+    the row's nonzero numerators by column, its rhs numerator and the lcm of
+    its denominators, so each row is in lowest terms. Every value goes
+    through ``_as_rat`` first, which rejects a float or a bool."""
+    assert len(rows) == len(rhs), "one rhs per row"
+    cons = []
+    for row, b in zip(rows, rhs):
+        *nums, num, den = _int_row([_as_rat(v) for v in (*row, b)])
+        cons.append(({j: v for j, v in enumerate(nums) if v}, num, den))
+    return cons
+
+
 def lp(objective, rows, rhs) -> LpProblem:
     """The LpProblem ``min objective.x  s.t.  rows x <= rhs,  x >= 0`` of
-    plain lists: ``rows`` as in ``rat_matrix`` (with the objective's width
-    when there are none). The constructor checks the values."""
-    n = len(objective)
-    matrix = rat_matrix(rows) if rows else RatMatrix(0, n, ())
-    return LpProblem(objective=tuple(objective), matrix=matrix, rhs=tuple(rhs))
+    plain lists of ints or Fractions: ``rows`` are dense and of equal
+    length (the objective's when there are none), converted by
+    ``lp_constraints``. The constructors check the values."""
+    width = len(rows[0]) if rows else len(objective)
+    assert all(len(row) == width for row in rows), "ragged rows"
+    return LpProblem(tuple(objective), LpRows(width, tuple(lp_constraints(rows, rhs))))
 
 
-def lp_constraints(problem: LpProblem) -> list[tuple[dict[int, int], int, int]]:
-    """The rows of ``A x <= b`` in the integer form the simplex and its
-    audit read, built from the ``Fraction`` rows directly: each row's
-    numerators by column, its rhs numerator, and the lcm of the row's
-    denominators, rhs included."""
-    cons = []
-    for arow, b in zip(problem.matrix.entries, problem.rhs):
-        den = lcm(b.denominator, *(a.denominator for a in arow.values()))
-        cons.append(({j: int(a * den) for j, a in arow.items()}, int(b * den), den))
-    return cons
+def rational_rows(problem: LpProblem) -> tuple[list[dict[int, Fraction]], list[Fraction]]:
+    """The rows of A as ``{column: value}`` and the rhs b of ``problem``, in
+    ``Fraction``s: each integer row divided by its denominator."""
+    cons = problem.matrix.entries
+    return (
+        [{j: Fraction(a, den) for j, a in entries.items()} for entries, _, den in cons],
+        [Fraction(b, den) for _, b, den in cons],
+    )
 
 
 def reference_check_optimum(problem: LpProblem, x: list[Fraction], dual: list[Fraction]) -> None:
@@ -136,7 +151,7 @@ def reference_check_optimum(problem: LpProblem, x: list[Fraction], dual: list[Fr
     *xs, xden = _int_row(x)
     *ys, yden = _int_row(dual)
     tight: list[tuple[Mapping[int, Fraction], int, int]] = []
-    for i, (arow, b, y) in enumerate(zip(problem.matrix.entries, problem.rhs, ys)):
+    for i, (arow, b, y) in enumerate(zip(*rational_rows(problem), ys)):
         den = lcm(b.denominator, *(a.denominator for a in arow.values()))
         # A_i x and b_i, both times den * xden
         lhs = sum(a.numerator * (den // a.denominator) * xs[j] for j, a in arow.items() if xs[j])
@@ -795,3 +810,43 @@ def fraction_certificate_audit(f: TabulatedFunction, result: ApproximationResult
                 f"dual mass {mass} at {point} sits where the residual is {r}, not +-{error}"
                 " of the same sign"
             )
+
+
+def reference_best_error(f: TabulatedFunction) -> ApproximationResult:
+    """Reference error LP solve: ``chebyshev.best_error`` as it was before
+    it wrote its rows in integers. It builds each row as ``{column:
+    Fraction}`` over z and the (g+, g-) pairs, with the rhs B - f(x) and
+    B + f(x), and converts every row with its own ``_int_row``
+    (``lp_constraints``), as ``solve_lp`` then did; the result is read off
+    and audited as in ``best_error``."""
+    grid = f.grid
+    sizes = grid.factor_sizes
+    plus: dict[tuple[int, int], int] = {}  # (axis, value) -> column of g+; g- is next
+    for axis in range(grid.n):
+        for value in range(1 if axis else 0, sizes[axis]):
+            plus[(axis, value)] = 2 * len(plus) + 1
+    ncols = 2 * len(plus) + 1
+    rows: list[dict[int, Fraction]] = []
+    for point in grid.points():
+        cols = [plus[key] for key in enumerate(point) if key in plus]
+        for gp, gm in ((Fraction(-1), Fraction(1)), (Fraction(1), Fraction(-1))):
+            row = {0: Fraction(1)}
+            for j in cols:
+                row[j], row[j + 1] = gp, gm
+            rows.append(row)
+    bound = max(abs(v) for v in f.values) + 1
+    sol = solve_lp(lp(
+        (-1,) + (0,) * (ncols - 1),
+        [[row.get(j, 0) for j in range(ncols)] for row in rows],
+        [w for v in f.values for w in (bound - v, bound + v)],
+    ))
+    error = bound + sol.objective if sol.status == "optimal" else None
+    if error is None or error < 0:
+        raise CertificateError(f"the error LP ended {sol.status} with error {error}")
+    g = {key: sol.primal[j] - sol.primal[j + 1] for key, j in plus.items()}
+    tables = [[g.get((axis, v), Fraction(0)) for v in range(s)] for axis, s in enumerate(sizes)]
+    atoms = ((p, sol.dual[2 * i + 1] - sol.dual[2 * i]) for i, p in enumerate(grid.points()))
+    mu = FiniteSignedMeasure(grid, tuple((p, m) for p, m in atoms if m))
+    result = ApproximationResult(error, SeparableSum(grid, tables), mu)
+    chebyshev._check_certificate(f, result)
+    return result

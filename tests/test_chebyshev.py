@@ -52,10 +52,12 @@ from conftest import (
     lp,
     random_separable,
     random_table,
+    rational_rows,
+    reference_best_error,
     table,
     two_phase_minimum,
 )
-from golombdual.linalg import solve_lp
+from golombdual.linalg import _int_row, solve_lp
 
 XY = table((2, 2), [0, 0, 0, 1])  # f(x, y) = x * y on {0, 1}^2
 
@@ -168,7 +170,7 @@ class TestErrorBound:
         assert problem.matrix.rows == 2 * f.grid.volume
         assert problem.objective == (-1,) + (0,) * (problem.matrix.cols - 1)
         bound = max(abs(v) for v in f.values) + 1
-        assert problem.rhs == tuple(w for v in f.values for w in (bound - v, bound + v))
+        assert rational_rows(problem)[1] == [w for v in f.values for w in (bound - v, bound + v)]
         assert error == error_without_bound(f)
         assert error == verify_golomb(f).cycle_supremum
         return error
@@ -259,11 +261,68 @@ class TestErrorLpBuild:
         monkeypatch.setattr(chebyshev, "solve_lp", recording_solve_lp)
         rng = random.Random(46)
         shapes = ((1, 1), (2, 2), (3, 5), (4, 4), (2, 3, 2), (3, 3, 3), (2, 2, 2, 2), (2, 1, 3, 2))
-        for shape in shapes:
-            for bound in (1, 1000):
-                f = random_table(rng, ProductGrid(shape), bound)
-                best_error(f)
-                assert problems.pop() == error_lp_by_build(f)
+        tables = [random_table(rng, ProductGrid(s), bound) for s in shapes for bound in (1, 1000)]
+        tables += [rational_table(rng, ProductGrid(s)) for s in shapes]
+        for f in tables:
+            best_error(f)
+            got, want = problems.pop(), error_lp_by_build(f)
+            # equal rational rows: each row equal up to its positive scale
+            assert (got.objective, got.matrix.cols) == (want.objective, want.matrix.cols)
+            assert rational_rows(got) == rational_rows(want)
+            # every row is written over f's common denominator
+            den = _int_row(f.values)[-1]
+            assert {d for _, _, d in got.matrix.entries} == {den}
+
+
+def rational_table(rng: random.Random, grid: ProductGrid) -> TabulatedFunction:
+    """A table of values p/q with |p| <= 50 and q drawn from coprime
+    denominators, so f's common denominator exceeds most of its own."""
+    return TabulatedFunction(grid, tuple(
+        Fraction(rng.randint(-50, 50), rng.choice(COPRIME_DENOMINATORS)) for _ in range(grid.volume)
+    ))
+
+
+COPRIME_DENOMINATORS = (1, 2, 3, 5, 7, 11, 13, 101, 9973)
+
+
+@st.composite
+def oracle_tables(draw, family: str) -> TabulatedFunction:
+    """A table of one of the families on which the integer error LP must
+    answer as the rational one does: ``coprime`` values p/q over coprime
+    denominators; ``size-1`` grids with an axis of size 1; ``separable``
+    sums of rational tables, whose error is 0; and ``1e6``, integers up to
+    10^6 in absolute value, with a value of exactly +-10^6."""
+    shape = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3).filter(lambda s: prod(s) <= 24))
+    if family == "size-1":
+        shape.insert(draw(st.integers(0, len(shape))), 1)
+    grid = ProductGrid(tuple(shape))
+    rat = st.builds(Fraction, st.integers(-50, 50), st.sampled_from(COPRIME_DENOMINATORS))
+    if family == "separable":
+        tables = [draw(st.lists(rat, min_size=size, max_size=size)) for size in grid.factor_sizes]
+        return tabulate(SeparableSum(grid, tables))
+    values = st.integers(-10**6, 10**6) if family == "1e6" else rat
+    drawn = draw(st.lists(values, min_size=grid.volume, max_size=grid.volume))
+    if family == "1e6":
+        drawn[draw(st.integers(0, grid.volume - 1))] = draw(st.sampled_from((-10**6, 10**6)))
+    return TabulatedFunction(grid, tuple(Fraction(v) for v in drawn))
+
+
+class TestIntegerRowsMatchTheRationalOnes:
+    """``best_error`` writes its rows in integers over f's common
+    denominator; ``reference_best_error`` builds the same rows in
+    ``Fraction``s and converts each on its own. The rows are the same
+    rational rows, so Bland's rule makes the same pivots, and the results
+    must be equal: error, best_g and measure."""
+
+    @pytest.mark.parametrize("family", ["coprime", "size-1", "separable", "1e6"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_same_result_as_reference(self, family, data):
+        f = data.draw(oracle_tables(family))
+        result = best_error(f)
+        assert result == reference_best_error(f)
+        if family == "separable":
+            assert result.error == 0
 
 
 class TestCertificateAudits:

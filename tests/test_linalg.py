@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from golombdual import (
     CertificateError,
     LpProblem,
+    LpRows,
     RatMatrix,
     format_rat,
     kernel_basis,
@@ -39,6 +40,7 @@ from conftest import (
     reference_check_optimum,
     random_table,
     rat_matrix,
+    rational_rows,
     sparse_row,
 )
 
@@ -309,13 +311,67 @@ def planted_lp(rng: random.Random):
     return a, b, c, sum(c[j] * xs[j] for j in range(n))
 
 
+class TestLpRows:
+    """The LP's rows as ``LpRows`` takes them: ``(entries, rhs, den)`` in
+    integers. Each rejection of ``TestRatMatrix`` has its counterpart here,
+    with the denominator's and the rhs's own."""
+
+    def test_from_constraints(self):
+        m = LpRows(2, (({0: 1, 1: -2}, 3, 1), ({1: 3}, 0, 4)))
+        assert (m.rows, m.cols) == (2, 2)
+        assert m.entries == (({0: 1, 1: -2}, 3, 1), ({1: 3}, 0, 4))
+        assert LpRows(3, ()).rows == 0
+
+    @pytest.mark.parametrize("col", [2, 5, -1], ids=["cols", "beyond", "negative"])
+    def test_column_out_of_range_is_rejected(self, col):
+        with pytest.raises(ValueError, match=r"row 1: column .* is not an int in range\(2\)"):
+            LpRows(2, (({0: 1}, 0, 1), ({0: 1, col: 1}, 0, 1)))
+
+    @pytest.mark.parametrize("col", [True, False, 1.0, "0", Fraction(1)],
+                             ids=["true", "false", "float", "string", "fraction"])
+    def test_column_that_is_not_an_int_is_rejected(self, col):
+        with pytest.raises(ValueError, match="not an int"):
+            LpRows(2, (({col: 1}, 0, 1),))
+
+    @pytest.mark.parametrize("value", [0.5, 0.0, True, Fraction(1, 2), Fraction(2), 0],
+                             ids=["float", "zero-float", "bool", "fraction", "whole-fraction", "zero"])
+    def test_entry_that_is_not_a_nonzero_int_is_rejected(self, value):
+        with pytest.raises(ValueError, match="row 0: entry .* is not a nonzero int"):
+            LpRows(2, (({1: value}, 0, 1),))
+
+    @pytest.mark.parametrize("rhs", [0.5, 1.0, True, Fraction(1)], ids=["float", "whole-float", "bool", "fraction"])
+    def test_rhs_that_is_not_an_int_is_rejected(self, rhs):
+        with pytest.raises(ValueError, match="is not an int over a positive int"):
+            LpRows(1, (({0: 1}, rhs, 1),))
+
+    @pytest.mark.parametrize("den", [0, -1, 1.0, True, Fraction(1)],
+                             ids=["zero", "negative", "float", "bool", "fraction"])
+    def test_denominator_that_is_not_a_positive_int_is_rejected(self, den):
+        with pytest.raises(ValueError, match="is not an int over a positive int"):
+            LpRows(1, (({0: 1}, 1, den),))
+
+    def test_negative_rhs_names_the_first_such_row(self):
+        with pytest.raises(ValueError, match=r"row 1 has rhs -1/2 < 0"):
+            LpRows(1, (({0: 1}, 1, 1), ({0: 1}, -1, 2), ({0: 1}, -3, 1)))
+
+    def test_rows_are_read_only_copies(self):
+        entries = {0: 1}
+        m = LpRows(2, ((entries, 1, 1),))
+        entries[1] = 0.5
+        assert m.entries == (({0: 1}, 1, 1),)
+        with pytest.raises(TypeError):
+            m.entries[0][0][1] = 0.5
+        assert m == LpRows(2, (({0: 1}, 1, 1),))
+
+
 class TestSolveLp:
     @pytest.mark.parametrize("field", ["objective", "rows", "rhs"])
     def test_build_rejects_float_values(self, field):
-        args = {"objective": [1], "rows": [[1]], "rhs": [3]}
-        args[field] = [[0.1]] if field == "rows" else [0.1]
-        with pytest.raises(ValueError, match="int or a Fraction"):
-            lp(args["objective"], args["rows"], args["rhs"])
+        # the objective is rational; a row's entries and rhs are integers
+        objective = (0.1,) if field == "objective" else (1,)
+        row = ({0: 0.1} if field == "rows" else {0: 1}, 0.1 if field == "rhs" else 3, 1)
+        with pytest.raises(ValueError, match="int or a Fraction|not a nonzero int|not an int"):
+            LpProblem(objective, LpRows(1, (row,)))
 
     def test_single_bound_max(self):
         # max x s.t. x <= 3 is min -x
@@ -423,8 +479,11 @@ class TestSolveLp:
     def test_dimension_mismatches_rejected(self):
         with pytest.raises(ValueError, match="objective length"):
             lp([1, 2], [[1]], [1])
-        with pytest.raises(ValueError, match="rhs length"):
-            lp([1], [[1]], [1, 2])
+        with pytest.raises(ValueError, match="objective length"):
+            LpProblem((1,), LpRows(2, (({0: 1}, 1, 1),)))
+        # a row is (entries, rhs, denominator): a row without its rhs
+        with pytest.raises(ValueError, match="unpack"):
+            LpRows(1, (({0: 1}, 1),))
 
     @pytest.mark.parametrize("rows,rhs,row", [
         ([[1]], [-1], 0),
@@ -480,7 +539,7 @@ class TestDuals:
         # min -x s.t. x <= 1: y = -2 has the right sign and leaves the
         # reduced cost 1 >= 0, but only y = -1 gives b.y = -1 = c.x (the
         # reduced cost of x > 0 must be zero).
-        cons = lp_constraints(lp([-1], [[1]], [1]))
+        cons = lp_constraints([[1]], [1])
         assert _check_optimum(cons, [Fraction(-1)], [Fraction(1)], [Fraction(-1)]) == -1
         with pytest.raises(AssertionError):
             _check_optimum(cons, [Fraction(-1)], [Fraction(1)], [Fraction(-2)])
@@ -523,7 +582,7 @@ class TestIntegerPivots:
         assert sol.status == "optimal"
         assert sol.objective == Fraction(-5, 4)
         assert sol.primal == (Fraction(1), Fraction(0), Fraction(1), Fraction(0))
-        assert sum(y * b for y, b in zip(sol.dual, problem.rhs)) == Fraction(-5, 4)
+        assert sum(y * b for y, b in zip(sol.dual, rational_rows(problem)[1])) == Fraction(-5, 4)
 
     def test_ratio_tie_between_slack_rows_leaves_the_lower_slack(self, monkeypatch):
         # min -x0 s.t. x0/2 + x1 <= 1 (slack column 2), 3 x0 <= 6 (slack 3);
@@ -603,7 +662,9 @@ class DenseReplay:
     never stored. No stored row holds a zero or a denominator below 1, every
     pivot entry is positive, and every stored row's basic-column entry
     equals its denominator: together they keep a pivot row in lowest terms
-    without a gcd, which ``linalg._pivot`` relies on.
+    without a gcd, which ``linalg._pivot`` relies on. (The dense kernel
+    reduces every row, so the replay takes rows in lowest terms: those of
+    ``conftest.lp`` and of ``best_error`` on integer tables.)
     """
 
     def __init__(self, monkeypatch: pytest.MonkeyPatch) -> None:
@@ -748,9 +809,10 @@ def assert_strong_duality(problem: LpProblem, sol) -> None:
     the reduced costs d = c - A^T y are nonnegative and zero wherever
     x > 0."""
     m, n = problem.matrix.rows, problem.matrix.cols
-    rows = [dense_matrix_row(problem.matrix, i) for i in range(m)]
+    arows, rhs = rational_rows(problem)
+    rows = [[arow.get(j, Fraction(0)) for j in range(n)] for arow in arows]
     assert sol.objective == sum((c * x for c, x in zip(problem.objective, sol.primal)), Fraction(0))
-    assert sum((y * b for y, b in zip(sol.dual, problem.rhs)), Fraction(0)) == sol.objective
+    assert sum((y * b for y, b in zip(sol.dual, rhs)), Fraction(0)) == sol.objective
     for j in range(n):
         d = problem.objective[j] - sum(
             (rows[i][j] * sol.dual[i] for i in range(m)), Fraction(0)
@@ -842,7 +904,7 @@ class TestCertificateAudits:
     def test_the_optimum_passes(self):
         sol = solve_lp(self.PROBLEM)
         assert (list(sol.primal), list(sol.dual), sol.objective) == (self.X, self.Y, Fraction(-14, 5))
-        assert lp_constraints(self.PROBLEM) == self.CONS
+        assert list(self.PROBLEM.matrix.entries) == self.CONS
         assert _check_optimum(self.CONS, self.COST, self.X, self.Y) == Fraction(-14, 5)
 
     def test_corrupted_primal_is_rejected(self):
@@ -921,9 +983,10 @@ def corrupt(problem: LpProblem, x, y, kind: str, j: int, q: int):
     elif kind == "y scaled":
         y = [v * Fraction(q, 2) for v in y]
     elif kind == "y onto slack":
+        arows, rhs = rational_rows(problem)
         slack = [
             i for i in range(m)
-            if sum((a * x[k] for k, a in problem.matrix.row(i).items()), Fraction(0)) < problem.rhs[i]
+            if sum((a * x[k] for k, a in arows[i].items()), Fraction(0)) < rhs[i]
         ]
         if slack:
             to = slack[j % len(slack)]
@@ -939,10 +1002,8 @@ def same_verdict(problem: LpProblem, x, y, kind: str, j: int, q: int) -> tuple[s
     """The reference audit's and ``_check_optimum``'s messages on one
     corruption; they must pass or fail together."""
     cost, x, y = corrupt(problem, x, y, kind, j, q)
-    reference = audit_verdict(
-        reference_check_optimum, LpProblem(tuple(cost), problem.matrix, problem.rhs), x, y
-    )
-    audit = audit_verdict(_check_optimum, lp_constraints(problem), cost, x, y)
+    reference = audit_verdict(reference_check_optimum, LpProblem(tuple(cost), problem.matrix), x, y)
+    audit = audit_verdict(_check_optimum, problem.matrix.entries, cost, x, y)
     assert (reference is None) == (audit is None), (kind, j, q, reference, audit)
     return reference, audit
 
@@ -998,12 +1059,9 @@ class TestWeakDualityAudit:
             solved += 1
             ((cons, cost, objective),) = calls
             assert cost is problem.objective and objective == sol.objective
-            assert cons == lp_constraints(problem)
+            # the problem's own integer rows, as they are
+            assert cons is problem.matrix.entries
             assert len(cons) == problem.matrix.rows
-            for i, (entries, b, den) in enumerate(cons):
-                assert {j: Fraction(a, den) for j, a in entries.items()} == dict(problem.matrix.row(i))
-                assert Fraction(b, den) == problem.rhs[i]
-                assert den > 0 and gcd(den, b, *entries.values()) == 1
         assert solved >= 20
 
     def test_rows_with_zero_dual_stay_out_of_the_common_denominator(self, monkeypatch):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from golombdual import measures
 from golombdual import (
     CycleVectorPair,
     FiniteSignedMeasure,
@@ -83,6 +84,25 @@ class TestCanonicalForm:
         )
         assert mu.atoms == (((0, 1), Fraction(5, 4)), ((1, 1), Fraction(3, 4)))
         assert all(type(m) is Fraction for _, m in mu.atoms)
+
+    def test_from_atoms_checks_each_atom_once(self, monkeypatch):
+        # one check_point and one _as_rat per input atom, and none for the
+        # canonical atoms it stores
+        points, masses = [], []
+        check_point, as_rat = ProductGrid.check_point, measures._as_rat
+        monkeypatch.setattr(ProductGrid, "check_point", lambda g, p: points.append(p) or check_point(g, p))
+        monkeypatch.setattr(measures, "_as_rat", lambda m: masses.append(m) or as_rat(m))
+        mu = FiniteSignedMeasure.from_atoms(GRID22, [([0, 1], 1), ((1, 1), 2), ((0, 1), -1)])
+        assert (points, masses) == ([[0, 1], (1, 1), (0, 1)], [1, 2, -1])
+        monkeypatch.undo()
+        assert mu == FiniteSignedMeasure(GRID22, (((1, 1), Fraction(2)),))
+        assert all(type(p) is tuple and type(m) is Fraction for p, m in mu.atoms)
+
+    @pytest.mark.parametrize("point", [(0, 5), (2, 0), (0, True), (1.0, 0), (0,)],
+                             ids=["off-grid", "off-grid-first", "bool", "float", "short"])
+    def test_from_atoms_rejects_a_bad_point_even_when_its_masses_cancel(self, point):
+        with pytest.raises(ValueError, match="not on a grid|not an integer"):
+            FiniteSignedMeasure.from_atoms(GRID22, [(point, 1), (point, -1)])
 
     def test_constructor_rejects_zero_mass(self):
         with pytest.raises(ValueError):
