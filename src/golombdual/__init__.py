@@ -7,7 +7,6 @@ from .linalg import (
     LpRows,
     LpSolution,
     Rat,
-    RatMatrix,
     format_rat,
     kernel_basis,
     matrix_rank,

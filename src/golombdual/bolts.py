@@ -78,6 +78,8 @@ class Bolt:
         object.__setattr__(
             self, "vertices", tuple(self.grid.check_point(p) for p in self.vertices)
         )
+        if self.start_axis not in get_args(StartAxis):
+            raise ValueError(f"start_axis {self.start_axis!r} is not one of {get_args(StartAxis)}")
         detected = is_bolt(self.grid, self.vertices)
         if detected is None:
             raise ValueError("vertex list is not a bolt")

@@ -28,19 +28,22 @@ from .grids import (
     _class_columns,
     _class_ids,
     _distinct,
+    _incidence_columns,
     _points_from_json,
     _require_keys,
+    _same_grid,
+    incidence_matrix,
 )
 from .linalg import (
     CertificateError,
     _as_rat,
     _basis_row,
-    _column_relations,
     _eliminate,
     _int_row,
     _primitive,
-    _rank,
     format_rat,
+    kernel_basis,
+    matrix_rank,
     parse_rat,
 )
 from .measures import (
@@ -135,7 +138,7 @@ class MinimalCycle:
         *nums, den = self.pair._ints
         if sum(map(abs, nums)) != den:
             raise ValueError("minimal cycle weights must be normalized to total mass 1")
-        if _incidence_rank(self.pair.points, self.pair.grid.n) != len(self.pair.points) - 1:
+        if matrix_rank(_incidence_columns(self.points, self.grid.n)) != len(self.points) - 1:
             raise ValueError("incidence kernel is not one dimensional; cycle not minimal")
 
     @property
@@ -157,13 +160,18 @@ class MinimalCycle:
 @dataclass(frozen=True)
 class Decomposition:
     """A convex combination of minimal-cycle measures: positive weights
-    summing to 1, one minimal cycle per term."""
+    summing to 1, one minimal cycle per term, every cycle on one grid. Each
+    weight must be an int or a Fraction (``_as_rat``)."""
 
     terms: tuple[tuple[Fraction, MinimalCycle], ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "terms", tuple((_as_rat(t), mc) for t, mc in self.terms))
         if not self.terms:
             raise ValueError("empty decomposition")
+        if not all(isinstance(mc, MinimalCycle) for _, mc in self.terms):
+            raise ValueError("every decomposition term must be a MinimalCycle")
+        _same_grid(*(mc for _, mc in self.terms))
         if any(t <= 0 for t, _ in self.terms):
             raise ValueError("decomposition weights must be positive")
         if sum(t for t, _ in self.terms) != 1:
@@ -175,19 +183,6 @@ class Decomposition:
             self.terms[0][1].grid,
             ((p, t * w) for t, mc in self.terms for p, w in zip(mc.points, mc.weights)),
         )
-
-
-def _incidence_columns(points: Sequence[GridPoint], n: int) -> list[list[int]]:
-    """The integer 0/1 incidence columns of ``points``, one per point, over
-    the classes they realize (``_class_ids``)."""
-    return _class_columns(*_class_ids(points, n))
-
-
-def _kernel_relations(points: Sequence[GridPoint], n: int) -> list[list[int]]:
-    """The integer kernel basis of the 0/1 incidence columns of ``points``
-    (``_column_relations``), equal to ``kernel_basis(incidence_matrix(points,
-    grid))`` up to the ``Fraction`` wrapping."""
-    return _column_relations(_incidence_columns(points, n))
 
 
 def find_cycle_vector(
@@ -202,8 +197,7 @@ def find_cycle_vector(
     vector vanishes on the whole kernel, so no cycle vector exists at all.
     Deterministic for a fixed input order.
     """
-    pts = _distinct(points, grid)
-    basis = _kernel_relations(pts, grid.n)
+    basis = kernel_basis(incidence_matrix(points, grid))
     if not basis or not all(any(col) for col in zip(*basis)):
         return None
     v = basis[0]
@@ -264,7 +258,7 @@ def _normalized_cycle(
 def is_minimal(points: Sequence[GridPoint], grid: ProductGrid) -> bool:
     """True when the incidence kernel on these points is one dimensional and
     its spanning vector has no zero entry."""
-    relations = _kernel_relations(_distinct(points, grid), grid.n)
+    relations = kernel_basis(incidence_matrix(points, grid))
     return len(relations) == 1 and all(relations[0])
 
 
@@ -273,7 +267,7 @@ def normalize_minimal(points: Sequence[GridPoint], grid: ProductGrid) -> Minimal
     index, weights scaled to total mass 1 with the lowest-index weight
     positive. Invariant under permutations of the input."""
     pts = tuple(sorted(_distinct(points, grid)))
-    relations = _kernel_relations(pts, grid.n)
+    relations = kernel_basis(_incidence_columns(pts, grid.n))
     if len(relations) != 1 or not all(relations[0]):
         raise ValueError("point set is not a minimal cycle")
     return _normalized_cycle(pts, relations[0], grid)
@@ -281,12 +275,6 @@ def normalize_minimal(points: Sequence[GridPoint], grid: ProductGrid) -> Minimal
 
 class _Truncated(Exception):
     """Unwinds the circuit search once it has used up its budget."""
-
-
-def _incidence_rank(points: Sequence[GridPoint], n: int) -> int:
-    """Exact rank of the 0/1 incidence columns of ``points`` over the
-    rationals (equal to ``matrix_rank(incidence_matrix(points, grid))``)."""
-    return _rank(_incidence_columns(points, n))
 
 
 def _circuits(
@@ -435,7 +423,7 @@ def _enumerate(
         raise ValueError(f"max_support must be at least 2, got {max_support}")
     pts = tuple(grid.points()) if points is None else tuple(sorted(_distinct(points, grid)))
     classes, nrows = _class_ids(pts, grid.n)
-    cap = _incidence_rank(pts, grid.n) + 1 if max_support is None else max_support
+    cap = matrix_rank(_class_columns(classes, nrows)) + 1 if max_support is None else max_support
     hits, candidates, truncated = _circuits(classes, nrows, min(cap, len(pts)), budget)
     return [(tuple(pts[i] for i in sup), rel) for sup, rel in hits], candidates, truncated
 

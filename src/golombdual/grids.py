@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
-from .linalg import RatMatrix, _as_rat, format_rat, parse_rat
+from .linalg import _as_rat, format_rat, parse_rat
 
 GridPoint = tuple[int, ...]
 
@@ -183,8 +183,8 @@ def sup_norm(f: TabulatedFunction) -> Fraction:
 def _class_ids(points: Sequence[GridPoint], n: int) -> tuple[list[tuple[int, ...]], int]:
     """Each point's n (axis, value) classes as incidence row indices, and
     the number of rows. The rows are the realized classes, axis-major,
-    values ascending within each axis: every incidence structure of the
-    package, ``RatMatrix`` or integer, takes its row order from here."""
+    values ascending within each axis: every incidence column of the
+    package takes its row order from here."""
     ids: dict[tuple[int, int], int] = {}
     for axis in range(n):
         for value in sorted({p[axis] for p in points}):
@@ -204,24 +204,23 @@ def _class_columns(classes: list[tuple[int, ...]], nrows: int) -> list[list[int]
     return cols
 
 
-def incidence_matrix(points: Sequence[GridPoint], grid: ProductGrid) -> RatMatrix:
-    """0/1 matrix with one row per realized (axis, value) class, one column
-    per point; rows are axis-major with values ascending within each axis
-    (``_class_ids``).
+def _incidence_columns(points: Sequence[GridPoint], n: int) -> list[list[int]]:
+    """The integer 0/1 incidence columns of checked, distinct ``points``,
+    one per point, over the classes they realize (``_class_ids``)."""
+    return _class_columns(*_class_ids(points, n))
 
-    A vector in its kernel has vanishing class sums along every axis, which
-    is exactly the projection-cycle condition on the weights. The package
-    decides that on the integer columns (``_class_columns``); this
-    ``RatMatrix`` form, one ``{point: 1}`` mapping per class row, is for
-    callers of the public API.
+
+def incidence_matrix(points: Sequence[GridPoint], grid: ProductGrid) -> list[list[int]]:
+    """The 0/1 incidence matrix of distinct points as its integer columns,
+    one per point: column j holds a 1 in the row of each (axis, value)
+    class of point j. The rows are the realized classes, axis-major with
+    values ascending within each axis (``_class_ids``).
+
+    A vector in its kernel (``kernel_basis``) has vanishing class sums
+    along every axis, which is exactly the projection-cycle condition on
+    the weights.
     """
-    pts = _distinct(points, grid)
-    classes, nrows = _class_ids(pts, grid.n)
-    rows: list[dict[int, int]] = [{} for _ in range(nrows)]
-    for j, cs in enumerate(classes):
-        for c in cs:
-            rows[c][j] = 1
-    return RatMatrix(nrows, len(pts), tuple(rows))
+    return _incidence_columns(_distinct(points, grid), grid.n)
 
 
 def _points_from_json(obj: object, key: str) -> tuple[tuple, ...]:

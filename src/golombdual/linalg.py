@@ -1,7 +1,7 @@
-"""Exact rational linear algebra: row-sparse matrices, null-space bases, and
-an exact simplex solver for ``min c.x  s.t.  A x <= b,  x >= 0`` with b >= 0.
+"""Exact linear algebra: ranks and kernel bases of integer columns, and an
+exact simplex solver for ``min c.x  s.t.  A x <= b,  x >= 0`` with b >= 0.
 
-Everything is exact rational arithmetic: results are
+Everything is exact: ranks and kernel bases are integers, LP results are
 ``fractions.Fraction``, an LP's rows are given as integers over a
 denominator each (``LpRows``), and the simplex pivots on sparse integer rows
 that keep their nonzero numerators and one common denominator each. It
@@ -14,14 +14,16 @@ this package, so every comparison below is a decidable exact test and
 results are reproducible bit for bit.
 
 ``_eliminate`` is the package's one fraction-free elimination: it clears
-integer columns against a basis of earlier ones. Kernel bases, ranks, the
-minimality check of a cycle, and the decomposition's circuit walk (n >= 3)
-of ``cycles`` all run on it; the circuit search of ``cycles`` takes its
-step one basis row at a time.
+integer columns against a basis of earlier ones. The package's one rank
+routine, ``matrix_rank`` (which also checks that a cycle is minimal), and
+its one relation routine, ``kernel_basis``, run on it, and so does the
+decomposition's circuit walk (n >= 3) of ``cycles``; the circuit search of
+``cycles`` takes its step one basis row at a time.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -33,25 +35,30 @@ Rat = Fraction
 # characters occasionally pasted in place of an ASCII minus
 _MINUS_VARIANTS = ("−", "–")
 
+# the one grammar of a rational string, in ASCII digits: an optional sign,
+# then p/q with q > 0, an integer or a plain decimal. ``Fraction``'s own
+# grammar reads exponents and differs between Python versions (underscores,
+# spaces around "/", any Unicode digit), so it only sees strings this takes.
+_RATIONAL = re.compile(r"[-+]?(?:\d+/0*[1-9]\d*|\d+\.?\d*|\.\d+)", re.ASCII)
+
 
 def parse_rat(text: str) -> Fraction:
     """Parse a rational from its canonical string form ``p/q`` (or ``p``).
 
     A plain decimal such as ``0.5`` is read too, but an exponent (``1e3``)
     is rejected: ``Fraction`` expands it to an integer with that many
-    digits, so one value could stall the parse.
+    digits, so one value could stall the parse. The grammar is ``_RATIONAL``
+    on every Python version: ASCII digits, with no underscore and no space
+    inside.
     """
     if not isinstance(text, str):
         raise ValueError(f"expected a rational string, got {text!r}")
     cleaned = text.strip()
     for ch in _MINUS_VARIANTS:
         cleaned = cleaned.replace(ch, "-")
-    if "e" in cleaned or "E" in cleaned:
-        raise ValueError(f"not a rational: {text!r} (no exponents)")
-    try:
-        return Fraction(cleaned)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational: {text!r}") from exc
+    if not _RATIONAL.fullmatch(cleaned):
+        raise ValueError(f"not a rational: {text!r}")
+    return Fraction(cleaned)
 
 
 def format_rat(value: Fraction | int) -> str:
@@ -74,35 +81,6 @@ def _as_rat(value: object) -> Fraction:
     raise ValueError(f"expected an int or a Fraction, got {value!r}")
 
 
-@dataclass(frozen=True)
-class RatMatrix:
-    """Row-sparse matrix of rationals: ``entries[i]`` maps each column of
-    row i to its value, ``{column: value}``. Every column must be an int in
-    ``range(cols)`` and every value an int or a Fraction (``_as_rat``).
-    Zeros are dropped, so equal matrices compare equal. The rows are stored
-    as read-only copies, so the checks hold for the matrix's lifetime."""
-
-    rows: int
-    cols: int
-    entries: tuple[Mapping[int, Fraction], ...]
-
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows:
-            raise ValueError(f"expected {self.rows} rows, got {len(self.entries)}")
-        for i, row in enumerate(self.entries):
-            for j in row:
-                if type(j) is not int or not 0 <= j < self.cols:
-                    raise ValueError(f"row {i}: column {j!r} is not an int in range({self.cols})")
-        kept = ({j: v for j, a in row.items() if (v := _as_rat(a))} for row in self.entries)
-        object.__setattr__(self, "entries", tuple(map(MappingProxyType, kept)))
-
-    def row(self, i: int) -> Mapping[int, Fraction]:
-        """Row i's nonzeros, ``{column: value}``."""
-        return self.entries[i]
-
-
 def _int_row(values: Sequence[Fraction]) -> list[int]:
     """Integer row for ``values``: the numerators over one common
     positive denominator, which is appended as the last entry. Clearing by
@@ -113,16 +91,6 @@ def _int_row(values: Sequence[Fraction]) -> list[int]:
     row = [v.numerator * (den // v.denominator) for v in values]
     row.append(den)
     return row
-
-
-def _integer_columns(m: RatMatrix) -> list[list[int]]:
-    """The columns of ``m`` with each row cleared of its denominators; row
-    scaling changes neither the rank nor the kernel."""
-    cols = [[0] * m.rows for _ in range(m.cols)]
-    for i, row in enumerate(m.entries):
-        for j, v in zip(row, _int_row(list(row.values()))):  # zip drops the denominator
-            cols[j][i] = v
-    return cols
 
 
 def _eliminate(col: list[int], basis: list[tuple[int, list[int]]]) -> list[int]:
@@ -162,9 +130,19 @@ def _basis_row(v: list[int]) -> tuple[int, list[int]]:
     return pivot, v[:] if g == 1 else [x // g for x in v]
 
 
-def _rank(columns: Sequence[list[int]]) -> int:
-    """Exact rank of integer columns: the number that do not clear to zero
-    against the columns before them."""
+def _check_columns(columns: Sequence[list[int]]) -> None:
+    """Raise ValueError unless the columns all have one length: ``zip`` in
+    ``_eliminate`` would silently cut the longer ones short."""
+    if len({len(col) for col in columns}) > 1:
+        raise ValueError("the columns must all have one length")
+
+
+def matrix_rank(columns: Sequence[list[int]]) -> int:
+    """Exact rank of integer columns of one length: the number that do not
+    clear to zero against the columns before them. A rational matrix has
+    each row cleared of its denominators first; row scaling does not change
+    the rank."""
+    _check_columns(columns)
     basis: list[tuple[int, list[int]]] = []
     for col in columns:
         v = _eliminate(col, basis)
@@ -173,16 +151,20 @@ def _rank(columns: Sequence[list[int]]) -> int:
     return len(basis)
 
 
-def _column_relations(columns: Sequence[list[int]]) -> list[list[int]]:
-    """For each column that depends on the columns before it, ascending,
-    the primitive integer relation that expresses it through them, with
-    its first nonzero entry positive.
+def kernel_basis(columns: Sequence[list[int]]) -> list[list[int]]:
+    """Deterministic integer basis of the kernel {v : sum v_j columns[j] = 0}
+    of integer columns of one length: for each column that depends on the columns before
+    it, ascending, the primitive integer relation that expresses it through
+    them, with its first nonzero entry positive. So each vector is zero on
+    every other dependent column. A rational matrix has each row cleared of
+    its denominators first; row scaling does not change the kernel.
 
-    The integer columns are cleared in order with ``_eliminate``, each
-    carrying an identity tail that records which columns it combines. A
-    column that clears to zero leaves its relation in that tail: nonzero at
-    the column itself, zero on every other dependent column.
+    The columns are cleared in order with ``_eliminate``, each carrying an
+    identity tail that records which columns it combines. A column that
+    clears to zero leaves its relation in that tail: nonzero at the column
+    itself, zero on every other dependent column.
     """
+    _check_columns(columns)
     k = len(columns)
     basis: list[tuple[int, list[int]]] = []
     relations: list[list[int]] = []
@@ -195,28 +177,6 @@ def _column_relations(columns: Sequence[list[int]]) -> list[list[int]]:
             continue
         relations.append(_primitive(v[len(col) :], orient=True))
     return relations
-
-
-def kernel_basis(m: RatMatrix) -> tuple[tuple[Fraction, ...], ...]:
-    """Deterministic basis of the null space {v : m v = 0}.
-
-    One vector per free column (a column that depends on the columns before
-    it), free columns in ascending index order. Each vector is the relation
-    that expresses its free column through the independent columns before
-    it, so it is zero on every other free column; it is scaled to a
-    primitive integer vector whose first nonzero entry is positive. The
-    relations come from the integer columns (``_column_relations``), which
-    the cycle helpers use directly; this wraps them in ``Fraction``s.
-    """
-    return tuple(
-        tuple(Fraction(x) for x in v) for v in _column_relations(_integer_columns(m))
-    )
-
-
-def matrix_rank(m: RatMatrix) -> int:
-    """Exact rank over the rationals, by the integer elimination without a
-    tail (``_rank``) that also gives the rank of incidence columns."""
-    return _rank(_integer_columns(m))
 
 
 # One row of A x <= b in integers: the nonzero numerators of A's row by

@@ -27,7 +27,6 @@ from golombdual import (
     LpRows,
     MinimalCycle,
     ProductGrid,
-    RatMatrix,
     SeparableSum,
     TabulatedFunction,
     CycleVectorPair,
@@ -86,18 +85,24 @@ def random_separable(
     return SeparableSum(grid, tables)
 
 
-def rat_matrix(rows) -> RatMatrix:
-    """The RatMatrix of a list of equal-length dense rows of ints or
-    Fractions, zeros included; the constructor drops the zeros."""
-    width = len(rows[0]) if rows else 0
+def _cleared(row) -> list[int]:
+    """A dense row of ints or Fractions times the lcm of its denominators;
+    ``_as_rat`` rejects a float or a bool."""
+    row = [_as_rat(v) for v in row]
+    den = lcm(*(v.denominator for v in row))
+    return [v.numerator * (den // v.denominator) for v in row]
+
+
+def integer_columns(rows, width: int | None = None) -> list[list[int]]:
+    """The columns of dense rows of ints or Fractions, each row first
+    cleared of its denominators, as ``kernel_basis`` and ``matrix_rank``
+    take them; row scaling changes neither the rank nor the kernel.
+    ``width`` defaults to the first row's length and gives the column count
+    of a matrix with no rows."""
+    width = len(rows[0]) if width is None else width
     assert all(len(row) == width for row in rows), "ragged rows"
-    return RatMatrix(len(rows), width, tuple(dict(enumerate(row)) for row in rows))
-
-
-def dense_matrix_row(m: RatMatrix, i: int) -> list[Fraction]:
-    """Row i of ``m`` as a dense list of its ``m.cols`` values, zeros
-    included: the inverse of ``rat_matrix`` on one row."""
-    return [m.row(i).get(j, Fraction(0)) for j in range(m.cols)]
+    cleared = [_cleared(row) for row in rows]
+    return [[row[j] for row in cleared] for j in range(width)]
 
 
 def lp_constraints(rows, rhs) -> list[tuple[dict[int, int], int, int]]:
@@ -182,11 +187,11 @@ def reference_check_optimum(problem: LpProblem, x: list[Fraction], dual: list[Fr
             )
 
 
-def reference_incidence_matrix(points, grid: ProductGrid) -> RatMatrix:
-    """Reference incidence matrix, built row by row from the coordinates and
-    independent of the package's class numbering: one 0/1 row per realized
-    (axis, value) class, axis-major with values ascending, one column per
-    point."""
+def reference_incidence_matrix(points, grid: ProductGrid) -> list[list[int]]:
+    """Reference incidence matrix as dense rows, built row by row from the
+    coordinates and independent of the package's class numbering: one 0/1
+    row per realized (axis, value) class, axis-major with values ascending,
+    one column per point."""
     pts = [grid.check_point(p) for p in points]
     if len(set(pts)) != len(pts):
         raise ValueError("duplicate point in incidence input")
@@ -194,23 +199,20 @@ def reference_incidence_matrix(points, grid: ProductGrid) -> RatMatrix:
     for axis in range(grid.n):
         for value in sorted({p[axis] for p in pts}):
             rows.append([1 if p[axis] == value else 0 for p in pts])
-    return rat_matrix(rows)
+    return rows
 
 
-def _bareiss_echelon(m: RatMatrix) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free (Bareiss 1968) row echelon form of ``m`` over the
-    integers, each row first cleared of its denominators. Intermediate
-    entries stay minors of the input, so every division is exact. Returns
-    the nonzero echelon rows and the pivot column indices."""
-    rows = []
-    for i in range(m.rows):
-        row = dense_matrix_row(m, i)
-        den = lcm(*(v.denominator for v in row))
-        rows.append([v.numerator * (den // v.denominator) for v in row])
+def _bareiss_echelon(rows, width: int) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free (Bareiss 1968) row echelon form over the integers of
+    dense rows of ints or Fractions, ``width`` columns each, every row first
+    cleared of its denominators. Intermediate entries stay minors of the
+    input, so every division is exact. Returns the nonzero echelon rows and
+    the pivot column indices."""
+    rows = [_cleared(row) for row in rows]
     pivots: list[int] = []
     prev = 1
     r = 0
-    for c in range(m.cols):
+    for c in range(width):
         if r == len(rows):
             break
         p = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
@@ -220,7 +222,7 @@ def _bareiss_echelon(m: RatMatrix) -> tuple[list[list[int]], list[int]]:
         pivot, top = rows[r][c], rows[r]
         for cur in rows[r + 1 :]:
             factor = cur[c]
-            for j in range(c, m.cols):
+            for j in range(c, width):
                 q, rem = divmod(pivot * cur[j] - factor * top[j], prev)
                 if rem:
                     raise ArithmeticError("Bareiss elimination made a non-exact division")
@@ -231,39 +233,42 @@ def _bareiss_echelon(m: RatMatrix) -> tuple[list[list[int]], list[int]]:
     return rows[:r], pivots
 
 
-def bareiss_rank(m: RatMatrix) -> int:
-    """Reference rank: the number of pivots of the Bareiss echelon form."""
-    return len(_bareiss_echelon(m)[1])
+def bareiss_rank(rows, width: int | None = None) -> int:
+    """Reference rank of dense rows: the number of pivots of the Bareiss
+    echelon form. ``width`` is as in ``integer_columns``."""
+    return len(_bareiss_echelon(rows, len(rows[0]) if width is None else width)[1])
 
 
-def bareiss_kernel_basis(m: RatMatrix) -> tuple[tuple[Fraction, ...], ...]:
-    """Reference null-space basis, independent of the package's column
-    elimination: one vector per free column of the Bareiss echelon form,
-    ascending, found by back-substitution over Fraction with the free
-    coordinate 1 and the other free coordinates 0, then scaled to a
-    primitive integer vector whose first nonzero entry is positive."""
-    ech, pivot_cols = _bareiss_echelon(m)
+def bareiss_kernel_basis(rows, width: int | None = None) -> list[list[int]]:
+    """Reference null-space basis of dense rows (``width`` as in
+    ``integer_columns``), independent of the package's column elimination:
+    one vector per free column of the Bareiss echelon form, ascending, found
+    by back-substitution over Fraction with the free coordinate 1 and the
+    other free coordinates 0, then scaled to a primitive integer vector
+    whose first nonzero entry is positive."""
+    width = len(rows[0]) if width is None else width
+    ech, pivot_cols = _bareiss_echelon(rows, width)
     basis = []
-    for f in sorted(set(range(m.cols)) - set(pivot_cols)):
-        v = [Fraction(0)] * m.cols
+    for f in sorted(set(range(width)) - set(pivot_cols)):
+        v = [Fraction(0)] * width
         v[f] = Fraction(1)
         for row, pc in reversed(list(zip(ech, pivot_cols))):
-            s = sum((row[j] * v[j] for j in range(pc + 1, m.cols)), Fraction(0))
+            s = sum((row[j] * v[j] for j in range(pc + 1, width)), Fraction(0))
             v[pc] = -s / row[pc]
         den = lcm(*(x.denominator for x in v))
         ints = [x.numerator * (den // x.denominator) for x in v]
         g = gcd(*ints)
         if next(x for x in ints if x) < 0:
             g = -g
-        basis.append(tuple(Fraction(x // g) for x in ints))
-    return tuple(basis)
+        basis.append([x // g for x in ints])
+    return basis
 
 
 def _normalized(points, vec, grid: ProductGrid) -> MinimalCycle:
     """The minimal cycle on ``points`` (in flat-index order) with weights
     ``vec`` scaled to total mass 1, first weight positive."""
     total = sum(abs(x) for x in vec)
-    lam = tuple(x / total for x in vec)
+    lam = tuple(Fraction(x, total) for x in vec)
     if lam[0] < 0:
         lam = tuple(-x for x in lam)
     return MinimalCycle(CycleVectorPair(grid, tuple(points), lam))

@@ -132,6 +132,16 @@ class TestBoltTypes:
         with pytest.raises(ValueError):
             Bolt(GRID22, ((0, 0), (0, 1)), "shared-y-first")
 
+    @pytest.mark.parametrize("vertices", [((0, 0),), ((0, 0), (0, 1))], ids=["single", "pair"])
+    def test_bolt_rejects_unknown_start_axis(self, vertices):
+        # a single vertex passes both patterns, so the label is checked itself
+        with pytest.raises(ValueError, match="start_axis 'garbage' is not one of"):
+            Bolt(GRID22, vertices, "garbage")
+
+    @pytest.mark.parametrize("axis", ["shared-x-first", "shared-y-first"])
+    def test_single_vertex_takes_either_start_axis(self, axis):
+        assert Bolt(GRID22, ((0, 0),), axis).start_axis == axis
+
     def test_bolt_rejects_non_bolt(self):
         with pytest.raises(ValueError):
             Bolt(GRID22, ((0, 0), (1, 1)), "shared-x-first")

@@ -34,7 +34,7 @@ XY_CSV = "0,0\n0,1\n"
 PUBLIC_NAMES = [
     "ApproximationResult", "Bolt", "CertificateError", "ClosedBolt", "CycleVectorPair",
     "Decomposition", "FiniteSignedMeasure", "GolombCycle", "GolombReport", "GridPoint",
-    "LpProblem", "LpRows", "LpSolution", "MinimalCycle", "ProductGrid", "Rat", "RatMatrix",
+    "LpProblem", "LpRows", "LpSolution", "MinimalCycle", "ProductGrid", "Rat",
     "SeparableSum", "TabulatedFunction", "best_error", "bolt_from_json",
     "bolt_supremum", "bolt_to_json", "closed_bolt_measure", "cycle_functional",
     "cycle_to_closed_bolts", "decompose", "enumerate_minimal_cycles", "evaluate",

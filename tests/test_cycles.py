@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import golombdual.cycles as cycles
+import golombdual.grids as grids
 from golombdual import (
     CertificateError,
     CycleVectorPair,
@@ -60,6 +61,7 @@ from conftest import (
     corrupt_walk,
     decompose_by_measures,
     has_lonely_point,
+    integer_columns,
     reference_circuits,
     reference_incidence_matrix,
     subset_scan_cycles,
@@ -288,7 +290,7 @@ def reference_find_cycle_vector(basis, m):
         forbidden = set()
         for vj, bj in zip(v, b):
             if bj != 0 and vj != 0:
-                ratio = -vj / bj
+                ratio = Fraction(-vj, bj)
                 if ratio > 0 and ratio.denominator == 1:
                     forbidden.add(int(ratio))
         c = 1
@@ -316,9 +318,9 @@ class TestCycleHelpersMatchReferences:
                     with pytest.raises(ValueError, match="duplicate"):
                         helper(points, grid)
                 continue
-            inc = incidence_matrix(points, grid)
-            assert inc == reference_incidence_matrix(points, grid)
-            basis = bareiss_kernel_basis(inc)
+            reference = reference_incidence_matrix(points, grid)
+            assert incidence_matrix(points, grid) == integer_columns(reference)
+            basis = bareiss_kernel_basis(reference)
             minimal = len(basis) == 1 and all(basis[0])
             assert is_minimal(points, grid) == minimal
             want = reference_find_cycle_vector(basis, len(points))
@@ -651,7 +653,7 @@ SEARCH_SHAPES = tuple((s, t) for s in range(2, 6) for t in range(2, 5)) + (
 
 
 def integer_rank_is_exact(points, grid) -> bool:
-    return cycles._incidence_rank(points, grid.n) == bareiss_rank(
+    return matrix_rank(incidence_matrix(points, grid)) == bareiss_rank(
         reference_incidence_matrix(points, grid)
     )
 
@@ -668,7 +670,7 @@ class TestCircuitSearch:
         assert found == subset_scan_cycles(grid)
         for c in found:
             assert integer_rank_is_exact(c.points, grid)
-            assert cycles._incidence_rank(c.points, grid.n) == len(c.points) - 1
+            assert matrix_rank(incidence_matrix(c.points, grid)) == len(c.points) - 1
 
     @pytest.mark.parametrize("shape", ((2, 3), (3, 3), (3, 4), (4, 4), (2, 2, 2), (3, 2, 2)))
     def test_every_cap_matches_subset_scan(self, shape):
@@ -724,7 +726,7 @@ class TestCircuitSearch:
                 lonely = ()
                 while not has_lonely_point(range(len(lonely)), lonely, grid.n):
                     lonely = tuple(rng.sample(pts, rng.randint(2, len(pts) // 2)))
-                assert cycles._incidence_rank(union, grid.n) <= len(union) - 2  # kernel >= 2
+                assert matrix_rank(incidence_matrix(union, grid)) <= len(union) - 2  # kernel >= 2
                 for points in (superset, union, lonely):
                     assert integer_rank_is_exact(points, grid)
 
@@ -791,7 +793,7 @@ class TestCircuitSearchMatchesReference:
     def classes_of(points, grid):
         pts = tuple(sorted(points))
         classes, nrows = cycles._class_ids(pts, grid.n)
-        return classes, nrows, min(cycles._incidence_rank(pts, grid.n) + 1, len(pts))
+        return classes, nrows, min(matrix_rank(incidence_matrix(pts, grid)) + 1, len(pts))
 
     @pytest.mark.parametrize("shape", SEARCH_SHAPES)
     def test_full_grid_at_every_cap_and_budget(self, shape):
@@ -857,7 +859,7 @@ class TestSearchBudget:
     def test_candidates_count_independence_tests(self, shape, monkeypatch):
         grid = ProductGrid(shape)
         classes, nrows = cycles._class_ids(tuple(grid.points()), grid.n)
-        cap = cycles._incidence_rank(tuple(grid.points()), grid.n) + 1
+        cap = matrix_rank(incidence_matrix(tuple(grid.points()), grid)) + 1
         calls = self.counting_eliminate(monkeypatch)
         reference = reference_circuits(classes, nrows, cap, None)
         hits, tested, truncated = cycles._circuits(classes, nrows, cap, None)
@@ -975,6 +977,17 @@ class TestDecompose:
             Decomposition(((Fraction(-1), mc), (Fraction(2), mc)))
         with pytest.raises(ValueError, match="empty decomposition"):
             Decomposition(())
+        # a float weight is rejected where it enters, not when combined
+        with pytest.raises(ValueError, match="int or a Fraction"):
+            Decomposition(((0.5, mc), (0.5, mc)))
+        with pytest.raises(ValueError, match="MinimalCycle"):
+            Decomposition(((Fraction(1), "notacycle"),))
+        # a 3x3 cycle's atoms cannot be combined on the 2x2 grid
+        other = normalize_minimal(SQUARE, ProductGrid((3, 3)))
+        with pytest.raises(ValueError, match="grid mismatch"):
+            Decomposition(((Fraction(1, 2), mc), (Fraction(1, 2), other)))
+        (t, _), = Decomposition(((1, mc),)).terms
+        assert type(t) is Fraction and t == 1
 
     def test_corrupted_decomposition_is_rejected(self, monkeypatch):
         # every term keeps its weight but names the first term's cycle, so
@@ -1164,7 +1177,7 @@ def assert_both_walks_extract(mu: FiniteSignedMeasure) -> None:
 
     def oracle_bolt_walk(grid, points, x):
         oracle_walks.append(points)
-        return cycles._circuit_walk(cycles._incidence_columns(points, grid.n), x)
+        return cycles._circuit_walk(incidence_matrix(points, grid), x)
 
     def oracle_circuit_walk(cols, x):
         oracle_walks.append(cols)
@@ -1340,13 +1353,13 @@ class TestCircuitWalkWork:
         # MinimalCycle numbers its own points for the rank check
         mu = rectangle_sum(random.Random(1), (5, 5, 4), 80)
         calls = []
-        real = cycles._class_ids
+        real = grids._class_ids
 
         def counted(points, n):
             calls.append(1)
             return real(points, n)
 
-        monkeypatch.setattr(cycles, "_class_ids", counted)
+        monkeypatch.setattr(grids, "_class_ids", counted)
         dec = decompose(mu)
         assert len(dec.terms) > 1
         assert len(calls) == 1 + len(dec.terms)
@@ -1368,7 +1381,7 @@ class TestCircuitWalkWork:
             return real(x, r)
 
         monkeypatch.setattr(cycles, "_conformal_step", counted)
-        cols = cycles._incidence_columns(points, grid.n)
+        cols = incidence_matrix(points, grid)
         alive, _ = cycles._circuit_walk(cols, _int_row([m for _, m in mu.atoms])[:-1])
         assert not steps
         assert {points[i] for i in alive} in (set(near.points), set(far.points))
@@ -1379,7 +1392,7 @@ class TestCircuitWalkWork:
         mu = rectangle_sum(random.Random(1), (5, 5, 4), 80)
         points = list(mu.support)
         x = _int_row([m for _, m in mu.atoms])[:-1]
-        cols = cycles._incidence_columns(points, mu.grid.n)
+        cols = incidence_matrix(points, mu.grid)
         nrows = len(cols[0])
         atom_of = {tuple(c): i for i, c in enumerate(cols)}
         cleared: list[int] = []
