@@ -70,38 +70,32 @@ def is_closed_bolt(grid: ProductGrid, vertices: Sequence[GridPoint]) -> bool:
 
 @dataclass(frozen=True)
 class Bolt:
+    """A vertex list that is a bolt; its pattern, ``start_axis``, is read off
+    the vertices by ``is_bolt`` ("shared-x-first" on a single vertex)."""
+
     grid: ProductGrid
     vertices: tuple[GridPoint, ...]
-    start_axis: StartAxis
 
     def __post_init__(self) -> None:
         object.__setattr__(
             self, "vertices", tuple(self.grid.check_point(p) for p in self.vertices)
         )
-        if self.start_axis not in get_args(StartAxis):
-            raise ValueError(f"start_axis {self.start_axis!r} is not one of {get_args(StartAxis)}")
-        detected = is_bolt(self.grid, self.vertices)
-        if detected is None:
+        if is_bolt(self.grid, self.vertices) is None:
             raise ValueError("vertex list is not a bolt")
-        if len(self.vertices) > 1 and detected != self.start_axis:
-            raise ValueError(f"alternation pattern is {detected}, not {self.start_axis}")
+
+    @property
+    def start_axis(self) -> StartAxis:
+        return is_bolt(self.grid, self.vertices)
 
 
 @dataclass(frozen=True)
-class ClosedBolt:
-    bolt: Bolt
+class ClosedBolt(Bolt):
+    """A bolt that closes up (``is_closed_bolt``)."""
 
     def __post_init__(self) -> None:
-        if not is_closed_bolt(self.bolt.grid, self.bolt.vertices):
+        super().__post_init__()
+        if not is_closed_bolt(self.grid, self.vertices):
             raise ValueError("bolt does not close up")
-
-    @property
-    def grid(self) -> ProductGrid:
-        return self.bolt.grid
-
-    @property
-    def vertices(self) -> tuple[GridPoint, ...]:
-        return self.bolt.vertices
 
 
 def closed_bolt_measure(cb: ClosedBolt) -> FiniteSignedMeasure:
@@ -135,7 +129,7 @@ def cycle_to_closed_bolts(gc: GolombCycle) -> tuple[ClosedBolt, ...]:
             edge = next(q for q in edges if q[axis] == walk[-1][axis])
             edges.remove(edge)
             walk.append(edge)
-        bolts.append(ClosedBolt(Bolt(gc.grid, tuple(walk), "shared-x-first")))
+        bolts.append(ClosedBolt(gc.grid, tuple(walk)))
     return tuple(bolts)
 
 
@@ -151,24 +145,18 @@ def bolt_supremum(f: TabulatedFunction) -> Fraction:
     return _cycle_supremum(f, _enumerate(f.grid, None, None, None)[0])[0]
 
 
-def bolt_to_json(cb: ClosedBolt | Bolt) -> dict:
-    bolt = cb.bolt if isinstance(cb, ClosedBolt) else cb
+def bolt_to_json(bolt: Bolt) -> dict:
     return {
         "vertices": [list(p) for p in bolt.vertices],
-        "closed": isinstance(cb, ClosedBolt)
-        or is_closed_bolt(bolt.grid, bolt.vertices),
+        "closed": isinstance(bolt, ClosedBolt) or is_closed_bolt(bolt.grid, bolt.vertices),
     }
 
 
-def bolt_from_json(grid: ProductGrid, obj: object) -> Bolt | ClosedBolt:
+def bolt_from_json(grid: ProductGrid, obj: object) -> Bolt:
     if not isinstance(obj, dict) or "vertices" not in obj:
         raise ValueError('bolt JSON needs a "vertices" key')
     vertices = _points_from_json(obj["vertices"], "vertices")
     closed = obj.get("closed", False)
     if not isinstance(closed, bool):
         raise ValueError('"closed" must be true or false')
-    pattern = is_bolt(grid, vertices)
-    if pattern is None:
-        raise ValueError("vertex list is not a bolt")
-    bolt = Bolt(grid, vertices, pattern)
-    return ClosedBolt(bolt) if closed else bolt
+    return (ClosedBolt if closed else Bolt)(grid, vertices)

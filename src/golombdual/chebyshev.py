@@ -21,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, product
+from math import gcd
 
 from .cycles import (
-    CycleVectorPair,
     Decomposition,
     MinimalCycle,
     _enumerate,
@@ -83,8 +83,9 @@ def best_error(f: TabulatedFunction) -> ApproximationResult:
     z + sum g+ - sum g- <= B + f(x), and the LP minimizes -z, so the error
     is B plus its value. Both rhs are at least 1, so the simplex starts from
     the slack basis at t = B, g = 0, and the row count stays 2 |grid|. The
-    rows are written once, in integers over f's common denominator D
-    (``LpRows``): entries +-D, rhs D B -+ D f(x) and denominator D.
+    rows are written once, in integers (``LpRows``): entries +-D, rhs
+    D B -+ D f(x) and denominator D over f's common denominator D, each row
+    divided by the gcd of D and its rhs, so that it is in lowest terms.
 
     z >= 0 bounds t by B, which never binds: g = 0 with t = max|f| is
     feasible, so the optimum has t <= max|f| and z >= 1. So z is basic with
@@ -108,11 +109,12 @@ def best_error(f: TabulatedFunction) -> ApproximationResult:
     rows: list[tuple[dict[int, int], int, int]] = []
     for point, v in zip(grid.points(), values):
         cols = [plus[key] for key in enumerate(point) if key in plus]
-        for sign, b in ((-den, top - v), (den, top + v)):
-            row = {0: den}
+        for sign, b in ((-1, top - v), (1, top + v)):
+            k = gcd(den, b)  # the row +-den, b over den in lowest terms
+            row = {0: den // k}
             for j in cols:
-                row[j], row[j + 1] = sign, -sign
-            rows.append((row, b, den))
+                row[j], row[j + 1] = sign * den // k, -sign * den // k
+            rows.append((row, b // k, den // k))
     sol = solve_lp(LpProblem((_FM1,) + (_F0,) * (ncols - 1), LpRows(ncols, tuple(rows))))
     # g = 0, t = max|f| is feasible and t >= 0 on every feasible point
     error = Fraction(top, den) + sol.objective if sol.status == "optimal" else None
@@ -272,7 +274,7 @@ def optimal_witness_from_dual(
     if result.error == 0:
         raise ValueError("zero error: every annihilating measure integrates f to 0")
     mu = result.optimal_measure
-    cycle = MinimalCycle(CycleVectorPair(mu.grid, mu.support, tuple(m for _, m in mu.atoms)))
+    cycle = MinimalCycle(mu.grid, mu.support, tuple(m for _, m in mu.atoms))
     return cycle, Decomposition(((Fraction(1), cycle),))
 
 
@@ -283,7 +285,7 @@ def report_to_json(report: GolombReport) -> dict:
         if report.cycle_supremum is None
         else format_rat(report.cycle_supremum),
         "equal": report.equal,
-        "witness": None if report.witness is None else pair_to_json(report.witness.pair),
+        "witness": None if report.witness is None else pair_to_json(report.witness),
         "cycles_examined": report.cycles_examined,
         "enumerated": report.enumerated,
         "complete": report.complete,

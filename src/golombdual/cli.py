@@ -100,7 +100,7 @@ def _cmd_cycles(args: argparse.Namespace) -> int:
         return _cut_short()
     payload = {
         "shape": list(grid.factor_sizes),
-        "cycles": [pair_to_json(_normalized_cycle(*hit, grid).pair) for hit in hits],
+        "cycles": [pair_to_json(_normalized_cycle(*hit, grid)) for hit in hits],
     }
     _emit(args, payload)
     return 0
@@ -113,7 +113,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     payload = {
         "shape": list(mu.grid.factor_sizes),
         "terms": [
-            {"weight": format_rat(t), "cycle": pair_to_json(c.pair)}
+            {"weight": format_rat(t), "cycle": pair_to_json(c)}
             for t, c in dec.terms
         ],
     }
@@ -124,11 +124,11 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 def _cmd_bolts(args: argparse.Namespace) -> int:
     f = _load_function(args.input)
     _require_two_axes(f.grid)
-    report = verify_golomb(f, max_support=args.max_support, budget=DEFAULT_ENUM_BUDGET)
+    report = verify_golomb(f, budget=DEFAULT_ENUM_BUDGET)
     if not report.enumerated:
         return _cut_short()
     witness = report.witness
-    bolts = () if witness is None else cycle_to_closed_bolts(to_golomb_form(witness.pair))
+    bolts = () if witness is None else cycle_to_closed_bolts(to_golomb_form(witness))
     payload = {
         "shape": list(f.grid.factor_sizes),
         "error": format_rat(report.error),
@@ -189,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("bolts", _cmd_bolts, "closed-bolt supremum report (two-axis grids)")
     p.add_argument("--input", required=True)
-    p.add_argument("--max-support", type=int, default=None)
 
     p = add("gen", _cmd_gen, "generate a random integer-valued function file")
     p.add_argument("--shape", required=True, help="grid shape like 3x3x2")

@@ -60,9 +60,9 @@ class CycleVectorPair:
 
     The pair keeps its weights' integer form ``_ints``, the numerators over
     the common denominator D and then D, as ``_int_row`` gives them. Its
-    checks (``_check``), MinimalCycle's normalization, ``to_golomb_form``
-    and ``_recombines`` read it. Equality, hashing and repr are on the
-    three fields alone."""
+    checks (``_check``, which the subclass MinimalCycle extends by the
+    normalization and rank tests), ``to_golomb_form`` and ``_recombines``
+    read it. Equality, hashing and repr are on the three fields alone."""
 
     grid: ProductGrid
     points: tuple[GridPoint, ...]
@@ -119,42 +119,32 @@ class GolombCycle:
 
 
 @dataclass(frozen=True)
-class MinimalCycle:
+class MinimalCycle(CycleVectorPair):
     """A cycle whose incidence kernel is one dimensional, carrying the
     normalized weight vector (sum of |weights| equal to 1).
 
-    Minimality is checked with the exact integer rank of the points'
-    incidence columns: the class sums vanish, so the weights span a kernel
-    line, and rank k - 1 on k points means the kernel is exactly that line.
+    It is a CycleVectorPair with no fields of its own: ``_check`` runs the
+    pair's checks, then the normalization test (sum |n_i| = D over the
+    integer form n / D) and the minimality test. Minimality is checked with
+    the exact integer rank of the points' incidence columns: the class sums
+    vanish, so the weights span a kernel line, and rank k - 1 on k points
+    means the kernel is exactly that line.
 
     Either orientation of the weights is admitted; normalize_minimal returns
     the canonical one (positive weight at the lowest flat index).
     """
 
-    pair: CycleVectorPair
-
-    def __post_init__(self) -> None:
+    def _check(self, ints: tuple[int, ...]) -> None:
+        super()._check(ints)
         # over the weights' common denominator D: sum |n_i| / D == 1
-        *nums, den = self.pair._ints
+        *nums, den = ints
         if sum(map(abs, nums)) != den:
             raise ValueError("minimal cycle weights must be normalized to total mass 1")
         if matrix_rank(_incidence_columns(self.points, self.grid.n)) != len(self.points) - 1:
             raise ValueError("incidence kernel is not one dimensional; cycle not minimal")
 
-    @property
-    def grid(self) -> ProductGrid:
-        return self.pair.grid
-
-    @property
-    def points(self) -> tuple[GridPoint, ...]:
-        return self.pair.points
-
-    @property
-    def weights(self) -> tuple[Fraction, ...]:
-        return self.pair.weights
-
     def measure(self) -> FiniteSignedMeasure:
-        return measure_from_pair(self.pair)
+        return measure_from_pair(self)
 
 
 @dataclass(frozen=True)
@@ -236,21 +226,21 @@ def _normalized_cycle(
     """The MinimalCycle on ``points`` with the integer relation ``vec``
     scaled to total mass 1: every cycle the package computes from an
     integer relation is built here. The primitive relation n and its total
-    T = sum |n_i| are the integer form of the weights n_i / T, so the pair
-    runs ``_check`` on them as they are; its points were checked where they
-    entered (``FiniteSignedMeasure``, ``grid.points()``, ``_distinct``).
-    A relation that fails a check is a fault of that computation, so it
-    raises CertificateError. The one cycle built elsewhere is the dual
-    vertex's: ``chebyshev.optimal_witness_from_dual`` builds it from the LP
-    measure's masses, and a measure that is not one minimal cycle raises
-    ValueError there."""
+    T = sum |n_i| are the integer form of the weights n_i / T, so the cycle
+    runs MinimalCycle's ``_check`` on them as they are, every check once;
+    its points were checked where they entered (``FiniteSignedMeasure``,
+    ``grid.points()``, ``_distinct``). A relation that fails a check is a
+    fault of that computation, so it raises CertificateError. The one cycle
+    built elsewhere is the dual vertex's: ``chebyshev.optimal_witness_from_dual``
+    builds it from the LP measure's masses, and a measure that is not one
+    minimal cycle raises ValueError there."""
     vec = _primitive(vec)
     total = sum(map(abs, vec))
-    pair = object.__new__(CycleVectorPair)  # the fields, without __post_init__
-    pair.__dict__.update(grid=grid, points=points, weights=tuple(Fraction(x, total) for x in vec))
+    mc = object.__new__(MinimalCycle)  # the fields, without __post_init__
+    mc.__dict__.update(grid=grid, points=points, weights=tuple(Fraction(x, total) for x in vec))
     try:
-        pair._check((*vec, total))
-        return MinimalCycle(pair)
+        mc._check((*vec, total))
+        return mc
     except ValueError as exc:
         raise CertificateError(f"a computed relation is not a minimal cycle: {exc}") from None
 
@@ -627,7 +617,7 @@ def _recombines(dec: Decomposition, points: list[GridPoint], x: list[int], den: 
     terms = []
     common = den
     for t, mc in dec.terms:
-        *n, d = mc.pair._ints
+        *n, d = mc._ints
         terms.append((t.numerator, t.denominator * d, mc.points, n))
         common = lcm(common, t.denominator * d)
     k = common // den

@@ -19,7 +19,6 @@ import golombdual.chebyshev as chebyshev
 import golombdual.cycles as cycles
 from golombdual import (
     ApproximationResult,
-    Bolt,
     CertificateError,
     ClosedBolt,
     GolombCycle,
@@ -29,7 +28,6 @@ from golombdual import (
     ProductGrid,
     SeparableSum,
     TabulatedFunction,
-    CycleVectorPair,
     Decomposition,
     FiniteSignedMeasure,
     closed_bolt_measure,
@@ -271,7 +269,7 @@ def _normalized(points, vec, grid: ProductGrid) -> MinimalCycle:
     lam = tuple(Fraction(x, total) for x in vec)
     if lam[0] < 0:
         lam = tuple(-x for x in lam)
-    return MinimalCycle(CycleVectorPair(grid, tuple(points), lam))
+    return MinimalCycle(grid, tuple(points), lam)
 
 
 def brute_force_minimal_cycles(grid: ProductGrid) -> set[MinimalCycle]:
@@ -365,7 +363,7 @@ def bolt_supremum_by_conversion(f: TabulatedFunction, cycles=None) -> Fraction:
     """
     best = Fraction(0)
     for cycle in enumerate_minimal_cycles(f.grid) if cycles is None else cycles:
-        gc = to_golomb_form(cycle.pair)
+        gc = to_golomb_form(cycle)
         for cb in cycle_to_closed_bolts(gc):
             best = max(best, abs(integrate(f, closed_bolt_measure(cb))))
     return best
@@ -440,7 +438,7 @@ def reference_cycle_to_closed_bolts(gc: GolombCycle) -> tuple[ClosedBolt, ...]:
             used_plus[i2] = True
             walk.append(plus[i2])
             cur_x = plus[i2][0]
-        bolts.append(ClosedBolt(Bolt(gc.grid, tuple(walk), "shared-x-first")))
+        bolts.append(ClosedBolt(gc.grid, tuple(walk)))
     return tuple(bolts)
 
 

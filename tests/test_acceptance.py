@@ -211,7 +211,7 @@ def test_6_two_axis_equivalence(instances, cycles_by_shape):
             continue
         grid = ProductGrid(shape)
         for cycle in cycles_by_shape[shape]:
-            gc = to_golomb_form(cycle.pair)
+            gc = to_golomb_form(cycle)
             for cb in cycle_to_closed_bolts(gc):
                 bolts_checked += 1
                 assert is_closed_bolt(grid, cb.vertices)

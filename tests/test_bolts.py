@@ -125,45 +125,32 @@ class TestIsClosedBolt:
 
 class TestBoltTypes:
     def test_bolt_records_start_axis(self):
-        bolt = Bolt(GRID22, ((0, 0), (0, 1)), "shared-x-first")
-        assert bolt.start_axis == "shared-x-first"
-
-    def test_bolt_rejects_wrong_axis_label(self):
-        with pytest.raises(ValueError):
-            Bolt(GRID22, ((0, 0), (0, 1)), "shared-y-first")
-
-    @pytest.mark.parametrize("vertices", [((0, 0),), ((0, 0), (0, 1))], ids=["single", "pair"])
-    def test_bolt_rejects_unknown_start_axis(self, vertices):
-        # a single vertex passes both patterns, so the label is checked itself
-        with pytest.raises(ValueError, match="start_axis 'garbage' is not one of"):
-            Bolt(GRID22, vertices, "garbage")
-
-    @pytest.mark.parametrize("axis", ["shared-x-first", "shared-y-first"])
-    def test_single_vertex_takes_either_start_axis(self, axis):
-        assert Bolt(GRID22, ((0, 0),), axis).start_axis == axis
+        # the pattern is read off the vertices; a single vertex passes both
+        # and reads the one is_bolt tries first
+        assert Bolt(GRID22, ((0, 0), (0, 1))).start_axis == "shared-x-first"
+        assert Bolt(GRID22, ((0, 0), (1, 0))).start_axis == "shared-y-first"
+        assert Bolt(GRID22, ((0, 0),)).start_axis == "shared-x-first"
 
     def test_bolt_rejects_non_bolt(self):
-        with pytest.raises(ValueError):
-            Bolt(GRID22, ((0, 0), (1, 1)), "shared-x-first")
+        # a ClosedBolt runs the bolt check first, with its own message
+        for cls in (Bolt, ClosedBolt):
+            with pytest.raises(ValueError, match="vertex list is not a bolt"):
+                cls(GRID22, ((0, 0), (1, 1)))
 
     def test_closed_bolt_rejects_open_path(self):
-        bolt = Bolt(GRID33, ((0, 0), (0, 1), (1, 1), (1, 2)), "shared-x-first")
-        with pytest.raises(ValueError):
-            ClosedBolt(bolt)
+        with pytest.raises(ValueError, match="bolt does not close up"):
+            ClosedBolt(GRID33, ((0, 0), (0, 1), (1, 1), (1, 2)))
 
     def test_closed_bolt_accepts_square(self):
-        cb = ClosedBolt(Bolt(GRID22, SQUARE, "shared-x-first"))
+        cb = ClosedBolt(GRID22, SQUARE)
         assert cb.vertices == SQUARE
-
-
-def closed(grid: ProductGrid, vertices) -> ClosedBolt:
-    axis = is_bolt(grid, vertices)
-    return ClosedBolt(Bolt(grid, tuple(vertices), axis))
+        assert isinstance(cb, Bolt) and cb.start_axis == "shared-x-first"
+        assert cb != Bolt(GRID22, SQUARE)
 
 
 class TestClosedBoltMeasure:
     def test_square_alternates_quarters(self):
-        mu = closed_bolt_measure(closed(GRID22, SQUARE))
+        mu = closed_bolt_measure(ClosedBolt(GRID22, SQUARE))
         assert mu.atoms == (
             ((0, 0), Fraction(1, 4)),
             ((0, 1), Fraction(-1, 4)),
@@ -174,19 +161,19 @@ class TestClosedBoltMeasure:
 
     def test_orientation_flip_negates(self):
         rotated = SQUARE[1:] + SQUARE[:1]
-        mu = closed_bolt_measure(closed(GRID22, SQUARE))
-        nu = closed_bolt_measure(closed(GRID22, rotated))
+        mu = closed_bolt_measure(ClosedBolt(GRID22, SQUARE))
+        nu = closed_bolt_measure(ClosedBolt(GRID22, rotated))
         assert nu == -mu
 
     def test_staircase_measure(self):
-        mu = closed_bolt_measure(closed(GRID33, STAIRCASE))
+        mu = closed_bolt_measure(ClosedBolt(GRID33, STAIRCASE))
         assert total_variation(mu) == 1
         assert is_orthogonal(mu)
         assert mu.mass_at((0, 0)) == Fraction(1, 6)
         assert mu.mass_at((2, 0)) == Fraction(-1, 6)
 
     def test_cancelling_revisit_drops_variation_below_one(self):
-        mu = closed_bolt_measure(closed(GRID44, REVISIT))
+        mu = closed_bolt_measure(ClosedBolt(GRID44, REVISIT))
         assert mu.mass_at((0, 1)) == 0
         assert total_variation(mu) == Fraction(4, 5)
         assert is_orthogonal(mu)
@@ -194,7 +181,7 @@ class TestClosedBoltMeasure:
     def test_always_orthogonal(self):
         rng = random.Random(19)
         for cycle in rng.sample(enumerate_minimal_cycles(GRID44), 15):
-            gc = to_golomb_form(cycle.pair)
+            gc = to_golomb_form(cycle)
             for cb in cycle_to_closed_bolts(gc):
                 assert is_orthogonal(closed_bolt_measure(cb))
 
@@ -246,7 +233,7 @@ class TestCycleToClosedBolts:
             f = random_table(rng, grid)
             for cycle in enumerate_minimal_cycles(grid):
                 assert all(abs(w) == Fraction(1, len(cycle.points)) for w in cycle.weights)
-                gc = to_golomb_form(cycle.pair)
+                gc = to_golomb_form(cycle)
                 bolts = cycle_to_closed_bolts(gc)
                 assert len(bolts) == 1
                 mu = closed_bolt_measure(bolts[0])
@@ -298,7 +285,7 @@ class TestBoltSupremum:
 
 class TestBoltJson:
     def test_round_trip_closed(self):
-        cb = closed(GRID22, SQUARE)
+        cb = ClosedBolt(GRID22, SQUARE)
         obj = bolt_to_json(cb)
         assert obj == {"vertices": [[0, 0], [0, 1], [1, 1], [1, 0]], "closed": True}
         back = bolt_from_json(GRID22, obj)
@@ -306,7 +293,7 @@ class TestBoltJson:
         assert back == cb
 
     def test_round_trip_open(self):
-        bolt = Bolt(GRID33, ((0, 0), (0, 1), (1, 1)), "shared-x-first")
+        bolt = Bolt(GRID33, ((0, 0), (0, 1), (1, 1)))
         obj = bolt_to_json(bolt)
         assert obj["closed"] is False
         back = bolt_from_json(GRID33, obj)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +19,6 @@ from golombdual import (
     LpProblem,
     LpSolution,
     TabulatedFunction,
-    CycleVectorPair,
     MinimalCycle,
     ProductGrid,
     SeparableSum,
@@ -269,9 +268,11 @@ class TestErrorLpBuild:
             # equal rational rows: each row equal up to its positive scale
             assert (got.objective, got.matrix.cols) == (want.objective, want.matrix.cols)
             assert rational_rows(got) == rational_rows(want)
-            # every row is written over f's common denominator
+            # every row is in lowest terms: its entries, rhs and denominator
+            # have gcd 1, and its denominator divides f's common denominator
             den = _int_row(f.values)[-1]
-            assert {d for _, _, d in got.matrix.entries} == {den}
+            for row, rhs, d in got.matrix.entries:
+                assert gcd(*row.values(), rhs, d) == 1 and den % d == 0
 
 
 def rational_table(rng: random.Random, grid: ProductGrid) -> TabulatedFunction:
@@ -514,9 +515,7 @@ class TestCycleFunctional:
             grid = ProductGrid(shape)
             f = random_table(rng, grid)
             for mc in enumerate_minimal_cycles(grid):
-                flipped = MinimalCycle(
-                    CycleVectorPair(grid, mc.points, tuple(-w for w in mc.weights))
-                )
+                flipped = MinimalCycle(grid, mc.points, tuple(-w for w in mc.weights))
                 expected = abs(integrate(f, mc.measure()))
                 assert cycle_functional(f, mc) == expected
                 assert cycle_functional(f, flipped) == expected
@@ -688,7 +687,7 @@ class TestIntegerSupremum:
         assert report.cycle_supremum == supremum
         assert report.cycles_examined == count
         if report.equal and report.error > 0:
-            assert report.witness.pair == witness.pair
+            assert report.witness == witness
         else:
             assert report.witness is None
         return report

@@ -175,7 +175,7 @@ class TestVerifyCommand:
         # a cap below 2 scans nothing; it must not read as a duality failure
         path = str(tmp_path / "f.json")
         assert main(["gen", "--shape", "3x3", "--seed", "31", "--output", path]) == 0
-        for command in ("verify", "cycles", "bolts"):
+        for command in ("verify", "cycles"):
             for cap in ("-3", "0", "1"):
                 code, out, err = run_main(
                     [command, "--input", path, "--max-support", cap], capsys
@@ -354,28 +354,16 @@ class TestBoltsCommand:
             {"vertices": [[0, 0], [0, 2], [1, 2], [1, 3], [2, 3], [2, 0]], "closed": True}
         ]
 
-    def test_missed_witness_exits_one(self, tmp_path, capsys):
-        # as verify: a cap of 3 misses the square, so the bolt supremum 0
-        # falls short of the error 1/4, and the report is still written
+    def test_takes_no_support_cap(self, tmp_path, capsys):
+        # bolts always runs the full search: a capped one could only report
+        # a missed witness as a failure of the duality
         path = write(tmp_path / "xy.csv", XY_CSV)
-        code, out, _ = run_main(["bolts", "--input", path, "--max-support", "3"], capsys)
-        assert code == 1
-        obj = json.loads(out)
-        assert (obj["error"], obj["bolt_supremum"], obj["equal"]) == ("1/4", "0", False)
-        assert obj["witness_bolts"] == []
-
-    def test_support_cap_below_two_exits_before_the_lp(self, tmp_path, capsys, monkeypatch):
-        path = str(tmp_path / "f.json")
-        assert main(["gen", "--shape", "12x12", "--seed", "5", "--output", path]) == 0
-
-        def no_lp(f):
-            raise AssertionError("the error LP was solved")
-
-        monkeypatch.setattr(chebyshev, "best_error", no_lp)
-        monkeypatch.setattr(cli, "best_error", no_lp)
-        code, out, err = run_main(["bolts", "--input", path, "--max-support", "1"], capsys)
-        assert (code, out) == (2, "")
-        assert "max_support must be at least 2" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["bolts", "--input", path, "--max-support", "3"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --max-support 3" in captured.err
 
     def test_rejects_three_axis_input(self, tmp_path, capsys):
         payload = {"shape": [2, 2, 2], "values": ["0"] * 8}

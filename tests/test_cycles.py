@@ -453,7 +453,7 @@ class TestGolombConversion:
 
     def test_round_trip_on_enumerated_cycles(self):
         grid = ProductGrid((3, 3, 2))
-        pairs = [c.pair for c in enumerate_minimal_cycles(grid)]
+        pairs = list(enumerate_minimal_cycles(grid))
         assert len(pairs) == 1740
         pairs += [
             CycleVectorPair(CUBE, FIVE_POINTS, FIVE_CERT),
@@ -497,7 +497,7 @@ class TestMinimalCycleNormalization:
         weights = tuple(Fraction(v, 30) for v in COPRIME_CERT)
         assert {5, 6} <= {w.denominator for w in weights}
         assert sum(abs(w) for w in weights) == 1
-        mc = MinimalCycle(CycleVectorPair(COPRIME_GRID, COPRIME_POINTS, weights))
+        mc = MinimalCycle(COPRIME_GRID, COPRIME_POINTS, weights)
         assert mc.weights == weights
         assert mc == normalize_minimal(COPRIME_POINTS, COPRIME_GRID)
 
@@ -505,9 +505,8 @@ class TestMinimalCycleNormalization:
         p = 2**61 - 1  # a Mersenne prime
         weights = tuple(Fraction(v, 30) * (1 + Fraction(1, p)) for v in COPRIME_CERT)
         assert sum(abs(w) for w in weights) == 1 + Fraction(1, p)
-        pair = CycleVectorPair(COPRIME_GRID, COPRIME_POINTS, weights)
         with pytest.raises(ValueError, match="normalized to total mass 1"):
-            MinimalCycle(pair)
+            MinimalCycle(COPRIME_GRID, COPRIME_POINTS, weights)
 
 
 class TestNormalizeMinimal:
@@ -547,25 +546,20 @@ class TestNormalizeMinimal:
             normalize_minimal([(0, 0), (0, 1)], GRID22)
 
     def test_minimal_cycle_validation(self):
-        pair = CycleVectorPair(
+        MinimalCycle(
             GRID22,
             ((0, 0), (0, 1), (1, 0), (1, 1)),
             (Fraction(1, 4), Fraction(-1, 4), Fraction(-1, 4), Fraction(1, 4)),
         )
-        MinimalCycle(pair)
-        unnormalized = CycleVectorPair(
-            GRID22, ((0, 0), (0, 1), (1, 0), (1, 1)), (1, -1, -1, 1)
-        )
-        with pytest.raises(ValueError):
-            MinimalCycle(unnormalized)
+        with pytest.raises(ValueError, match="normalized to total mass 1"):
+            MinimalCycle(GRID22, ((0, 0), (0, 1), (1, 0), (1, 1)), (1, -1, -1, 1))
 
     def test_minimal_cycle_allows_either_orientation(self):
-        flipped = CycleVectorPair(
+        mc = MinimalCycle(
             GRID22,
             ((0, 0), (0, 1), (1, 0), (1, 1)),
             (Fraction(-1, 4), Fraction(1, 4), Fraction(1, 4), Fraction(-1, 4)),
         )
-        mc = MinimalCycle(flipped)
         assert mc.measure() == -square_cycle().measure()
 
     def test_measure_of_minimal_cycle(self):
@@ -735,9 +729,10 @@ class TestCircuitSearch:
         # CycleVectorPair and has total mass 1; only the rank says its kernel
         # is not one line
         total = sum(abs(c) for c in SIX_CERT)
-        pair = CycleVectorPair(CUBE, SIX_POINTS, tuple(Fraction(c, total) for c in SIX_CERT))
+        weights = tuple(Fraction(c, total) for c in SIX_CERT)
+        CycleVectorPair(CUBE, SIX_POINTS, weights)
         with pytest.raises(ValueError, match="not one dimensional"):
-            MinimalCycle(pair)
+            MinimalCycle(CUBE, SIX_POINTS, weights)
         rng = random.Random(3331)
         for shape in ((4, 4), (3, 3, 2), (2, 2, 2, 2)):
             grid = ProductGrid(shape)
@@ -753,10 +748,11 @@ class TestCircuitSearch:
                 if not all(mass.values()):
                     continue
                 norm = sum(abs(m) for m in mass.values())
-                pair = CycleVectorPair(grid, tuple(mass), tuple(m / norm for m in mass.values()))
+                weights = tuple(m / norm for m in mass.values())
+                CycleVectorPair(grid, tuple(mass), weights)
                 with pytest.raises(ValueError, match="not one dimensional"):
-                    MinimalCycle(pair)
-                assert not is_minimal(pair.points, grid)
+                    MinimalCycle(grid, tuple(mass), weights)
+                assert not is_minimal(tuple(mass), grid)
                 rejected += 1
 
     @pytest.mark.parametrize(
@@ -1513,8 +1509,7 @@ def perturbed(dec: Decomposition, kind: str) -> Decomposition:
         e = min(s, t) / 2
         terms[0], terms[-1] = (s - e, a), (t + e, b)
     elif kind == "negate":
-        negated = CycleVectorPair(a.grid, a.points, tuple(-w for w in a.weights))
-        terms[0] = (s, MinimalCycle(negated))
+        terms[0] = (s, MinimalCycle(a.grid, a.points, tuple(-w for w in a.weights)))
     return Decomposition(tuple(terms))
 
 
@@ -1546,11 +1541,11 @@ def assert_built_like_public(mc: MinimalCycle) -> None:
     """``mc``, as ``_normalized_cycle`` built it, equals the cycle that the
     public constructors build from its grid, points and weights, and both
     keep the integer form ``_int_row(weights)``."""
-    public = MinimalCycle(CycleVectorPair(mc.grid, mc.points, mc.weights))
+    public = MinimalCycle(mc.grid, mc.points, mc.weights)
     assert mc == public
-    assert hash(mc) == hash(public) and hash(mc.pair) == hash(public.pair)
+    assert hash(mc) == hash(public)
     assert repr(mc) == repr(public)
-    assert mc.pair._ints == public.pair._ints == tuple(_int_row(mc.weights))
+    assert mc._ints == public._ints == tuple(_int_row(mc.weights))
     assert all(type(w) is Fraction for w in mc.weights)
 
 
@@ -1572,7 +1567,7 @@ class TestIntegerForm:
         hits, _, _ = cycles._enumerate(grid, None, None, None)
         for points, relation in hits:
             mc = cycles._normalized_cycle(points, relation, grid)
-            assert mc.pair._ints == (*relation, sum(map(abs, relation)))
+            assert mc._ints == (*relation, sum(map(abs, relation)))
             assert_built_like_public(mc)
 
     @pytest.mark.parametrize("shape,targets", RECTANGLE_SUMS + (((6, 7), (12, 30)),))
@@ -1586,7 +1581,7 @@ class TestIntegerForm:
         square = normalize_minimal(SQUARE, GRID22)
         tripled = cycles._normalized_cycle(square.points, [3, -3, -3, 3], GRID22)
         assert tripled == square
-        assert tripled.pair._ints == (1, -1, -1, 1, 4)
+        assert tripled._ints == (1, -1, -1, 1, 4)
         assert_built_like_public(tripled)
 
     def test_no_point_or_weight_is_checked_again(self, monkeypatch):
@@ -1631,6 +1626,35 @@ class TestIntegerForm:
         assert cycles._class_sums_vanish(near.points + far.points, relation, 2)
         with pytest.raises(CertificateError, match="not a minimal cycle: incidence kernel"):
             cycles._normalized_cycle(near.points + far.points, relation, GRID44)
+
+
+class TestMinimalCycleIsAPair:
+    """A MinimalCycle is a CycleVectorPair with two more checks, and no
+    fields of its own."""
+
+    def test_is_a_pair_with_the_same_fields(self):
+        mc = normalize_minimal(FIVE_POINTS, CUBE)
+        assert isinstance(mc, CycleVectorPair)
+        assert fields(MinimalCycle) == fields(CycleVectorPair)
+        pair = CycleVectorPair(mc.grid, mc.points, mc.weights)
+        assert pair_to_json(mc) == pair_to_json(pair)
+        assert to_golomb_form(mc) == to_golomb_form(pair)
+        assert mc.measure() == measure_from_pair(mc) == measure_from_pair(pair)
+        assert repr(mc) == repr(pair).replace("CycleVectorPair", "MinimalCycle")
+
+    def test_the_pair_checks_run_first(self):
+        # a pair that fails CycleVectorPair's checks fails them with the
+        # same message as a MinimalCycle
+        bad = [
+            (((0, 0), (0, 1)), (Fraction(1, 2),), "equal length"),
+            (((0, 0), (0, 0)), (Fraction(1, 2), Fraction(-1, 2)), "duplicate point"),
+            (SQUARE, (Fraction(1, 2), 0, Fraction(-1, 2), 0), "must be nonzero"),
+            (SQUARE, (Fraction(1, 4),) * 4, "class sums do not vanish"),
+        ]
+        for points, weights, message in bad:
+            for cls in (CycleVectorPair, MinimalCycle):
+                with pytest.raises(ValueError, match=message):
+                    cls(GRID22, points, weights)
 
 
 class TestCycleJson:

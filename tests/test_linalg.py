@@ -42,7 +42,7 @@ from conftest import (
     sparse_row,
 )
 
-from golombdual import ProductGrid, best_error, incidence_matrix
+from golombdual import ProductGrid, TabulatedFunction, best_error, incidence_matrix
 
 
 class TestRationalStrings:
@@ -608,9 +608,7 @@ class DenseReplay:
     never stored. No stored row holds a zero or a denominator below 1, every
     pivot entry is positive, and every stored row's basic-column entry
     equals its denominator: together they keep a pivot row in lowest terms
-    without a gcd, which ``linalg._pivot`` relies on. (The dense kernel
-    reduces every row, so the replay takes rows in lowest terms: those of
-    ``conftest.lp`` and of ``best_error`` on integer tables.)
+    without a gcd, which ``linalg._pivot`` relies on.
     """
 
     def __init__(self, monkeypatch: pytest.MonkeyPatch) -> None:
@@ -702,10 +700,16 @@ class TestSparseKernelMatchesDense:
     def test_best_error_lps(self, monkeypatch, shape):
         replay = DenseReplay(monkeypatch)
         rng = random.Random(sum(shape))
+        grid = ProductGrid(shape)
         for _ in range(2):
-            best_error(random_table(rng, ProductGrid(shape)))
+            best_error(random_table(rng, grid))
+        # values p/q: f's common denominator exceeds most of their own, and
+        # best_error writes each row in lowest terms all the same
+        best_error(TabulatedFunction(grid, tuple(
+            Fraction(rng.randint(-50, 50), rng.choice((2, 3, 5, 7))) for _ in range(grid.volume)
+        )))
         # the error LP starts at a feasible basis: one simplex run per table
-        assert replay.runs == 2 and replay.pivots > 2
+        assert replay.runs == 3 and replay.pivots > 3
 
 
 class TestStoredRowWork:

@@ -374,8 +374,8 @@ class TestGolombMeasure:
         rng = random.Random(8)
         grid = ProductGrid((3, 3))
         for cycle in rng.sample(enumerate_minimal_cycles(grid), 8):
-            gc = to_golomb_form(cycle.pair)
-            assert golomb_measure(gc) == measure_from_pair(cycle.pair)
+            gc = to_golomb_form(cycle)
+            assert golomb_measure(gc) == measure_from_pair(cycle)
             assert total_variation(golomb_measure(gc)) == 1
 
 
