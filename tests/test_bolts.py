@@ -125,11 +125,15 @@ class TestIsClosedBolt:
 
 class TestBoltTypes:
     def test_bolt_records_start_axis(self):
-        # the pattern is read off the vertices; a single vertex passes both
-        # and reads the one is_bolt tries first
+        # the pattern is read off the vertices
         assert Bolt(GRID22, ((0, 0), (0, 1))).start_axis == "shared-x-first"
         assert Bolt(GRID22, ((0, 0), (1, 0))).start_axis == "shared-y-first"
-        assert Bolt(GRID22, ((0, 0),)).start_axis == "shared-x-first"
+
+    @pytest.mark.parametrize("axis", ["shared-x-first"])
+    def test_single_vertex_takes_either_start_axis(self, axis):
+        # a single vertex passes both patterns and reads the one is_bolt
+        # tries first
+        assert Bolt(GRID22, ((0, 0),)).start_axis == axis
 
     def test_bolt_rejects_non_bolt(self):
         # a ClosedBolt runs the bolt check first, with its own message
