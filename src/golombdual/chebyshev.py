@@ -124,7 +124,8 @@ def best_error(f: TabulatedFunction) -> ApproximationResult:
     g = {key: sol.primal[j] - sol.primal[j + 1] for key, j in plus.items()}
     tables = [[g.get((axis, v), _F0) for v in range(s)] for axis, s in enumerate(sizes)]
     best_g = SeparableSum(grid, tables)
-    atoms = ((p, sol.dual[2 * i + 1] - sol.dual[2 * i]) for i, p in enumerate(grid.points()))
+    dual = sol.dual  # point i's rows are 2i and 2i + 1; most points have both multipliers 0
+    atoms = ((p, hi - lo) for p, lo, hi in zip(grid.points(), dual[::2], dual[1::2]) if lo or hi)
     mu = FiniteSignedMeasure(grid, tuple((p, m) for p, m in atoms if m))
     result = ApproximationResult(error=error, best_g=best_g, optimal_measure=mu)
     _check_certificate(f, result)

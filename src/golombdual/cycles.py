@@ -302,29 +302,39 @@ def _circuits(
     relations, hits and candidates.
 
     A class holding one chosen column, with no later column in it, keeps
-    that column's weight at zero in every extension, so such a prefix is cut:
-    the loop stops at the smallest last member of the open single classes,
-    and skips a column that is the last one of a class the set does not
-    touch. Each added column fills at most one single class per axis, so a
-    set with more single classes on one axis than the columns it may still
-    add is skipped too; a set of ``cap`` columns is tested only when it has
-    no single class at all.
+    that column's weight at zero in every extension, so such a prefix is cut.
+    Sets of classes are int bitmasks, class c's bit being its rank by (last
+    member, c), and the search passes down the classes the set touches and
+    its single classes, those it holds once. The loop stops at the last
+    member of the lowest single bit's class, the single class that ends
+    first, and skips a column that is the last one of a class the set does
+    not touch. Each added column fills at most one
+    single class per axis, so a set with more single classes on one axis
+    than the columns it may still add is skipped too; a set of ``cap``
+    columns is tested only when it has no single class at all.
     """
     m = len(classes)
     last = [0] * nrows
     for j, cs in enumerate(classes):
         for c in cs:
             last[c] = j
-    closes = [[c for c in cs if last[c] == j] for j, cs in enumerate(classes)]
-    axis_of = [0] * nrows
-    for cs in classes:
+    order = sorted(range(nrows), key=last.__getitem__)  # stable: ties by c
+    bit = [0] * nrows
+    for rank, c in enumerate(order):
+        bit[c] = 1 << rank
+    last_of_bit = [last[c] for c in order]
+    cmask = [0] * m
+    closes = [0] * m
+    axis_masks = [0] * (len(classes[0]) if classes else 0)
+    for j, cs in enumerate(classes):
         for axis, c in enumerate(cs):
-            axis_of[c] = axis
-    axes = len(classes[0]) if classes else 0
+            cmask[j] |= bit[c]
+            axis_masks[axis] |= bit[c]
+            if last[c] == j:
+                closes[j] |= bit[c]
     own = nrows + cap
     cols = _class_columns(classes, nrows)
     levels: list[list[list[int] | None]] = [[col + [0] * cap + [1] for col in cols]]
-    count = [0] * nrows
     chosen: list[int] = []
     basis: list[tuple[int, list[int]]] = []
     hits: list[tuple[tuple[int, ...], list[int]]] = []
@@ -344,21 +354,17 @@ def _circuits(
             levels[d][j] = v
         return v
 
-    def extend(start: int, stop: int, single: list[int]) -> None:
+    def extend(start: int, stop: int, touched: int, single: int) -> None:
         nonlocal tested
         d = len(chosen)
         room = cap - d - 1
         for j in range(start, stop):
-            cs = classes[j]
-            if closes[j] and 0 in [count[c] for c in closes[j]]:
+            if closes[j] & ~touched:
                 continue
-            still = [c for c in single if c not in cs] + [c for c in cs if count[c] == 0]
-            if len(still) > room:
-                per_axis = [0] * axes
-                for c in still:
-                    per_axis[axis_of[c]] += 1
-                if max(per_axis) > room:
-                    continue
+            cm = cmask[j]
+            still = (single & ~cm) | (cm & ~touched)
+            if still.bit_count() > room and any((still & a).bit_count() > room for a in axis_masks):
+                continue
             tested += 1
             if budget is not None and tested > budget:
                 raise _Truncated
@@ -375,20 +381,18 @@ def _circuits(
             chosen.append(j)
             basis.append((pivot, new_row))
             levels.append([None] * m)
-            for c in cs:
-                count[c] += 1
-            extend(j + 1, min([last[c] for c in still], default=m - 1) + 1, still)
-            for c in cs:
-                count[c] -= 1
+            stop_next = last_of_bit[(still & -still).bit_length() - 1] + 1 if still else m
+            extend(j + 1, stop_next, touched | cm, still)
             levels.pop()
             basis.pop()
             chosen.pop()
 
     truncated = False
     try:
-        extend(0, m, [])
+        extend(0, m, 0, 0)
     except _Truncated:
         truncated = True
+    del extend, cleared  # each refers to itself: break the cycles that keep the search alive
     hits.sort(key=lambda h: (len(h[0]), h[0]))
     return hits, tested, truncated
 

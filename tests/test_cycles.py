@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 import sys
 from dataclasses import fields
@@ -644,6 +645,8 @@ SEARCH_SHAPES = tuple((s, t) for s in range(2, 6) for t in range(2, 5)) + (
     (3, 3, 2),
     (2, 2, 2, 2),
 )
+# grids with an axis of size 1, whose one class holds every point
+SIZE_ONE_SHAPES = ((1, 3, 3), (3, 1, 2), (2, 2, 1, 2))
 
 
 def integer_rank_is_exact(points, grid) -> bool:
@@ -791,7 +794,7 @@ class TestCircuitSearchMatchesReference:
         classes, nrows = cycles._class_ids(pts, grid.n)
         return classes, nrows, min(matrix_rank(incidence_matrix(pts, grid)) + 1, len(pts))
 
-    @pytest.mark.parametrize("shape", SEARCH_SHAPES)
+    @pytest.mark.parametrize("shape", SEARCH_SHAPES + SIZE_ONE_SHAPES)
     def test_full_grid_at_every_cap_and_budget(self, shape):
         grid = ProductGrid(shape)
         classes, nrows, top = self.classes_of(grid.points(), grid)
@@ -807,7 +810,8 @@ class TestCircuitSearchMatchesReference:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_point_subsets(self, data):
-        grid = ProductGrid(data.draw(st.sampled_from(((3, 3, 2), (2, 2, 2, 2), (2, 3, 4), (4, 4)))))
+        shapes = ((3, 3, 2), (2, 2, 2, 2), (2, 3, 4), (4, 4)) + SIZE_ONE_SHAPES
+        grid = ProductGrid(data.draw(st.sampled_from(shapes)))
         points = data.draw(
             st.lists(st.sampled_from(tuple(grid.points())), min_size=2, max_size=14, unique=True)
         )
@@ -886,6 +890,25 @@ class TestSearchBudget:
         # every call searches afresh: one candidate short of the whole search
         found, candidates, truncated = cycles._enumerate(grid, None, None, total - 1)
         assert truncated and candidates == total and found == [h for h in full if h in found]
+
+
+class TestSearchFreesItself:
+    """A search holds nothing once its result is dropped: with the cyclic
+    collector off, a dropped result leaves no unreachable object behind, so
+    each search is freed by reference counting when it returns."""
+
+    @pytest.mark.parametrize("shape, budget", (((3, 3, 2), None), ((4, 4), 5)))
+    def test_dropped_search_leaves_no_garbage(self, shape, budget):
+        grid = ProductGrid(shape)
+        gc.collect()
+        gc.disable()
+        try:
+            found, _, truncated = cycles._enumerate(grid, None, None, budget)
+            assert truncated == (budget is not None)
+            del found
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestExtractExtremeCycle:
