@@ -6,7 +6,6 @@ from .linalg import (
     LpProblem,
     LpRows,
     LpSolution,
-    Rat,
     format_rat,
     kernel_basis,
     matrix_rank,
@@ -24,7 +23,6 @@ from .grids import (
     function_to_json,
     incidence_matrix,
     point_index,
-    point_of,
     residual,
     sup_norm,
     tabulate,
@@ -48,11 +46,7 @@ from .cycles import (
     decompose,
     enumerate_minimal_cycles,
     extract_extreme_cycle,
-    find_cycle_vector,
     from_golomb_form,
-    golomb_from_json,
-    golomb_to_json,
-    is_minimal,
     normalize_minimal,
     pair_from_json,
     pair_to_json,

@@ -23,7 +23,7 @@ from typing import Literal, Sequence, get_args
 
 from .chebyshev import _cycle_supremum
 from .cycles import GolombCycle, _enumerate
-from .grids import GridPoint, ProductGrid, TabulatedFunction, _points_from_json
+from .grids import GridPoint, ProductGrid, TabulatedFunction, _points_from_json, _require_keys
 from .measures import FiniteSignedMeasure, _unit_measure
 
 StartAxis = Literal["shared-x-first", "shared-y-first"]
@@ -153,8 +153,7 @@ def bolt_to_json(bolt: Bolt) -> dict:
 
 
 def bolt_from_json(grid: ProductGrid, obj: object) -> Bolt:
-    if not isinstance(obj, dict) or "vertices" not in obj:
-        raise ValueError('bolt JSON needs a "vertices" key')
+    _require_keys(obj, "bolt", "vertices")
     vertices = _points_from_json(obj["vertices"], "vertices")
     closed = obj.get("closed", False)
     if not isinstance(closed, bool):

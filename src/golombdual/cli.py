@@ -46,7 +46,7 @@ def _parse_shape(text: str) -> tuple[int, ...]:
 def _load_function(path: str) -> TabulatedFunction:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if path.endswith(".csv"):
+    if path.lower().endswith(".csv"):
         return function_from_csv(text)
     return function_from_json(json.loads(text))
 
@@ -173,14 +173,15 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("error", _cmd_error, "best approximation error, best g, optimal dual measure")
-    p.add_argument("--input", required=True, help="function file (JSON, or CSV for two axes)")
+    p.add_argument("--input", required=True,
+                   help="function file: CSV (two axes) if named *.csv in any case, else JSON")
 
     p = add("verify", _cmd_verify, "check error == minimal-cycle supremum")
-    p.add_argument("--input", required=True)
+    p.add_argument("--input", required=True, help="function file, read as for error")
     p.add_argument("--max-support", type=int, default=None)
 
     p = add("cycles", _cmd_cycles, "enumerate minimal cycles of a grid")
-    p.add_argument("--input", help="take the grid from this function file")
+    p.add_argument("--input", help="take the grid from this function file, read as for error")
     p.add_argument("--shape", help="grid shape like 3x3x2")
     p.add_argument("--max-support", type=int, default=None)
 
@@ -188,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="measure JSON file")
 
     p = add("bolts", _cmd_bolts, "closed-bolt supremum report (two-axis grids)")
-    p.add_argument("--input", required=True)
+    p.add_argument("--input", required=True, help="function file, read as for error")
 
     p = add("gen", _cmd_gen, "generate a random integer-valued function file")
     p.add_argument("--shape", required=True, help="grid shape like 3x3x2")

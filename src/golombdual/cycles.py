@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, count
+from itertools import compress
 from math import gcd, lcm
 from typing import Sequence
 
@@ -32,7 +32,6 @@ from .grids import (
     _points_from_json,
     _require_keys,
     _same_grid,
-    incidence_matrix,
 )
 from .linalg import (
     CertificateError,
@@ -175,28 +174,6 @@ class Decomposition:
         )
 
 
-def find_cycle_vector(
-    points: Sequence[GridPoint], grid: ProductGrid
-) -> tuple[Fraction, ...] | None:
-    """Some nowhere-zero kernel vector on the given points, or None.
-
-    Starts from the first integer kernel basis vector of the points'
-    incidence columns and greedily adds each further basis vector with the
-    smallest positive integer multiple that avoids cancelling any
-    coordinate already covered. A coordinate left at zero by every basis
-    vector vanishes on the whole kernel, so no cycle vector exists at all.
-    Deterministic for a fixed input order.
-    """
-    basis = kernel_basis(incidence_matrix(points, grid))
-    if not basis or not all(any(col) for col in zip(*basis)):
-        return None
-    v = basis[0]
-    for b in basis[1:]:
-        c = next(c for c in count(1) if all(vj + c * bj for vj, bj in zip(v, b) if vj))
-        v = [vj + c * bj for vj, bj in zip(v, b)]
-    return tuple(Fraction(x) for x in v)
-
-
 def to_golomb_form(pair: CycleVectorPair) -> GolombCycle:
     """Golomb's two-part form of a weighted cycle: the weights scaled to
     coprime integers n_i, each point repeated |n_i| times, positives in b,
@@ -243,13 +220,6 @@ def _normalized_cycle(
         return mc
     except ValueError as exc:
         raise CertificateError(f"a computed relation is not a minimal cycle: {exc}") from None
-
-
-def is_minimal(points: Sequence[GridPoint], grid: ProductGrid) -> bool:
-    """True when the incidence kernel on these points is one dimensional and
-    its spanning vector has no zero entry."""
-    relations = kernel_basis(incidence_matrix(points, grid))
-    return len(relations) == 1 and all(relations[0])
 
 
 def normalize_minimal(points: Sequence[GridPoint], grid: ProductGrid) -> MinimalCycle:
@@ -710,17 +680,3 @@ def pair_from_json(grid: ProductGrid, obj: object) -> CycleVectorPair:
     if not isinstance(obj["lambda"], list):
         raise ValueError('"lambda" must be a list')
     return CycleVectorPair(grid, points, tuple(parse_rat(w) for w in obj["lambda"]))
-
-
-def golomb_to_json(gc: GolombCycle) -> dict:
-    return {
-        "b": [list(p) for p in gc.b_part],
-        "c": [list(p) for p in gc.c_part],
-    }
-
-
-def golomb_from_json(grid: ProductGrid, obj: object) -> GolombCycle:
-    _require_keys(obj, "two-part cycle", "b", "c")
-    return GolombCycle(
-        grid, _points_from_json(obj["b"], "b"), _points_from_json(obj["c"], "c")
-    )

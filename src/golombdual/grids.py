@@ -74,17 +74,6 @@ def point_index(grid: ProductGrid, point: GridPoint) -> int:
     return idx
 
 
-def point_of(grid: ProductGrid, index: int) -> GridPoint:
-    """Inverse of point_index."""
-    if not 0 <= index < grid.volume:
-        raise ValueError(f"flat index {index} out of range for {grid.factor_sizes}")
-    coords = []
-    for s in reversed(grid.factor_sizes):
-        coords.append(index % s)
-        index //= s
-    return tuple(reversed(coords))
-
-
 def _distinct(points: Iterable[GridPoint], grid: ProductGrid) -> list[GridPoint]:
     """The points as checked tuples, raising ValueError on a repeat."""
     pts = [grid.check_point(p) for p in points]
@@ -251,7 +240,7 @@ def _require_keys(obj: object, what: str, *keys: str) -> None:
     ``what`` names the object in the message."""
     if not isinstance(obj, dict) or any(k not in obj for k in keys):
         names = " and ".join(f'"{k}"' for k in keys)
-        raise ValueError(f"{what} JSON needs {names} keys")
+        raise ValueError(f"{what} JSON needs the {names} key{'s' if len(keys) > 1 else ''}")
 
 
 def function_from_json(obj: object) -> TabulatedFunction:

@@ -30,8 +30,6 @@ from math import gcd, lcm
 from types import MappingProxyType
 from typing import Literal, Mapping, Sequence
 
-Rat = Fraction
-
 # characters occasionally pasted in place of an ASCII minus
 _MINUS_VARIANTS = ("−", "–")
 
@@ -466,7 +464,9 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     return LpSolution("optimal", tuple(x), tuple(dual), objective)
 
 
-def _check_optimum(cons: Sequence[_Constraint], c: Sequence[Rat], x: list[Rat], y: list[Rat]) -> Rat:
+def _check_optimum(
+    cons: Sequence[_Constraint], c: Sequence[Fraction], x: list[Fraction], y: list[Fraction]
+) -> Fraction:
     """Weak-duality audit of ``min c.x  s.t.  A x <= b,  x >= 0`` on the
     integer rows ``cons`` the simplex ran on: x >= 0, A x <= b, y <= 0,
     reduced costs ``c - A^T y >= 0`` and ``c.x = b.y``, which make x and y

@@ -312,6 +312,11 @@ class TestBoltJson:
         with pytest.raises(ValueError):
             bolt_from_json(GRID22, {"vertices": [[0, 0], [0, 1], [True, 1], [1, 0]]})
 
+    def test_needs_a_vertices_key(self):
+        for obj in ({}, [[0, 0], [0, 1], [1, 1], [1, 0]]):
+            with pytest.raises(ValueError, match='^bolt JSON needs the "vertices" key$'):
+                bolt_from_json(GRID22, obj)
+
     def test_rejects_vertices_that_are_not_a_list_of_points(self):
         for vertices in (3, [1, 2], [[0, 0], 1]):
             with pytest.raises(ValueError, match='"vertices" must be a list of points'):

@@ -27,7 +27,6 @@ from golombdual import (
     cycle_functional,
     enumerate_minimal_cycles,
     integrate,
-    is_minimal,
     is_orthogonal,
     normalize_minimal,
     optimal_witness_from_dual,
@@ -124,7 +123,6 @@ class TestBestError:
                     mu = best_error(random_table(rng, grid, bound)).optimal_measure
                     if mu.is_zero():
                         continue
-                    assert is_minimal(mu.support, grid)
                     assert normalize_minimal(mu.support, grid).measure() in (mu, -mu)
                     checked += 1
 

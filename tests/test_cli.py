@@ -34,18 +34,17 @@ XY_CSV = "0,0\n0,1\n"
 PUBLIC_NAMES = [
     "ApproximationResult", "Bolt", "CertificateError", "ClosedBolt", "CycleVectorPair",
     "Decomposition", "FiniteSignedMeasure", "GolombCycle", "GolombReport", "GridPoint",
-    "LpProblem", "LpRows", "LpSolution", "MinimalCycle", "ProductGrid", "Rat",
-    "SeparableSum", "TabulatedFunction", "best_error", "bolt_from_json",
-    "bolt_supremum", "bolt_to_json", "closed_bolt_measure", "cycle_functional",
-    "cycle_to_closed_bolts", "decompose", "enumerate_minimal_cycles", "evaluate",
-    "extract_extreme_cycle", "find_cycle_vector", "format_rat", "from_golomb_form",
-    "function_from_csv", "function_from_json", "function_to_json", "golomb_from_json",
-    "golomb_measure", "golomb_to_json", "incidence_matrix", "integrate", "is_bolt",
-    "is_closed_bolt", "is_minimal", "is_orthogonal", "kernel_basis", "main", "marginal",
+    "LpProblem", "LpRows", "LpSolution", "MinimalCycle", "ProductGrid", "SeparableSum",
+    "TabulatedFunction", "best_error", "bolt_from_json", "bolt_supremum",
+    "bolt_to_json", "closed_bolt_measure", "cycle_functional", "cycle_to_closed_bolts",
+    "decompose", "enumerate_minimal_cycles", "evaluate", "extract_extreme_cycle",
+    "format_rat", "from_golomb_form", "function_from_csv", "function_from_json",
+    "function_to_json", "golomb_measure", "incidence_matrix", "integrate", "is_bolt",
+    "is_closed_bolt", "is_orthogonal", "kernel_basis", "main", "marginal",
     "matrix_rank", "measure_from_json", "measure_from_pair", "measure_to_json",
     "normalize_minimal", "optimal_witness_from_dual", "pair_from_json", "pair_to_json",
-    "parse_rat", "point_index", "point_of", "report_to_json", "residual", "solve_lp",
-    "sup_norm", "tabulate", "to_golomb_form", "total_variation", "verify_golomb",
+    "parse_rat", "point_index", "report_to_json", "residual", "solve_lp", "sup_norm",
+    "tabulate", "to_golomb_form", "total_variation", "verify_golomb",
 ]
 
 
@@ -116,6 +115,11 @@ class TestErrorCommand:
             "point": [0, 0],
             "mass": "1/4",
         }
+
+    def test_csv_suffix_in_any_case(self, tmp_path, capsys):
+        lower = run_main(["error", "--input", write(tmp_path / "xy.csv", XY_CSV)], capsys)
+        upper = run_main(["error", "--input", write(tmp_path / "XY.CSV", XY_CSV)], capsys)
+        assert upper == lower and lower[0] == 0
 
     def test_json_input(self, tmp_path, capsys):
         path = write(

@@ -27,13 +27,10 @@ from golombdual import (
     decompose,
     enumerate_minimal_cycles,
     extract_extreme_cycle,
-    find_cycle_vector,
     from_golomb_form,
-    golomb_from_json,
-    golomb_to_json,
     incidence_matrix,
-    is_minimal,
     is_orthogonal,
+    kernel_basis,
     matrix_rank,
     measure_from_pair,
     normalize_minimal,
@@ -281,30 +278,10 @@ def seeded_point_sets(grid: ProductGrid, rng: random.Random, count: int):
             yield tuple(sample) + (rng.choice(sample),)
 
 
-def reference_find_cycle_vector(basis, m):
-    """The greedy combination of ``find_cycle_vector`` on a given basis, in
-    ``Fraction`` arithmetic."""
-    if not basis or any(all(v[j] == 0 for v in basis) for j in range(m)):
-        return None
-    v = list(basis[0])
-    for b in basis[1:]:
-        forbidden = set()
-        for vj, bj in zip(v, b):
-            if bj != 0 and vj != 0:
-                ratio = Fraction(-vj, bj)
-                if ratio > 0 and ratio.denominator == 1:
-                    forbidden.add(int(ratio))
-        c = 1
-        while c in forbidden:
-            c += 1
-        v = [vj + c * bj for vj, bj in zip(v, b)]
-    return tuple(v)
-
-
 class TestCycleHelpersMatchReferences:
-    """``incidence_matrix`` matches the row-by-row reference, and the cycle
-    helpers, which run on the integer class columns, match the Bareiss
-    kernel of that reference matrix."""
+    """``incidence_matrix`` matches the row-by-row reference, and
+    ``normalize_minimal``, which runs on the integer class columns, matches
+    the Bareiss kernel of that reference matrix."""
 
     @pytest.mark.parametrize("shape", ((4, 4), (3, 3, 2), (2, 2, 2, 2)))
     def test_seeded_point_sets(self, shape):
@@ -314,8 +291,7 @@ class TestCycleHelpersMatchReferences:
         for points in seeded_point_sets(grid, rng, 240):
             if len(set(points)) != len(points):
                 kinds["repeated"] += 1
-                for helper in (incidence_matrix, reference_incidence_matrix, is_minimal,
-                               normalize_minimal, find_cycle_vector):
+                for helper in (incidence_matrix, reference_incidence_matrix, normalize_minimal):
                     with pytest.raises(ValueError, match="duplicate"):
                         helper(points, grid)
                 continue
@@ -323,9 +299,6 @@ class TestCycleHelpersMatchReferences:
             assert incidence_matrix(points, grid) == integer_columns(reference)
             basis = bareiss_kernel_basis(reference)
             minimal = len(basis) == 1 and all(basis[0])
-            assert is_minimal(points, grid) == minimal
-            want = reference_find_cycle_vector(basis, len(points))
-            assert find_cycle_vector(points, grid) == want
             ordered = tuple(sorted(points, key=lambda p: point_index(grid, p)))
             if minimal:
                 kinds["minimal"] += 1
@@ -337,64 +310,6 @@ class TestCycleHelpersMatchReferences:
             kinds["wide kernel"] += len(basis) >= 2
             kinds["lonely"] += has_lonely_point(range(len(points)), points, grid.n)
         assert min(kinds.values()) >= 10, kinds
-
-
-class TestFindCycleVector:
-    def test_single_point_has_none(self):
-        assert find_cycle_vector([(0, 0)], GRID22) is None
-
-    def test_pair_sharing_one_coordinate_has_none(self):
-        assert find_cycle_vector([(0, 0), (0, 1)], GRID22) is None
-
-    def test_three_corner_l_shape_has_none(self):
-        assert find_cycle_vector([(0, 0), (0, 1), (1, 0)], GRID22) is None
-
-    def test_square_is_found(self):
-        v = find_cycle_vector(SQUARE, GRID22)
-        ratio = v[0]
-        assert tuple(w / ratio for w in v) == (1, -1, 1, -1)
-
-    def test_six_points_get_an_all_nonzero_vector(self):
-        v = find_cycle_vector(SIX_POINTS, CUBE)
-        assert v == (3, -2, -2, -1, 1, 1)
-        CycleVectorPair(CUBE, SIX_POINTS, v)
-
-    def test_deterministic(self):
-        assert find_cycle_vector(SIX_POINTS, CUBE) == find_cycle_vector(
-            SIX_POINTS, CUBE
-        )
-
-    def test_agrees_with_brute_force_existence(self):
-        # Existence of an all-nonzero kernel vector can be checked directly
-        # on small point sets by scanning rational combinations of the basis.
-        rng = random.Random(17)
-        grid = ProductGrid((3, 2, 2))
-        pts = tuple(grid.points())
-        for _ in range(40):
-            subset = rng.sample(pts, rng.randint(1, 8))
-            found = find_cycle_vector(subset, grid)
-            basis = bareiss_kernel_basis(reference_incidence_matrix(subset, grid))
-            if found is not None:
-                assert all(w != 0 for w in found)
-                assert CycleVectorPair(grid, tuple(subset), tuple(found))
-            if not basis:
-                assert found is None
-                continue
-            exists = False
-            span_coeffs = [
-                coeffs
-                for coeffs in combinations(range(-3, 4), len(basis))
-            ]
-            for coeffs in span_coeffs:
-                combo = [
-                    sum(c * v[j] for c, v in zip(coeffs, basis))
-                    for j in range(len(subset))
-                ]
-                if all(w != 0 for w in combo):
-                    exists = True
-                    break
-            if exists:
-                assert found is not None
 
 
 def coprime_b_first(pair: CycleVectorPair) -> CycleVectorPair:
@@ -469,25 +384,28 @@ class TestGolombConversion:
 
 class TestMinimality:
     def test_five_points_minimal(self):
-        assert is_minimal(FIVE_POINTS, CUBE)
+        normalize_minimal(FIVE_POINTS, CUBE)
 
     def test_six_points_not_minimal(self):
-        assert not is_minimal(SIX_POINTS, CUBE)
+        with pytest.raises(ValueError, match="not a minimal cycle"):
+            normalize_minimal(SIX_POINTS, CUBE)
 
     def test_square_minimal(self):
-        assert is_minimal(SQUARE, GRID22)
+        normalize_minimal(SQUARE, GRID22)
 
     def test_non_cycles_not_minimal(self):
-        assert not is_minimal([(0, 0)], GRID22)
-        assert not is_minimal([(0, 0), (0, 1)], GRID22)
+        for points in ([(0, 0)], [(0, 0), (0, 1)]):
+            with pytest.raises(ValueError, match="not a minimal cycle"):
+                normalize_minimal(points, GRID22)
 
     def test_minimal_sets_have_no_proper_subcycle(self):
+        # a circuit's proper subsets are independent: no relation at all
         for points in (FIVE_POINTS, SQUARE):
             grid = CUBE if len(points[0]) == 3 else GRID22
-            assert is_minimal(points, grid)
+            normalize_minimal(points, grid)
             for size in range(1, len(points)):
                 for subset in combinations(points, size):
-                    assert find_cycle_vector(subset, grid) is None
+                    assert kernel_basis(incidence_matrix(subset, grid)) == []
 
 
 class TestMinimalCycleNormalization:
@@ -755,7 +673,8 @@ class TestCircuitSearch:
                 CycleVectorPair(grid, tuple(mass), weights)
                 with pytest.raises(ValueError, match="not one dimensional"):
                     MinimalCycle(grid, tuple(mass), weights)
-                assert not is_minimal(tuple(mass), grid)
+                with pytest.raises(ValueError, match="not a minimal cycle"):
+                    normalize_minimal(tuple(mass), grid)
                 rejected += 1
 
     @pytest.mark.parametrize(
@@ -933,7 +852,7 @@ class TestExtractExtremeCycle:
         mu = measure_from_pair(pair)
         extracted = extract_extreme_cycle(mu)
         assert set(extracted.points) <= set(SIX_POINTS)
-        assert is_minimal(extracted.points, CUBE)
+        normalize_minimal(extracted.points, CUBE)
         for p, w in zip(extracted.points, extracted.weights):
             assert (w > 0) == (mu.mass_at(p) > 0)
 
@@ -970,7 +889,7 @@ class TestDecompose:
         assert dec.combined() == mu
         for weight, cycle in dec.terms:
             assert weight > 0
-            assert is_minimal(cycle.points, CUBE)
+            normalize_minimal(cycle.points, CUBE)
             assert set(cycle.points) <= set(SIX_POINTS)
 
     def test_rejects_wrong_variation_and_non_orthogonal(self):
@@ -1316,7 +1235,7 @@ class TestExtractionOracle:
             recombined: dict[tuple[int, ...], Fraction] = {}
             for t, mc in dec.terms:
                 assert t > 0
-                assert is_minimal(mc.points, mu.grid)
+                normalize_minimal(mc.points, mu.grid)
                 for p, w in zip(mc.points, mc.weights):
                     assert (w > 0) == (masses[p] > 0)  # p in the support, same sign
                     recombined[p] = recombined.get(p, Fraction(0)) + t * w
@@ -1688,28 +1607,14 @@ class TestCycleJson:
         assert obj["lambda"] == ["2", "-1", "-1", "-1", "1"]
         assert pair_from_json(CUBE, obj) == pair
 
-    def test_golomb_round_trip(self):
-        gc = GolombCycle(GRID22, ((0, 0), (1, 1)), ((0, 1), (1, 0)))
-        obj = golomb_to_json(gc)
-        assert obj == {"b": [[0, 0], [1, 1]], "c": [[0, 1], [1, 0]]}
-        assert golomb_from_json(GRID22, obj) == gc
-
     def test_rejects_malformed(self):
         with pytest.raises(ValueError):
             pair_from_json(GRID22, {"points": [[0, 0]]})
         with pytest.raises(ValueError):
-            golomb_from_json(GRID22, {"b": [[0, 0]]})
-        with pytest.raises(ValueError):
             pair_from_json(GRID22, {"points": [[0, 0], [0, "1"], [1, 0], [1, 1]],
                                     "lambda": ["1", "-1", "-1", "1"]})
-        with pytest.raises(ValueError):
-            golomb_from_json(GRID22, {"b": [[0, 0], [1, 1.9]], "c": [[0, 1], [1, 0]]})
 
     def test_rejects_point_lists_that_are_not_lists_of_points(self):
-        with pytest.raises(ValueError, match='"b" must be a list of points'):
-            golomb_from_json(GRID22, {"b": 1, "c": []})
-        with pytest.raises(ValueError, match='"c" must be a list of points'):
-            golomb_from_json(GRID22, {"b": [[0, 0], [1, 1]], "c": [[0, 1], 5]})
         with pytest.raises(ValueError, match='"points" must be a list of points'):
             pair_from_json(GRID22, {"points": [1], "lambda": ["1"]})
         with pytest.raises(ValueError, match='"points" must be a list of points'):
