@@ -21,10 +21,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Sequence, get_args
 
-from .chebyshev import _cycle_supremum
-from .cycles import GolombCycle, _enumerate
+from .chebyshev import _dual_cycle, best_error
+from .cycles import GolombCycle, to_golomb_form
 from .grids import GridPoint, ProductGrid, TabulatedFunction, _points_from_json, _require_keys
-from .measures import FiniteSignedMeasure, _unit_measure
+from .linalg import CertificateError
+from .measures import FiniteSignedMeasure, _unit_measure, integrate
 
 StartAxis = Literal["shared-x-first", "shared-y-first"]
 
@@ -133,16 +134,39 @@ def cycle_to_closed_bolts(gc: GolombCycle) -> tuple[ClosedBolt, ...]:
     return tuple(bolts)
 
 
-def bolt_supremum(f: TabulatedFunction) -> Fraction:
-    """Supremum of |integral of f| over closed-bolt measures.
+def _bolt_certificate(f: TabulatedFunction) -> tuple[Fraction, Fraction, tuple[ClosedBolt, ...]]:
+    """The error, the closed-bolt supremum and the closed bolts attaining
+    it, read off best_error's audited certificate with no cycle search.
 
-    On two axes every minimal cycle is one closed bolt whose measure is the
-    cycle's own up to sign, so this is the minimal-cycle supremum, taken as
-    verify_golomb takes it; no cycle is converted to bolts. It equals the
-    best-approximation error.
+    Every closed-bolt measure nu annihilates separable sums and has total
+    variation at most 1, so for the audited best g and error E,
+    |int f dnu| = |int (f - g) dnu| <= sup |f - g| = E: a bolt attaining E
+    attains the supremum. For E > 0 the dual measure is one minimal cycle,
+    which on two axes splits into one closed bolt, and the supremum is that
+    bolt's own functional, computed from f and the bolt; at E = 0 it is 0
+    with no bolt. The measure is computed, not read from input, so one that
+    is not a minimal cycle, a split into other than one bolt, or a
+    functional other than E raises CertificateError.
     """
     _require_two_axes(f.grid)
-    return _cycle_supremum(f, _enumerate(f.grid, None, None, None)[0])[0]
+    result = best_error(f)
+    if result.error == 0:
+        return result.error, result.error, ()
+    try:
+        # unpacking raises ValueError unless the split is one bolt
+        (bolt,) = cycle_to_closed_bolts(to_golomb_form(_dual_cycle(result)))
+    except ValueError as exc:
+        raise CertificateError(f"the dual measure is not one closed bolt: {exc}") from None
+    supremum = abs(integrate(f, closed_bolt_measure(bolt)))
+    if supremum != result.error:
+        raise CertificateError(f"the bolt's functional {supremum} is not the error {result.error}")
+    return result.error, supremum, (bolt,)
+
+
+def bolt_supremum(f: TabulatedFunction) -> Fraction:
+    """Supremum of |integral of f| over closed-bolt measures, which equals
+    the best-approximation error (``_bolt_certificate``)."""
+    return _bolt_certificate(f)[1]
 
 
 def bolt_to_json(bolt: Bolt) -> dict:

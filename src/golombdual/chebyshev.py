@@ -261,12 +261,11 @@ def optimal_witness_from_dual(
 ) -> tuple[MinimalCycle, Decomposition]:
     """A minimal cycle achieving the error. For a positive error the dual
     measure is one normalized minimal-cycle measure (module docstring), read
-    off here as the witness and its one-term decomposition; MinimalCycle
-    re-checks it exactly, and any other measure raises ValueError. The
-    witness's weights are the measure's masses, so the certificate check on
-    ``result`` is the check that the witness's functional equals the error.
-    It runs once: on a ``result`` the caller passes, here, and otherwise in
-    ``best_error``.
+    off by ``_dual_cycle`` as the witness and its one-term decomposition;
+    any other measure raises ValueError. The witness's weights are the
+    measure's masses, so the certificate check on ``result`` is the check
+    that the witness's functional equals the error. It runs once: on a
+    ``result`` the caller passes, here, and otherwise in ``best_error``.
     """
     if result is None:
         result = best_error(f)
@@ -274,9 +273,16 @@ def optimal_witness_from_dual(
         _check_certificate(f, result)
     if result.error == 0:
         raise ValueError("zero error: every annihilating measure integrates f to 0")
-    mu = result.optimal_measure
-    cycle = MinimalCycle(mu.grid, mu.support, tuple(m for _, m in mu.atoms))
+    cycle = _dual_cycle(result)
     return cycle, Decomposition(((Fraction(1), cycle),))
+
+
+def _dual_cycle(result: ApproximationResult) -> MinimalCycle:
+    """The dual measure of a positive-error result as the one normalized
+    minimal cycle it is (module docstring), its weights the measure's
+    masses. MinimalCycle re-checks it exactly; any other measure raises
+    ValueError."""
+    return MinimalCycle(result.optimal_measure.grid, *zip(*result.optimal_measure.atoms))
 
 
 def report_to_json(report: GolombReport) -> dict:

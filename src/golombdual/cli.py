@@ -19,9 +19,9 @@ import sys
 from fractions import Fraction
 from typing import Callable
 
-from .bolts import _require_two_axes, bolt_to_json, cycle_to_closed_bolts
+from .bolts import _bolt_certificate, bolt_to_json
 from .chebyshev import DEFAULT_ENUM_BUDGET, best_error, report_to_json, verify_golomb
-from .cycles import _enumerate, _normalized_cycle, decompose, pair_to_json, to_golomb_form
+from .cycles import _enumerate, _normalized_cycle, decompose, pair_to_json
 from .grids import (
     ProductGrid,
     TabulatedFunction,
@@ -73,12 +73,6 @@ def _cmd_error(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cut_short() -> int:
-    print(f"error: the cycle search exceeded its budget of {DEFAULT_ENUM_BUDGET} candidates",
-          file=sys.stderr)
-    return 1
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     f = _load_function(args.input)
     report = verify_golomb(f, max_support=args.max_support)
@@ -97,7 +91,9 @@ def _cmd_cycles(args: argparse.Namespace) -> int:
         grid = _load_function(args.input).grid
     hits, _, truncated = _enumerate(grid, None, args.max_support, DEFAULT_ENUM_BUDGET)
     if truncated:
-        return _cut_short()
+        print(f"error: the cycle search exceeded its budget of {DEFAULT_ENUM_BUDGET} candidates",
+              file=sys.stderr)
+        return 1
     payload = {
         "shape": list(grid.factor_sizes),
         "cycles": [pair_to_json(_normalized_cycle(*hit, grid)) for hit in hits],
@@ -109,13 +105,9 @@ def _cmd_cycles(args: argparse.Namespace) -> int:
 def _cmd_decompose(args: argparse.Namespace) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
         mu = measure_from_json(json.load(fh))
-    dec = decompose(mu)
     payload = {
         "shape": list(mu.grid.factor_sizes),
-        "terms": [
-            {"weight": format_rat(t), "cycle": pair_to_json(c)}
-            for t, c in dec.terms
-        ],
+        "terms": [{"weight": format_rat(t), "cycle": pair_to_json(c)} for t, c in decompose(mu).terms],
     }
     _emit(args, payload)
     return 0
@@ -123,33 +115,25 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 def _cmd_bolts(args: argparse.Namespace) -> int:
     f = _load_function(args.input)
-    _require_two_axes(f.grid)
-    report = verify_golomb(f, budget=DEFAULT_ENUM_BUDGET)
-    if not report.enumerated:
-        return _cut_short()
-    witness = report.witness
-    bolts = () if witness is None else cycle_to_closed_bolts(to_golomb_form(witness))
+    error, supremum, bolts = _bolt_certificate(f)
     payload = {
         "shape": list(f.grid.factor_sizes),
-        "error": format_rat(report.error),
-        "bolt_supremum": format_rat(report.cycle_supremum),
-        "equal": report.equal,
+        "error": format_rat(error),
+        "bolt_supremum": format_rat(supremum),
+        "equal": supremum == error,
         "witness_bolts": [bolt_to_json(cb) for cb in bolts],
     }
     _emit(args, payload)
-    return 0 if report.equal else 1
+    return 0 if supremum == error else 1
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    shape = _parse_shape(args.shape)
+    grid = ProductGrid(_parse_shape(args.shape))
     r = args.value_range
     if r < 0:
         raise ValueError(f"--range must be at least 0, got {r}")
-    grid = ProductGrid(shape)
     rng = random.Random(args.seed)
-    values = tuple(
-        Fraction(rng.randint(-r, r)) for _ in range(grid.volume)
-    )
+    values = tuple(Fraction(rng.randint(-r, r)) for _ in range(grid.volume))
     _emit(args, function_to_json(TabulatedFunction(grid, values)))
     return 0
 

@@ -208,9 +208,10 @@ def _normalized_cycle(
     its points were checked where they entered (``FiniteSignedMeasure``,
     ``grid.points()``, ``_distinct``). A relation that fails a check is a
     fault of that computation, so it raises CertificateError. The one cycle
-    built elsewhere is the dual vertex's: ``chebyshev.optimal_witness_from_dual``
-    builds it from the LP measure's masses, and a measure that is not one
-    minimal cycle raises ValueError there."""
+    built elsewhere is the dual vertex's: ``chebyshev._dual_cycle`` builds
+    it from the LP measure's masses, and a measure that is not one minimal
+    cycle raises ValueError in ``optimal_witness_from_dual`` and
+    CertificateError in the bolt read-out (``bolts._bolt_certificate``)."""
     vec = _primitive(vec)
     total = sum(map(abs, vec))
     mc = object.__new__(MinimalCycle)  # the fields, without __post_init__

@@ -16,6 +16,7 @@ from math import gcd, lcm
 from typing import Mapping
 
 import golombdual.chebyshev as chebyshev
+import golombdual.cli as cli
 import golombdual.cycles as cycles
 from golombdual import (
     ApproximationResult,
@@ -789,6 +790,36 @@ def corrupt_enumeration(monkeypatch, module) -> None:
         return [(p, [2 * r[0]] + r[1:]) for p, r in hits], candidates, truncated
 
     monkeypatch.setattr(module, "_enumerate", corrupted)
+
+
+def forbid_cycle_search(monkeypatch) -> None:
+    """Make every cycle search fail at each binding a path could reach it
+    by: ``_enumerate``, the circuit search ``_circuits`` under it, and
+    ``verify_golomb``, which runs it."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a cycle search ran")
+
+    for module, name in ((cycles, "_enumerate"), (cycles, "_circuits"), (chebyshev, "_enumerate"),
+                         (chebyshev, "verify_golomb"), (cli, "_enumerate"), (cli, "verify_golomb")):
+        monkeypatch.setattr(module, name, forbidden)
+
+
+def spread_dual_measure(monkeypatch, module) -> None:
+    """Make ``module.best_error`` return its audited result with the dual
+    measure replaced by the sum of the closed bolts' measures on the squares
+    of the two diagonal 2x2 blocks, at weight 1/2 each. On the 4x4 identity
+    table each bolt integrates f to the error, so the sum passes every check
+    of ``chebyshev._check_certificate``, yet it is not one minimal cycle."""
+    real = module.best_error
+
+    def spread(f: TabulatedFunction) -> ApproximationResult:
+        result = real(f)
+        a, b = (closed_bolt_measure(ClosedBolt(f.grid, [(x + s, y + s) for x, y in SQUARE]))
+                for s in (0, 2))
+        return ApproximationResult(result.error, result.best_g, Fraction(1, 2) * (a + b))
+
+    monkeypatch.setattr(module, "best_error", spread)
 
 
 def fraction_certificate_audit(f: TabulatedFunction, result: ApproximationResult) -> None:

@@ -10,6 +10,7 @@ import pytest
 
 from golombdual import (
     Bolt,
+    CertificateError,
     ClosedBolt,
     GolombCycle,
     ProductGrid,
@@ -38,6 +39,7 @@ from conftest import (
     reference_cycle_to_closed_bolts,
     reference_is_bolt,
     reference_is_closed_bolt,
+    spread_dual_measure,
     table,
 )
 
@@ -284,6 +286,14 @@ class TestBoltSupremum:
         rng = random.Random(27)
         f = random_table(rng, ProductGrid((2, 2, 2)))
         with pytest.raises(ValueError):
+            bolt_supremum(f)
+
+    def test_a_dual_measure_that_is_not_one_cycle_is_a_certificate_error(self, monkeypatch):
+        import golombdual.bolts as bolts
+
+        f = table((4, 4), [1 if x == y else 0 for x in range(4) for y in range(4)])
+        spread_dual_measure(monkeypatch, bolts)
+        with pytest.raises(CertificateError, match="not one closed bolt"):
             bolt_supremum(f)
 
 

@@ -46,6 +46,7 @@ from conftest import (
     SQUARE,
     corrupt_enumeration,
     cycle_supremum_by_functional,
+    forbid_cycle_search,
     fraction_certificate_audit,
     lp,
     random_separable,
@@ -745,15 +746,24 @@ class TestOnlyTheWitnessIsBuilt:
         calls = self.count_builds(monkeypatch)
         grid = ProductGrid(shape)
         rng = random.Random(4146)
-        for f in (random_table(rng, grid), tabulate(random_separable(rng, grid))):
+        tables = (random_table(rng, grid), tabulate(random_separable(rng, grid)))
+        errors = []
+        for f in tables:
             calls.clear()
             report = verify_golomb(f)
             assert report.equal
             assert len(calls) == (1 if report.error > 0 else 0)
-            if grid.n == 2:
+            errors.append(report.error)
+        if grid.n == 2:
+            # bolt_supremum searches no cycle: it builds one MinimalCycle,
+            # the dual vertex's, and none at error 0
+            forbid_cycle_search(monkeypatch)
+            real = chebyshev.MinimalCycle
+            monkeypatch.setattr(chebyshev, "MinimalCycle", lambda *args: calls.append(args) or real(*args))
+            for f, error in zip(tables, errors):
                 calls.clear()
-                assert bolt_supremum(f) == report.error
-                assert len(calls) == (1 if report.error > 0 else 0)
+                assert bolt_supremum(f) == error
+                assert len(calls) == (1 if error > 0 else 0)
 
 
 class TestWitnessAudit:

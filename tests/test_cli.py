@@ -12,9 +12,18 @@ from pathlib import Path
 
 import pytest
 
+import golombdual.bolts as bolts
 import golombdual.chebyshev as chebyshev
 import golombdual.cli as cli
-from golombdual import LpSolution, MinimalCycle, function_from_json, measure_to_json
+from golombdual import (
+    LpSolution,
+    MinimalCycle,
+    bolt_from_json,
+    closed_bolt_measure,
+    function_from_json,
+    integrate,
+    measure_to_json,
+)
 from golombdual.cli import main
 
 from conftest import (
@@ -26,6 +35,8 @@ from conftest import (
     corrupt_relations,
     corrupt_term_weights,
     corrupt_walk,
+    forbid_cycle_search,
+    spread_dual_measure,
 )
 
 XY_CSV = "0,0\n0,1\n"
@@ -252,11 +263,11 @@ class TestCyclesCommand:
 
 
 class TestSearchBudget:
-    """bolts and cycles run under verify's candidate budget; a search it
-    cuts short exits 1 with a message and writes no report. The budget is
-    lowered to 1 here: reaching the real 2^20 takes a 6x6 grid."""
+    """cycles runs under verify's candidate budget; a search it cuts short
+    exits 1 with a message and writes no report. The budget is lowered to 1
+    here: reaching the real 2^20 takes a 6x6 grid."""
 
-    @pytest.mark.parametrize("command", ("bolts", "cycles"))
+    @pytest.mark.parametrize("command", ("cycles",))
     def test_cut_search_exits_one_without_a_report(self, command, tmp_path, capsys, monkeypatch):
         path = str(tmp_path / "f.json")
         assert main(["gen", "--shape", "3x3", "--seed", "31", "--output", path]) == 0
@@ -346,8 +357,8 @@ class TestBoltsCommand:
         ]
 
     def test_witness_bolts_of_a_seeded_3x4_table(self, tmp_path, capsys):
-        # two six-point cycles attain 25/6 here; the witness is the first
-        # one in enumeration order
+        # two six-point cycles attain 25/6 here; the witness is the closed
+        # bolt of the LP's dual vertex
         path = str(tmp_path / "f.json")
         assert main(["gen", "--shape", "3x4", "--seed", "17", "--output", path]) == 0
         code, out, _ = run_main(["bolts", "--input", path], capsys)
@@ -355,12 +366,67 @@ class TestBoltsCommand:
         obj = json.loads(out)
         assert (obj["error"], obj["bolt_supremum"], obj["equal"]) == ("25/6", "25/6", True)
         assert obj["witness_bolts"] == [
-            {"vertices": [[0, 0], [0, 2], [1, 2], [1, 3], [2, 3], [2, 0]], "closed": True}
+            {"vertices": [[0, 1], [0, 2], [1, 2], [1, 3], [2, 3], [2, 1]], "closed": True}
         ]
 
+    def test_answers_past_the_search_budget(self, tmp_path, capsys):
+        # a cycle search on 8x8 exceeds verify's 2^20 candidates; bolts runs none
+        path = str(tmp_path / "f.json")
+        assert main(["gen", "--shape", "8x8", "--seed", "1", "--output", path]) == 0
+        code, out, _ = run_main(["bolts", "--input", path], capsys)
+        assert code == 0
+        obj = json.loads(out)
+        assert (obj["error"], obj["bolt_supremum"], obj["equal"]) == ("37/4", "37/4", True)
+        (bolt,) = obj["witness_bolts"]
+        f = function_from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+        assert bolt["closed"] is True
+        assert integrate(f, closed_bolt_measure(bolt_from_json(f.grid, bolt))) == Fraction(37, 4)
+
+    def test_searches_no_cycle_and_audits_once(self, tmp_path, capsys, monkeypatch):
+        # the report is read off best_error's certificate, whose one audit
+        # is the call's only one
+        gen = str(tmp_path / "gen.json")
+        assert main(["gen", "--shape", "3x4", "--seed", "17", "--output", gen]) == 0
+        paths = [write(tmp_path / "xy.csv", XY_CSV), write(tmp_path / "zero.csv", "0,1\n1,2\n"), gen]
+        forbid_cycle_search(monkeypatch)
+        calls = []
+        real = chebyshev._check_certificate
+
+        def counted(f, result):
+            calls.append(1)
+            real(f, result)
+
+        monkeypatch.setattr(chebyshev, "_check_certificate", counted)
+        for path in paths:
+            calls.clear()
+            code, out, _ = run_main(["bolts", "--input", path], capsys)
+            assert (code, json.loads(out)["equal"], len(calls)) == (0, True, 1)
+
+    @pytest.mark.parametrize("corruption", ["spread-measure", "two-bolts", "functional"])
+    def test_a_failed_read_out_exits_3(self, corruption, tmp_path, capsys, monkeypatch):
+        # the 4x4 identity table; the dual measure is computed, not read
+        # from input, so a read-out that fails is a certificate error
+        rows = [",".join("1" if x == y else "0" for y in range(4)) for x in range(4)]
+        path = write(tmp_path / "f.csv", "\n".join(rows) + "\n")
+        if corruption == "spread-measure":
+            spread_dual_measure(monkeypatch, bolts)
+        elif corruption == "two-bolts":
+            split = bolts.cycle_to_closed_bolts
+            monkeypatch.setattr(bolts, "cycle_to_closed_bolts", lambda gc: split(gc) * 2)
+        else:
+            real = bolts.integrate
+            monkeypatch.setattr(bolts, "integrate", lambda f, mu: real(f, mu) / 2)
+        out = tmp_path / "report.json"
+        code, stdout, err = run_main(["bolts", "--input", path, "--output", str(out)], capsys)
+        assert (code, stdout) == (3, "")
+        message = {"spread-measure": "not minimal", "two-bolts": "too many values to unpack",
+                   "functional": "is not the error"}[corruption]
+        assert err.startswith("certificate error: ") and message in err
+        assert not out.exists()
+
     def test_takes_no_support_cap(self, tmp_path, capsys):
-        # bolts always runs the full search: a capped one could only report
-        # a missed witness as a failure of the duality
+        # bolts reads its bolt off the LP's certificate and searches no
+        # cycle, so there is no search to cap
         path = write(tmp_path / "xy.csv", XY_CSV)
         with pytest.raises(SystemExit) as exc:
             main(["bolts", "--input", path, "--max-support", "3"])
