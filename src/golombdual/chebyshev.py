@@ -215,18 +215,15 @@ def _cycle_supremum(
     return supremum, witness
 
 
-def verify_golomb(
-    f: TabulatedFunction,
-    max_support: int | None = None,
-    budget: int | None = DEFAULT_ENUM_BUDGET,
-) -> GolombReport:
+def verify_golomb(f: TabulatedFunction, max_support: int | None = None) -> GolombReport:
     """Check the duality formula on f's grid: the best-approximation error
     must equal the maximum of |integral of f| over all minimal cycles.
 
     Each call searches afresh and takes the maximum on the integer relations,
-    building only the witness (``_cycle_supremum``). The candidate budget
-    (point sets whose independence was tested) caps the search; past it the
-    report says so instead of guessing a verdict. The enumeration runs
+    building only the witness (``_cycle_supremum``). DEFAULT_ENUM_BUDGET,
+    read at call time, caps the search's candidates (point sets whose
+    independence was tested); past it the report says so instead of
+    guessing a verdict. The enumeration runs
     first, so a support cap below 2 is rejected before the LP is solved.
 
     A minimal cycle is a circuit of the incidence columns, so it has at most
@@ -234,7 +231,7 @@ def verify_golomb(
     sum(s_i) - n + 1, the dimension of the separable sums. A cap at least
     that large misses no cycle, and the report is complete.
     """
-    hits, _, truncated = _enumerate(f.grid, None, max_support, budget)
+    hits, _, truncated = _enumerate(f.grid, None, max_support, DEFAULT_ENUM_BUDGET)
     sizes = f.grid.factor_sizes
     largest = min(sum(sizes) - len(sizes) + 2, f.grid.volume)
     complete = not truncated and (max_support is None or max_support >= largest)

@@ -89,9 +89,10 @@ def _cmd_cycles(args: argparse.Namespace) -> int:
         grid = ProductGrid(_parse_shape(args.shape))
     else:
         grid = _load_function(args.input).grid
-    hits, _, truncated = _enumerate(grid, None, args.max_support, DEFAULT_ENUM_BUDGET)
+    hits, candidates, truncated = _enumerate(grid, None, args.max_support, DEFAULT_ENUM_BUDGET)
     if truncated:
-        print(f"error: the cycle search exceeded its budget of {DEFAULT_ENUM_BUDGET} candidates",
+        unit = "candidates" if candidates > DEFAULT_ENUM_BUDGET else "cycles"
+        print(f"error: the cycle search exceeded its budget of {DEFAULT_ENUM_BUDGET} {unit}",
               file=sys.stderr)
         return 1
     payload = {
@@ -124,7 +125,7 @@ def _cmd_bolts(args: argparse.Namespace) -> int:
         "witness_bolts": [bolt_to_json(cb) for cb in bolts],
     }
     _emit(args, payload)
-    return 0 if supremum == error else 1
+    return 0  # _bolt_certificate raises CertificateError unless the supremum is the error
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:

@@ -16,10 +16,11 @@ both parts.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Sequence
 
 from .grids import (
@@ -239,10 +240,11 @@ class _Truncated(Exception):
 
 
 def _circuits(
-    classes: list[tuple[int, ...]], nrows: int, cap: int, budget: int | None
+    classes: list[tuple[int, ...]], nrows: int, cap: int, budget: int | None, stop: int | None = None
 ) -> tuple[list[tuple[tuple[int, ...], list[int]]], int, bool]:
     """Every circuit of at most ``cap`` columns of the incidence matrix whose
-    column j holds a 1 in rows ``classes[j]``, as (column indices ascending,
+    column j holds a 1 in rows ``classes[j]`` and whose first column is
+    below ``stop`` (any, by default), as (column indices ascending,
     primitive integer relation with its first entry positive), by size and
     then indices; the number of sets whose independence was tested; and
     whether that number exceeded ``budget``, in which case the search
@@ -360,7 +362,7 @@ def _circuits(
 
     truncated = False
     try:
-        extend(0, m, 0, 0)
+        extend(0, m if stop is None else stop, 0, 0)
     except _Truncated:
         truncated = True
     del extend, cleared  # each refers to itself: break the cycles that keep the search alive
@@ -383,14 +385,78 @@ def _enumerate(
     ``_circuits``); the search stops and reports truncation as soon as the
     count would exceed the budget, with the cycles found so far. A support
     cap below 2 admits no cycle at all and raises ValueError.
+
+    On the full grid only the circuits through the origin are searched, and
+    ``_images`` writes out the rest, each one cycle of the output; the
+    budget caps their number too. A search cut short, or whose images would
+    exceed the budget, writes out none: it returns the circuits through the
+    origin found so far, truncated.
     """
     if max_support is not None and max_support < 2:
         raise ValueError(f"max_support must be at least 2, got {max_support}")
     pts = tuple(grid.points()) if points is None else tuple(sorted(_distinct(points, grid)))
     classes, nrows = _class_ids(pts, grid.n)
     cap = matrix_rank(_class_columns(classes, nrows)) + 1 if max_support is None else max_support
-    hits, candidates, truncated = _circuits(classes, nrows, min(cap, len(pts)), budget)
+    stop = 1 if points is None else None
+    hits, candidates, truncated = _circuits(classes, nrows, min(cap, len(pts)), budget, stop)
+    if points is None and not truncated:
+        images = _images(grid, pts, hits, budget)
+        if images is not None:
+            return images, candidates, False
+        truncated = True
     return [(tuple(pts[i] for i in sup), rel) for sup, rel in hits], candidates, truncated
+
+
+def _images(
+    grid: ProductGrid,
+    pts: tuple[GridPoint, ...],
+    hits: list[tuple[tuple[int, ...], list[int]]],
+    budget: int | None,
+) -> list[tuple[tuple[GridPoint, ...], list[int]]] | None:
+    """Every circuit of the full grid ``pts``, each once, as ``_enumerate``'s
+    hits, from ``_circuits``' hits through the origin, which index ``pts``;
+    None, before any is written out, when there are more than ``budget``.
+
+    For a point q, sigma_q swaps the values 0 and q_i on every axis i. It
+    permutes each axis's classes, so it maps circuits to circuits with the
+    same relation point for point, and it is its own inverse. A circuit C
+    whose first point is q is so sigma_q(C0) for one C0 = sigma_q(C)
+    through the origin, and q = sigma_q(0) carries the origin's entry, the
+    positive first one. A point p != 0 of C0 whose first nonzero axis is i
+    maps below q exactly when 0 < q_i and p_i <= q_i, so q is the first
+    point of sigma_q(C0) exactly when q lies in the box of the q_i below
+    every such p_i. Those p have flat indices in [t_i, s_i t_i), t_i the
+    stride of axis i, and p_i = k // t_i, least at the least such index k;
+    the least index k >= t_i past that range, or len(pts) when there is
+    none, has k // t_i >= s_i, so the box's side is min(s_i, k // t_i).
+
+    The images of one hit are its flat indices under every sigma_q of its
+    box, built axis by axis: sigma_0 is the identity, and value a of axis i
+    moves the entries whose value there is 0 up by a t_i and those whose
+    value is a down by as much. Nothing is kept per point of the grid.
+    """
+    sizes = grid.factor_sizes
+    strides = [prod(sizes[i + 1 :]) for i in range(len(sizes))]
+    ends = [sup + (len(pts),) for sup, _ in hits]
+    boxes = [[min(s, k[bisect_left(k, t)] // t) for s, t in zip(sizes, strides)] for k in ends]
+    if budget is not None and sum(map(prod, boxes)) > budget:
+        return None
+    out = []
+    for (sup, rel), sides in zip(hits, boxes):
+        images = [list(sup)]
+        for side, t, values in zip(sides, strides, zip(*[pts[k] for k in sup])):
+            if side > 1:
+                moves = [
+                    [t * (a if v == 0 else -a if v == a else 0) for v in values]
+                    for a in range(1, side)
+                ]
+                images += [[x + y for x, y in zip(image, move)] for image in images for move in moves]
+        for image in images:
+            pairs = sorted(zip(image, rel))
+            out.append((tuple([pts[k] for k, _ in pairs]), [n for _, n in pairs]))
+    # points in flat-index order compare as their flat indices do
+    out.sort(key=lambda h: (len(h[0]), h[0]))
+    return out
 
 
 def enumerate_minimal_cycles(

@@ -562,16 +562,20 @@ class TestVerifyGolomb:
                 assert report.equal
                 assert report.cycles_examined > 0
 
-    def test_budget_exhaustion_reports_not_enumerated(self):
-        rng = random.Random(10)
-        f = random_table(rng, ProductGrid((3, 3)))
-        report = verify_golomb(f, budget=1)
+    def test_budget_exhaustion_reports_not_enumerated(self, monkeypatch):
+        # verify_golomb reads DEFAULT_ENUM_BUDGET when it is called: at 1 the
+        # search itself stops after one candidate, and with none it finishes
+        f = random_table(random.Random(10), ProductGrid((3, 3)))
+        monkeypatch.setattr(chebyshev, "DEFAULT_ENUM_BUDGET", 1)
+        report = verify_golomb(f)
         assert not report.enumerated
         assert not report.complete
         assert not report.equal
         assert report.cycle_supremum is None
         assert report.witness is None
         assert report.cycles_examined == 0
+        monkeypatch.setattr(chebyshev, "DEFAULT_ENUM_BUDGET", None)
+        assert verify_golomb(f).enumerated
 
     def test_support_cap_can_miss_the_witness(self):
         report = verify_golomb(XY, max_support=3)
@@ -614,19 +618,6 @@ class TestVerifyGolomb:
         for cap in (-3, 0, 1):
             with pytest.raises(ValueError, match="at least 2"):
                 verify_golomb(f, max_support=cap)
-
-    def test_budget_cut_inside_the_search(self):
-        # the search itself stops after one candidate
-        f = random_table(random.Random(10), ProductGrid((3, 3)))
-        report = verify_golomb(f, budget=1)
-        assert not report.enumerated
-        assert not report.complete
-        assert not report.equal
-        assert report.cycle_supremum is None
-        assert report.witness is None
-        assert report.cycles_examined == 0
-        assert not report.complete
-        assert verify_golomb(f, budget=None).enumerated
 
     def test_report_json(self):
         obj = report_to_json(verify_golomb(XY))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import random
 import sys
+import tracemalloc
 from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations
@@ -40,6 +41,7 @@ from golombdual import (
     to_golomb_form,
     total_variation,
 )
+from golombdual.chebyshev import DEFAULT_ENUM_BUDGET
 from golombdual.linalg import _int_row
 
 from conftest import (
@@ -678,13 +680,13 @@ class TestCircuitSearch:
                 rejected += 1
 
     @pytest.mark.parametrize(
-        ("shape", "steps"), (((3, 3, 2), 22023), ((2, 2, 2, 2), 14769), ((4, 4), 3888))
+        ("shape", "steps"), (((3, 3, 2), 8318), ((2, 2, 2, 2), 5710), ((4, 4), 1658))
     )
     def test_each_depth_keeps_its_cleared_columns(self, shape, steps):
         # every read of a cleared column goes through _circuits' inner
         # cleared, which stores what it computes in levels[d][j]; a search
-        # that recomputed a stored column would call it more often (55779,
-        # 36479 and 8045 times without the store)
+        # that recomputed a stored column would call it more often (21614,
+        # 14591 and 3560 times without the store)
         calls = []
 
         def profile(frame, event, arg):
@@ -744,10 +746,10 @@ class TestCircuitSearchMatchesReference:
     @pytest.mark.parametrize(
         "shape, found, candidates",
         (
-            ((3, 3, 2), 1740, 9361),
-            ((2, 2, 2, 2), 1348, 6908),
-            ((4, 4), 204, 1454),
-            ((5, 5), 3940, 57352),
+            ((3, 3, 2), 1740, 3577),
+            ((2, 2, 2, 2), 1348, 2727),
+            ((4, 4), 204, 620),
+            ((5, 5), 3940, 19967),
         ),
     )
     def test_full_grid_counts(self, shape, found, candidates):
@@ -798,17 +800,22 @@ class TestSearchBudget:
         assert cycles._circuits(classes, nrows, cap, tested) == (hits, tested, False)
 
     def test_enumerate_truncates_exactly_past_the_budget(self):
-        grid = ProductGrid((4, 4))
-        full, total, truncated = cycles._enumerate(grid, None, None, None)
-        assert not truncated
-        for b in (0, 1, total // 2, total - 1):
-            found, candidates, truncated = cycles._enumerate(grid, None, None, b)
-            assert truncated and candidates == b + 1
-            assert found == [h for h in full if h in found]
-        assert cycles._enumerate(grid, None, None, total) == (full, total, False)
-        # every call searches afresh: one candidate short of the whole search
-        found, candidates, truncated = cycles._enumerate(grid, None, None, total - 1)
-        assert truncated and candidates == total and found == [h for h in full if h in found]
+        # a cut search on the full grid returns only circuits through the
+        # origin (TestSearchThroughTheOrigin), a subsequence of the full order
+        for shape in ((4, 4), (3, 3, 2)):
+            grid = ProductGrid(shape)
+            origin = (0,) * grid.n
+            full, total, truncated = cycles._enumerate(grid, None, None, None)
+            assert not truncated
+            for b in (0, 1, total // 2, total - 1):
+                found, candidates, truncated = cycles._enumerate(grid, None, None, b)
+                assert truncated and candidates == b + 1
+                assert found == [h for h in full if h in found]
+                assert all(h[0][0] == origin for h in found)
+            assert cycles._enumerate(grid, None, None, total) == (full, total, False)
+            # every call searches afresh: one candidate short of the whole search
+            found, candidates, truncated = cycles._enumerate(grid, None, None, total - 1)
+            assert truncated and candidates == total and found == [h for h in full if h in found]
 
 
 class TestSearchFreesItself:
@@ -828,6 +835,68 @@ class TestSearchFreesItself:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestSearchThroughTheOrigin:
+    """On the full grid ``_enumerate`` searches only the circuits through the
+    origin and writes out every other one as an image under the per-axis
+    swaps of 0 with one value (``cycles._images``). A point subset keeps the
+    full search, which is the oracle here."""
+
+    @pytest.mark.parametrize("shape", SEARCH_SHAPES + SIZE_ONE_SHAPES)
+    def test_images_are_the_full_search_at_every_cap(self, shape):
+        grid = ProductGrid(shape)
+        pts = tuple(grid.points())
+        top = min(matrix_rank(incidence_matrix(pts, grid)) + 1, len(pts))
+        for cap in (None, *range(2, top + 1)):
+            found, _, truncated = cycles._enumerate(grid, None, cap, None)
+            full, _, cut = cycles._enumerate(grid, pts, cap, None)
+            assert not truncated and not cut
+            assert found == full
+
+    @pytest.mark.parametrize("shape", SEARCH_SHAPES + SIZE_ONE_SHAPES)
+    def test_first_column_stop_keeps_the_circuits_through_it(self, shape):
+        grid = ProductGrid(shape)
+        classes, nrows, top = TestCircuitSearchMatchesReference.classes_of(grid.points(), grid)
+        hits, tested, _ = reference_circuits(classes, nrows, top, None)
+        through, count, truncated = cycles._circuits(classes, nrows, top, None, 1)
+        assert through == [h for h in hits if h[0][0] == 0]
+        assert not truncated and count <= tested
+
+    @pytest.mark.parametrize(("shape", "cap"), (((8, 8), 4), ((3, 3, 2), 4)))
+    def test_the_budget_caps_the_images(self, shape, cap):
+        # 8x8 at cap 4 tests 142 candidates and writes out 784 rectangles:
+        # a budget between the two finishes the search through the origin
+        # and writes out none of its images
+        grid = ProductGrid(shape)
+        origin = (0,) * grid.n
+        full, total, truncated = cycles._enumerate(grid, None, cap, None)
+        assert not truncated and total < len(full)
+        through = [h for h in full if h[0][0] == origin]
+        for b in (total, len(full) - 1):
+            assert cycles._enumerate(grid, None, cap, b) == (through, total, True)
+        assert cycles._enumerate(grid, None, cap, len(full)) == (full, total, False)
+
+    def test_images_past_the_budget_truncate_the_search(self):
+        # at cap 4 the search through the origin of 64x64 finishes in 11846
+        # candidates and finds its 63^2 rectangles, whose 2016^2 images
+        # exceed DEFAULT_ENUM_BUDGET: none is written out, as at a search cut
+        # short, and the whole cap-4 search is cut at the budget
+        found, candidates, truncated = cycles._enumerate(
+            ProductGrid((64, 64)), None, 4, DEFAULT_ENUM_BUDGET
+        )
+        assert truncated and (len(found), candidates) == (63**2, 11846)
+        assert all(h[0][0] == (0, 0) for h in found)
+
+    def test_a_cut_search_builds_nothing_per_point(self):
+        # a |grid|^2 table of the swaps on 32x32 would take about 32 MiB
+        tracemalloc.start()
+        try:
+            _, _, truncated = cycles._enumerate(ProductGrid((32, 32)), None, None, 10**3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert truncated and peak < 6 * 2**20
 
 
 class TestExtractExtremeCycle:
