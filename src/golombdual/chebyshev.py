@@ -221,10 +221,12 @@ def verify_golomb(f: TabulatedFunction, max_support: int | None = None) -> Golom
 
     Each call searches afresh and takes the maximum on the integer relations,
     building only the witness (``_cycle_supremum``). DEFAULT_ENUM_BUDGET,
-    read at call time, caps the search's candidates (point sets whose
-    independence was tested); past it the report says so instead of
-    guessing a verdict. The enumeration runs
-    first, so a support cap below 2 is rejected before the LP is solved.
+    read at call time, caps two counts, each on its own: the search's
+    candidates (point sets whose independence was tested) and the cycles
+    written out from the circuits through the grid's first point; past
+    either the report says so instead of guessing a verdict. The
+    enumeration runs first, so a support cap below 2 is rejected before
+    the LP is solved.
 
     A minimal cycle is a circuit of the incidence columns, so it has at most
     rank + 1 points, and at most |grid|; the full grid's incidence has rank

@@ -19,8 +19,9 @@ import sys
 from fractions import Fraction
 from typing import Callable
 
+from . import chebyshev
 from .bolts import _bolt_certificate, bolt_to_json
-from .chebyshev import DEFAULT_ENUM_BUDGET, best_error, report_to_json, verify_golomb
+from .chebyshev import best_error, report_to_json, verify_golomb
 from .cycles import _enumerate, _normalized_cycle, decompose, pair_to_json
 from .grids import (
     ProductGrid,
@@ -83,17 +84,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_cycles(args: argparse.Namespace) -> int:
-    if (args.shape is None) == (not args.input):
-        raise ValueError("cycles needs exactly one of --shape and --input")
-    if args.shape is not None:
-        grid = ProductGrid(_parse_shape(args.shape))
-    else:
-        grid = _load_function(args.input).grid
-    hits, candidates, truncated = _enumerate(grid, None, args.max_support, DEFAULT_ENUM_BUDGET)
+    grid = ProductGrid(_parse_shape(args.shape))
+    budget = chebyshev.DEFAULT_ENUM_BUDGET  # read per call, as verify_golomb reads it
+    hits, candidates, truncated = _enumerate(grid, None, args.max_support, budget)
     if truncated:
-        unit = "candidates" if candidates > DEFAULT_ENUM_BUDGET else "cycles"
-        print(f"error: the cycle search exceeded its budget of {DEFAULT_ENUM_BUDGET} {unit}",
-              file=sys.stderr)
+        unit = "candidates" if candidates > budget else "cycles"
+        print(f"error: the cycle search exceeded its budget of {budget} {unit}", file=sys.stderr)
         return 1
     payload = {
         "shape": list(grid.factor_sizes),
@@ -166,8 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-support", type=int, default=None)
 
     p = add("cycles", _cmd_cycles, "enumerate minimal cycles of a grid")
-    p.add_argument("--input", help="take the grid from this function file, read as for error")
-    p.add_argument("--shape", help="grid shape like 3x3x2")
+    p.add_argument("--shape", required=True, help="grid shape like 3x3x2")
     p.add_argument("--max-support", type=int, default=None)
 
     p = add("decompose", _cmd_decompose, "decompose an annihilating measure into minimal cycles")

@@ -13,6 +13,7 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import prod
 from typing import Iterable, Iterator, Sequence
 
 from .linalg import _as_rat, format_rat, parse_rat
@@ -39,10 +40,7 @@ class ProductGrid:
 
     @property
     def volume(self) -> int:
-        v = 1
-        for s in self.factor_sizes:
-            v *= s
-        return v
+        return prod(self.factor_sizes)
 
     def points(self) -> Iterator[GridPoint]:
         """All grid points in row-major (flat index) order."""
@@ -156,8 +154,7 @@ def evaluate(g: SeparableSum, point: GridPoint) -> Fraction:
 
 
 def tabulate(g: SeparableSum) -> TabulatedFunction:
-    values = [evaluate(g, p) for p in g.grid.points()]
-    return TabulatedFunction(g.grid, tuple(values))
+    return TabulatedFunction(g.grid, tuple(evaluate(g, p) for p in g.grid.points()))
 
 
 def residual(f: TabulatedFunction, g: SeparableSum) -> TabulatedFunction:

@@ -190,11 +190,9 @@ class TestVerifyCommand:
         # a cap below 2 scans nothing; it must not read as a duality failure
         path = str(tmp_path / "f.json")
         assert main(["gen", "--shape", "3x3", "--seed", "31", "--output", path]) == 0
-        for command in ("verify", "cycles"):
+        for argv in (["verify", "--input", path], ["cycles", "--shape", "3x3"]):
             for cap in ("-3", "0", "1"):
-                code, out, err = run_main(
-                    [command, "--input", path, "--max-support", cap], capsys
-                )
+                code, out, err = run_main([*argv, "--max-support", cap], capsys)
                 assert (code, out) == (2, "")
                 assert "max_support must be at least 2" in err
         code, out, _ = run_main(["verify", "--input", path, "--max-support", "2"], capsys)
@@ -237,23 +235,28 @@ class TestCyclesCommand:
             }
         ]
 
-    def test_from_input_grid(self, tmp_path, capsys):
-        path = write(tmp_path / "f.csv", "0,0\n0,1\n")
-        code, out, _ = run_main(["cycles", "--input", path], capsys)
+    def test_shape_3x3(self, capsys):
+        # nine rectangles, and six hexagons that meet every row and column
+        code, out, _ = run_main(["cycles", "--shape", "3x3"], capsys)
         assert code == 0
-        assert len(json.loads(out)["cycles"]) == 1
+        obj = json.loads(out)
+        assert obj["shape"] == [3, 3]
+        assert sorted(len(c["points"]) for c in obj["cycles"]) == [4] * 9 + [6] * 6
 
-    def test_needs_shape_or_input(self, capsys):
-        code, _, err = run_main(["cycles"], capsys)
-        assert code == 2
-        assert err != ""
-
-    def test_shape_and_input_together_are_rejected(self, tmp_path, capsys):
-        # the grids disagree, so neither flag may win silently
-        path = write(tmp_path / "f.csv", "0,0,0\n0,1,0\n0,0,0\n")
-        code, out, err = run_main(["cycles", "--shape", "2x2", "--input", path], capsys)
-        assert (code, out) == (2, "")
-        assert "exactly one of --shape and --input" in err
+    def test_takes_its_grid_from_shape_alone(self, tmp_path, capsys):
+        # minimal cycles belong to the grid, not to a function on it
+        path = write(tmp_path / "f.csv", "0,0\n0,1\n")
+        for argv, message in (
+            (["cycles"], "the following arguments are required: --shape"),
+            (["cycles", "--input", path], "the following arguments are required: --shape"),
+            (["cycles", "--shape", "2x2", "--input", path], "unrecognized arguments: --input"),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert message in captured.err
 
     def test_computed_relation_that_fails_its_audit_exits_3(self, capsys, monkeypatch):
         corrupt_enumeration(monkeypatch, cli)
@@ -265,20 +268,32 @@ class TestCyclesCommand:
 class TestSearchBudget:
     """cycles runs under verify's candidate budget; a search it cuts short
     exits 1 with a message and writes no report. The budget is lowered to 1
-    here: reaching the real 2^20 takes a 6x6 grid."""
+    here: reaching the real 2^20 takes a 6x7 grid (6x6 fits in 1026994
+    candidates)."""
 
     @pytest.mark.parametrize("command", ("cycles",))
     def test_cut_search_exits_one_without_a_report(self, command, tmp_path, capsys, monkeypatch):
-        path = str(tmp_path / "f.json")
-        assert main(["gen", "--shape", "3x3", "--seed", "31", "--output", path]) == 0
         out = tmp_path / "report.json"
-        assert main([command, "--input", path, "--output", str(out)]) == 0
+        assert main([command, "--shape", "3x3", "--output", str(out)]) == 0
         out.unlink()
-        monkeypatch.setattr(cli, "DEFAULT_ENUM_BUDGET", 1)
-        code, stdout, err = run_main([command, "--input", path, "--output", str(out)], capsys)
+        monkeypatch.setattr(chebyshev, "DEFAULT_ENUM_BUDGET", 1)
+        code, stdout, err = run_main([command, "--shape", "3x3", "--output", str(out)], capsys)
         assert (code, stdout) == (1, "")
         assert err == "error: the cycle search exceeded its budget of 1 candidates\n"
         assert not out.exists()
+
+    def test_one_budget_bounds_cycles_and_verify(self, tmp_path, capsys, monkeypatch):
+        # both commands read chebyshev.DEFAULT_ENUM_BUDGET when they run, so
+        # setting it after cli was imported bounds either search
+        path = str(tmp_path / "f.json")
+        assert main(["gen", "--shape", "3x3", "--seed", "31", "--output", path]) == 0
+        monkeypatch.setattr(chebyshev, "DEFAULT_ENUM_BUDGET", 1)
+        code, out, err = run_main(["cycles", "--shape", "3x3"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: the cycle search exceeded its budget of 1 candidates\n"
+        code, out, _ = run_main(["verify", "--input", path], capsys)
+        assert code == 1
+        assert json.loads(out)["enumerated"] is False
 
 
 class TestDecomposeCommand:

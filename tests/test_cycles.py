@@ -680,7 +680,9 @@ class TestCircuitSearch:
                 rejected += 1
 
     @pytest.mark.parametrize(
-        ("shape", "steps"), (((3, 3, 2), 8318), ((2, 2, 2, 2), 5710), ((4, 4), 1658))
+        ("shape", "steps"),
+        (((3, 3, 2), 8318), ((2, 2, 2, 2), 5710), ((4, 4), 1658)),
+        ids=["3x3x2", "2x2x2x2", "4x4"],
     )
     def test_each_depth_keeps_its_cleared_columns(self, shape, steps):
         # every read of a cleared column goes through _circuits' inner
@@ -751,6 +753,7 @@ class TestCircuitSearchMatchesReference:
             ((4, 4), 204, 620),
             ((5, 5), 3940, 19967),
         ),
+        ids=["3x3x2", "2x2x2x2", "4x4", "5x5"],
     )
     def test_full_grid_counts(self, shape, found, candidates):
         # the search tree itself: any change to it shows in these counts, and
