@@ -20,17 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, product
+from itertools import compress, islice, product
 from math import gcd
+from operator import mul
 
-from .cycles import (
-    Decomposition,
-    MinimalCycle,
-    _enumerate,
-    _normalized_cycle,
-    pair_to_json,
-)
-from .grids import GridPoint, SeparableSum, TabulatedFunction, _same_grid, point_index
+from .cycles import Decomposition, MinimalCycle, _largest_cycle, _normalized_cycle, pair_to_json
+from .cycles import _orbits, _origin_circuits, _sorted_hit
+from .grids import SeparableSum, TabulatedFunction, _same_grid, point_index
 from .linalg import CertificateError, LpProblem, LpRows, _int_row, format_rat, solve_lp
 from .measures import FiniteSignedMeasure, _class_sums_vanish
 
@@ -187,61 +183,74 @@ def cycle_functional(f: TabulatedFunction, cycle: MinimalCycle) -> Fraction:
     return abs(sum((w * f.value_at(p) for p, w in zip(cycle.points, cycle.weights)), _F0))
 
 
-def _cycle_supremum(
-    f: TabulatedFunction, hits: list[tuple[tuple[GridPoint, ...], list[int]]]
-) -> tuple[Fraction, MinimalCycle | None]:
-    """The largest cycle functional of f over ``_enumerate``'s hits, with the
-    first cycle, in their order, that attains it (None when it is 0).
+def _orbit_supremum(f: TabulatedFunction, hits: list, boxes: list) -> tuple[Fraction, MinimalCycle | None]:
+    """The largest cycle functional of f over every image of
+    ``_origin_circuits``' hits and boxes, with the first cycle in
+    enumeration order (``enumerate_minimal_cycles``) that attains it, None
+    when it is 0.
 
-    Over f's common denominator D a hit scores the integers |sum n_i F(x_i)|
-    and sum |n_i|, compared by cross-multiplication. Only the witness is
-    built; a failed MinimalCycle check or functional raises CertificateError.
+    Each image is scored where ``_orbits`` forms it: over f's common
+    denominator D, |sum n_k F(x_k)| on its flat indices, against
+    sum |n_k|, which all images of one hit share, compared by
+    cross-multiplication. No cycle list is kept or sorted. Only an image
+    that attains the best so far takes its order key, (size, sorted flat
+    indices), and of those that tie the lesser key wins. Only the witness
+    is built (``_witness``).
     """
     *values, den = _int_row(f.values)
-    value_at = dict(zip(f.grid.points(), values))
-    best, mass, arg = 0, 1, None
-    for points, relation in hits:
-        value = abs(sum(n * value_at[p] for n, p in zip(relation, points)))
-        total = sum(map(abs, relation))
-        if value * mass > best * total:
-            best, mass, arg = value, total, (points, relation)
+    best, mass, arg, key = 0, 1, None, None
+    for (_, rel), images in zip(hits, _orbits(f.grid, hits, boxes)):
+        total = sum(map(abs, rel))
+        scores = [abs(sum(map(mul, rel, map(values.__getitem__, image)))) for image in images]
+        top = max(scores)
+        cross = top * mass - best * total
+        if cross < 0 or not top:
+            continue
+        if cross:
+            best, mass, arg = top, total, None
+        for image in compress(images, [score == top for score in scores]):
+            tie = (len(image), sorted(image))
+            if arg is None or tie < key:
+                arg, key = (image, rel), tie
     supremum = Fraction(best, mass * den)
-    if arg is None:
-        return supremum, None
-    witness = _normalized_cycle(*arg, f.grid)
+    return supremum, None if arg is None else _witness(f, *arg, supremum)
+
+
+def _witness(f: TabulatedFunction, image: list[int], rel: list[int], supremum: Fraction) -> MinimalCycle:
+    """The cycle on the flat indices ``image`` with the integer relation
+    ``rel``, entry for entry, built by ``_normalized_cycle`` with its points
+    in flat-index order. A failed MinimalCycle check, or a functional other
+    than ``supremum``, raises CertificateError."""
+    witness = _normalized_cycle(*_sorted_hit(tuple(f.grid.points()), image, rel), f.grid)
     functional = cycle_functional(f, witness)
     if functional != supremum:
         raise CertificateError(f"the witness's functional {functional} is not the supremum {supremum}")
-    return supremum, witness
+    return witness
 
 
 def verify_golomb(f: TabulatedFunction, max_support: int | None = None) -> GolombReport:
     """Check the duality formula on f's grid: the best-approximation error
     must equal the maximum of |integral of f| over all minimal cycles.
 
-    Each call searches afresh and takes the maximum on the integer relations,
-    building only the witness (``_cycle_supremum``). DEFAULT_ENUM_BUDGET,
-    read at call time, caps two counts, each on its own: the search's
-    candidates (point sets whose independence was tested) and the cycles
-    written out from the circuits through the grid's first point; past
-    either the report says so instead of guessing a verdict. The
-    enumeration runs first, so a support cap below 2 is rejected before
-    the LP is solved.
+    Each call searches afresh (``_origin_circuits``) and scores every cycle
+    on its integer relation where the value swaps form it, building only
+    the witness (``_orbit_supremum``). DEFAULT_ENUM_BUDGET, read at call
+    time, caps two counts, each on its own: the search's candidates (point
+    sets whose independence was tested) and the cycles written out from the
+    circuits through the grid's first point; past either the report says
+    so instead of guessing a verdict. The search runs first, so a support
+    cap below 2 is rejected before the LP is solved.
 
-    A minimal cycle is a circuit of the incidence columns, so it has at most
-    rank + 1 points, and at most |grid|; the full grid's incidence has rank
-    sum(s_i) - n + 1, the dimension of the separable sums. A cap at least
-    that large misses no cycle, and the report is complete.
+    A cap of at least the largest size a minimal cycle can have
+    (``_largest_cycle``) misses no cycle, and the report is complete.
     """
-    hits, _, truncated = _enumerate(f.grid, None, max_support, DEFAULT_ENUM_BUDGET)
-    sizes = f.grid.factor_sizes
-    largest = min(sum(sizes) - len(sizes) + 2, f.grid.volume)
-    complete = not truncated and (max_support is None or max_support >= largest)
+    hits, boxes, images, _, truncated = _origin_circuits(f.grid, max_support, DEFAULT_ENUM_BUDGET)
+    complete = not truncated and (max_support is None or max_support >= _largest_cycle(f.grid))
     result = best_error(f)
     if truncated:
         return GolombReport(error=result.error, cycle_supremum=None, witness=None,
                             cycles_examined=0, equal=False, enumerated=False)
-    supremum, witness = _cycle_supremum(f, hits)
+    supremum, witness = _orbit_supremum(f, hits, boxes)
     equal = supremum == result.error
     if not (equal and result.error > 0):
         witness = None
@@ -249,7 +258,7 @@ def verify_golomb(f: TabulatedFunction, max_support: int | None = None) -> Golom
         error=result.error,
         cycle_supremum=supremum,
         witness=witness,
-        cycles_examined=len(hits),
+        cycles_examined=images,
         equal=equal,
         complete=complete,
     )

@@ -20,7 +20,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from math import gcd, lcm, prod
+from math import comb, factorial, gcd, lcm, perm, prod
+from operator import add
 from typing import Sequence
 
 from .grids import (
@@ -386,36 +387,89 @@ def _enumerate(
     count would exceed the budget, with the cycles found so far. A support
     cap below 2 admits no cycle at all and raises ValueError.
 
-    On the full grid only the circuits through the origin are searched, and
-    ``_images`` writes out the rest, each one cycle of the output; the
-    budget caps their number too. A search cut short, or whose images would
-    exceed the budget, writes out none: it returns the circuits through the
-    origin found so far, truncated.
+    On the full grid ``_origin_circuits`` searches only the circuits
+    through the origin, and ``_orbits`` writes out the rest, each one cycle
+    of the output, sorted here by size and then points. A truncated search
+    writes out none: it returns the circuits through the origin found so
+    far, truncated, and none with 0 candidates on two axes whose count of
+    cycles passes the budget.
     """
-    if max_support is not None and max_support < 2:
-        raise ValueError(f"max_support must be at least 2, got {max_support}")
-    pts = tuple(grid.points()) if points is None else tuple(sorted(_distinct(points, grid)))
-    classes, nrows = _class_ids(pts, grid.n)
-    cap = matrix_rank(_class_columns(classes, nrows)) + 1 if max_support is None else max_support
-    stop = 1 if points is None else None
-    hits, candidates, truncated = _circuits(classes, nrows, min(cap, len(pts)), budget, stop)
-    if points is None and not truncated:
-        images = _images(grid, pts, hits, budget)
-        if images is not None:
-            return images, candidates, False
-        truncated = True
+    if points is None:
+        hits, boxes, _, candidates, truncated = _origin_circuits(grid, max_support, budget)
+        pts = tuple(grid.points())
+        if not truncated:
+            orbits = zip(hits, _orbits(grid, hits, boxes))
+            out = [_sorted_hit(pts, image, rel) for (_, rel), images in orbits for image in images]
+            # points in flat-index order compare as their flat indices do
+            out.sort(key=lambda h: (len(h[0]), h[0]))
+            return out, candidates, False
+    else:
+        pts = tuple(sorted(_distinct(points, grid)))
+        classes, nrows = _class_ids(pts, grid.n)
+        cap = _support_cap(max_support) or matrix_rank(_class_columns(classes, nrows)) + 1
+        hits, candidates, truncated = _circuits(classes, nrows, min(cap, len(pts)), budget)
     return [(tuple(pts[i] for i in sup), rel) for sup, rel in hits], candidates, truncated
 
 
-def _images(
-    grid: ProductGrid,
-    pts: tuple[GridPoint, ...],
-    hits: list[tuple[tuple[int, ...], list[int]]],
-    budget: int | None,
-) -> list[tuple[tuple[GridPoint, ...], list[int]]] | None:
-    """Every circuit of the full grid ``pts``, each once, as ``_enumerate``'s
-    hits, from ``_circuits``' hits through the origin, which index ``pts``;
-    None, before any is written out, when there are more than ``budget``.
+def _sorted_hit(pts: Sequence[GridPoint], image: Sequence[int], rel: list[int]) -> tuple[tuple, list[int]]:
+    """The cycle on the flat indices ``image`` with the relation ``rel``,
+    entry for entry, as a hit: its points in flat-index order and the
+    relation reordered the same way."""
+    pairs = sorted(zip(image, rel))
+    return tuple([pts[k] for k, _ in pairs]), [n for _, n in pairs]
+
+
+def _support_cap(max_support: int | None) -> int | None:
+    """``max_support``, rejected with ValueError below 2."""
+    if max_support is not None and max_support < 2:
+        raise ValueError(f"max_support must be at least 2, got {max_support}")
+    return max_support
+
+
+def _largest_cycle(grid: ProductGrid) -> int:
+    """The most points a minimal cycle of the full grid can have: rank + 1,
+    the incidence rank being sum(s_i) - n + 1, the dimension of the
+    separable sums, and at most |grid|."""
+    sizes = grid.factor_sizes
+    return min(sum(sizes) - len(sizes) + 2, grid.volume)
+
+
+def _two_axis_count(s: int, t: int, cap: int) -> int:
+    """The number of minimal cycles on at most ``cap`` points of an s x t
+    grid. They are its closed bolts, the simple cycles of the complete
+    bipartite graph K_{s,t}: on k rows and k columns, 2k points, there are
+    k! (k - 1)! / 2 of them."""
+    return sum(comb(s, k) * perm(t, k) * factorial(k - 1) // 2 for k in range(2, min(s, t, cap // 2) + 1))
+
+
+def _origin_circuits(grid: ProductGrid, max_support: int | None, budget: int | None) -> tuple:
+    """The full grid's circuits through its first point, the origin, as
+    ``_circuits`` returns them (their flat indices and relations), with the
+    box of each (``_boxes``). Returns (hits, boxes, images, candidates,
+    truncated), images being the number of cycles the boxes write out.
+
+    The budget caps the candidates and the images, each on its own: each
+    image is one cycle of the output and a box can span the whole grid, so
+    the images are counted before any is written out. On two axes the
+    cycles are counted before the search (``_two_axis_count``), and a count
+    past the budget returns at once, with no hit and no candidate. A
+    truncated search returns no boxes and no images.
+    """
+    cap = min(_support_cap(max_support) or _largest_cycle(grid), grid.volume)
+    if grid.n == 2 and budget is not None and _two_axis_count(*grid.factor_sizes, cap) > budget:
+        return [], [], 0, 0, True
+    classes, nrows = _class_ids(tuple(grid.points()), grid.n)
+    hits, candidates, truncated = _circuits(classes, nrows, cap, budget, 1)
+    if not truncated:
+        boxes, images = _boxes(grid, hits)
+        if budget is None or images <= budget:
+            return hits, boxes, images, candidates, False
+    return hits, [], 0, candidates, True
+
+
+def _boxes(grid: ProductGrid, hits: list[tuple[tuple[int, ...], list[int]]]) -> tuple[list[list[int]], int]:
+    """The sides of each hit's box, for ``_circuits``' hits through the
+    origin on the full grid, and the number of points in all the boxes.
 
     For a point q, sigma_q swaps the values 0 and q_i on every axis i. It
     permutes each axis's classes, so it maps circuits to circuits with the
@@ -427,36 +481,37 @@ def _images(
     point of sigma_q(C0) exactly when q lies in the box of the q_i below
     every such p_i. Those p have flat indices in [t_i, s_i t_i), t_i the
     stride of axis i, and p_i = k // t_i, least at the least such index k;
-    the least index k >= t_i past that range, or len(pts) when there is
+    the least index k >= t_i past that range, or |grid| when there is
     none, has k // t_i >= s_i, so the box's side is min(s_i, k // t_i).
-
-    The images of one hit are its flat indices under every sigma_q of its
-    box, built axis by axis: sigma_0 is the identity, and value a of axis i
-    moves the entries whose value there is 0 up by a t_i and those whose
-    value is a down by as much. Nothing is kept per point of the grid.
+    Every circuit of the grid is so one point of one box.
     """
-    sizes = grid.factor_sizes
-    strides = [prod(sizes[i + 1 :]) for i in range(len(sizes))]
-    ends = [sup + (len(pts),) for sup, _ in hits]
+    sizes, volume = grid.factor_sizes, grid.volume
+    strides = [prod(sizes[i + 1 :]) for i in range(len(sizes))]  # the flat-index step of each axis
+    ends = [sup + (volume,) for sup, _ in hits]
     boxes = [[min(s, k[bisect_left(k, t)] // t) for s, t in zip(sizes, strides)] for k in ends]
-    if budget is not None and sum(map(prod, boxes)) > budget:
-        return None
-    out = []
-    for (sup, rel), sides in zip(hits, boxes):
-        images = [list(sup)]
+    return boxes, sum(map(prod, boxes))
+
+
+def _orbits(grid: ProductGrid, hits: list[tuple[tuple[int, ...], list[int]]], boxes: list[list[int]]):
+    """For each hit of ``_boxes`` in turn, the flat indices of its images
+    sigma_q(C0) over the q of its box, the hit's own tuple first and then
+    lists, each image's indices in the order of the hit's, so that the
+    hit's relation is the image's entry for entry.
+
+    The images are built axis by axis: sigma_0 is the identity, and value a
+    of axis i moves the entries whose value there is 0 up by a t_i and
+    those whose value is a down by as much. Nothing is kept per point of
+    the grid.
+    """
+    pts, sizes = tuple(grid.points()), grid.factor_sizes
+    strides = [prod(sizes[i + 1 :]) for i in range(len(sizes))]
+    for (sup, _), sides in zip(hits, boxes):
+        images = [sup]
         for side, t, values in zip(sides, strides, zip(*[pts[k] for k in sup])):
             if side > 1:
-                moves = [
-                    [t * (a if v == 0 else -a if v == a else 0) for v in values]
-                    for a in range(1, side)
-                ]
-                images += [[x + y for x, y in zip(image, move)] for image in images for move in moves]
-        for image in images:
-            pairs = sorted(zip(image, rel))
-            out.append((tuple([pts[k] for k, _ in pairs]), [n for _, n in pairs]))
-    # points in flat-index order compare as their flat indices do
-    out.sort(key=lambda h: (len(h[0]), h[0]))
-    return out
+                moves = [[t * (a if v == 0 else -a if v == a else 0) for v in values] for a in range(1, side)]
+                images += [[*map(add, image, move)] for image in images for move in moves]
+        yield images
 
 
 def enumerate_minimal_cycles(

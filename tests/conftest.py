@@ -333,18 +333,19 @@ def subset_scan_cycles(
 
 
 def cycle_supremum_by_functional(
-    f: TabulatedFunction, max_support: int | None = None
+    f: TabulatedFunction, max_support: int | None = None, cycles=None
 ) -> tuple[Fraction, MinimalCycle | None, int]:
     """Reference minimal-cycle supremum: the per-cycle loop that the integer
     supremum on the circuit search's relations replaced.
 
-    Every minimal cycle is built as a normalized MinimalCycle and scored
-    with cycle_functional; returns the supremum, the first cycle in
-    enumeration order that attains it (None when it is 0), and the number
-    of cycles.
+    Every minimal cycle (``cycles``, enumerated on f's grid by default) is
+    built as a normalized MinimalCycle and scored with cycle_functional;
+    returns the supremum, the first cycle in enumeration order that attains
+    it (None when it is 0), and the number of cycles.
     """
     supremum, witness = Fraction(0), None
-    cycles = enumerate_minimal_cycles(f.grid, max_support=max_support)
+    if cycles is None:
+        cycles = enumerate_minimal_cycles(f.grid, max_support=max_support)
     for cycle in cycles:
         value = cycle_functional(f, cycle)
         if value > supremum:
@@ -781,27 +782,32 @@ def decompose_by_measures(mu: FiniteSignedMeasure) -> Decomposition:
 
 
 def corrupt_enumeration(monkeypatch, module) -> None:
-    """Make ``module._enumerate`` double the first entry of every relation it
-    returns, so that no hit is a cycle vector any more."""
-    real = module._enumerate
+    """Make the cycle search that ``module`` reads double the first entry of
+    every relation it returns, so that no hit is a cycle vector any more:
+    ``_origin_circuits`` in chebyshev, the circuits through the origin that
+    ``verify_golomb`` scores, and ``_enumerate`` elsewhere."""
+    name = "_origin_circuits" if module is chebyshev else "_enumerate"
+    real = getattr(module, name)
 
-    def corrupted(grid, points, max_support, budget):
-        hits, candidates, truncated = real(grid, points, max_support, budget)
-        return [(p, [2 * r[0]] + r[1:]) for p, r in hits], candidates, truncated
+    def corrupted(*args):
+        hits, *rest = real(*args)
+        return [(p, [2 * r[0]] + r[1:]) for p, r in hits], *rest
 
-    monkeypatch.setattr(module, "_enumerate", corrupted)
+    monkeypatch.setattr(module, name, corrupted)
 
 
 def forbid_cycle_search(monkeypatch) -> None:
     """Make every cycle search fail at each binding a path could reach it
-    by: ``_enumerate``, the circuit search ``_circuits`` under it, and
-    ``verify_golomb``, which runs it."""
+    by: ``_enumerate``, the full grid's ``_origin_circuits`` that it and
+    ``verify_golomb`` run, the circuit search ``_circuits`` under both, and
+    ``verify_golomb`` itself."""
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a cycle search ran")
 
-    for module, name in ((cycles, "_enumerate"), (cycles, "_circuits"), (chebyshev, "_enumerate"),
-                         (chebyshev, "verify_golomb"), (cli, "_enumerate"), (cli, "verify_golomb")):
+    for module, name in ((cycles, "_enumerate"), (cycles, "_origin_circuits"), (cycles, "_circuits"),
+                         (chebyshev, "_origin_circuits"), (chebyshev, "verify_golomb"),
+                         (cli, "_enumerate"), (cli, "verify_golomb")):
         monkeypatch.setattr(module, name, forbidden)
 
 

@@ -30,6 +30,7 @@ from golombdual import (
     is_orthogonal,
     normalize_minimal,
     optimal_witness_from_dual,
+    point_index,
     report_to_json,
     residual,
     sup_norm,
@@ -562,12 +563,24 @@ class TestVerifyGolomb:
                 assert report.equal
                 assert report.cycles_examined > 0
 
-    def test_budget_exhaustion_reports_not_enumerated(self, monkeypatch):
+    @pytest.mark.parametrize("shape, candidates", (((3, 3, 2), 2), ((3, 3), 0)), ids=["3x3x2", "3x3"])
+    def test_budget_exhaustion_reports_not_enumerated(self, shape, candidates, monkeypatch):
         # verify_golomb reads DEFAULT_ENUM_BUDGET when it is called: at 1 the
-        # search itself stops after one candidate, and with none it finishes
-        f = random_table(random.Random(10), ProductGrid((3, 3)))
+        # 3x3x2 search itself stops after one candidate, the 15 cycles of 3x3
+        # are counted before any search, and with none the search finishes
+        f = random_table(random.Random(10), ProductGrid(shape))
+        seen = []
+        real = chebyshev._origin_circuits
+
+        def spied(*args):
+            found = real(*args)
+            seen.append(found[3:])
+            return found
+
+        monkeypatch.setattr(chebyshev, "_origin_circuits", spied)
         monkeypatch.setattr(chebyshev, "DEFAULT_ENUM_BUDGET", 1)
         report = verify_golomb(f)
+        assert seen == [(candidates, True)]
         assert not report.enumerated
         assert not report.complete
         assert not report.equal
@@ -664,15 +677,16 @@ def drawn_tables(draw) -> tuple[TabulatedFunction, int | None]:
 
 
 class TestIntegerSupremum:
-    """verify_golomb takes the supremum on the circuit search's integer
-    relations and builds only the witness. It must agree with the per-cycle
-    loop it replaced (``conftest.cycle_supremum_by_functional``) on the
-    supremum, the witness and the number of cycles examined."""
+    """verify_golomb scores every cycle on its integer relation where the
+    value swaps form it and builds only the witness. It must agree with the
+    per-cycle loop it replaced (``conftest.cycle_supremum_by_functional``)
+    on the supremum, the witness and the number of cycles examined."""
 
-    def check(self, f: TabulatedFunction, max_support: int | None = None):
-        supremum, witness, count = cycle_supremum_by_functional(f, max_support)
-        hits, _, _ = cycles._enumerate(f.grid, None, max_support, None)
-        assert chebyshev._cycle_supremum(f, hits) == (supremum, witness)
+    def check(self, f: TabulatedFunction, max_support: int | None = None, found=None):
+        supremum, witness, count = cycle_supremum_by_functional(f, max_support, found)
+        hits, boxes, images, _, _ = cycles._origin_circuits(f.grid, max_support, None)
+        assert chebyshev._orbit_supremum(f, hits, boxes) == (supremum, witness)
+        assert images == count
         report = verify_golomb(f, max_support=max_support)
         assert report.cycle_supremum == supremum
         assert report.cycles_examined == count
@@ -711,6 +725,23 @@ class TestIntegerSupremum:
             f = random_table(rng, ProductGrid(shape))
             for cap in range(2, 8):
                 self.check(f, cap)
+
+    @pytest.mark.parametrize("bound", (1, 2))
+    @pytest.mark.parametrize(
+        "shape, tables",
+        (((3, 3, 2), 6), ((2, 2, 2, 2), 6), ((3, 4), 8), ((3, 4, 2), 1)),
+        ids=["3x3x2", "2x2x2x2", "3x4", "3x4x2"],
+    )
+    def test_low_range_tables(self, shape, tables, bound):
+        # values in [-1, 1] and [-2, 2] make many cycles attain the supremum,
+        # and the value swaps form them out of order: only the tie rule keeps
+        # the witness the first maximizer in enumeration order (without it,
+        # 7 of these 42 tables report another witness)
+        grid = ProductGrid(shape)
+        found = enumerate_minimal_cycles(grid)
+        rng = random.Random(4149 + bound)
+        for _ in range(tables):
+            self.check(random_table(rng, grid, bound), found=found)
 
     @settings(max_examples=40, deadline=None)
     @given(drawn_tables())
@@ -782,8 +813,9 @@ class TestWitnessAudit:
 
     def test_a_cycle_that_is_not_minimal_fails_the_audit(self):
         f = random_table(random.Random(4148), CUBE)
+        flat = [point_index(CUBE, p) for p in SIX_POINTS]
         with pytest.raises(CertificateError, match="not a minimal cycle"):
-            chebyshev._cycle_supremum(f, [(SIX_POINTS, list(SIX_CERT))])
+            chebyshev._witness(f, flat, list(SIX_CERT), Fraction(0))
 
     def test_a_functional_that_disagrees_fails_the_audit(self, monkeypatch):
         monkeypatch.setattr(chebyshev, "cycle_functional", lambda f, c: Fraction(-1))

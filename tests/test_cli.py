@@ -15,6 +15,7 @@ import pytest
 import golombdual.bolts as bolts
 import golombdual.chebyshev as chebyshev
 import golombdual.cli as cli
+import golombdual.cycles as cycles
 from golombdual import (
     LpSolution,
     MinimalCycle,
@@ -268,27 +269,50 @@ class TestCyclesCommand:
 class TestSearchBudget:
     """cycles runs under verify's candidate budget; a search it cuts short
     exits 1 with a message and writes no report. The budget is lowered to 1
-    here: reaching the real 2^20 takes a 6x7 grid (6x6 fits in 1026994
-    candidates)."""
+    here: the 3x3x3 search fits the real 2^20 in 155460 candidates. A
+    two-axis grid is cut by its count of cycles before any search: 7x7 has
+    4662231, past 2^20."""
 
     @pytest.mark.parametrize("command", ("cycles",))
     def test_cut_search_exits_one_without_a_report(self, command, tmp_path, capsys, monkeypatch):
         out = tmp_path / "report.json"
-        assert main([command, "--shape", "3x3", "--output", str(out)]) == 0
+        assert main([command, "--shape", "3x3x2", "--output", str(out)]) == 0
         out.unlink()
         monkeypatch.setattr(chebyshev, "DEFAULT_ENUM_BUDGET", 1)
-        code, stdout, err = run_main([command, "--shape", "3x3", "--output", str(out)], capsys)
+        code, stdout, err = run_main([command, "--shape", "3x3x2", "--output", str(out)], capsys)
         assert (code, stdout) == (1, "")
         assert err == "error: the cycle search exceeded its budget of 1 candidates\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("shape, budget", (("3x3", 1), ("8x8", None)))
+    def test_two_axes_are_counted_before_any_search(self, shape, budget, tmp_path, capsys, monkeypatch):
+        # 3x3 has 15 cycles and 8x8 has 256485040, past 2^20: neither
+        # command searches, and cycles names the count that ran over
+        if budget is not None:
+            monkeypatch.setattr(chebyshev, "DEFAULT_ENUM_BUDGET", budget)
+        budget = chebyshev.DEFAULT_ENUM_BUDGET
+        path = str(tmp_path / "f.json")
+        assert main(["gen", "--shape", shape, "--seed", "1", "--output", path]) == 0
+
+        def no_search(*args):
+            raise AssertionError("a cycle search ran")
+
+        monkeypatch.setattr(cycles, "_circuits", no_search)
+        code, out, err = run_main(["cycles", "--shape", shape], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: the cycle search exceeded its budget of {budget} cycles\n"
+        code, out, _ = run_main(["verify", "--input", path], capsys)
+        assert code == 1
+        report = json.loads(out)
+        assert (report["enumerated"], report["cycles_examined"], report["cycle_supremum"]) == (False, 0, None)
 
     def test_one_budget_bounds_cycles_and_verify(self, tmp_path, capsys, monkeypatch):
         # both commands read chebyshev.DEFAULT_ENUM_BUDGET when they run, so
         # setting it after cli was imported bounds either search
         path = str(tmp_path / "f.json")
-        assert main(["gen", "--shape", "3x3", "--seed", "31", "--output", path]) == 0
+        assert main(["gen", "--shape", "3x3x2", "--seed", "31", "--output", path]) == 0
         monkeypatch.setattr(chebyshev, "DEFAULT_ENUM_BUDGET", 1)
-        code, out, err = run_main(["cycles", "--shape", "3x3"], capsys)
+        code, out, err = run_main(["cycles", "--shape", "3x3x2"], capsys)
         assert (code, out) == (1, "")
         assert err == "error: the cycle search exceeded its budget of 1 candidates\n"
         code, out, _ = run_main(["verify", "--input", path], capsys)

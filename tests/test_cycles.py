@@ -804,8 +804,9 @@ class TestSearchBudget:
 
     def test_enumerate_truncates_exactly_past_the_budget(self):
         # a cut search on the full grid returns only circuits through the
-        # origin (TestSearchThroughTheOrigin), a subsequence of the full order
-        for shape in ((4, 4), (3, 3, 2)):
+        # origin (TestSearchThroughTheOrigin), a subsequence of the full
+        # order; two axes are counted first (TestTwoAxisCount)
+        for shape in ((2, 2, 2, 2), (3, 3, 2)):
             grid = ProductGrid(shape)
             origin = (0,) * grid.n
             full, total, truncated = cycles._enumerate(grid, None, None, None)
@@ -843,7 +844,7 @@ class TestSearchFreesItself:
 class TestSearchThroughTheOrigin:
     """On the full grid ``_enumerate`` searches only the circuits through the
     origin and writes out every other one as an image under the per-axis
-    swaps of 0 with one value (``cycles._images``). A point subset keeps the
+    swaps of 0 with one value (``cycles._orbits``). A point subset keeps the
     full search, which is the oracle here."""
 
     @pytest.mark.parametrize("shape", SEARCH_SHAPES + SIZE_ONE_SHAPES)
@@ -866,9 +867,9 @@ class TestSearchThroughTheOrigin:
         assert through == [h for h in hits if h[0][0] == 0]
         assert not truncated and count <= tested
 
-    @pytest.mark.parametrize(("shape", "cap"), (((8, 8), 4), ((3, 3, 2), 4)))
+    @pytest.mark.parametrize(("shape", "cap"), (((8, 8, 2), 4), ((3, 3, 2), 4)))
     def test_the_budget_caps_the_images(self, shape, cap):
-        # 8x8 at cap 4 tests 142 candidates and writes out 784 rectangles:
+        # 8x8x2 at cap 4 tests 747 candidates and writes out 6720 cycles:
         # a budget between the two finishes the search through the origin
         # and writes out none of its images
         grid = ProductGrid(shape)
@@ -880,26 +881,71 @@ class TestSearchThroughTheOrigin:
             assert cycles._enumerate(grid, None, cap, b) == (through, total, True)
         assert cycles._enumerate(grid, None, cap, len(full)) == (full, total, False)
 
-    def test_images_past_the_budget_truncate_the_search(self):
-        # at cap 4 the search through the origin of 64x64 finishes in 11846
-        # candidates and finds its 63^2 rectangles, whose 2016^2 images
-        # exceed DEFAULT_ENUM_BUDGET: none is written out, as at a search cut
-        # short, and the whole cap-4 search is cut at the budget
-        found, candidates, truncated = cycles._enumerate(
-            ProductGrid((64, 64)), None, 4, DEFAULT_ENUM_BUDGET
-        )
-        assert truncated and (len(found), candidates) == (63**2, 11846)
-        assert all(h[0][0] == (0, 0) for h in found)
-
     def test_a_cut_search_builds_nothing_per_point(self):
-        # a |grid|^2 table of the swaps on 32x32 would take about 32 MiB
+        # a |grid|^2 table of the swaps on 16x16x4 would take about 32 MiB
         tracemalloc.start()
         try:
-            _, _, truncated = cycles._enumerate(ProductGrid((32, 32)), None, None, 10**3)
+            _, candidates, truncated = cycles._enumerate(ProductGrid((16, 16, 4)), None, None, 10**3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert truncated and peak < 6 * 2**20
+        assert truncated and candidates == 10**3 + 1 and peak < 6 * 2**20
+
+
+class TestTwoAxisCount:
+    """An s x t grid's minimal cycles are its closed bolts, counted in closed
+    form (``cycles._two_axis_count``) before any search: past the budget
+    ``_enumerate`` and ``verify_golomb`` return truncated at once."""
+
+    @pytest.mark.parametrize("shape", [s for s in SEARCH_SHAPES if len(s) == 2] + [(1, 4), (2, 7)])
+    def test_the_count_is_the_search_at_every_cap(self, shape):
+        grid = ProductGrid(shape)
+        for cap in range(2, cycles._largest_cycle(grid) + 2):
+            found, _, truncated = cycles._enumerate(grid, tuple(grid.points()), cap, None)
+            assert not truncated
+            assert cycles._two_axis_count(*shape, cap) == len(found)
+
+    def test_counts_past_the_search(self):
+        # 6x6 and 6x7 fit 2^20; 7x7 and 8x8 do not
+        counts = [cycles._two_axis_count(s, t, s + t) for s, t in ((6, 6), (6, 7), (7, 7), (8, 8))]
+        assert counts == [113865, 526155, 4662231, 256485040]
+
+    @pytest.mark.parametrize(("shape", "cap", "budget"), (
+        ((4, 4), None, 203), ((64, 64), 4, DEFAULT_ENUM_BUDGET), ((8, 8), None, DEFAULT_ENUM_BUDGET),
+    ))
+    def test_a_count_past_the_budget_skips_the_search(self, shape, cap, budget, monkeypatch):
+        # 4x4 has 204 cycles; the 2016^2 rectangles of 64x64 and the
+        # 256485040 cycles of 8x8 are past DEFAULT_ENUM_BUDGET
+        grid = ProductGrid(shape)
+        real = cycles._circuits
+
+        def no_search(*args):
+            raise AssertionError("a cycle search ran")
+
+        monkeypatch.setattr(cycles, "_circuits", no_search)
+        assert cycles._enumerate(grid, None, cap, budget) == ([], 0, True)
+        assert cycles._origin_circuits(grid, cap, budget) == ([], [], 0, 0, True)
+        if shape == (4, 4):
+            # at the count itself the search runs, and its 620 candidates cut it
+            monkeypatch.setattr(cycles, "_circuits", real)
+            assert cycles._enumerate(grid, None, cap, budget + 1)[1:] == (budget + 2, True)
+
+
+class TestLargestCycle:
+    @pytest.mark.parametrize("shape", SEARCH_SHAPES + SIZE_ONE_SHAPES + ((1, 3), (1, 1, 2), (4,)))
+    def test_rank_plus_one_without_a_rank(self, shape):
+        grid = ProductGrid(shape)
+        rank = matrix_rank(incidence_matrix(tuple(grid.points()), grid))
+        assert cycles._largest_cycle(grid) == min(rank + 1, grid.volume)
+
+    def test_the_full_grid_takes_no_rank(self, monkeypatch):
+        def no_rank(columns):
+            raise AssertionError("matrix_rank ran")
+
+        monkeypatch.setattr(cycles, "matrix_rank", no_rank)
+        assert len(cycles._enumerate(ProductGrid((3, 3, 2)), None, None, None)[0]) == 1740
+        with pytest.raises(AssertionError, match="matrix_rank ran"):
+            cycles._enumerate(ProductGrid((3, 3, 2)), FIVE_POINTS, None, None)
 
 
 class TestExtractExtremeCycle:
