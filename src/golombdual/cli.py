@@ -3,8 +3,10 @@
 Exit codes: 0 on success (for verify: duality confirmed), 1 when a
 verification is negative or the enumeration budget was exceeded, 2 on input
 errors, 3 when an exact audit of a computed solution or certificate fails
-(a bug, never an input error). Output is built in memory and written only
-on success, so a failing run never leaves a partial file. The gen command
+(a bug, never an input error). Each command returns its exit code and its
+report, built in memory, and main is the one writer: it writes the report
+as JSON, to --output or stdout, only once the command has returned, so a
+failing run never leaves a partial file. The gen command
 uses random.Random (the documented Mersenne Twister), so output is
 byte-identical for a given seed.
 """
@@ -52,87 +54,67 @@ def _load_function(path: str) -> TabulatedFunction:
     return function_from_json(json.loads(text))
 
 
-def _emit(args: argparse.Namespace, payload: dict) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _cmd_error(args: argparse.Namespace) -> int:
+def _cmd_error(args: argparse.Namespace) -> tuple[int, dict]:
     f = _load_function(args.input)
     result = best_error(f)
-    payload = {
+    return 0, {
         "shape": list(f.grid.factor_sizes),
         "error": format_rat(result.error),
         "best_g": [[format_rat(v) for v in table] for table in result.best_g.tables],
         "optimal_measure": measure_to_json(result.optimal_measure),
     }
-    _emit(args, payload)
-    return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple[int, dict]:
     f = _load_function(args.input)
     report = verify_golomb(f, max_support=args.max_support)
-    payload = report_to_json(report)
-    payload["shape"] = list(f.grid.factor_sizes)
-    _emit(args, payload)
-    return 0 if report.equal else 1
+    return (0 if report.equal else 1), {**report_to_json(report), "shape": list(f.grid.factor_sizes)}
 
 
-def _cmd_cycles(args: argparse.Namespace) -> int:
+def _cmd_cycles(args: argparse.Namespace) -> tuple[int, dict | None]:
     grid = ProductGrid(_parse_shape(args.shape))
     budget = chebyshev.DEFAULT_ENUM_BUDGET  # read per call, as verify_golomb reads it
     hits, candidates, truncated = _enumerate(grid, None, args.max_support, budget)
     if truncated:
         unit = "candidates" if candidates > budget else "cycles"
         print(f"error: the cycle search exceeded its budget of {budget} {unit}", file=sys.stderr)
-        return 1
-    payload = {
+        return 1, None
+    return 0, {
         "shape": list(grid.factor_sizes),
         "cycles": [pair_to_json(_normalized_cycle(*hit, grid)) for hit in hits],
     }
-    _emit(args, payload)
-    return 0
 
 
-def _cmd_decompose(args: argparse.Namespace) -> int:
+def _cmd_decompose(args: argparse.Namespace) -> tuple[int, dict]:
     with open(args.input, "r", encoding="utf-8") as fh:
         mu = measure_from_json(json.load(fh))
-    payload = {
+    return 0, {
         "shape": list(mu.grid.factor_sizes),
         "terms": [{"weight": format_rat(t), "cycle": pair_to_json(c)} for t, c in decompose(mu).terms],
     }
-    _emit(args, payload)
-    return 0
 
 
-def _cmd_bolts(args: argparse.Namespace) -> int:
+def _cmd_bolts(args: argparse.Namespace) -> tuple[int, dict]:
     f = _load_function(args.input)
     error, supremum, bolts = _bolt_certificate(f)
-    payload = {
+    # _bolt_certificate raises CertificateError unless the supremum is the error
+    return 0, {
         "shape": list(f.grid.factor_sizes),
         "error": format_rat(error),
         "bolt_supremum": format_rat(supremum),
         "equal": supremum == error,
         "witness_bolts": [bolt_to_json(cb) for cb in bolts],
     }
-    _emit(args, payload)
-    return 0  # _bolt_certificate raises CertificateError unless the supremum is the error
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
+def _cmd_gen(args: argparse.Namespace) -> tuple[int, dict]:
     grid = ProductGrid(_parse_shape(args.shape))
     r = args.value_range
     if r < 0:
         raise ValueError(f"--range must be at least 0, got {r}")
     rng = random.Random(args.seed)
     values = tuple(Fraction(rng.randint(-r, r)) for _ in range(grid.volume))
-    _emit(args, function_to_json(TabulatedFunction(grid, values)))
-    return 0
+    return 0, function_to_json(TabulatedFunction(grid, values))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -146,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(
-        name: str, handler: Callable[[argparse.Namespace], int], help_text: str
+        name: str, handler: Callable[[argparse.Namespace], tuple[int, dict | None]], help_text: str
     ) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--output", help="write JSON here instead of stdout")
@@ -190,7 +172,15 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code, report = args.handler(args)
+        if report is not None:
+            text = json.dumps(report, indent=2) + "\n"
+            if args.output:
+                with open(args.output, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            else:
+                sys.stdout.write(text)
+        return code
     except (ValueError, OSError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

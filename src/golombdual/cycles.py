@@ -427,11 +427,16 @@ def _support_cap(max_support: int | None) -> int | None:
 
 
 def _largest_cycle(grid: ProductGrid) -> int:
-    """The most points a minimal cycle of the full grid can have: rank + 1,
-    the incidence rank being sum(s_i) - n + 1, the dimension of the
-    separable sums, and at most |grid|."""
-    sizes = grid.factor_sizes
-    return min(sum(sizes) - len(sizes) + 2, grid.volume)
+    """The most points a minimal cycle of the full grid can have, read off
+    its axes of size > 1. On two of sizes s and t a minimal cycle is a
+    closed bolt on k rows and k columns, so it has at most 2 min(s, t)
+    points; on fewer there is no cycle, and 2, the least cap, misses none.
+    On three or more it is rank + 1, the incidence rank being
+    sum(s_i) - n + 1, the dimension of the separable sums."""
+    sizes = [s for s in grid.factor_sizes if s > 1]
+    if len(sizes) < 3:
+        return 2 * min(sizes) if len(sizes) == 2 else 2
+    return sum(sizes) - len(sizes) + 2
 
 
 def _two_axis_count(s: int, t: int, cap: int) -> int:
@@ -450,13 +455,15 @@ def _origin_circuits(grid: ProductGrid, max_support: int | None, budget: int | N
 
     The budget caps the candidates and the images, each on its own: each
     image is one cycle of the output and a box can span the whole grid, so
-    the images are counted before any is written out. On two axes the
-    cycles are counted before the search (``_two_axis_count``), and a count
-    past the budget returns at once, with no hit and no candidate. A
-    truncated search returns no boxes and no images.
+    the images are counted before any is written out. On two axes of size
+    > 1, whatever the axes of size 1, the cycles are counted before the
+    search (``_two_axis_count``), and a count past the budget returns at
+    once, with no hit and no candidate. A truncated search returns no boxes
+    and no images.
     """
     cap = min(_support_cap(max_support) or _largest_cycle(grid), grid.volume)
-    if grid.n == 2 and budget is not None and _two_axis_count(*grid.factor_sizes, cap) > budget:
+    sizes = [s for s in grid.factor_sizes if s > 1]
+    if len(sizes) == 2 and budget is not None and _two_axis_count(*sizes, cap) > budget:
         return [], [], 0, 0, True
     classes, nrows = _class_ids(tuple(grid.points()), grid.n)
     hits, candidates, truncated = _circuits(classes, nrows, cap, budget, 1)

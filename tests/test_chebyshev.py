@@ -604,8 +604,9 @@ class TestVerifyGolomb:
             assert report.enumerated and report.complete and report.equal
 
     @pytest.mark.parametrize("shape,largest", [
-        # rank + 1 = sum(s_i) - n + 2 points, or |grid| when that is fewer
-        ((3, 3), 6), ((2, 2, 2), 5), ((4, 2), 6), ((1, 3), 3), ((1, 1, 2), 2),
+        # read off the axes of size > 1: 2 min(s, t) points on two, rank + 1
+        # = sum(s_i) - n + 2 on three; on fewer than two every cap is complete
+        ((3, 3), 6), ((2, 2, 2), 5), ((4, 2), 4), ((1, 3), 2), ((1, 1, 2), 2),
     ])
     def test_complete_needs_a_cap_of_the_largest_cycle_size(self, shape, largest):
         f = random_table(random.Random(12), ProductGrid(shape))

@@ -187,6 +187,15 @@ class TestVerifyCommand:
         assert code == 0
         assert (obj["enumerated"], obj["equal"], obj["complete"]) == (True, True, True)
 
+    def test_a_cap_of_twice_the_shorter_side_is_complete(self, tmp_path, capsys):
+        # every minimal cycle of 2x5 is a rectangle of 4 points
+        path = str(tmp_path / "f.json")
+        assert main(["gen", "--shape", "2x5", "--seed", "1", "--output", path]) == 0
+        code, out, _ = run_main(["verify", "--input", path, "--max-support", "4"], capsys)
+        obj = json.loads(out)
+        assert code == 0
+        assert (obj["cycles_examined"], obj["enumerated"], obj["equal"], obj["complete"]) == (10, True, True, True)
+
     def test_support_cap_below_two_exits_two(self, tmp_path, capsys):
         # a cap below 2 scans nothing; it must not read as a duality failure
         path = str(tmp_path / "f.json")
@@ -221,6 +230,45 @@ class TestVerifyCommand:
         assert code == 0
         assert out == ""
         assert json.loads(out_path.read_text())["equal"] is True
+
+
+class TestOneWriter:
+    """Every command returns its report and main writes it, to --output or
+    to stdout, inside the error mapping: a write that fails exits 2."""
+
+    COMMANDS = ("error", "verify", "cycles", "decompose", "bolts", "gen")
+
+    @staticmethod
+    def argv(command, tmp_path):
+        xy = write(tmp_path / "xy.csv", XY_CSV)
+        atoms = [([0, 0], "1/4"), ([0, 1], "-1/4"), ([1, 0], "-1/4"), ([1, 1], "1/4")]
+        mu = write(tmp_path / "mu.json", json.dumps(
+            {"shape": [2, 2], "atoms": [{"point": p, "mass": m} for p, m in atoms]}))
+        return {
+            "error": ["error", "--input", xy],
+            "verify": ["verify", "--input", xy],
+            "cycles": ["cycles", "--shape", "2x2"],
+            "decompose": ["decompose", "--input", mu],
+            "bolts": ["bolts", "--input", xy],
+            "gen": ["gen", "--shape", "2x3", "--seed", "1"],
+        }[command]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_stdout_and_the_output_file_hold_the_same_bytes(self, command, tmp_path, capsys):
+        argv = self.argv(command, tmp_path)
+        code, out, err = run_main(argv, capsys)
+        assert (code, err) == (0, "") and out.endswith("}\n")
+        path = tmp_path / "report.json"
+        assert run_main([*argv, "--output", str(path)], capsys) == (0, "", "")
+        assert path.read_bytes() == out.encode("utf-8")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_an_output_in_a_missing_directory_exits_two(self, command, tmp_path, capsys):
+        path = tmp_path / "missing" / "report.json"
+        code, out, err = run_main([*self.argv(command, tmp_path), "--output", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and str(path) in err
+        assert not path.parent.exists()
 
 
 class TestCyclesCommand:
@@ -258,6 +306,13 @@ class TestCyclesCommand:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert message in captured.err
+
+    def test_unequal_sides_fit_the_budget(self, capsys):
+        # a minimal cycle of 4x9 has at most 2 min(4, 9) = 8 points, not 4 + 9
+        code, out, _ = run_main(["cycles", "--shape", "4x9"], capsys)
+        assert code == 0
+        obj = json.loads(out)
+        assert len(obj["cycles"]) == 11304 and max(len(c["points"]) for c in obj["cycles"]) == 8
 
     def test_computed_relation_that_fails_its_audit_exits_3(self, capsys, monkeypatch):
         corrupt_enumeration(monkeypatch, cli)

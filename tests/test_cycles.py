@@ -930,13 +930,25 @@ class TestTwoAxisCount:
             monkeypatch.setattr(cycles, "_circuits", real)
             assert cycles._enumerate(grid, None, cap, budget + 1)[1:] == (budget + 2, True)
 
+    def test_axes_of_size_one_leave_the_count_to_the_other_two(self, monkeypatch):
+        # 1x8x8 has the 256485040 cycles of 8x8, past DEFAULT_ENUM_BUDGET
+        def no_search(*args):
+            raise AssertionError("a cycle search ran")
+
+        monkeypatch.setattr(cycles, "_circuits", no_search)
+        grid = ProductGrid((1, 8, 8))
+        assert cycles._origin_circuits(grid, None, DEFAULT_ENUM_BUDGET) == ([], [], 0, 0, True)
+        assert cycles._enumerate(grid, None, None, DEFAULT_ENUM_BUDGET) == ([], 0, True)
+
 
 class TestLargestCycle:
     @pytest.mark.parametrize("shape", SEARCH_SHAPES + SIZE_ONE_SHAPES + ((1, 3), (1, 1, 2), (4,)))
     def test_rank_plus_one_without_a_rank(self, shape):
+        # the largest hit of the search capped only by rank + 1, which no
+        # circuit exceeds, and 2, the least cap, on a grid with no cycle
         grid = ProductGrid(shape)
-        rank = matrix_rank(incidence_matrix(tuple(grid.points()), grid))
-        assert cycles._largest_cycle(grid) == min(rank + 1, grid.volume)
+        hits = cycles._enumerate(grid, tuple(grid.points()), None, None)[0]
+        assert cycles._largest_cycle(grid) == max((len(pts) for pts, _ in hits), default=2)
 
     def test_the_full_grid_takes_no_rank(self, monkeypatch):
         def no_rank(columns):
